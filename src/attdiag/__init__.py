@@ -17,10 +17,10 @@ from .identification import (
     sweep_tilting,
     sweep_trimming_proxy,
 )
-from .ingest import Dataset, SchemaSpec, UnitRecord, fetch_dataset, merge, parse_table
-from .propensity import PropensityModel, TrimRule, fit_logistic, score, score_dataset, trim
+from .ingest import Dataset, SchemaSpec, fetch_dataset, merge, parse_table
+from .propensity import PropensityModel, TrimRule, fit_logistic, score_dataset, trim
 from .resample import BootstrapSummary, DecileReport, bootstrap_att, decile_att
-from .simulation import SimConfig, SimUnit, apply_selection, generate_population, nonid_witness, run_sweep
+from .simulation import SimConfig, apply_selection, generate_population, nonid_witness, run_sweep
 from .strata import (
     BinSpec,
     CellStatus,

@@ -3,15 +3,19 @@ bound, and bundle everything into a reproduction report.
 
 Each subcommand writes its CSV/JSON artifacts into the output directory
 and prints one JSON log line with input digests; `reproduce` chains every
-stage and emits report.json plus SVG renderings. Commands that need an
-upstream artifact fail with a dependency error naming the producing
-command.
+stage and emits report.json plus SVG renderings. One invocation parses the
+input tables at most once, on first use, and every stage it runs shares
+that parse. Stages read upstream products (the propensity model, table 1)
+from their artifacts, in a chained run as in a standalone one; a command
+whose upstream artifact is missing fails with a dependency error naming
+the producing command.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import hashlib
 import json
 import sys
@@ -23,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .calibrate import bins_from_config, load_grid_config
-from .decision import bias_robustness, fragility_index, minimax_rule
+from .decision import bias_robustness, bias_robustness_curve, fragility_index, minimax_rule
 from .errors import AttDiagError, ConfigError, DependencyError, FetchError
 from .estimators import (
     MatchSpec,
@@ -298,14 +302,14 @@ def _trim_rule(cfg: RunConfig) -> TrimRule:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes the config and `load`, a no-argument callable that
+# returns this invocation's (dataset, digests) from `_load_data`.
 
 
-def cmd_fetch(cfg: RunConfig) -> dict:
+def cmd_fetch(cfg: RunConfig, load) -> dict:
     mode = cfg.get("data", "source")
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     if mode == "local":
-        _, digests = _load_data(cfg)
+        _, digests = load()
         _log("fetch", mode="local", digests=digests)
         return {"digests": digests}
     cache = cfg.get("data", "cache_dir")
@@ -318,10 +322,9 @@ def cmd_fetch(cfg: RunConfig) -> dict:
     return {"digests": digests}
 
 
-def cmd_support(cfg: RunConfig) -> dict:
-    data, digests = _load_data(cfg)
+def cmd_support(cfg: RunConfig, load) -> dict:
+    data, digests = load()
     grid_cfg = _grid_config(cfg)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
 
     fine_map = build_support_map(data, bins_from_config(grid_cfg["fine"]))
     _write_csv(cfg.out_dir / "support_72.csv", fine_map.to_csv_rows())
@@ -344,9 +347,8 @@ def cmd_support(cfg: RunConfig) -> dict:
     return result
 
 
-def cmd_propensity(cfg: RunConfig) -> dict:
-    data, digests = _load_data(cfg)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_propensity(cfg: RunConfig, load) -> dict:
+    data, digests = load()
     covariates = cfg.get("propensity", "covariates").split()
     model = fit_logistic(
         data, covariates,
@@ -378,11 +380,10 @@ def cmd_propensity(cfg: RunConfig) -> dict:
     return result
 
 
-def cmd_match(cfg: RunConfig) -> dict:
-    data, digests = _load_data(cfg)
+def cmd_match(cfg: RunConfig, load) -> dict:
+    data, digests = load()
     model = _load_model(cfg)
     grid_cfg = _grid_config(cfg)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
 
     spec = _match_spec(cfg)
     full = att_match(data, model, spec)
@@ -420,10 +421,9 @@ def cmd_match(cfg: RunConfig) -> dict:
     return result
 
 
-def cmd_bounds(cfg: RunConfig) -> dict:
-    data, digests = _load_data(cfg)
+def cmd_bounds(cfg: RunConfig, load) -> dict:
+    data, digests = load()
     model = _load_model(cfg)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
 
     tilting = sweep_tilting(data, model, cfg.get_floats("bounds", "tilt_deltas"))
     _write_csv(cfg.out_dir / "sweep_tilting.csv", sweep_to_csv_rows(tilting))
@@ -462,8 +462,8 @@ def cmd_bounds(cfg: RunConfig) -> dict:
     return result
 
 
-def cmd_fragility(cfg: RunConfig) -> dict:
-    data, digests = _load_data(cfg)
+def cmd_fragility(cfg: RunConfig, load) -> dict:
+    data, digests = load()
     model = _load_model(cfg)
     table1_path = cfg.out_dir / "table1.csv"
     if not table1_path.exists():
@@ -483,12 +483,12 @@ def cmd_fragility(cfg: RunConfig) -> dict:
     se_scaled = bias_robustness(tau_hat, se, grid_step=0.5)
 
     deltas = [0.5 * i for i in range(0, 9)]
-    curve = [(d, tau_hat - d * se, tau_hat + d * se) for d in deltas]
+    curve = bias_robustness_curve(tau_hat, se, deltas)
     _write_csv(cfg.out_dir / "fragility_curve.csv",
-               [["delta", "lo", "hi"]] + [[d, lo, hi] for d, lo, hi in curve])
+               [["delta", "lo", "hi"]] + [[d, iv.lo, iv.hi] for d, iv in zip(deltas, curve)])
     svgplot.line_chart(
         cfg.out_dir / "fragility.svg", deltas,
-        {"lower": [c[1] for c in curve], "upper": [c[2] for c in curve]},
+        {"lower": [iv.lo for iv in curve], "upper": [iv.hi for iv in curve]},
         title="Bias tolerance: tau +/- delta*SE", xlabel="delta (SE units)",
         ylabel="ATT",
     )
@@ -501,7 +501,7 @@ def cmd_fragility(cfg: RunConfig) -> dict:
         "bias_robustness_se_scaled": se_scaled,
         "tau_hat": tau_hat,
         "se": se,
-        "bias_curve": [{"delta": d, "lo": lo, "hi": hi} for d, lo, hi in curve],
+        "bias_curve": [{"delta": d, "lo": iv.lo, "hi": iv.hi} for d, iv in zip(deltas, curve)],
     }
     (cfg.out_dir / "fragility.json").write_text(_dump_json(payload))
     _log("fragility", digests=digests,
@@ -509,8 +509,7 @@ def cmd_fragility(cfg: RunConfig) -> dict:
     return payload
 
 
-def cmd_simulate(cfg: RunConfig) -> dict:
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_simulate(cfg: RunConfig, load) -> dict:
     sim_config = SimConfig(
         seed=cfg.seed,
         n=cfg.get_int("simulation", "n"),
@@ -557,16 +556,17 @@ def cmd_simulate(cfg: RunConfig) -> dict:
     return {**result, "sets": [{"lo": iv.lo, "hi": iv.hi} for iv in sweep.sets]}
 
 
-def cmd_bootstrap(cfg: RunConfig) -> dict:
-    data, digests = _load_data(cfg)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_bootstrap(cfg: RunConfig, load) -> dict:
+    data, digests = load()
     covariates = cfg.get("propensity", "covariates").split()
     refit = cfg.get_bool("bootstrap", "refit")
     model = None if refit else _load_model(cfg)
     b = cfg.get_int("bootstrap", "b")
     spec = _match_spec(cfg)
     common = dict(covariates=covariates, model=model,
-                  ridge=cfg.get_float("propensity", "ridge"))
+                  ridge=cfg.get_float("propensity", "ridge"),
+                  tol=cfg.get_float("propensity", "tol"),
+                  max_iter=cfg.get_int("propensity", "max_iter"))
     full = bootstrap_att(data, refit, spec, b, cfg.seed,
                          design_tag="full_sample", **common)
     trimmed = bootstrap_att(data, refit, spec, b, cfg.seed,
@@ -592,10 +592,9 @@ def cmd_bootstrap(cfg: RunConfig) -> dict:
     return result
 
 
-def cmd_deciles(cfg: RunConfig) -> dict:
-    data, digests = _load_data(cfg)
+def cmd_deciles(cfg: RunConfig, load) -> dict:
+    data, digests = load()
     model = _load_model(cfg)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     report = decile_att(data, model, min_per_arm=cfg.get_int("deciles", "min_per_arm"))
     rows = [["decile", "n_treated", "n_control", "att", "se", "dropped"]]
     for row in report.rows:
@@ -615,29 +614,23 @@ def cmd_deciles(cfg: RunConfig) -> dict:
     return result
 
 
+# (stage, command, producing module), in reproduce order.
 _STAGES = [
-    ("fetch", cmd_fetch),
-    ("support", cmd_support),
-    ("propensity", cmd_propensity),
-    ("match", cmd_match),
-    ("bounds", cmd_bounds),
-    ("fragility", cmd_fragility),
-    ("bootstrap", cmd_bootstrap),
-    ("deciles", cmd_deciles),
-    ("simulate", cmd_simulate),
+    ("fetch", cmd_fetch, "ingest"),
+    ("support", cmd_support, "strata"),
+    ("propensity", cmd_propensity, "propensity"),
+    ("match", cmd_match, "estimators"),
+    ("bounds", cmd_bounds, "identification"),
+    ("fragility", cmd_fragility, "decision"),
+    ("bootstrap", cmd_bootstrap, "resample"),
+    ("deciles", cmd_deciles, "resample"),
+    ("simulate", cmd_simulate, "simulation"),
 ]
 
 
-def cmd_reproduce(cfg: RunConfig) -> dict:
+def cmd_reproduce(cfg: RunConfig, load) -> dict:
     """Run every stage in order and bundle report.json; a stage failure
     halts with the stage name while earlier artifacts stay on disk."""
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    module_of = {
-        "fetch": "ingest", "support": "strata", "propensity": "propensity",
-        "match": "estimators", "bounds": "identification",
-        "fragility": "decision", "bootstrap": "resample",
-        "deciles": "resample", "simulate": "simulation",
-    }
     digest = cfg.digest()
     report = {
         "metadata": {
@@ -649,14 +642,14 @@ def cmd_reproduce(cfg: RunConfig) -> dict:
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         }
     }
-    for stage, fn in _STAGES:
+    for stage, fn, module in _STAGES:
         try:
-            values = fn(cfg)
+            values = fn(cfg, load)
         except AttDiagError as exc:
             (cfg.out_dir / "report.json").write_text(_dump_json(report))
             raise AttDiagError(f"stage {stage!r} failed: {exc}") from exc
         report[stage] = {
-            "module": module_of[stage],
+            "module": module,
             "config_digest": digest,
             "values": values,
         }
@@ -668,18 +661,7 @@ def cmd_reproduce(cfg: RunConfig) -> dict:
 # ---------------------------------------------------------------------------
 # entry point
 
-_COMMANDS = {
-    "fetch": cmd_fetch,
-    "support": cmd_support,
-    "propensity": cmd_propensity,
-    "match": cmd_match,
-    "bounds": cmd_bounds,
-    "fragility": cmd_fragility,
-    "simulate": cmd_simulate,
-    "bootstrap": cmd_bootstrap,
-    "deciles": cmd_deciles,
-    "reproduce": cmd_reproduce,
-}
+_COMMANDS = {**{stage: fn for stage, fn, _ in _STAGES}, "reproduce": cmd_reproduce}
 
 
 def main(argv=None) -> int:
@@ -697,7 +679,11 @@ def main(argv=None) -> int:
     try:
         cfg = RunConfig.from_file(args.config, seed=args.seed, out_dir=args.out,
                                   offline=args.offline)
-        _COMMANDS[args.command](cfg)
+        cfg.out_dir.mkdir(parents=True, exist_ok=True)
+        # Lazy, so commands that need no data (simulate, remote fetch) run
+        # without it; cached, so the tables are parsed once per invocation.
+        load = functools.cache(lambda: _load_data(cfg))
+        _COMMANDS[args.command](cfg, load)
     except AttDiagError as exc:
         print(
             json.dumps({

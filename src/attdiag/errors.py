@@ -41,10 +41,6 @@ class NumericalError(AttDiagError):
     """Linear algebra failure: singular or rank-deficient system."""
 
 
-class ScoringError(AttDiagError):
-    """Unit covariates do not match the fitted model's columns."""
-
-
 class TrimmingError(AttDiagError):
     """Score-based trimming retained no units."""
 

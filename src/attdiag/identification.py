@@ -61,9 +61,6 @@ class Interval:
     def contains(self, x: float) -> bool:
         return self.lo <= x <= self.hi
 
-    def contains_interval(self, other: "Interval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
 
 @dataclass(frozen=True)
 class OutcomeSupport:

@@ -66,16 +66,6 @@ class SchemaSpec:
         return sep.join(fields)
 
 
-@dataclass(frozen=True)
-class UnitRecord:
-    """One observed unit: treatment flag, outcome, covariate vector."""
-
-    treated: bool
-    outcome: float
-    covariates: tuple[float, ...]
-    unit_id: int
-
-
 # Layout of the Dehejia-Wahba era files: treatment flag, six demographics,
 # then 1974/1975/1978 earnings.
 NSW_COLUMNS = (
@@ -119,9 +109,9 @@ SOURCE_SCHEMAS = {
 class Dataset:
     """Column-array container for observed units.
 
-    Treatment flags, outcomes, and covariates live in numpy arrays;
-    `records` materializes row objects on demand. `schema` is None for
-    synthetic covariate-free datasets (e.g. simulation output).
+    Treatment flags, outcomes, covariates, and unit ids live in numpy
+    arrays, one entry per unit. `schema` is None for synthetic
+    covariate-free datasets (e.g. simulation output).
     """
 
     __slots__ = ("treated", "outcome", "covariates", "unit_ids", "schema", "provenance")
@@ -174,14 +164,6 @@ class Dataset:
         if self.schema is not None:
             return self.schema.covariate_columns
         return tuple(f"x{j}" for j in range(self.covariates.shape[1]))
-
-    @property
-    def records(self) -> list[UnitRecord]:
-        return [
-            UnitRecord(bool(self.treated[i]), float(self.outcome[i]),
-                       tuple(self.covariates[i]), int(self.unit_ids[i]))
-            for i in range(len(self))
-        ]
 
     def covariate_index(self, name: str) -> int:
         try:

@@ -16,11 +16,10 @@ import numpy as np
 from .errors import (
     ConvergenceError,
     NumericalError,
-    ScoringError,
     TrimmingError,
     ValidationError,
 )
-from .ingest import Dataset, UnitRecord
+from .ingest import Dataset
 
 SCORE_CLAMP = 1e-12  # keeps odds weights e/(1-e) finite
 
@@ -185,18 +184,6 @@ def fit_logistic(data: Dataset, covariates, ridge: float = 1e-8,
         ridge=ridge,
         grad_max_norm=grad_norm,
     )
-
-
-def score(model: PropensityModel, unit: UnitRecord) -> float:
-    """Propensity score for one unit, clamped inside (0, 1)."""
-    x = np.asarray(unit.covariates, dtype=float)
-    if x.shape != (len(model.covariate_columns),):
-        raise ScoringError(
-            f"unit has {x.shape[0] if x.ndim else 0} covariates; model expects "
-            f"{len(model.covariate_columns)}"
-        )
-    eta = model.coefficients[0] + float(np.dot(model.coefficients[1:], x))
-    return float(np.clip(_sigmoid(np.array([eta]))[0], SCORE_CLAMP, 1.0 - SCORE_CLAMP))
 
 
 def score_dataset(model: PropensityModel, data: Dataset) -> np.ndarray:

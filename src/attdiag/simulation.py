@@ -59,21 +59,8 @@ class SimConfig:
             raise ValidationError("epsilon must be >= 0")
 
 
-@dataclass(frozen=True)
-class SimUnit:
-    """One simulated unit; selection status applies to a particular draw."""
-
-    latent_type: str
-    y1: int
-    y0: int
-    d: int
-    y_observed: int
-    selected: bool = False
-
-
 class Population:
-    """Pre-selection population stored as arrays; indexes like a sequence
-    of SimUnit."""
+    """Pre-selection population stored as arrays, one entry per unit."""
 
     __slots__ = ("type_codes", "y1", "y0", "d", "y_observed")
 
@@ -86,13 +73,6 @@ class Population:
 
     def __len__(self) -> int:
         return len(self.type_codes)
-
-    def __getitem__(self, i: int) -> SimUnit:
-        return SimUnit(
-            latent_type=TYPE_NAMES[self.type_codes[i]],
-            y1=int(self.y1[i]), y0=int(self.y0[i]),
-            d=int(self.d[i]), y_observed=int(self.y_observed[i]),
-        )
 
     def true_ate(self) -> float:
         return float(np.mean(self.y1 - self.y0))

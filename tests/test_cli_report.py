@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from attdiag import cli_report
 from attdiag.cli_report import RunConfig, main
 from attdiag.errors import ConfigError
 from conftest import dataset_to_text, synthetic_observational
@@ -74,12 +75,34 @@ def test_missing_config_file_errors(tmp_path):
 
 def test_dependency_error_for_missing_model(tmp_path, capsys):
     config = write_synthetic_config(tmp_path)
-    out = tmp_path / "out"
-    code = main(["match", "--config", str(config), "--seed", "5", "--out", str(out)])
-    assert code == 1
-    record = json.loads(capsys.readouterr().err.strip())
-    assert record["error"] == "DependencyError"
-    assert "propensity" in record["message"]
+    # (commands run first, command that needs a missing artifact, its producer)
+    cases = [((), "match", "propensity"), (("propensity",), "fragility", "match")]
+    for i, (before, command, producer) in enumerate(cases):
+        out = tmp_path / f"out{i}"
+        for upstream in before:
+            assert main([upstream, "--config", str(config), "--seed", "5",
+                         "--out", str(out)]) == 0
+        capsys.readouterr()
+        code = main([command, "--config", str(config), "--seed", "5", "--out", str(out)])
+        assert code == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "DependencyError"
+        assert producer in record["message"]
+
+
+def test_reproduce_parses_each_table_once(tmp_path, monkeypatch):
+    config = write_synthetic_config(tmp_path, b=4, sim_n=5000)
+    calls = []
+    real_parse = cli_report.parse_table
+
+    def counting_parse(text, schema):
+        calls.append(schema)
+        return real_parse(text, schema)
+
+    monkeypatch.setattr(cli_report, "parse_table", counting_parse)
+    assert main(["reproduce", "--config", str(config), "--seed", "5",
+                 "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 2  # the treated table and the control table
 
 
 def test_simulate_writes_five_row_sweep(tmp_path):
@@ -183,3 +206,16 @@ def test_seed_changes_bootstrap_but_not_estimates(tmp_path):
     assert (out1 / "table1.csv").read_text() == (out2 / "table1.csv").read_text()
     # bootstrap draws differ by seed
     assert (out1 / "bootstrap.csv").read_text() != (out2 / "bootstrap.csv").read_text()
+
+
+def test_bootstrap_refits_use_propensity_iteration_budget(tmp_path):
+    config = write_synthetic_config(tmp_path, b=8, sim_n=5000)
+    capped = tmp_path / "capped.ini"
+    capped.write_text(config.read_text() + "\n[propensity]\nmax_iter = 1\n")
+    for cfg, out in ((config, tmp_path / "default"), (capped, tmp_path / "capped")):
+        assert main(["bootstrap", "--config", str(cfg), "--seed", "3",
+                     "--out", str(out)]) == 0
+    # One Newton step leaves the refit short of the optimum, which moves the
+    # replicate estimates only if the budget reaches the refits.
+    assert ((tmp_path / "default" / "bootstrap.csv").read_text()
+            != (tmp_path / "capped" / "bootstrap.csv").read_text())

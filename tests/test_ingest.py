@@ -39,7 +39,7 @@ def test_parse_three_nsw_rows():
     assert data.n_treated == 2
     assert data.outcome[1] == pytest.approx(6071.79)
     assert data.covariates[0, 0] == 37  # age
-    assert data.records[2].unit_id == 2
+    assert data.unit_ids[2] == 2
 
 
 def test_parse_arity_mismatch_reports_line():

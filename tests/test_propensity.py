@@ -6,17 +6,14 @@ import pytest
 from attdiag.errors import (
     ConvergenceError,
     NumericalError,
-    ScoringError,
     TrimmingError,
     ValidationError,
 )
-from attdiag.ingest import UnitRecord
 from attdiag.propensity import (
     PropensityModel,
     TrimRule,
     count_clamped,
     fit_logistic,
-    score,
     score_dataset,
     score_histogram,
     trim,
@@ -104,27 +101,31 @@ def test_constant_column_is_rank_deficient():
         fit_logistic(data, ["x0"])
 
 
+def _one_unit(*covariates):
+    return make_dataset([True], [0.0], [covariates])
+
+
 def test_score_zero_coefficients_is_half():
     model = _hand_model(0.0, [0.0, 0.0])
-    assert score(model, UnitRecord(True, 0.0, (3.0, -2.0), 0)) == 0.5
+    assert score_dataset(model, _one_unit(3.0, -2.0))[0] == 0.5
 
 
 def test_score_closed_form_plugin():
     model = _hand_model(math.log(1 / 3), [math.log(9)])
-    assert score(model, UnitRecord(True, 0.0, (1.0,), 0)) == pytest.approx(0.75, abs=1e-12)
+    assert score_dataset(model, _one_unit(1.0))[0] == pytest.approx(0.75, abs=1e-12)
 
 
 def test_score_monotone_in_positive_coefficient():
     model = _hand_model(0.0, [2.0])
-    low = score(model, UnitRecord(True, 0.0, (0.1,), 0))
-    high = score(model, UnitRecord(True, 0.0, (0.9,), 0))
+    low = score_dataset(model, _one_unit(0.1))[0]
+    high = score_dataset(model, _one_unit(0.9))[0]
     assert high > low
 
 
 def test_score_column_mismatch():
     model = _hand_model(0.0, [1.0, 1.0])
-    with pytest.raises(ScoringError):
-        score(model, UnitRecord(True, 0.0, (1.0,), 0))
+    with pytest.raises(ValidationError, match="x1"):
+        score_dataset(model, _one_unit(1.0))
 
 
 def test_score_clamping_counted():

@@ -5,6 +5,7 @@ import pytest
 
 from attdiag.errors import DomainError, ValidationError, WitnessError
 from attdiag.simulation import (
+    TYPE_NAMES,
     SimConfig,
     apply_selection,
     generate_population,
@@ -34,8 +35,8 @@ def test_population_degenerate_mixture():
     pop = generate_population(SimConfig(seed=2, n=500,
                                         type_proportions=(1.0, 0.0, 0.0, 0.0)))
     assert pop.true_ate() == 1.0
-    assert pop[0].latent_type == "A"
-    assert (pop[0].y1, pop[0].y0) == (1, 0)
+    assert np.all(pop.type_codes == TYPE_NAMES.index("A"))
+    assert np.all(pop.y1 == 1) and np.all(pop.y0 == 0)
 
 
 def test_population_deterministic_per_seed():
@@ -55,9 +56,7 @@ def test_type_frequencies_converge():
 
 def test_unit_observed_outcome_consistency():
     pop = generate_population(SimConfig(seed=6, n=50))
-    for i in range(50):
-        unit = pop[i]
-        assert unit.y_observed == unit.d * unit.y1 + (1 - unit.d) * unit.y0
+    assert np.array_equal(pop.y_observed, pop.d * pop.y1 + (1 - pop.d) * pop.y0)
 
 
 def test_selection_rate_at_delta_zero():
