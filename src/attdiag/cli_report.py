@@ -38,9 +38,8 @@ from .estimators import (
     naive_diff,
 )
 from .identification import (
+    TiltingProblem,
     control_tilt_inputs,
-    curvature_bounds,
-    sweep_tilting,
     sweep_to_csv_rows,
     sweep_trimming_proxy,
 )
@@ -216,6 +215,15 @@ def _dump_json(payload) -> str:
 def _log(stage: str, **fields) -> None:
     print(json.dumps(_sanitize({"stage": stage, **fields}), sort_keys=True,
                      default=str))
+
+
+def _stage_clock():
+    """Start a stage's clocks; the returned callable gives the wall and CPU
+    seconds since then as log fields. CPU time next to wall time tells host
+    load apart from the stage's own cost."""
+    wall, cpu = time.perf_counter(), time.process_time()
+    return lambda: {"elapsed_s": time.perf_counter() - wall,
+                    "cpu_s": time.process_time() - cpu}
 
 
 def _write_csv(path: Path, rows) -> None:
@@ -422,10 +430,12 @@ def cmd_match(cfg: RunConfig, load) -> dict:
 
 
 def cmd_bounds(cfg: RunConfig, load) -> dict:
+    clock = _stage_clock()
     data, digests = load()
     model = _load_model(cfg)
 
-    tilting = sweep_tilting(data, model, cfg.get_floats("bounds", "tilt_deltas"))
+    problem = TiltingProblem(*control_tilt_inputs(data, model))
+    tilting = problem.sweep(cfg.get_floats("bounds", "tilt_deltas"))
     _write_csv(cfg.out_dir / "sweep_tilting.csv", sweep_to_csv_rows(tilting))
     svgplot.line_chart(
         cfg.out_dir / "sweep_tilting.svg", tilting.deltas,
@@ -458,11 +468,13 @@ def cmd_bounds(cfg: RunConfig, load) -> dict:
          "trimming_proxy": {"massi": proxy.massi, "method": proxy.method_tag,
                             "missing_deltas": list(proxy.missing_deltas),
                             "width_violations": list(proxy.width_violations)}}))
-    _log("bounds", digests=digests, **result)
+    _log("bounds", digests=digests, **result,
+         distinct_control_outcomes=problem.distinct_outcomes, **clock())
     return result
 
 
 def cmd_fragility(cfg: RunConfig, load) -> dict:
+    clock = _stage_clock()
     data, digests = load()
     model = _load_model(cfg)
     table1_path = cfg.out_dir / "table1.csv"
@@ -474,11 +486,17 @@ def cmd_fragility(cfg: RunConfig, load) -> dict:
     tau_hat = float(cells[cols.index("att_estimate")])
     se = float(cells[cols.index("standard_error")])
 
-    tilting = sweep_tilting(data, model, cfg.get_floats("bounds", "tilt_deltas"))
-    y, w, treated_mean = control_tilt_inputs(data, model)
-    frag = fragility_index(
-        tilting, interval_at=lambda d: curvature_bounds(y, w, treated_mean, d)
-    )
+    # One sorted problem serves the sweep and every bisection step.
+    problem = TiltingProblem(*control_tilt_inputs(data, model))
+    tilting = problem.sweep(cfg.get_floats("bounds", "tilt_deltas"))
+    bisection_evals = 0
+
+    def interval_at(delta):
+        nonlocal bisection_evals
+        bisection_evals += 1
+        return problem.interval(delta)
+
+    frag = fragility_index(tilting, interval_at=interval_at)
     baseline = minimax_rule(tilting.intervals[0])[0]
     se_scaled = bias_robustness(tau_hat, se, grid_step=0.5)
 
@@ -505,7 +523,9 @@ def cmd_fragility(cfg: RunConfig, load) -> dict:
     }
     (cfg.out_dir / "fragility.json").write_text(_dump_json(payload))
     _log("fragility", digests=digests,
-         fragility_delta=frag, bias_robustness=se_scaled, massi=tilting.massi)
+         fragility_delta=frag, bias_robustness=se_scaled, massi=tilting.massi,
+         distinct_control_outcomes=problem.distinct_outcomes,
+         bisection_evals=bisection_evals, **clock())
     return payload
 
 

@@ -11,8 +11,12 @@ counterfactual control mean ranges over tilted weighted means
 Maximizing or minimizing mu0 over the box is a linear-fractional program
 whose optimum sits at a box vertex, and the optimal vertex is a threshold
 rule in the outcome: tilt the top (or bottom) of the sorted outcomes.
-`curvature_bounds` scans all n+1 split points exactly; a brute-force
-vertex enumeration is kept alongside as an independent oracle.
+The sort, the tie-collapse and the prefix sums depend on the controls
+only, not on delta, so `TiltingProblem` builds them once and each delta is
+one exact O(n) scan of all split points over them: a sweep or a fragility
+bisection sorts the controls once. `curvature_bounds` is the one-delta
+form. A brute-force vertex enumeration is kept alongside as an
+independent oracle.
 """
 
 from __future__ import annotations
@@ -133,7 +137,14 @@ def manski_bounds(data: Dataset, support: OutcomeSupport) -> Interval:
     return Interval(m1 - support.y_hi, m1 - support.y_lo)
 
 
-def _check_tilt_inputs(control_outcomes, base_weights, delta):
+def _check_delta(delta) -> None:
+    if not (delta >= 0):  # also catches NaN
+        raise DomainError(f"delta must be >= 0, got {delta}")
+
+
+def _check_tilt_inputs(control_outcomes, base_weights, delta=None):
+    """Validated float arrays (outcomes, weights); `delta` is checked too
+    when given."""
     y = np.asarray(control_outcomes, dtype=float)
     w = np.asarray(base_weights, dtype=float)
     if y.ndim != 1 or w.shape != y.shape:
@@ -144,48 +155,95 @@ def _check_tilt_inputs(control_outcomes, base_weights, delta):
         raise ValidationError("base weights must be strictly positive")
     if not np.all(np.isfinite(y)) or not np.all(np.isfinite(w)):
         raise ValidationError("outcomes and weights must be finite")
-    if not (delta >= 0):  # also catches NaN
-        raise DomainError(f"delta must be >= 0, got {delta}")
+    if delta is not None:
+        _check_delta(delta)
     return y, w
+
+
+class TiltingProblem:
+    """The tilting bounds of one control sample, for any delta.
+
+    The constructor validates the inputs, sorts the control outcomes,
+    collapses ties and takes prefix sums once; `interval(delta)` is then
+    one O(n) scan over those sums, so a sweep or a bisection over delta
+    sorts once in total.
+    """
+
+    def __init__(self, control_outcomes, base_weights, treated_mean: float):
+        y, w = _check_tilt_inputs(control_outcomes, base_weights)
+        # Collapse equal outcomes (weights add): splitting a tied block across
+        # the threshold adds only redundant vertices, and deduping keeps tied
+        # data (common with mass points like zero earnings) exactly stable in
+        # delta.
+        ys, inverse = np.unique(y, return_inverse=True)
+        ws = np.bincount(inverse, weights=w)
+        wy = ws * ys
+        # prefix[k] = sum of the first k sorted entries (prefix[0] = 0), and
+        # suffix[k] = total - prefix[k], the sum from entry k on. Taking the
+        # differences once here gives the same floats a per-delta scan would.
+        prefix_w = np.concatenate([[0.0], np.cumsum(ws)])
+        prefix_wy = np.concatenate([[0.0], np.cumsum(wy)])
+        self._prefix_w, self._prefix_wy = prefix_w, prefix_wy
+        self._suffix_w = prefix_w[-1] - prefix_w
+        self._suffix_wy = prefix_wy[-1] - prefix_wy
+        self.treated_mean = treated_mean
+        self.distinct_outcomes = ys.size
+
+    def interval(self, delta: float) -> Interval:
+        """Exact ATT bounds under tilt factors in [1, e^delta]."""
+        _check_delta(delta)
+        e_delta = math.exp(min(delta, _MAX_EXP))
+        # Tilt the suffix [k:] to raise mu0, k = 1..n: k=n is the exact
+        # untilted vertex, and the skipped k=0 (everything tilted) equals it
+        # mathematically because a constant tilt cancels in the ratio;
+        # skipping it keeps the computed bounds exactly nested across delta.
+        num_hi = self._prefix_wy[1:] + e_delta * self._suffix_wy[1:]
+        den_hi = self._prefix_w[1:] + e_delta * self._suffix_w[1:]
+        mu_max = float(np.max(num_hi / den_hi))
+        # Tilt the prefix [:k] to lower mu0, k = 0..n-1; k=0 is the untilted
+        # vertex.
+        num_lo = e_delta * self._prefix_wy[:-1] + self._suffix_wy[:-1]
+        den_lo = e_delta * self._prefix_w[:-1] + self._suffix_w[:-1]
+        mu_min = float(np.min(num_lo / den_lo))
+        return Interval(self.treated_mean - mu_max, self.treated_mean - mu_min)
+
+    def sweep(self, deltas) -> CurvatureSweep:
+        """Identified sets along an ascending delta grid. Nesting across the
+        grid is asserted, not assumed."""
+        deltas = _validate_delta_grid(deltas)
+        raw = [self.interval(d) for d in deltas]
+        intervals = [raw[0]]
+        for cur in raw[1:]:
+            prev = intervals[-1]
+            # The true sets are nested; float evaluation can under-cover by a
+            # few ulp on near-flat candidates, which the outward snap absorbs.
+            # Any larger violation is a bug and must surface.
+            scale = max(abs(prev.lo), abs(prev.hi), abs(cur.lo), abs(cur.hi), 1.0)
+            if max(cur.lo - prev.lo, prev.hi - cur.hi) > 1e-9 * scale:
+                raise NumericalError(
+                    "tilting intervals failed to nest along the delta grid"
+                )
+            intervals.append(Interval(min(cur.lo, prev.lo), max(cur.hi, prev.hi)))
+        return CurvatureSweep(
+            deltas=deltas,
+            intervals=tuple(intervals),
+            massi=massi_from_intervals(deltas, intervals),
+            method_tag=TILTING,
+        )
 
 
 def curvature_bounds(control_outcomes, base_weights, treated_mean: float,
                      delta: float) -> Interval:
     """Exact ATT bounds under tilt factors in [1, e^delta] on control weights.
 
-    Sorts the control outcomes and scans all n+1 threshold splits; the
-    extremal tilt puts e^delta on a suffix (to raise the control mean) or a
-    prefix (to lower it) of the sorted order, because a linear-fractional
-    objective over a box attains its optimum at a vertex and the optimal
-    vertex thresholds on the outcome.
+    The extremal tilt puts e^delta on a suffix (to raise the control mean)
+    or a prefix (to lower it) of the sorted outcomes, because a
+    linear-fractional objective over a box attains its optimum at a vertex
+    and the optimal vertex thresholds on the outcome. This builds a
+    `TiltingProblem` (one sort) for a single delta; to evaluate many deltas
+    on the same controls, build the problem once and call its `interval`.
     """
-    y, w = _check_tilt_inputs(control_outcomes, base_weights, delta)
-    e_delta = math.exp(min(delta, _MAX_EXP))
-
-    # Collapse equal outcomes (weights add): splitting a tied block across the
-    # threshold adds only redundant vertices, and deduping keeps tied data
-    # (common with mass points like zero earnings) exactly stable in delta.
-    ys, inverse = np.unique(y, return_inverse=True)
-    ws = np.bincount(inverse, weights=w)
-    wy = ws * ys
-    # prefix[k] = sum of first k sorted entries (prefix[0] = 0)
-    prefix_w = np.concatenate([[0.0], np.cumsum(ws)])
-    prefix_wy = np.concatenate([[0.0], np.cumsum(wy)])
-    total_w, total_wy = prefix_w[-1], prefix_wy[-1]
-
-    # Tilt the suffix [k:] to raise mu0, k = 1..n: k=n is the exact untilted
-    # vertex, and the skipped k=0 (everything tilted) equals it mathematically
-    # because a constant tilt cancels in the ratio; skipping it keeps the
-    # computed bounds exactly nested across delta.
-    num_hi = prefix_wy[1:] + e_delta * (total_wy - prefix_wy[1:])
-    den_hi = prefix_w[1:] + e_delta * (total_w - prefix_w[1:])
-    mu_max = float(np.max(num_hi / den_hi))
-    # Tilt the prefix [:k] to lower mu0, k = 0..n-1; k=0 is the untilted vertex.
-    num_lo = e_delta * prefix_wy[:-1] + (total_wy - prefix_wy[:-1])
-    den_lo = e_delta * prefix_w[:-1] + (total_w - prefix_w[:-1])
-    mu_min = float(np.min(num_lo / den_lo))
-
-    return Interval(treated_mean - mu_max, treated_mean - mu_min)
+    return TiltingProblem(control_outcomes, base_weights, treated_mean).interval(delta)
 
 
 def oracle_curvature_bounds(control_outcomes, base_weights, treated_mean: float,
@@ -238,30 +296,10 @@ def sweep_tilting(data: Dataset, model: PropensityModel, deltas) -> CurvatureSwe
     """Identified sets along a delta grid via exact tilting bounds.
 
     Base weights are the ATT counterfactual odds e(x)/(1 - e(x)) over
-    controls, so delta=0 reproduces the IPW point estimate. Nesting across
-    the grid is asserted, not assumed.
+    controls, so delta=0 reproduces the IPW point estimate. The controls are
+    sorted once for the whole grid (see `TiltingProblem.sweep`).
     """
-    deltas = _validate_delta_grid(deltas)
-    y, w, treated_mean = control_tilt_inputs(data, model)
-    raw = [curvature_bounds(y, w, treated_mean, d) for d in deltas]
-    intervals = [raw[0]]
-    for cur in raw[1:]:
-        prev = intervals[-1]
-        # The true sets are nested; float evaluation can under-cover by a few
-        # ulp on near-flat candidates, which the outward snap absorbs. Any
-        # larger violation is a bug and must surface.
-        scale = max(abs(prev.lo), abs(prev.hi), abs(cur.lo), abs(cur.hi), 1.0)
-        if max(cur.lo - prev.lo, prev.hi - cur.hi) > 1e-9 * scale:
-            raise NumericalError(
-                "tilting intervals failed to nest along the delta grid"
-            )
-        intervals.append(Interval(min(cur.lo, prev.lo), max(cur.hi, prev.hi)))
-    return CurvatureSweep(
-        deltas=deltas,
-        intervals=tuple(intervals),
-        massi=massi_from_intervals(deltas, intervals),
-        method_tag=TILTING,
-    )
+    return TiltingProblem(*control_tilt_inputs(data, model)).sweep(deltas)
 
 
 def default_delta_to_trim(delta: float) -> TrimRule:

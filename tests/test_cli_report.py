@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from attdiag import cli_report
@@ -19,8 +20,9 @@ SYNTH_GRIDS = {
 }
 
 
-def write_synthetic_config(tmp_path: Path, *, b: int = 12, sim_n: int = 20000) -> Path:
-    data = synthetic_observational(seed=61, n_treated=90, n_control=700)
+def write_synthetic_config(tmp_path: Path, *, b: int = 12, sim_n: int = 20000,
+                           data_seed: int = 61) -> Path:
+    data = synthetic_observational(seed=data_seed, n_treated=90, n_control=700)
     treated_file = tmp_path / "treated.txt"
     control_file = tmp_path / "control.txt"
     treated_file.write_text(dataset_to_text(data.subset(data.treated)))
@@ -103,6 +105,36 @@ def test_reproduce_parses_each_table_once(tmp_path, monkeypatch):
     assert main(["reproduce", "--config", str(config), "--seed", "5",
                  "--out", str(tmp_path / "out")]) == 0
     assert len(calls) == 2  # the treated table and the control table
+
+
+def test_fragility_sorts_controls_once(tmp_path, monkeypatch):
+    # Data seed 3 with a grid reaching delta = 6: the minimax decision flips
+    # between 2 and 3, so the stage bisects.
+    config = write_synthetic_config(tmp_path, data_seed=3)
+    config.write_text(config.read_text().replace("tilt_deltas = 0 0.1 0.5 1.0",
+                                                 "tilt_deltas = 0 0.5 1 2 3 4 6"))
+    out = tmp_path / "out"
+    for upstream in ("propensity", "match"):
+        assert main([upstream, "--config", str(config), "--seed", "5",
+                     "--out", str(out)]) == 0
+    sorted_sizes = []
+    real_unique = np.unique
+
+    def counting_unique(values, *args, **kwargs):
+        # Unit-id checks pass integer arrays; the tilting sort passes the
+        # float control outcomes.
+        if np.asarray(values).dtype.kind == "f":
+            sorted_sizes.append(len(values))
+        return real_unique(values, *args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counting_unique)
+    assert main(["fragility", "--config", str(config), "--seed", "5",
+                 "--out", str(out)]) == 0
+    payload = json.loads((out / "fragility.json").read_text())
+    assert payload["baseline_decision"] == "treat"
+    # The value the per-delta path (one sort per bisection step) gives.
+    assert payload["fragility_delta"] == 2.02618408203125
+    assert sorted_sizes == [700]
 
 
 def test_simulate_writes_five_row_sweep(tmp_path):

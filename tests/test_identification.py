@@ -1,15 +1,25 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from attdiag.errors import DomainError, SizeError, SupportError, ValidationError
+from attdiag import identification
+from attdiag.errors import (
+    AttDiagError,
+    DomainError,
+    NumericalError,
+    SizeError,
+    SupportError,
+    ValidationError,
+)
 from attdiag.estimators import MatchSpec, att_ipw, naive_diff
 from attdiag.identification import (
     CurvatureSweep,
     Interval,
     OutcomeSupport,
+    TiltingProblem,
     curvature_bounds,
     default_delta_to_trim,
     fixed_radius_sets,
@@ -164,6 +174,98 @@ def test_tilt_scale_invariance(data, scale, delta):
     scaled = curvature_bounds(y, w * scale, 0.0, delta)
     assert scaled.lo == pytest.approx(base.lo, abs=1e-9)
     assert scaled.hi == pytest.approx(base.hi, abs=1e-9)
+
+
+# Control samples for the sort-once property: heavy ties and a zero-earnings
+# mass point among the outcomes, and weights from subnormal to ~1e300.
+_tilt_outcomes = st.one_of(st.sampled_from([0.0, 0.0, 0.0, 1.0, 2.5]),
+                           st.floats(-1e4, 1e4))
+_tilt_weights = st.one_of(st.floats(1e-3, 1e3),
+                          st.sampled_from([5e-324, 1e-310, 2.5e-308]),
+                          st.floats(1e299, 1e300))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    controls=st.lists(st.tuples(_tilt_outcomes, _tilt_weights), min_size=1, max_size=25),
+    # Grids up to 1000 reach past the exp cap at 500.
+    deltas=st.lists(st.one_of(st.floats(0, 5), st.floats(0, 1000), st.just(500.0)),
+                    min_size=1, max_size=12, unique=True).map(sorted),
+    treated_mean=st.floats(-1e4, 1e4),
+)
+def test_sweep_equals_per_delta_bounds_exactly(controls, deltas, treated_mean):
+    y = np.array([c[0] for c in controls])
+    w = np.array([c[1] for c in controls])
+    try:
+        expected = [curvature_bounds(y, w, treated_mean, d) for d in deltas]
+    except AttDiagError as exc:
+        expected = type(exc)
+    # Drawn weights go straight in: score-derived odds never reach the
+    # subnormal or ~1e300 range.
+    with mock.patch.object(identification, "control_tilt_inputs",
+                           return_value=(y, w, treated_mean)):
+        if not isinstance(expected, list):
+            # Sums that overflow give NaN endpoints; both paths must refuse
+            # them with the same error.
+            with pytest.raises(expected):
+                sweep_tilting(None, None, deltas)
+            return
+        try:
+            sweep = sweep_tilting(None, None, deltas)
+        except NumericalError:
+            sweep = None
+    # Each sweep interval is the per-delta interval, widened only by the
+    # outward snap to the hull of the intervals before it (the true sets
+    # nest; float evaluation may miss by an ulp). The sweep may refuse the
+    # grid only where the per-delta intervals really fail to nest, as
+    # all-subnormal weights can make them.
+    lo, hi = math.inf, -math.inf
+    nested = True
+    for i, want in enumerate(expected):
+        nested = nested and want.lo <= lo and hi <= want.hi
+        lo, hi = min(lo, want.lo), max(hi, want.hi)
+        if sweep is not None:
+            assert sweep.intervals[i].lo == lo and sweep.intervals[i].hi == hi
+    if sweep is None:
+        assert not nested
+    else:
+        assert sweep.deltas == tuple(deltas)
+
+
+def test_sweep_tilting_sorts_controls_once(monkeypatch):
+    data = synthetic_observational(seed=43, n_treated=50, n_control=150)
+    model = fit_logistic(data, ["age", "education", "re74", "re75"])
+    calls = []
+    real_unique = identification.np.unique
+
+    def counting_unique(*args, **kwargs):
+        calls.append(args)
+        return real_unique(*args, **kwargs)
+
+    monkeypatch.setattr(identification.np, "unique", counting_unique)
+    sweep = sweep_tilting(data, model, [0.05 * i for i in range(40)])
+    assert len(sweep.intervals) == 40
+    assert len(calls) == 1
+
+
+def test_tilting_problem_rejects_bad_delta():
+    problem = TiltingProblem([1.0, 2.0], [1.0, 1.0], 0.0)
+    for delta in (-0.1, math.nan):
+        with pytest.raises(DomainError):
+            problem.interval(delta)
+
+
+@pytest.mark.parametrize("y, w", [
+    ([], []),
+    ([1.0], [0.0]),
+    ([1.0, 2.0], [1.0, -1.0]),
+    ([1.0, math.nan], [1.0, 1.0]),
+    ([1.0, math.inf], [1.0, 1.0]),
+    ([1.0], [math.inf]),
+])
+def test_tilting_problem_rejects_bad_inputs(y, w):
+    with pytest.raises(ValidationError):
+        TiltingProblem(y, w, 0.0)
 
 
 def test_sweep_tilting_delta_zero_matches_ipw_point():
