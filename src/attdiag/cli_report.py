@@ -281,14 +281,13 @@ def _grid_config(cfg: RunConfig) -> dict:
     return load_grid_config(None if choice == "builtin" else choice)
 
 
-def _match_spec(cfg: RunConfig, tag: str = "") -> MatchSpec:
+def _match_spec(cfg: RunConfig) -> MatchSpec:
     caliper_text = cfg.get("match", "caliper").strip()
     return MatchSpec(
         metric=cfg.get("match", "metric"),
         caliper=float(caliper_text) if caliper_text else None,
         with_replacement=cfg.get_bool("match", "with_replacement"),
         n_neighbors=cfg.get_int("match", "n_neighbors"),
-        design_tag=tag,
     )
 
 
@@ -577,21 +576,20 @@ def cmd_simulate(cfg: RunConfig, load) -> dict:
 
 
 def cmd_bootstrap(cfg: RunConfig, load) -> dict:
+    clock = _stage_clock()
     data, digests = load()
     covariates = cfg.get("propensity", "covariates").split()
     refit = cfg.get_bool("bootstrap", "refit")
     model = None if refit else _load_model(cfg)
     b = cfg.get_int("bootstrap", "b")
     spec = _match_spec(cfg)
-    common = dict(covariates=covariates, model=model,
-                  ridge=cfg.get_float("propensity", "ridge"),
-                  tol=cfg.get_float("propensity", "tol"),
-                  max_iter=cfg.get_int("propensity", "max_iter"))
     full = bootstrap_att(data, refit, spec, b, cfg.seed,
-                         design_tag="full_sample", **common)
-    trimmed = bootstrap_att(data, refit, spec, b, cfg.seed,
-                            trim_rule=_trim_rule(cfg),
-                            design_tag="score_trimmed", **common)
+                         covariates=covariates, model=model,
+                         ridge=cfg.get_float("propensity", "ridge"),
+                         tol=cfg.get_float("propensity", "tol"),
+                         max_iter=cfg.get_int("propensity", "max_iter"),
+                         trim_rule=_trim_rule(cfg))
+    trimmed = full.trimmed
     rows = [["replicate", "full_sample", "score_trimmed"]]
     n_rows = max(len(full.estimates), len(trimmed.estimates))
     for i in range(n_rows):
@@ -608,7 +606,7 @@ def cmd_bootstrap(cfg: RunConfig, load) -> dict:
                     "q975": trimmed.q975, "n_failed": trimmed.n_failed},
         "b": b,
     }
-    _log("bootstrap", digests=digests, **result)
+    _log("bootstrap", digests=digests, **result, **clock())
     return result
 
 

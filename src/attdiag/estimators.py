@@ -28,7 +28,6 @@ class MatchSpec:
     caliper: float | None = None  # on the metric scale
     with_replacement: bool = True
     n_neighbors: int = 1
-    tie_break: str = "lowest_index"
     design_tag: str = ""
 
     def __post_init__(self):
@@ -38,8 +37,6 @@ class MatchSpec:
             raise ValidationError("caliper must be positive when given")
         if self.n_neighbors < 1:
             raise ValidationError("n_neighbors must be >= 1")
-        if self.tie_break != "lowest_index":
-            raise ValidationError("only lowest_index tie-breaking is supported")
         if not self.design_tag:
             bits = [f"nn{self.n_neighbors}", self.metric]
             if self.caliper is not None and np.isfinite(self.caliper):

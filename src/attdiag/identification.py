@@ -171,6 +171,11 @@ class TiltingProblem:
 
     def __init__(self, control_outcomes, base_weights, treated_mean: float):
         y, w = _check_tilt_inputs(control_outcomes, base_weights)
+        # The bounds are scale-invariant. Scaling by the power of two that puts
+        # the largest weight in [0.5, 1) is exact for normal-range weights, so
+        # their bounds stay bit-identical, while e^delta times the sums can no
+        # longer overflow and subnormal weights keep their digits.
+        w = np.ldexp(w, -np.frexp(w.max())[1])
         # Collapse equal outcomes (weights add): splitting a tied block across
         # the threshold adds only redundant vertices, and deduping keeps tied
         # data (common with mass points like zero earnings) exactly stable in

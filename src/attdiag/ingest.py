@@ -30,25 +30,18 @@ from .errors import (
     ValidationError,
 )
 
-WHITESPACE = "whitespace"
-COMMA = "comma"
-
-
 @dataclass(frozen=True)
 class SchemaSpec:
-    """Column layout of a delimited input table."""
+    """Column layout of a whitespace-delimited input table."""
 
     column_names: tuple[str, ...]
     treatment_column: str
     outcome_column: str
     covariate_columns: tuple[str, ...]
-    delimiter: str = WHITESPACE
 
     def __post_init__(self):
         object.__setattr__(self, "column_names", tuple(self.column_names))
         object.__setattr__(self, "covariate_columns", tuple(self.covariate_columns))
-        if self.delimiter not in (WHITESPACE, COMMA):
-            raise ValidationError(f"unknown delimiter {self.delimiter!r}")
         if not self.covariate_columns:
             raise ValidationError("covariate_columns must be non-empty")
         names = set(self.column_names)
@@ -57,13 +50,6 @@ class SchemaSpec:
         for col in (self.treatment_column, self.outcome_column, *self.covariate_columns):
             if col not in names:
                 raise ValidationError(f"column {col!r} not in column_names")
-
-    def split(self, line: str) -> list[str]:
-        return line.split(",") if self.delimiter == COMMA else line.split()
-
-    def join(self, fields: Sequence[str]) -> str:
-        sep = "," if self.delimiter == COMMA else " "
-        return sep.join(fields)
 
 
 # Layout of the Dehejia-Wahba era files: treatment flag, six demographics,
@@ -204,7 +190,7 @@ class Dataset:
 
 
 def parse_table(text: str, schema: SchemaSpec) -> Dataset:
-    """Parse a delimited numeric table into a Dataset.
+    """Parse a whitespace-delimited numeric table into a Dataset.
 
     Raises ParseError with the offending line number (1-based, counting
     non-blank lines as they appear in the input) and column name where
@@ -221,7 +207,7 @@ def parse_table(text: str, schema: SchemaSpec) -> Dataset:
         line = raw.strip()
         if not line:
             continue
-        fields = schema.split(line)
+        fields = line.split()
         if len(fields) != arity:
             raise ParseError(
                 f"line {lineno}: expected {arity} fields, got {len(fields)}"
@@ -248,23 +234,6 @@ def parse_table(text: str, schema: SchemaSpec) -> Dataset:
         np.array(covars, dtype=float).reshape(len(treated), len(x_pos)),
         schema=schema,
     )
-
-
-def serialize_table(data: Dataset) -> str:
-    """Inverse of parse_table; floats use shortest round-trip repr."""
-    if data.schema is None:
-        raise ValidationError("cannot serialize a schema-less dataset")
-    schema = data.schema
-    names = schema.column_names
-    lines = []
-    for i in range(len(data)):
-        values = {}
-        values[schema.treatment_column] = float(data.treated[i])
-        values[schema.outcome_column] = data.outcome[i]
-        for j, c in enumerate(schema.covariate_columns):
-            values[c] = data.covariates[i, j]
-        lines.append(schema.join([repr(float(values[c])) for c in names]))
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def merge(treated_source: Dataset, control_source: Dataset, keep: str = "all") -> Dataset:

@@ -3,11 +3,15 @@
 Resampling is stratified by arm so every replicate keeps both arms at
 their original sizes; each replicate draws from its own spawned RNG
 stream, making the estimates vector independent of execution order.
+`bootstrap_att` draws and (re)fits each replicate once and evaluates the
+full-sample design and, given a trim rule, the score-trimmed design on
+that one replicate and model.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,7 +26,9 @@ class BootstrapSummary:
     """Replicate estimates with summary statistics.
 
     estimates holds the successful replicates; failures are excluded and
-    counted in n_failed (b_requested = len(estimates) + n_failed).
+    counted in n_failed (b_requested = len(estimates) + n_failed). trimmed
+    is the score-trimmed design's summary over the same replicates, or None
+    when no trim rule was given.
     """
 
     estimates: tuple[float, ...]
@@ -31,10 +37,9 @@ class BootstrapSummary:
     q025: float
     q50: float
     q975: float
-    design_tag: str
-    seed: int
     b_requested: int
     n_failed: int
+    trimmed: BootstrapSummary | None = None
 
 
 @dataclass(frozen=True)
@@ -67,18 +72,41 @@ def stratified_indices(rng: np.random.Generator, treated: np.ndarray) -> np.ndar
     return np.concatenate([draw_t, draw_c])
 
 
+def _summarize(design: str, estimates: list, failures: list, b: int) -> BootstrapSummary:
+    """One design's summary; more than 20% failed replicates aborts."""
+    if len(failures) > 0.2 * b:
+        counts = Counter(type(exc).__name__ for exc in failures)
+        per_type = ", ".join(f"{name}: {n}" for name, n in counts.items())
+        raise BootstrapError(
+            f"{len(failures)}/{b} bootstrap replicates failed in the {design} "
+            f"design ({per_type}; last: {failures[-1]})"
+        )
+    values = np.asarray(estimates)
+    q025, q50, q975 = np.percentile(values, [2.5, 50.0, 97.5])
+    return BootstrapSummary(
+        estimates=tuple(float(v) for v in values),
+        mean=float(np.mean(values)),
+        sd=float(np.std(values, ddof=1)) if len(values) > 1 else 0.0,
+        q025=float(q025), q50=float(q50), q975=float(q975),
+        b_requested=b, n_failed=len(failures),
+    )
+
+
 def bootstrap_att(data: Dataset, model_fit_per_replicate: bool,
                   estimator_spec: MatchSpec, b: int, seed: int, *,
                   covariates=None, model: PropensityModel | None = None,
                   ridge: float = 1e-8, tol: float = 1e-8, max_iter: int = 100,
-                  trim_rule: TrimRule | None = None,
-                  design_tag: str | None = None) -> BootstrapSummary:
+                  trim_rule: TrimRule | None = None) -> BootstrapSummary:
     """Stratified bootstrap of the matching ATT.
 
-    When model_fit_per_replicate is true the propensity model is refit on
-    each replicate (covariates required); otherwise `model` scores every
-    replicate. trim_rule, when given, is applied inside each replicate
-    after (re)fitting. More than 20% failed replicates aborts.
+    Each replicate is drawn once. When model_fit_per_replicate is true the
+    propensity model is refit on it once (covariates required); otherwise
+    `model` scores every replicate. The full-sample estimate and, when
+    trim_rule is given, the score-trimmed estimate (trim, then match) both
+    use that one replicate and model; the trimmed design's summary is the
+    result's `trimmed`. A failed fit fails the replicate in both designs, a
+    failed trim or match only in its own. More than 20% failed replicates
+    in a design aborts, the full-sample design checked first.
     """
     if b < 1:
         raise ValidationError("b must be >= 1")
@@ -89,9 +117,9 @@ def bootstrap_att(data: Dataset, model_fit_per_replicate: bool,
     elif model is None:
         raise ValidationError("model required when model_fit_per_replicate is false")
 
-    estimates = []
-    n_failed = 0
-    last_error = None
+    # One (estimates, failures) pair per design: full sample, then trimmed.
+    rules = (None, trim_rule) if trim_rule else (None,)
+    results = [([], []) for _ in rules]
     for r in range(b):
         rng = _replicate_rng(seed, r)
         replicate = data.take_with_fresh_ids(stratified_indices(rng, data.treated))
@@ -101,25 +129,19 @@ def bootstrap_att(data: Dataset, model_fit_per_replicate: bool,
                              max_iter=max_iter)
                 if model_fit_per_replicate else model
             )
-            sample = trim(replicate, rep_model, trim_rule) if trim_rule else replicate
-            estimates.append(att_match(sample, rep_model, estimator_spec).tau_hat)
         except AttDiagError as exc:
-            n_failed += 1
-            last_error = exc
-    if n_failed > 0.2 * b:
-        raise BootstrapError(
-            f"{n_failed}/{b} bootstrap replicates failed (last: {last_error})"
-        )
-    values = np.asarray(estimates)
-    q025, q50, q975 = np.percentile(values, [2.5, 50.0, 97.5])
-    return BootstrapSummary(
-        estimates=tuple(float(v) for v in values),
-        mean=float(np.mean(values)),
-        sd=float(np.std(values, ddof=1)) if len(values) > 1 else 0.0,
-        q025=float(q025), q50=float(q50), q975=float(q975),
-        design_tag=design_tag or estimator_spec.design_tag,
-        seed=seed, b_requested=b, n_failed=n_failed,
-    )
+            for _, failures in results:
+                failures.append(exc)
+            continue
+        for rule, (estimates, failures) in zip(rules, results):
+            try:
+                sample = trim(replicate, rep_model, rule) if rule else replicate
+                estimates.append(att_match(sample, rep_model, estimator_spec).tau_hat)
+            except AttDiagError as exc:
+                failures.append(exc)
+    summaries = [_summarize(design, *outcome, b) for design, outcome
+                 in zip(("full-sample", "score-trimmed"), results)]
+    return replace(summaries[0], trimmed=summaries[1] if trim_rule else None)
 
 
 def decile_att(data: Dataset, model: PropensityModel, min_per_arm: int = 5) -> DecileReport:

@@ -229,10 +229,9 @@ def test_criterion_10_bootstrap_dispersion(lalonde_composite):
     data = lalonde_composite
     b = 500
     full = bootstrap_att(data, True, MatchSpec(), b, seed=2026,
-                         covariates=LALONDE_COVARIATES, design_tag="full")
-    trimmed = bootstrap_att(data, True, MatchSpec(), b, seed=2026,
-                            covariates=LALONDE_COVARIATES,
-                            trim_rule=TrimRule(0.1, 0.9), design_tag="trimmed")
+                         covariates=LALONDE_COVARIATES,
+                         trim_rule=TrimRule(0.1, 0.9))
+    trimmed = full.trimmed
     elapsed = time.monotonic() - start
     assert full.mean < 0 and trimmed.mean < 0
     assert trimmed.sd < full.sd

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from attdiag import cli_report
+from attdiag import cli_report, resample
 from attdiag.cli_report import RunConfig, main
 from attdiag.errors import ConfigError
 from conftest import dataset_to_text, synthetic_observational
@@ -251,3 +251,23 @@ def test_bootstrap_refits_use_propensity_iteration_budget(tmp_path):
     # replicate estimates only if the budget reaches the refits.
     assert ((tmp_path / "default" / "bootstrap.csv").read_text()
             != (tmp_path / "capped" / "bootstrap.csv").read_text())
+
+
+def test_bootstrap_fits_each_replicate_once(tmp_path, monkeypatch):
+    config = write_synthetic_config(tmp_path, b=8, sim_n=5000)
+    calls = []
+    real_fit = resample.fit_logistic
+
+    def counting_fit(*args, **kwargs):
+        calls.append(args)
+        return real_fit(*args, **kwargs)
+
+    monkeypatch.setattr(resample, "fit_logistic", counting_fit)
+    out = tmp_path / "out"
+    assert main(["bootstrap", "--config", str(config), "--seed", "3",
+                 "--out", str(out)]) == 0
+    # One refit per replicate serves the full-sample and trimmed designs.
+    assert len(calls) == 8
+    rows = (out / "bootstrap.csv").read_text().splitlines()
+    assert rows[0] == "replicate,full_sample,score_trimmed"
+    assert len(rows) == 9

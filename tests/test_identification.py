@@ -248,6 +248,27 @@ def test_sweep_tilting_sorts_controls_once(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("scale", [2.0 ** 990, 2.0 ** -1060], ids=["2^990", "2^-1060"])
+def test_tilt_bounds_exact_at_extreme_weight_scales(scale):
+    # Integer weights stay exact when scaled into the ~1e298 or the
+    # subnormal range, so the bounds must equal the unit-scale ones exactly,
+    # even where e^delta times the raw sums would overflow.
+    y = np.array([0.0, 0.0, 1200.5, 3400.25, 9000.0, 15000.0])
+    w = np.array([1.0, 3.0, 2.0, 7.0, 1.0, 5.0])
+    for delta in (0.0, 1.0, 30.0, 500.0):
+        assert (curvature_bounds(y, w * scale, 10.0, delta)
+                == curvature_bounds(y, w, 10.0, delta))
+
+
+def test_sweep_tilting_subnormal_weights():
+    y, w = np.array([2.0, 3.0]), np.array([5e-324, 5e-324])
+    with mock.patch.object(identification, "control_tilt_inputs",
+                           return_value=(y, w, 0.0)):
+        sweep = sweep_tilting(None, None, [1.0, 2.0])
+    for delta, interval in zip((1.0, 2.0), sweep.intervals):
+        assert interval == curvature_bounds(y, [1.0, 1.0], 0.0, delta)
+
+
 def test_tilting_problem_rejects_bad_delta():
     problem = TiltingProblem([1.0, 2.0], [1.0, 1.0], 0.0)
     for delta in (-0.1, math.nan):

@@ -17,7 +17,6 @@ from attdiag.ingest import (
     fetch_dataset,
     merge,
     parse_table,
-    serialize_table,
 )
 
 TOY_SCHEMA = SchemaSpec(
@@ -55,29 +54,6 @@ def test_parse_non_numeric_names_column():
 def test_parse_rejects_nonbinary_treatment():
     with pytest.raises(ValidationError, match="treatment"):
         parse_table("2 1 3\n", TOY_SCHEMA)
-
-
-def test_parse_serialize_round_trip():
-    rng = np.random.default_rng(5)
-    rows = []
-    for _ in range(40):
-        rows.append(
-            f"{rng.integers(0, 2)} {rng.normal():.12g} {rng.normal() * 1e4:.12g}"
-        )
-    text = "\n".join(rows)
-    first = parse_table(text, TOY_SCHEMA)
-    second = parse_table(serialize_table(first), TOY_SCHEMA)
-    np.testing.assert_array_equal(first.treated, second.treated)
-    np.testing.assert_array_equal(first.outcome, second.outcome)
-    np.testing.assert_array_equal(first.covariates, second.covariates)
-
-
-def test_comma_delimiter():
-    schema = SchemaSpec(("treat", "x", "y"), "treat", "y", ("x",), delimiter="comma")
-    data = parse_table("1,2.5,3\n0,1.5,4\n", schema)
-    assert data.covariates[0, 0] == 2.5
-    round_trip = parse_table(serialize_table(data), schema)
-    np.testing.assert_array_equal(round_trip.outcome, data.outcome)
 
 
 def test_dataset_validation():

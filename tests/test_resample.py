@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from attdiag.errors import BootstrapError, ValidationError
+from attdiag import resample
+from attdiag.errors import BootstrapError, EstimationError, ValidationError
 from attdiag.estimators import MatchSpec, att_match, naive_diff
-from attdiag.propensity import PropensityModel, TrimRule, fit_logistic
+from attdiag.propensity import PropensityModel, TrimRule, fit_logistic, trim
 from attdiag.resample import (
     bootstrap_att,
     decile_att,
@@ -44,6 +45,7 @@ def test_bootstrap_b1_equals_single_replicate_estimate():
     assert summary.mean == direct.tau_hat
     assert summary.sd == 0.0
     assert summary.b_requested == 1 and summary.n_failed == 0
+    assert summary.trimmed is None  # no trim rule, no trimmed design
 
 
 def test_bootstrap_deterministic_given_seed():
@@ -68,7 +70,8 @@ def test_bootstrap_failure_budget():
     data = synthetic_observational(seed=17, n_treated=20, n_control=80)
     model = fit_logistic(data, COVS)
     impossible = MatchSpec(caliper=1e-15, design_tag="strict")
-    with pytest.raises(BootstrapError):
+    with pytest.raises(BootstrapError, match=r"^10/10 bootstrap replicates failed "
+                       r"in the full-sample design \(EstimationError: 10; last: "):
         bootstrap_att(data, False, impossible, 10, seed=19, model=model)
 
 
@@ -95,8 +98,60 @@ def test_bootstrap_trim_inside_replicate():
     data = synthetic_observational(seed=27, n_treated=40, n_control=160)
     summary = bootstrap_att(data, True, MatchSpec(), 10, seed=29,
                             covariates=COVS, trim_rule=TrimRule(0.05, 0.95))
-    assert summary.n_failed == 0
-    assert len(summary.estimates) == 10
+    assert summary.trimmed.n_failed == 0
+    assert len(summary.trimmed.estimates) == 10
+    assert summary.trimmed.b_requested == 10
+    assert summary.trimmed.trimmed is None
+
+
+def test_bootstrap_designs_equal_direct_per_replicate_estimates():
+    data = synthetic_observational(seed=37, n_treated=40, n_control=160)
+    rule = TrimRule(0.05, 0.95)
+    summary = bootstrap_att(data, True, MatchSpec(), 3, seed=39,
+                            covariates=COVS, trim_rule=rule)
+    full, trimmed = [], []
+    for r in range(3):
+        replicate = data.take_with_fresh_ids(
+            stratified_indices(_replicate_rng(39, r), data.treated)
+        )
+        model = fit_logistic(replicate, COVS)
+        full.append(att_match(replicate, model, MatchSpec()).tau_hat)
+        trimmed.append(att_match(trim(replicate, model, rule), model,
+                                 MatchSpec()).tau_hat)
+    assert summary.estimates == tuple(full)
+    assert summary.trimmed.estimates == tuple(trimmed)
+    assert summary.n_failed == summary.trimmed.n_failed == 0
+
+
+def test_bootstrap_failed_fit_fails_both_designs(monkeypatch):
+    data = synthetic_observational(seed=41, n_treated=40, n_control=160)
+    real_fit = resample.fit_logistic
+    calls = []
+
+    def fit_failing_once(replicate, covariates, **kwargs):
+        calls.append(len(replicate))
+        if len(calls) == 2:
+            raise EstimationError("no convergence")
+        return real_fit(replicate, covariates, **kwargs)
+
+    monkeypatch.setattr(resample, "fit_logistic", fit_failing_once)
+    summary = bootstrap_att(data, True, MatchSpec(), 6, seed=43,
+                            covariates=COVS, trim_rule=TrimRule(0.05, 0.95))
+    assert len(calls) == 6  # one fit per replicate for both designs
+    for design in (summary, summary.trimmed):
+        assert design.n_failed == 1
+        assert len(design.estimates) == 5
+        assert design.b_requested == 6
+
+
+def test_bootstrap_failed_trim_fails_only_the_trimmed_design():
+    data = synthetic_observational(seed=45, n_treated=40, n_control=160)
+    model = fit_logistic(data, COVS)
+    # A rule no score can satisfy empties every trimmed replicate.
+    with pytest.raises(BootstrapError, match=r"^5/5 bootstrap replicates failed in "
+                       r"the score-trimmed design \(TrimmingError: 5; last: "):
+        bootstrap_att(data, False, MatchSpec(), 5, seed=47, model=model,
+                      trim_rule=TrimRule(0.49999, 0.5))
 
 
 def test_decile_uniform_scores_balanced_data():
