@@ -34,6 +34,7 @@ from .estimators import (
     att_match,
     default_design_suite,
     design_sensitivity,
+    distinct_control_scores,
     estimates_to_csv_rows,
     naive_diff,
 )
@@ -388,6 +389,7 @@ def cmd_propensity(cfg: RunConfig, load) -> dict:
 
 
 def cmd_match(cfg: RunConfig, load) -> dict:
+    clock = _stage_clock()
     data, digests = load()
     model = _load_model(cfg)
     grid_cfg = _grid_config(cfg)
@@ -424,7 +426,9 @@ def cmd_match(cfg: RunConfig, load) -> dict:
         "trim_drops": trim_counts(data, model, rule),
         "naive": naive_diff(data).tau_hat,
     }
-    _log("match", digests=digests, **result)
+    _log("match", digests=digests, **result,
+         treated_units=data.n_treated, controls=data.n_control,
+         distinct_control_scores=distinct_control_scores(data, model), **clock())
     return result
 
 
@@ -590,14 +594,11 @@ def cmd_bootstrap(cfg: RunConfig, load) -> dict:
                          max_iter=cfg.get_int("propensity", "max_iter"),
                          trim_rule=_trim_rule(cfg))
     trimmed = full.trimmed
+    # One row per replicate; a design that failed it leaves its cell empty.
+    by_replicate = [dict(zip(s.replicates, s.estimates)) for s in (full, trimmed)]
     rows = [["replicate", "full_sample", "score_trimmed"]]
-    n_rows = max(len(full.estimates), len(trimmed.estimates))
-    for i in range(n_rows):
-        rows.append([
-            i,
-            full.estimates[i] if i < len(full.estimates) else "",
-            trimmed.estimates[i] if i < len(trimmed.estimates) else "",
-        ])
+    for r in range(b):
+        rows.append([r, *(estimates.get(r, "") for estimates in by_replicate)])
     _write_csv(cfg.out_dir / "bootstrap.csv", rows)
     result = {
         "full": {"mean": full.mean, "sd": full.sd, "q025": full.q025,

@@ -3,7 +3,13 @@ and the naive difference in arm means.
 
 Matching follows the 1-nearest-neighbor-with-replacement convention on the
 logit of the propensity score unless told otherwise; ties break to the
-lowest control unit id so every estimator is deterministic.
+lowest control unit id so every estimator is deterministic. Matching never
+holds the n_treated x n_control distance matrix: 1-NN on one coordinate
+searches the controls' sorted distinct values, 1-NN on several coordinates
+(Mahalanobis) works through blocks of treated rows, and the greedy path
+computes one treated unit's distance row at a time. Every path computes a
+distance as `sqrt(sum((zt - zc) ** 2))`, so each picks the control the
+full matrix's `argmin` would.
 """
 
 from __future__ import annotations
@@ -79,6 +85,79 @@ def _match_coordinates(data: Dataset, model: PropensityModel | None,
     return np.linalg.solve(chol, x.T).T
 
 
+# Multi-column distances are computed over blocks of treated rows, sized so
+# the (rows, n_control, width) float64 temporary stays near 8 MB whatever the
+# arm sizes. Blocks much larger than this ran slower, not faster.
+_BLOCK_ELEMENTS = 1 << 20
+
+
+def _distances(zt: np.ndarray, zc: np.ndarray) -> np.ndarray:
+    """Euclidean distance from each row of zt to each row of zc."""
+    return np.sqrt(((zt[:, None, :] - zc[None, :, :]) ** 2).sum(axis=2))
+
+
+def _sorted_distinct(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of a 1-D array in increasing order, each with the
+    lowest index that holds it."""
+    order = np.argsort(z, kind="stable")
+    ordered = z[order]
+    first = np.ones(len(z), dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    return ordered[first], order[first]
+
+
+def _nearest_on_line(zt: np.ndarray, zc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest control (lowest index among equally near ones) and its
+    distance for each treated point, on one coordinate.
+
+    Each treated point compares the nearest distinct control value below it
+    and the nearest at or above it, found by `searchsorted`. The distance
+    keeps the `sqrt((zt - zc) ** 2)` form of `_distances`, so the result is
+    the `argmin` of the full distance row. Rounding in `zt - zc` can give
+    further distinct values the same distance; a distance never shrinks
+    moving away from zt, so checking one more value on each side finds
+    every such row, and those rows search all distinct values.
+    """
+    values, owner = _sorted_distinct(zc)
+    last = len(values) - 1
+    pos = np.searchsorted(values, zt)
+
+    def at(i):
+        i = np.clip(i, 0, last)
+        return owner[i], np.sqrt((zt - values[i]) ** 2)
+
+    below, d_below = at(pos - 1)
+    above, d_above = at(pos)
+    take_below = (d_below < d_above) | ((d_below == d_above) & (below < above))
+    nearest = np.where(take_below, below, above)
+    d_min = np.minimum(d_below, d_above)
+    tied = (((pos >= 2) & (at(pos - 2)[1] == d_min))
+            | ((pos < last) & (at(pos + 1)[1] == d_min)))
+    for i in np.flatnonzero(tied):
+        nearest[i] = owner[np.sqrt((zt[i] - values) ** 2) == d_min[i]].min()
+    return nearest, d_min
+
+
+def _nearest_blocked(zt: np.ndarray, zc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest control (lowest index among equally near ones) and its
+    distance for each treated row, one block of treated rows at a time."""
+    rows = max(1, _BLOCK_ELEMENTS // zc.size)
+    nearest = np.empty(len(zt), dtype=np.intp)
+    d_min = np.empty(len(zt))
+    for start in range(0, len(zt), rows):
+        dist = _distances(zt[start:start + rows], zc)
+        block = np.argmin(dist, axis=1)
+        nearest[start:start + rows] = block
+        d_min[start:start + rows] = dist[np.arange(len(block)), block]
+    return nearest, d_min
+
+
+def distinct_control_scores(data: Dataset, model: PropensityModel) -> int:
+    """How many distinct control values a logit_score 1-NN match searches."""
+    z = _logit(score_dataset(model, data))
+    return len(_sorted_distinct(z[~data.treated])[0])
+
+
 def att_match(data: Dataset, model: PropensityModel | None, spec: MatchSpec) -> AttEstimate:
     """Nearest-neighbor matching estimate of the ATT.
 
@@ -86,6 +165,13 @@ def att_match(data: Dataset, model: PropensityModel | None, spec: MatchSpec) -> 
     under the metric; with a caliper, treated units with no control inside
     it are dropped and counted (the estimand becomes the ATT on the matched
     subset). The SE treats matched differences as independent.
+
+    No path builds the n_treated x n_control distance matrix. 1-NN with
+    replacement on one coordinate (logit_score, or one covariate) searches
+    the controls' sorted distinct values; on more coordinates it computes
+    distances for blocks of treated rows. The greedy path (n_neighbors > 1
+    or no replacement) computes each treated unit's distance row when it
+    reaches that unit. All paths use the same distance arithmetic.
     """
     data.require_both_arms("att_match")
     coords = _match_coordinates(data, model, spec.metric)
@@ -93,20 +179,19 @@ def att_match(data: Dataset, model: PropensityModel | None, spec: MatchSpec) -> 
     zt, zc = coords[t_mask], coords[~t_mask]
     yt, yc = data.outcome[t_mask], data.outcome[~t_mask]
     ids_t, ids_c = data.unit_ids[t_mask], data.unit_ids[~t_mask]
-    # Controls sorted by unit id: the first minimum along a distance row is
-    # then the lowest-id control, which implements the tie-break.
+    # Controls sorted by unit id: the lowest index among equally near
+    # controls is then the lowest id, which implements the tie-break.
     c_order = np.argsort(ids_c, kind="stable")
     zc, yc = zc[c_order], yc[c_order]
     n_t, n_c = len(yt), len(yc)
     k = spec.n_neighbors
     caliper = spec.caliper if spec.caliper is not None else np.inf
 
-    # Distance matrix is fine at this scale (treated count is small).
-    dist = np.sqrt(((zt[:, None, :] - zc[None, :, :]) ** 2).sum(axis=2))
-
     if spec.with_replacement and k == 1:
-        nearest = np.argmin(dist, axis=1)
-        d_min = dist[np.arange(n_t), nearest]
+        if coords.shape[1] == 1:
+            nearest, d_min = _nearest_on_line(zt[:, 0], zc[:, 0])
+        else:
+            nearest, d_min = _nearest_blocked(zt, zc)
         kept = d_min <= caliper
         diffs = yt[kept] - yc[nearest[kept]]
         n_used = int(kept.sum())
@@ -116,7 +201,7 @@ def att_match(data: Dataset, model: PropensityModel | None, spec: MatchSpec) -> 
         diffs_list = []
         available = np.ones(n_c, dtype=bool)
         for i in np.argsort(ids_t, kind="stable"):
-            row = dist[i]
+            row = _distances(zt[i:i + 1], zc)[0]
             order = np.argsort(row, kind="stable")
             chosen = []
             for j in order:

@@ -117,8 +117,12 @@ class Dataset:
         unit_ids = np.asarray(unit_ids, dtype=int)
         if unit_ids.shape != (n,):
             raise ValidationError("unit_ids length mismatch")
-        if len(np.unique(unit_ids)) != n:
-            raise ValidationError("unit_ids must be unique")
+        # Ids that strictly increase are unique: one O(n) pass. Only other
+        # orders pay for a sort.
+        if not np.all(unit_ids[1:] > unit_ids[:-1]):
+            ordered = np.sort(unit_ids)
+            if np.any(ordered[1:] == ordered[:-1]):
+                raise ValidationError("unit_ids must be unique")
         if n and not np.all(np.isfinite(outcome)):
             bad = int(unit_ids[~np.isfinite(outcome)][0])
             raise ValidationError(f"non-finite outcome for unit {bad}")

@@ -25,13 +25,15 @@ from .propensity import PropensityModel, TrimRule, fit_logistic, score_dataset, 
 class BootstrapSummary:
     """Replicate estimates with summary statistics.
 
-    estimates holds the successful replicates; failures are excluded and
+    estimates holds the successful replicates and replicates their indices
+    in 0..b_requested-1, in the same order; failures are excluded and
     counted in n_failed (b_requested = len(estimates) + n_failed). trimmed
     is the score-trimmed design's summary over the same replicates, or None
     when no trim rule was given.
     """
 
     estimates: tuple[float, ...]
+    replicates: tuple[int, ...]
     mean: float
     sd: float
     q025: float
@@ -72,7 +74,8 @@ def stratified_indices(rng: np.random.Generator, treated: np.ndarray) -> np.ndar
     return np.concatenate([draw_t, draw_c])
 
 
-def _summarize(design: str, estimates: list, failures: list, b: int) -> BootstrapSummary:
+def _summarize(design: str, replicates: list, estimates: list, failures: list,
+               b: int) -> BootstrapSummary:
     """One design's summary; more than 20% failed replicates aborts."""
     if len(failures) > 0.2 * b:
         counts = Counter(type(exc).__name__ for exc in failures)
@@ -85,6 +88,7 @@ def _summarize(design: str, estimates: list, failures: list, b: int) -> Bootstra
     q025, q50, q975 = np.percentile(values, [2.5, 50.0, 97.5])
     return BootstrapSummary(
         estimates=tuple(float(v) for v in values),
+        replicates=tuple(replicates),
         mean=float(np.mean(values)),
         sd=float(np.std(values, ddof=1)) if len(values) > 1 else 0.0,
         q025=float(q025), q50=float(q50), q975=float(q975),
@@ -117,9 +121,10 @@ def bootstrap_att(data: Dataset, model_fit_per_replicate: bool,
     elif model is None:
         raise ValidationError("model required when model_fit_per_replicate is false")
 
-    # One (estimates, failures) pair per design: full sample, then trimmed.
+    # One (replicates, estimates, failures) triple per design: full sample,
+    # then trimmed.
     rules = (None, trim_rule) if trim_rule else (None,)
-    results = [([], []) for _ in rules]
+    results = [([], [], []) for _ in rules]
     for r in range(b):
         rng = _replicate_rng(seed, r)
         replicate = data.take_with_fresh_ids(stratified_indices(rng, data.treated))
@@ -130,15 +135,18 @@ def bootstrap_att(data: Dataset, model_fit_per_replicate: bool,
                 if model_fit_per_replicate else model
             )
         except AttDiagError as exc:
-            for _, failures in results:
+            for _, _, failures in results:
                 failures.append(exc)
             continue
-        for rule, (estimates, failures) in zip(rules, results):
+        for rule, (replicates, estimates, failures) in zip(rules, results):
             try:
                 sample = trim(replicate, rep_model, rule) if rule else replicate
-                estimates.append(att_match(sample, rep_model, estimator_spec).tau_hat)
+                estimate = att_match(sample, rep_model, estimator_spec).tau_hat
             except AttDiagError as exc:
                 failures.append(exc)
+            else:
+                replicates.append(r)
+                estimates.append(estimate)
     summaries = [_summarize(design, *outcome, b) for design, outcome
                  in zip(("full-sample", "score-trimmed"), results)]
     return replace(summaries[0], trimmed=summaries[1] if trim_rule else None)

@@ -7,6 +7,8 @@ import pytest
 from attdiag import cli_report, resample
 from attdiag.cli_report import RunConfig, main
 from attdiag.errors import ConfigError
+from attdiag.estimators import MatchSpec
+from attdiag.propensity import TrimRule
 from conftest import dataset_to_text, synthetic_observational
 
 # Grid edges sized to the synthetic generator's covariate ranges.
@@ -21,8 +23,10 @@ SYNTH_GRIDS = {
 
 
 def write_synthetic_config(tmp_path: Path, *, b: int = 12, sim_n: int = 20000,
-                           data_seed: int = 61) -> Path:
-    data = synthetic_observational(seed=data_seed, n_treated=90, n_control=700)
+                           data_seed: int = 61, n_treated: int = 90,
+                           n_control: int = 700) -> Path:
+    data = synthetic_observational(seed=data_seed, n_treated=n_treated,
+                                   n_control=n_control)
     treated_file = tmp_path / "treated.txt"
     control_file = tmp_path / "control.txt"
     treated_file.write_text(dataset_to_text(data.subset(data.treated)))
@@ -271,3 +275,33 @@ def test_bootstrap_fits_each_replicate_once(tmp_path, monkeypatch):
     rows = (out / "bootstrap.csv").read_text().splitlines()
     assert rows[0] == "replicate,full_sample,score_trimmed"
     assert len(rows) == 9
+
+
+def test_bootstrap_csv_pairs_estimates_by_replicate(tmp_path):
+    config = write_synthetic_config(tmp_path, b=40, data_seed=45, n_treated=12,
+                                    n_control=60)
+    config.write_text(config.read_text() + "\n[propensity]\n"
+                      "covariates = age education re74 re75\n"
+                      "\n[trim]\nlow = 0.3\nhigh = 0.7\n")
+    out = tmp_path / "out"
+    assert main(["bootstrap", "--config", str(config), "--seed", "47",
+                 "--out", str(out)]) == 0
+    cfg = RunConfig.from_file(config, seed=47, out_dir=out)
+    data = cli_report._load_data(cfg)[0]
+    summary = resample.bootstrap_att(
+        data, True, MatchSpec(), 40, 47, covariates=["age", "education", "re74", "re75"],
+        trim_rule=TrimRule(0.3, 0.7))
+    # Five replicates fail in the trimmed design only; at the parent their
+    # rows held later replicates' trimmed estimates.
+    assert summary.n_failed == 0 and summary.trimmed.n_failed == 5
+    full = dict(zip(summary.replicates, summary.estimates))
+    trimmed = dict(zip(summary.trimmed.replicates, summary.trimmed.estimates))
+    rows = [row.split(",") for row in (out / "bootstrap.csv").read_text().splitlines()]
+    assert rows[0] == ["replicate", "full_sample", "score_trimmed"]
+    assert [int(row[0]) for row in rows[1:]] == list(range(40))
+    for r, full_cell, trimmed_cell in rows[1:]:
+        assert float(full_cell) == full[int(r)]
+        if int(r) in trimmed:
+            assert float(trimmed_cell) == trimmed[int(r)]
+        else:
+            assert trimmed_cell == ""

@@ -1,9 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from attdiag.errors import EstimationError, NumericalError, ValidationError
+from attdiag import estimators
+from attdiag.errors import AttDiagError, EstimationError, NumericalError, ValidationError
 from attdiag.estimators import (
     MatchSpec,
     att_ipw,
@@ -228,3 +231,173 @@ def test_estimates_csv_rows():
     assert rows[0][0] == "estimation_sample"
     assert rows[1][0] == "toy"
     assert rows[1][1] == 1.0
+
+
+def _dense_att_match(data, model, spec):
+    """Reference matcher: the full n_treated x n_control distance matrix,
+    its row argmin for 1-NN with replacement, and the greedy scan of
+    argsorted rows otherwise."""
+    data.require_both_arms("att_match")
+    coords = estimators._match_coordinates(data, model, spec.metric)
+    t_mask = data.treated
+    zt, zc = coords[t_mask], coords[~t_mask]
+    yt, yc = data.outcome[t_mask], data.outcome[~t_mask]
+    ids_t, ids_c = data.unit_ids[t_mask], data.unit_ids[~t_mask]
+    c_order = np.argsort(ids_c, kind="stable")
+    zc, yc = zc[c_order], yc[c_order]
+    n_t, n_c = len(yt), len(yc)
+    k = spec.n_neighbors
+    caliper = spec.caliper if spec.caliper is not None else np.inf
+    dist = np.sqrt(((zt[:, None, :] - zc[None, :, :]) ** 2).sum(axis=2))
+    if spec.with_replacement and k == 1:
+        nearest = np.argmin(dist, axis=1)
+        d_min = dist[np.arange(n_t), nearest]
+        kept = d_min <= caliper
+        diffs = yt[kept] - yc[nearest[kept]]
+        n_used = int(kept.sum())
+    else:
+        diffs_list = []
+        available = np.ones(n_c, dtype=bool)
+        for i in np.argsort(ids_t, kind="stable"):
+            row = dist[i]
+            chosen = []
+            for j in np.argsort(row, kind="stable"):
+                if row[j] > caliper:
+                    break
+                if not spec.with_replacement and not available[j]:
+                    continue
+                chosen.append(j)
+                if len(chosen) == k:
+                    break
+            if not chosen:
+                continue
+            if not spec.with_replacement:
+                available[chosen] = False
+            diffs_list.append(yt[i] - float(np.mean(yc[chosen])))
+        diffs = np.asarray(diffs_list)
+        n_used = len(diffs_list)
+    if n_used == 0:
+        raise EstimationError("every treated unit was dropped; no matches found")
+    tau = float(np.mean(diffs))
+    se = float(np.std(diffs, ddof=1) / np.sqrt(n_used)) if n_used > 1 else 0.0
+    return tau, se, n_used, n_t - n_used
+
+
+def _assert_equals_dense(data, model, spec):
+    try:
+        expected = _dense_att_match(data, model, spec)
+    except AttDiagError as exc:
+        with pytest.raises(type(exc)):
+            att_match(data, model, spec)
+        return
+    est = att_match(data, model, spec)
+    assert (est.tau_hat, est.se, est.n_treated_used, est.n_dropped) == expected
+
+
+# Values whose logit scores tie exactly, differ by an ulp, or differ by less
+# than half an ulp of a distant treated score (so distinct control scores
+# round to one distance), plus points outside every other draw's range.
+_TIE_HEAVY = (0.0, -0.0, 4.5e-16, 9e-16, -4.5e-16, 0.5, 1.0, 1.0 + 2**-52,
+              2.0, 5.0, 20.0, -20.0, 29.0, -29.0)
+_LINE_MODEL = _hand_model(0.0, [1.0])
+
+
+@st.composite
+def _tie_heavy_data(draw, width=1, max_treated=10, max_control=25):
+    n_t = draw(st.integers(1, max_treated))
+    n_c = draw(st.integers(1, max_control))
+    n = n_t + n_c
+    value = st.one_of(st.sampled_from(_TIE_HEAVY), st.floats(-30, 30))
+    xs = draw(st.lists(st.lists(value, min_size=width, max_size=width),
+                       min_size=n, max_size=n))
+    ys = draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n))
+    treated = draw(st.permutations([True] * n_t + [False] * n_c))
+    ids = draw(st.permutations(range(n)))
+    return Dataset(treated, np.asarray(ys, dtype=float), np.asarray(xs, dtype=float),
+                   unit_ids=ids)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=_tie_heavy_data(), pick=st.integers(0, 10**6),
+       caliper_kind=st.sampled_from(["none", "attained", "drawn"]),
+       drawn=st.floats(1e-12, 10))
+def test_logit_match_equals_dense_oracle(data, pick, caliper_kind, drawn):
+    caliper = None
+    if caliper_kind == "drawn":
+        caliper = drawn
+    elif caliper_kind == "attained":
+        # A caliper equal to one treated-control distance: that pair sits
+        # exactly on the boundary, which keeps it.
+        z = estimators._match_coordinates(data, _LINE_MODEL, "logit_score")[:, 0]
+        zt, zc = z[data.treated], z[~data.treated]
+        gap = float(np.sqrt((zt[pick % len(zt)] - zc[pick % len(zc)]) ** 2))
+        caliper = gap if gap > 0 else None
+    _assert_equals_dense(data, _LINE_MODEL, MatchSpec(caliper=caliper))
+
+
+@pytest.mark.parametrize("xs,treated", [
+    ([3.0, 0.0], [True, False]),                                # one control
+    ([-29.0, 29.0, 1.0, 2.0, 2.0], [True, True, False, False, False]),  # outside
+    ([1.0, 0.5, 0.5, 3.0, 0.5], [True, False, False, False, False]),   # equal scores
+])
+def test_logit_match_edge_cases_equal_dense_oracle(xs, treated):
+    data = make_dataset(treated, np.arange(len(xs), dtype=float) ** 2,
+                        [[v] for v in xs])
+    _assert_equals_dense(data, _LINE_MODEL, MatchSpec())
+
+
+def test_logit_match_rounding_tie_takes_lowest_id():
+    # The three control scores are distinct, but 20 minus each rounds to
+    # one distance, so the lowest id wins although it holds the farthest
+    # score.
+    data = make_dataset([True, False, False, False], [10.0, 1.0, 2.0, 3.0],
+                        [[20.0], [0.0], [4.5e-16], [9e-16]])
+    z = estimators._match_coordinates(data, _LINE_MODEL, "logit_score")[:, 0]
+    assert len(set(z[1:])) == 3
+    assert len(set(np.sqrt((z[0] - z[1:]) ** 2))) == 1
+    assert att_match(data, _LINE_MODEL, MatchSpec()).tau_hat == 10.0 - 1.0
+    _assert_equals_dense(data, _LINE_MODEL, MatchSpec())
+
+
+@pytest.mark.parametrize("block_rows", [3, 4])
+@settings(max_examples=100, deadline=None)
+@given(data=_tie_heavy_data(width=3, max_treated=9, max_control=12))
+def test_mahalanobis_match_equals_dense_oracle(block_rows, data):
+    # Blocks of 3 and 4 treated rows: the drawn treated counts fall below,
+    # on and between multiples of the block size.
+    elements = block_rows * data.n_control * data.covariates.shape[1]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimators, "_BLOCK_ELEMENTS", elements)
+        _assert_equals_dense(data, None, MatchSpec(metric="mahalanobis"))
+
+
+@pytest.mark.parametrize("spec", [
+    MatchSpec(n_neighbors=3),
+    MatchSpec(with_replacement=False),
+    MatchSpec(n_neighbors=2, with_replacement=False, caliper=0.5),
+    MatchSpec(metric="mahalanobis", n_neighbors=3),
+])
+def test_greedy_match_equals_dense_oracle(spec):
+    data = synthetic_observational(seed=31, n_treated=30, n_control=120)
+    model = fit_logistic(data, ["age", "education", "re74", "re75"])
+    _assert_equals_dense(data, model, spec)
+    ties = make_dataset([True, True, True, False, False, False, False, False],
+                        [5.0, 6.0, 7.0, 1.0, 2.0, 3.0, 4.0, 8.0],
+                        [[1.0], [1.0], [0.0], [1.0], [0.0], [2.0], [1.0], [0.0]])
+    _assert_equals_dense(ties, _LINE_MODEL, spec)
+
+
+def test_mahalanobis_match_memory_stays_bounded():
+    # The dense matrix's float64 temporary would be 200 x 30,000 x 8 x 8 B
+    # = 384 MB; blocked matching must stay far below it.
+    rng = np.random.default_rng(7)
+    n_t, n_c = 200, 30_000
+    data = Dataset(np.arange(n_t + n_c) < n_t, rng.normal(size=n_t + n_c),
+                   rng.normal(size=(n_t + n_c, 8)))
+    tracemalloc.start()
+    try:
+        att_match(data, None, MatchSpec(metric="mahalanobis"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20

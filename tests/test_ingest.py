@@ -63,6 +63,24 @@ def test_dataset_validation():
         Dataset([True, False], [1.0, np.nan], np.zeros((2, 1)))
 
 
+@pytest.mark.parametrize("ids", [[5, 2, 9, 0], [7], [], [-3, 4, 10**12]])
+def test_dataset_accepts_unique_ids_in_any_order(ids):
+    n = len(ids)
+    data = Dataset(np.arange(n) % 2 == 0, np.zeros(n), np.zeros((n, 1)), unit_ids=ids)
+    assert list(data.unit_ids) == ids
+
+
+@pytest.mark.parametrize("ids", [
+    [0, 1, 1, 2],     # sorted, duplicates adjacent
+    [4, 0, 9, 4, 2],  # unsorted, duplicates apart
+    [3, 2, 1, 3],     # descending apart from the duplicate
+])
+def test_dataset_rejects_duplicate_ids_in_any_order(ids):
+    n = len(ids)
+    with pytest.raises(ValidationError, match="unit_ids must be unique"):
+        Dataset(np.arange(n) % 2 == 0, np.zeros(n), np.zeros((n, 1)), unit_ids=ids)
+
+
 def test_single_arm_rejected_at_estimation():
     data = Dataset([True, True], [1.0, 2.0], np.zeros((2, 1)))
     with pytest.raises(ValidationError, match="treated and one control"):

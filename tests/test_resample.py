@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from attdiag import resample
-from attdiag.errors import BootstrapError, EstimationError, ValidationError
+from attdiag.errors import AttDiagError, BootstrapError, EstimationError, ValidationError
 from attdiag.estimators import MatchSpec, att_match, naive_diff
 from attdiag.propensity import PropensityModel, TrimRule, fit_logistic, trim
 from attdiag.resample import (
@@ -152,6 +152,27 @@ def test_bootstrap_failed_trim_fails_only_the_trimmed_design():
                        r"the score-trimmed design \(TrimmingError: 5; last: "):
         bootstrap_att(data, False, MatchSpec(), 5, seed=47, model=model,
                       trim_rule=TrimRule(0.49999, 0.5))
+
+
+def test_bootstrap_summaries_carry_replicate_indices():
+    data = synthetic_observational(seed=45, n_treated=12, n_control=60)
+    rule = TrimRule(0.3, 0.7)
+    summary = bootstrap_att(data, True, MatchSpec(), 40, seed=47,
+                            covariates=COVS, trim_rule=rule)
+    assert summary.replicates == tuple(range(40))
+    assert summary.trimmed.n_failed == 5
+    assert len(summary.trimmed.replicates) == len(summary.trimmed.estimates) == 35
+    kept = dict(zip(summary.trimmed.replicates, summary.trimmed.estimates))
+    for r in range(40):
+        replicate = data.take_with_fresh_ids(
+            stratified_indices(_replicate_rng(47, r), data.treated))
+        model = fit_logistic(replicate, COVS)
+        try:
+            estimate = att_match(trim(replicate, model, rule), model, MatchSpec()).tau_hat
+        except AttDiagError:
+            assert r not in kept
+        else:
+            assert kept[r] == estimate
 
 
 def test_decile_uniform_scores_balanced_data():
