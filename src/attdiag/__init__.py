@@ -26,7 +26,6 @@ from .strata import (
     CellStatus,
     SupportMap,
     build_support_map,
-    coarse_grid_audit,
     restrict_to_overlap,
     support_share,
 )

@@ -198,7 +198,7 @@ def run_calibration(cache_dir, out_path, offline: bool = True) -> dict:
             attempts.append({"combo": (treated_key, control_key),
                              "error": "schema mismatch (original NSW lacks re74)"})
             continue
-        data = merge(treated, control, keep="treated_only")
+        data = merge(treated, control)
         result = calibrate_dataset(data)
         result["combo"] = (treated_key, control_key)
         attempts.append(result)

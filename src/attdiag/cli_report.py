@@ -2,13 +2,19 @@
 bound, and bundle everything into a reproduction report.
 
 Each subcommand writes its CSV/JSON artifacts into the output directory
-and prints one JSON log line with input digests; `reproduce` chains every
-stage and emits report.json plus SVG renderings. One invocation parses the
-input tables at most once, on first use, and every stage it runs shares
-that parse. Stages read upstream products (the propensity model, table 1)
-from their artifacts, in a chained run as in a standalone one; a command
-whose upstream artifact is missing fails with a dependency error naming
-the producing command.
+and returns its report values plus log-only fields; `_run_stage` prints
+them as the stage's one JSON log line, with the wall and CPU seconds the
+stage took. `reproduce` runs every stage that way, emits report.json plus
+SVG renderings, and ends with a line holding each stage's timings.
+
+Each invocation resolves its inputs once. The config is parsed when the
+file is read, so a bad value fails before any stage runs. The products
+several stages share (the parsed tables, the propensity model, the grid
+config, the fine support map, the tilting problem and its sweep) are
+built on first use and kept while a later stage may read them, in a
+chained run as in a standalone one. Upstream products (the propensity model,
+table 1) are read from their artifacts; a command whose upstream artifact
+is missing fails with a dependency error naming the producing command.
 """
 
 from __future__ import annotations
@@ -57,82 +63,104 @@ from .propensity import (
 )
 from .resample import bootstrap_att, decile_att
 from .simulation import SimConfig, nonid_witness, run_sweep
-from .strata import build_support_map, coarse_grid_audit, restrict_to_overlap, support_share
+from .strata import build_support_map, restrict_to_overlap, support_share
 from . import svgplot
 
-_CONFIG_LAYOUT = {
-    "data": {
-        "source": "remote",            # remote | local
-        "treated_source": "nsw_treated",
-        "control_source": "psid_controls",
-        "treated_file": "",
-        "control_file": "",
-        "cache_dir": "data/lalonde",
-        "offline": "false",
-    },
-    "grids": {
-        "config": "builtin",           # builtin | path to grid_config.json
-    },
-    "propensity": {
-        "covariates": "age education black hispanic married nodegree re74 re75",
-        "ridge": "1e-8",
-        "tol": "1e-8",
-        "max_iter": "100",
-        "hist_bins": "20",
-    },
-    "trim": {
-        "low": "0.1",
-        "high": "0.9",
-    },
-    "match": {
-        "metric": "logit_score",
-        "n_neighbors": "1",
-        "with_replacement": "true",
-        "caliper": "",
-    },
-    "bounds": {
-        "tilt_deltas": "0 0.05 0.1 0.25 0.5 0.75 1.0 1.5 2.0",
-        "proxy_deltas": "0 0.5 1.0 1.5 2.0",
-    },
-    "bootstrap": {
-        "b": "500",
-        "refit": "true",
-    },
-    "deciles": {
-        "min_per_arm": "5",
-    },
-    "simulation": {
-        "n": "100000",
-        "proportions": "0.3 0.2 0.4 0.1",
-        "treat_prob": "0.5",
-        "deltas": "0 0.5 1.0 1.5 2.0",
-        "epsilon": "0.3",
-        "witness_threshold": "0.5",
-    },
-}
 
-
-def _parse_bool(text: str, where: str) -> bool:
+def _parse_bool(text: str) -> bool:
     t = text.strip().lower()
     if t in ("true", "yes", "1", "on"):
         return True
     if t in ("false", "no", "0", "off"):
         return False
-    raise ConfigError(f"{where}: expected a boolean, got {text!r}")
+    raise ValueError("expected a boolean")
+
+
+def _parse_source(text: str) -> str:
+    if text not in ("remote", "local"):
+        raise ValueError("expected remote or local")
+    return text
+
+
+def _parse_floats(text: str) -> tuple[float, ...]:
+    return tuple(float(tok) for tok in text.split())
+
+
+def _parse_caliper(text: str) -> float | None:
+    return float(text) if text.strip() else None
+
+
+# section -> key -> (default text, parser of the text).
+_CONFIG_LAYOUT = {
+    "data": {
+        "source": ("remote", _parse_source),
+        "treated_source": ("nsw_treated", str),
+        "control_source": ("psid_controls", str),
+        "treated_file": ("", str),
+        "control_file": ("", str),
+        "cache_dir": ("data/lalonde", str),
+        "offline": ("false", _parse_bool),
+    },
+    "grids": {
+        "config": ("builtin", str),    # builtin | path to grid_config.json
+    },
+    "propensity": {
+        "covariates": ("age education black hispanic married nodegree re74 re75", str.split),
+        "ridge": ("1e-8", float),
+        "tol": ("1e-8", float),
+        "max_iter": ("100", int),
+        "hist_bins": ("20", int),
+    },
+    "trim": {
+        "low": ("0.1", float),
+        "high": ("0.9", float),
+    },
+    "match": {
+        "metric": ("logit_score", str),
+        "n_neighbors": ("1", int),
+        "with_replacement": ("true", _parse_bool),
+        "caliper": ("", _parse_caliper),
+    },
+    "bounds": {
+        "tilt_deltas": ("0 0.05 0.1 0.25 0.5 0.75 1.0 1.5 2.0", _parse_floats),
+        "proxy_deltas": ("0 0.5 1.0 1.5 2.0", _parse_floats),
+    },
+    "bootstrap": {
+        "b": ("500", int),
+        "refit": ("true", _parse_bool),
+    },
+    "deciles": {
+        "min_per_arm": ("5", int),
+    },
+    "simulation": {
+        "n": ("100000", int),
+        "proportions": ("0.3 0.2 0.4 0.1", _parse_floats),
+        "treat_prob": ("0.5", float),
+        "deltas": ("0 0.5 1.0 1.5 2.0", _parse_floats),
+        "epsilon": ("0.3", float),
+        "witness_threshold": ("0.5", float),
+    },
+}
 
 
 @dataclass
 class RunConfig:
-    """Validated run configuration plus the seed and output directory."""
+    """Run configuration, parsed when read, plus the seed and output
+    directory. `raw` holds the text as written, which report.json echoes
+    and `digest` hashes; `get` returns the parsed value. The cached
+    properties are the products several stages share, each built once per
+    invocation on first use."""
 
     raw: dict
+    values: dict
     seed: int
     out_dir: Path
     offline_override: bool = False
 
     @classmethod
     def from_file(cls, path, seed: int, out_dir, offline: bool = False) -> "RunConfig":
-        raw = {section: dict(defaults) for section, defaults in _CONFIG_LAYOUT.items()}
+        raw = {section: {key: default for key, (default, _) in keys.items()}
+               for section, keys in _CONFIG_LAYOUT.items()}
         if path is not None:
             parser = configparser.ConfigParser()
             read = parser.read(path)
@@ -147,44 +175,59 @@ class RunConfig:
                     raw[section][key] = value
         if seed is None:
             raise ConfigError("seed is mandatory; pass --seed")
-        return cls(raw=raw, seed=int(seed), out_dir=Path(out_dir),
+        values = {section: {} for section in raw}
+        for section, keys in raw.items():
+            for key, text in keys.items():
+                try:
+                    values[section][key] = _CONFIG_LAYOUT[section][key][1](text)
+                except ValueError as exc:
+                    raise ConfigError(f"[{section}] {key}: cannot parse {text!r} ({exc})") from None
+        return cls(raw=raw, values=values, seed=int(seed), out_dir=Path(out_dir),
                    offline_override=offline)
 
-    # typed accessors ------------------------------------------------------
-    def get(self, section: str, key: str) -> str:
-        return self.raw[section][key]
-
-    def get_float(self, section: str, key: str) -> float:
-        try:
-            return float(self.get(section, key))
-        except ValueError:
-            raise ConfigError(f"[{section}] {key}: not a number") from None
-
-    def get_int(self, section: str, key: str) -> int:
-        try:
-            return int(self.get(section, key))
-        except ValueError:
-            raise ConfigError(f"[{section}] {key}: not an integer") from None
-
-    def get_bool(self, section: str, key: str) -> bool:
-        return _parse_bool(self.get(section, key), f"[{section}] {key}")
-
-    def get_floats(self, section: str, key: str) -> tuple[float, ...]:
-        try:
-            return tuple(float(tok) for tok in self.get(section, key).split())
-        except ValueError:
-            raise ConfigError(f"[{section}] {key}: not a list of numbers") from None
+    def get(self, section: str, key: str):
+        return self.values[section][key]
 
     @property
     def offline(self) -> bool:
-        return self.offline_override or self.get_bool("data", "offline")
+        return self.offline_override or self.get("data", "offline")
 
     def digest(self) -> str:
         canon = json.dumps({"config": self.raw, "seed": self.seed}, sort_keys=True)
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
-    def echo(self) -> dict:
-        return {section: dict(kv) for section, kv in self.raw.items()}
+    # shared products ------------------------------------------------------
+    @functools.cached_property
+    def tables(self):
+        """(composite dataset, source digests); commands that need no data
+        (simulate, remote fetch) never parse them."""
+        return _load_data(self)
+
+    @functools.cached_property
+    def model(self) -> PropensityModel:
+        path = self.out_dir / "propensity_model.json"
+        if not path.exists():
+            raise DependencyError(f"{path} missing; run the propensity command first")
+        return PropensityModel.from_json(path.read_text())
+
+    @functools.cached_property
+    def grid_config(self) -> dict:
+        choice = self.get("grids", "config")
+        try:
+            return load_grid_config(None if choice == "builtin" else choice)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"[grids] config {choice!r} unreadable: {exc}") from None
+
+    @functools.cached_property
+    def fine_map(self):
+        return build_support_map(self.tables[0], bins_from_config(self.grid_config["fine"]))
+
+    @functools.cached_property
+    def tilting(self):
+        """(TiltingProblem over the controls, its sweep over [bounds]
+        tilt_deltas): one sort serves both sweeps and every bisection step."""
+        problem = TiltingProblem(*control_tilt_inputs(self.tables[0], self.model))
+        return problem, problem.sweep(self.get("bounds", "tilt_deltas"))
 
 
 # ---------------------------------------------------------------------------
@@ -213,18 +256,19 @@ def _dump_json(payload) -> str:
                       default=str, allow_nan=False)
 
 
-def _log(stage: str, **fields) -> None:
-    print(json.dumps(_sanitize({"stage": stage, **fields}), sort_keys=True,
-                     default=str))
-
-
-def _stage_clock():
-    """Start a stage's clocks; the returned callable gives the wall and CPU
-    seconds since then as log fields. CPU time next to wall time tells host
-    load apart from the stage's own cost."""
+def _run_stage(stage: str, command, cfg: RunConfig):
+    """Run one command and print its log line: report values, log-only
+    fields, and the wall and CPU seconds it took (a shared product is
+    charged to the first stage that uses it). CPU time next to wall time
+    tells host load apart from the stage's own cost. Returns the values
+    and the two timings."""
     wall, cpu = time.perf_counter(), time.process_time()
-    return lambda: {"elapsed_s": time.perf_counter() - wall,
-                    "cpu_s": time.process_time() - cpu}
+    values, fields = command(cfg)
+    clock = {"elapsed_s": time.perf_counter() - wall,
+             "cpu_s": time.process_time() - cpu}
+    print(json.dumps(_sanitize({"stage": stage, **values, **fields, **clock}),
+                     sort_keys=True, default=str))
+    return values, clock
 
 
 def _write_csv(path: Path, rows) -> None:
@@ -236,14 +280,24 @@ def _write_csv(path: Path, rows) -> None:
     path.write_text("\n".join(",".join(_cell(v) for v in row) for row in rows) + "\n")
 
 
+def _interval_chart(path: Path, deltas, intervals, title: str, xlabel: str = "delta",
+                    ylabel: str = "ATT", **leading) -> None:
+    """Lower and upper interval ends against delta, after any `leading` series."""
+    svgplot.line_chart(
+        path, deltas,
+        {**leading, "lower": [iv.lo for iv in intervals],
+         "upper": [iv.hi for iv in intervals]},
+        title=title, xlabel=xlabel, ylabel=ylabel,
+    )
+
+
 def _sha256_text(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _load_data(cfg: RunConfig):
     """Composite evaluation dataset plus source digests."""
-    mode = cfg.get("data", "source")
-    if mode == "local":
+    if cfg.get("data", "source") == "local":
         digests = {}
         parts = []
         for role, key in (("treated", "treated_file"), ("control", "control_file")):
@@ -254,13 +308,8 @@ def _load_data(cfg: RunConfig):
                 )
             text = Path(path).read_text()
             digests[role] = _sha256_text(text)
-            data = parse_table(text, NSW_SCHEMA)
-            data.provenance = Path(path).name
-            parts.append(data)
-        merged = merge(parts[0], parts[1], keep="treated_only")
-        return merged, digests
-    if mode != "remote":
-        raise ConfigError(f"[data] source must be remote or local, got {mode!r}")
+            parts.append(parse_table(text, NSW_SCHEMA))
+        return merge(*parts), digests
     cache = cfg.get("data", "cache_dir")
     digests = {}
     try:
@@ -274,99 +323,71 @@ def _load_data(cfg: RunConfig):
     if manifest_path.exists():
         manifest = json.loads(manifest_path.read_text())
         digests = {k: v["sha256"] for k, v in manifest.items()}
-    return merge(treated, control, keep="treated_only"), digests
-
-
-def _grid_config(cfg: RunConfig) -> dict:
-    choice = cfg.get("grids", "config")
-    return load_grid_config(None if choice == "builtin" else choice)
+    return merge(treated, control), digests
 
 
 def _match_spec(cfg: RunConfig) -> MatchSpec:
-    caliper_text = cfg.get("match", "caliper").strip()
     return MatchSpec(
         metric=cfg.get("match", "metric"),
-        caliper=float(caliper_text) if caliper_text else None,
-        with_replacement=cfg.get_bool("match", "with_replacement"),
-        n_neighbors=cfg.get_int("match", "n_neighbors"),
+        caliper=cfg.get("match", "caliper"),
+        with_replacement=cfg.get("match", "with_replacement"),
+        n_neighbors=cfg.get("match", "n_neighbors"),
     )
 
 
-def _model_path(cfg: RunConfig) -> Path:
-    return cfg.out_dir / "propensity_model.json"
-
-
-def _load_model(cfg: RunConfig) -> PropensityModel:
-    path = _model_path(cfg)
-    if not path.exists():
-        raise DependencyError(
-            f"{path} missing; run the propensity command first"
-        )
-    return PropensityModel.from_json(path.read_text())
-
-
 def _trim_rule(cfg: RunConfig) -> TrimRule:
-    return TrimRule(cfg.get_float("trim", "low"), cfg.get_float("trim", "high"))
+    return TrimRule(cfg.get("trim", "low"), cfg.get("trim", "high"))
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each takes the config and `load`, a no-argument callable that
-# returns this invocation's (dataset, digests) from `_load_data`.
+# subcommands: each takes the config and returns (report values, log-only
+# fields) for `_run_stage`.
 
 
-def cmd_fetch(cfg: RunConfig, load) -> dict:
-    mode = cfg.get("data", "source")
-    if mode == "local":
-        _, digests = load()
-        _log("fetch", mode="local", digests=digests)
-        return {"digests": digests}
+def cmd_fetch(cfg: RunConfig):
+    if cfg.get("data", "source") == "local":
+        return {"digests": cfg.tables[1]}, {"mode": "local"}
     cache = cfg.get("data", "cache_dir")
-    digests = {}
+    digests, sources = {}, {}
     for key in (cfg.get("data", "treated_source"), cfg.get("data", "control_source")):
         text = fetch_dataset(key, cache, offline=cfg.offline)
         digests[key] = _sha256_text(text)
-        _log("fetch", source=key, url=SOURCE_URLS[key], sha256=digests[key],
-             lines=len(text.splitlines()))
-    return {"digests": digests}
+        sources[key] = {"url": SOURCE_URLS[key], "lines": len(text.splitlines())}
+    return {"digests": digests}, {"sources": sources}
 
 
-def cmd_support(cfg: RunConfig, load) -> dict:
-    data, digests = load()
-    grid_cfg = _grid_config(cfg)
-
-    fine_map = build_support_map(data, bins_from_config(grid_cfg["fine"]))
+def cmd_support(cfg: RunConfig):
+    data, digests = cfg.tables
+    fine_map = cfg.fine_map
     _write_csv(cfg.out_dir / "support_72.csv", fine_map.to_csv_rows())
     shares = support_share(fine_map)
     counts = {status.value: n for status, n in fine_map.status_counts().items()}
 
-    coarse_bins = bins_from_config(grid_cfg["coarse"])
-    total, without_treated = coarse_grid_audit(data, coarse_bins)
-    coarse_map = build_support_map(data, coarse_bins)
+    coarse_map = build_support_map(data, bins_from_config(cfg.grid_config["coarse"]))
     _write_csv(cfg.out_dir / "support_42.csv", coarse_map.to_csv_rows())
 
-    result = {
+    values = {
         "fine": {"cells": fine_map.n_cells, "counts": counts,
                  "shares": {"both": shares[0], "control_only": shares[1],
                             "treated_only": shares[2], "empty": shares[3]},
-                 "calibrated": grid_cfg.get("calibrated", False)},
-        "coarse": {"cells": total, "without_treated": without_treated},
+                 "calibrated": cfg.grid_config.get("calibrated", False)},
+        "coarse": {"cells": coarse_map.n_cells,
+                   "without_treated": int(np.sum(coarse_map.treated_counts == 0))},
     }
-    _log("support", digests=digests, **result)
-    return result
+    return values, {"digests": digests}
 
 
-def cmd_propensity(cfg: RunConfig, load) -> dict:
-    data, digests = load()
-    covariates = cfg.get("propensity", "covariates").split()
+def cmd_propensity(cfg: RunConfig):
+    data, digests = cfg.tables
     model = fit_logistic(
-        data, covariates,
-        ridge=cfg.get_float("propensity", "ridge"),
-        tol=cfg.get_float("propensity", "tol"),
-        max_iter=cfg.get_int("propensity", "max_iter"),
+        data, cfg.get("propensity", "covariates"),
+        ridge=cfg.get("propensity", "ridge"),
+        tol=cfg.get("propensity", "tol"),
+        max_iter=cfg.get("propensity", "max_iter"),
     )
-    _model_path(cfg).write_text(model.to_json())
+    (cfg.out_dir / "propensity_model.json").write_text(model.to_json())
     scores = score_dataset(model, data)
-    n_bins = cfg.get_int("propensity", "hist_bins")
+    n_bins = cfg.get("propensity", "hist_bins")
     t_counts, c_counts, edges = score_histogram(data, model, n_bins)
     rows = [["bin_low", "bin_high", "treated", "control"]]
     for i in range(n_bins):
@@ -377,33 +398,24 @@ def cmd_propensity(cfg: RunConfig, load) -> dict:
         {"treated": t_counts.tolist(), "control": c_counts.tolist()},
         title="Propensity scores by arm", xlabel="score",
     )
-    result = {
+    values = {
         "converged": model.converged,
         "iterations": model.iterations,
         "clamped_scores": count_clamped(scores),
         "treated_score_mean": float(np.mean(scores[data.treated])),
         "control_score_mean": float(np.mean(scores[~data.treated])),
     }
-    _log("propensity", digests=digests, **result)
-    return result
+    return values, {"digests": digests}
 
 
-def cmd_match(cfg: RunConfig, load) -> dict:
-    clock = _stage_clock()
-    data, digests = load()
-    model = _load_model(cfg)
-    grid_cfg = _grid_config(cfg)
-
+def cmd_match(cfg: RunConfig):
+    data, digests = cfg.tables
+    model = cfg.model
     spec = _match_spec(cfg)
     full = att_match(data, model, spec)
-
-    fine_map = build_support_map(data, bins_from_config(grid_cfg["fine"]))
-    overlap = restrict_to_overlap(data, fine_map)
-    overlap_est = att_match(overlap, model, spec)
-
+    overlap_est = att_match(restrict_to_overlap(data, cfg.fine_map), model, spec)
     rule = _trim_rule(cfg)
-    trimmed = trim(data, model, rule)
-    trimmed_est = att_match(trimmed, model, spec)
+    trimmed_est = att_match(trim(data, model, rule), model, spec)
 
     labels = ["full_sample", "overlap_restricted",
               f"score_trimmed[{rule.low},{rule.high}]"]
@@ -413,7 +425,7 @@ def cmd_match(cfg: RunConfig, load) -> dict:
     designs = design_sensitivity(data, model, default_design_suite(data, model))
     _write_csv(cfg.out_dir / "designs.csv", estimates_to_csv_rows(designs))
 
-    result = {
+    values = {
         "table1": [
             {"sample": label, "tau_hat": est.tau_hat, "se": est.se,
              "n_treated_used": est.n_treated_used, "n_dropped": est.n_dropped}
@@ -426,41 +438,26 @@ def cmd_match(cfg: RunConfig, load) -> dict:
         "trim_drops": trim_counts(data, model, rule),
         "naive": naive_diff(data).tau_hat,
     }
-    _log("match", digests=digests, **result,
-         treated_units=data.n_treated, controls=data.n_control,
-         distinct_control_scores=distinct_control_scores(data, model), **clock())
-    return result
+    return values, {"digests": digests, "treated_units": data.n_treated,
+                    "controls": data.n_control,
+                    "distinct_control_scores": distinct_control_scores(data, model)}
 
 
-def cmd_bounds(cfg: RunConfig, load) -> dict:
-    clock = _stage_clock()
-    data, digests = load()
-    model = _load_model(cfg)
-
-    problem = TiltingProblem(*control_tilt_inputs(data, model))
-    tilting = problem.sweep(cfg.get_floats("bounds", "tilt_deltas"))
+def cmd_bounds(cfg: RunConfig):
+    data, digests = cfg.tables
+    problem, tilting = cfg.tilting
     _write_csv(cfg.out_dir / "sweep_tilting.csv", sweep_to_csv_rows(tilting))
-    svgplot.line_chart(
-        cfg.out_dir / "sweep_tilting.svg", tilting.deltas,
-        {"lower": [iv.lo for iv in tilting.intervals],
-         "upper": [iv.hi for iv in tilting.intervals]},
-        title="Identified set vs selection curvature", xlabel="delta", ylabel="ATT",
-    )
+    _interval_chart(cfg.out_dir / "sweep_tilting.svg", tilting.deltas, tilting.intervals,
+                    "Identified set vs selection curvature")
 
-    proxy = sweep_trimming_proxy(
-        data, model, cfg.get_floats("bounds", "proxy_deltas"),
-        match_spec=_match_spec(cfg),
-    )
+    proxy = sweep_trimming_proxy(data, cfg.model, cfg.get("bounds", "proxy_deltas"),
+                                 match_spec=_match_spec(cfg))
     _write_csv(cfg.out_dir / "sweep_proxy.csv", sweep_to_csv_rows(proxy))
     if proxy.deltas:
-        svgplot.line_chart(
-            cfg.out_dir / "sweep_proxy.svg", proxy.deltas,
-            {"lower": [iv.lo for iv in proxy.intervals],
-             "upper": [iv.hi for iv in proxy.intervals]},
-            title="Trimming-proxy set vs delta", xlabel="delta", ylabel="ATT",
-        )
+        _interval_chart(cfg.out_dir / "sweep_proxy.svg", proxy.deltas, proxy.intervals,
+                        "Trimming-proxy set vs delta")
 
-    result = {
+    values = {
         "massi_tilting": tilting.massi,
         "massi_proxy": proxy.massi,
         "proxy_missing_deltas": list(proxy.missing_deltas),
@@ -471,15 +468,11 @@ def cmd_bounds(cfg: RunConfig, load) -> dict:
          "trimming_proxy": {"massi": proxy.massi, "method": proxy.method_tag,
                             "missing_deltas": list(proxy.missing_deltas),
                             "width_violations": list(proxy.width_violations)}}))
-    _log("bounds", digests=digests, **result,
-         distinct_control_outcomes=problem.distinct_outcomes, **clock())
-    return result
+    return values, {"digests": digests,
+                    "distinct_control_outcomes": problem.distinct_outcomes}
 
 
-def cmd_fragility(cfg: RunConfig, load) -> dict:
-    clock = _stage_clock()
-    data, digests = load()
-    model = _load_model(cfg)
+def cmd_fragility(cfg: RunConfig):
     table1_path = cfg.out_dir / "table1.csv"
     if not table1_path.exists():
         raise DependencyError(f"{table1_path} missing; run the match command first")
@@ -489,9 +482,7 @@ def cmd_fragility(cfg: RunConfig, load) -> dict:
     tau_hat = float(cells[cols.index("att_estimate")])
     se = float(cells[cols.index("standard_error")])
 
-    # One sorted problem serves the sweep and every bisection step.
-    problem = TiltingProblem(*control_tilt_inputs(data, model))
-    tilting = problem.sweep(cfg.get_floats("bounds", "tilt_deltas"))
+    problem, tilting = cfg.tilting
     bisection_evals = 0
 
     def interval_at(delta):
@@ -507,12 +498,8 @@ def cmd_fragility(cfg: RunConfig, load) -> dict:
     curve = bias_robustness_curve(tau_hat, se, deltas)
     _write_csv(cfg.out_dir / "fragility_curve.csv",
                [["delta", "lo", "hi"]] + [[d, iv.lo, iv.hi] for d, iv in zip(deltas, curve)])
-    svgplot.line_chart(
-        cfg.out_dir / "fragility.svg", deltas,
-        {"lower": [iv.lo for iv in curve], "upper": [iv.hi for iv in curve]},
-        title="Bias tolerance: tau +/- delta*SE", xlabel="delta (SE units)",
-        ylabel="ATT",
-    )
+    _interval_chart(cfg.out_dir / "fragility.svg", deltas, curve,
+                    "Bias tolerance: tau +/- delta*SE", xlabel="delta (SE units)")
     payload = {
         "module": "decision",
         "method": "tilting",
@@ -525,37 +512,34 @@ def cmd_fragility(cfg: RunConfig, load) -> dict:
         "bias_curve": [{"delta": d, "lo": iv.lo, "hi": iv.hi} for d, iv in zip(deltas, curve)],
     }
     (cfg.out_dir / "fragility.json").write_text(_dump_json(payload))
-    _log("fragility", digests=digests,
-         fragility_delta=frag, bias_robustness=se_scaled, massi=tilting.massi,
-         distinct_control_outcomes=problem.distinct_outcomes,
-         bisection_evals=bisection_evals, **clock())
-    return payload
+    # No later stage reads the tilting problem. Kept alive past the
+    # bootstrap's allocations, its arrays raised the peak RSS of a
+    # 30,000-control reproduce by about 4 MB.
+    del cfg.tilting
+    return payload, {"digests": cfg.tables[1],
+                     "distinct_control_outcomes": problem.distinct_outcomes,
+                     "bisection_evals": bisection_evals}
 
 
-def cmd_simulate(cfg: RunConfig, load) -> dict:
+def cmd_simulate(cfg: RunConfig):
     sim_config = SimConfig(
         seed=cfg.seed,
-        n=cfg.get_int("simulation", "n"),
-        type_proportions=cfg.get_floats("simulation", "proportions"),
-        treat_prob=cfg.get_float("simulation", "treat_prob"),
-        delta_grid=cfg.get_floats("simulation", "deltas"),
-        epsilon=cfg.get_float("simulation", "epsilon"),
+        n=cfg.get("simulation", "n"),
+        type_proportions=cfg.get("simulation", "proportions"),
+        treat_prob=cfg.get("simulation", "treat_prob"),
+        delta_grid=cfg.get("simulation", "deltas"),
+        epsilon=cfg.get("simulation", "epsilon"),
     )
     sweep = run_sweep(sim_config)
     rows = [["delta", "observed_ate", "lo", "hi"]]
     for d, ate, interval in zip(sweep.deltas, sweep.observed_ates, sweep.sets):
         rows.append([d, ate, interval.lo, interval.hi])
     _write_csv(cfg.out_dir / "sim_sweep.csv", rows)
-    svgplot.line_chart(
-        cfg.out_dir / "sim_sweep.svg", sweep.deltas,
-        {"observed": list(sweep.observed_ates),
-         "lower": [iv.lo for iv in sweep.sets],
-         "upper": [iv.hi for iv in sweep.sets]},
-        title="Observed effect vs selection strength", xlabel="delta",
-        ylabel="difference in means",
-    )
+    _interval_chart(cfg.out_dir / "sim_sweep.svg", sweep.deltas, sweep.sets,
+                    "Observed effect vs selection strength",
+                    ylabel="difference in means", observed=list(sweep.observed_ates))
     witness = nonid_witness(
-        threshold_c=cfg.get_float("simulation", "witness_threshold"),
+        threshold_c=cfg.get("simulation", "witness_threshold"),
         seed=cfg.seed, n=sim_config.n,
         type_proportions=sim_config.type_proportions,
         treat_prob=sim_config.treat_prob,
@@ -569,29 +553,26 @@ def cmd_simulate(cfg: RunConfig, load) -> dict:
         "digest_threshold": {f"d={d},y={y}": v for (d, y), v in witness.digest_threshold.items()},
     }
     (cfg.out_dir / "witness.json").write_text(_dump_json(witness_payload))
-    result = {
+    values = {
         "observed_ates": list(sweep.observed_ates),
         "massi": sweep.massi,
         "witness_tv": witness.tv_distance,
         "witness_att_gap": abs(witness.att_ignorable - witness.att_threshold),
+        "sets": [{"lo": iv.lo, "hi": iv.hi} for iv in sweep.sets],
     }
-    _log("simulate", seed=cfg.seed, **result)
-    return {**result, "sets": [{"lo": iv.lo, "hi": iv.hi} for iv in sweep.sets]}
+    return values, {"seed": cfg.seed}
 
 
-def cmd_bootstrap(cfg: RunConfig, load) -> dict:
-    clock = _stage_clock()
-    data, digests = load()
-    covariates = cfg.get("propensity", "covariates").split()
-    refit = cfg.get_bool("bootstrap", "refit")
-    model = None if refit else _load_model(cfg)
-    b = cfg.get_int("bootstrap", "b")
-    spec = _match_spec(cfg)
-    full = bootstrap_att(data, refit, spec, b, cfg.seed,
-                         covariates=covariates, model=model,
-                         ridge=cfg.get_float("propensity", "ridge"),
-                         tol=cfg.get_float("propensity", "tol"),
-                         max_iter=cfg.get_int("propensity", "max_iter"),
+def cmd_bootstrap(cfg: RunConfig):
+    data, digests = cfg.tables
+    refit = cfg.get("bootstrap", "refit")
+    b = cfg.get("bootstrap", "b")
+    full = bootstrap_att(data, refit, _match_spec(cfg), b, cfg.seed,
+                         covariates=cfg.get("propensity", "covariates"),
+                         model=None if refit else cfg.model,
+                         ridge=cfg.get("propensity", "ridge"),
+                         tol=cfg.get("propensity", "tol"),
+                         max_iter=cfg.get("propensity", "max_iter"),
                          trim_rule=_trim_rule(cfg))
     trimmed = full.trimmed
     # One row per replicate; a design that failed it leaves its cell empty.
@@ -600,21 +581,19 @@ def cmd_bootstrap(cfg: RunConfig, load) -> dict:
     for r in range(b):
         rows.append([r, *(estimates.get(r, "") for estimates in by_replicate)])
     _write_csv(cfg.out_dir / "bootstrap.csv", rows)
-    result = {
+    values = {
         "full": {"mean": full.mean, "sd": full.sd, "q025": full.q025,
                  "q975": full.q975, "n_failed": full.n_failed},
         "trimmed": {"mean": trimmed.mean, "sd": trimmed.sd, "q025": trimmed.q025,
                     "q975": trimmed.q975, "n_failed": trimmed.n_failed},
         "b": b,
     }
-    _log("bootstrap", digests=digests, **result, **clock())
-    return result
+    return values, {"digests": digests}
 
 
-def cmd_deciles(cfg: RunConfig, load) -> dict:
-    data, digests = load()
-    model = _load_model(cfg)
-    report = decile_att(data, model, min_per_arm=cfg.get_int("deciles", "min_per_arm"))
+def cmd_deciles(cfg: RunConfig):
+    data, digests = cfg.tables
+    report = decile_att(data, cfg.model, min_per_arm=cfg.get("deciles", "min_per_arm"))
     rows = [["decile", "n_treated", "n_control", "att", "se", "dropped"]]
     for row in report.rows:
         rows.append([
@@ -624,13 +603,11 @@ def cmd_deciles(cfg: RunConfig, load) -> dict:
             row.dropped,
         ])
     _write_csv(cfg.out_dir / "deciles.csv", rows)
-    kept = [r for r in report.rows if not r.dropped]
-    result = {
+    values = {
         "dropped_deciles": [r.decile for r in report.rows if r.dropped],
-        "atts": {r.decile: r.att for r in kept},
+        "atts": {r.decile: r.att for r in report.rows if not r.dropped},
     }
-    _log("deciles", digests=digests, **result)
-    return result
+    return values, {"digests": digests}
 
 
 # (stage, command, producing module), in reproduce order.
@@ -647,13 +624,14 @@ _STAGES = [
 ]
 
 
-def cmd_reproduce(cfg: RunConfig, load) -> dict:
+def cmd_reproduce(cfg: RunConfig):
     """Run every stage in order and bundle report.json; a stage failure
-    halts with the stage name while earlier artifacts stay on disk."""
+    halts with the stage name while earlier artifacts stay on disk. The
+    log-only fields hold each stage's wall and CPU seconds."""
     digest = cfg.digest()
     report = {
         "metadata": {
-            "config": cfg.echo(),
+            "config": cfg.raw,
             "config_digest": digest,
             "seed": cfg.seed,
             "version": __version__,
@@ -661,9 +639,10 @@ def cmd_reproduce(cfg: RunConfig, load) -> dict:
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         }
     }
+    clocks = {}
     for stage, fn, module in _STAGES:
         try:
-            values = fn(cfg, load)
+            values, clocks[stage] = _run_stage(stage, fn, cfg)
         except AttDiagError as exc:
             (cfg.out_dir / "report.json").write_text(_dump_json(report))
             raise AttDiagError(f"stage {stage!r} failed: {exc}") from exc
@@ -673,8 +652,7 @@ def cmd_reproduce(cfg: RunConfig, load) -> dict:
             "values": values,
         }
     (cfg.out_dir / "report.json").write_text(_dump_json(report))
-    _log("reproduce", out=str(cfg.out_dir), config_digest=digest)
-    return report
+    return {"out": str(cfg.out_dir), "config_digest": digest}, {"stages": clocks}
 
 
 # ---------------------------------------------------------------------------
@@ -699,10 +677,7 @@ def main(argv=None) -> int:
         cfg = RunConfig.from_file(args.config, seed=args.seed, out_dir=args.out,
                                   offline=args.offline)
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
-        # Lazy, so commands that need no data (simulate, remote fetch) run
-        # without it; cached, so the tables are parsed once per invocation.
-        load = functools.cache(lambda: _load_data(cfg))
-        _COMMANDS[args.command](cfg, load)
+        _run_stage(args.command, _COMMANDS[args.command], cfg)
     except AttDiagError as exc:
         print(
             json.dumps({

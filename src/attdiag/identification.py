@@ -77,11 +77,6 @@ class OutcomeSupport:
         if not (self.y_lo <= self.y_hi):
             raise ValidationError("y_lo must be <= y_hi")
 
-    @classmethod
-    def empirical(cls, outcomes) -> "OutcomeSupport":
-        outcomes = np.asarray(outcomes, dtype=float)
-        return cls(float(outcomes.min()), float(outcomes.max()))
-
 
 @dataclass(frozen=True)
 class CurvatureSweep:

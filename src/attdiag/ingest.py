@@ -100,10 +100,10 @@ class Dataset:
     covariate-free datasets (e.g. simulation output).
     """
 
-    __slots__ = ("treated", "outcome", "covariates", "unit_ids", "schema", "provenance")
+    __slots__ = ("treated", "outcome", "covariates", "unit_ids", "schema")
 
     def __init__(self, treated, outcome, covariates=None, unit_ids=None,
-                 schema: SchemaSpec | None = None, provenance: str = ""):
+                 schema: SchemaSpec | None = None):
         treated = np.asarray(treated, dtype=bool)
         outcome = np.asarray(outcome, dtype=float)
         n = treated.shape[0]
@@ -136,7 +136,6 @@ class Dataset:
         self.covariates = covariates
         self.unit_ids = unit_ids
         self.schema = schema
-        self.provenance = provenance
 
     def __len__(self) -> int:
         return self.treated.shape[0]
@@ -167,22 +166,20 @@ class Dataset:
         idx = [self.covariate_index(name) for name in names]
         return self.covariates[:, idx]
 
-    def subset(self, mask_or_indices, provenance: str | None = None) -> "Dataset":
+    def subset(self, mask_or_indices) -> "Dataset":
         """Row subset keeping original unit_ids."""
         idx = np.asarray(mask_or_indices)
         return Dataset(
             self.treated[idx], self.outcome[idx], self.covariates[idx],
             unit_ids=self.unit_ids[idx], schema=self.schema,
-            provenance=self.provenance if provenance is None else provenance,
         )
 
-    def take_with_fresh_ids(self, indices, provenance: str | None = None) -> "Dataset":
+    def take_with_fresh_ids(self, indices) -> "Dataset":
         """Row selection (duplicates allowed) with unit_ids renumbered 0..m-1."""
         idx = np.asarray(indices, dtype=int)
         return Dataset(
             self.treated[idx], self.outcome[idx], self.covariates[idx],
             unit_ids=np.arange(len(idx)), schema=self.schema,
-            provenance=self.provenance if provenance is None else provenance,
         )
 
     def require_both_arms(self, context: str) -> None:
@@ -240,41 +237,20 @@ def parse_table(text: str, schema: SchemaSpec) -> Dataset:
     )
 
 
-def merge(treated_source: Dataset, control_source: Dataset, keep: str = "all") -> Dataset:
-    """Concatenate two same-schema datasets with fresh unit ids.
-
-    keep:
-      "all"          every row from both sources;
-      "treated_only" treated rows from the first source plus control rows
-                     from the second (the evaluation-dataset composition);
-      "control_only" the mirror image.
-    """
+def merge(treated_source: Dataset, control_source: Dataset) -> Dataset:
+    """The evaluation-dataset composition: the treated rows of the first
+    source, then the control rows of the second, with fresh unit ids."""
     if treated_source.schema != control_source.schema:
         raise MergeError("schemas differ; cannot merge")
-    if keep not in ("all", "treated_only", "control_only"):
-        raise MergeError(f"unknown keep mode {keep!r}")
-
-    def _select(ds: Dataset, want_treated: bool | None) -> np.ndarray:
-        if want_treated is None:
-            return np.ones(len(ds), dtype=bool)
-        return ds.treated == want_treated
-
-    if keep == "all":
-        m1, m2 = _select(treated_source, None), _select(control_source, None)
-    elif keep == "treated_only":
-        m1, m2 = _select(treated_source, True), _select(control_source, False)
-    else:
-        m1, m2 = _select(treated_source, False), _select(control_source, True)
-
-    treated = np.concatenate([treated_source.treated[m1], control_source.treated[m2]])
-    outcome = np.concatenate([treated_source.outcome[m1], control_source.outcome[m2]])
+    m1, m2 = treated_source.treated, ~control_source.treated
     width = treated_source.covariates.shape[1]
-    covars = np.concatenate([
-        treated_source.covariates[m1].reshape(-1, width),
-        control_source.covariates[m2].reshape(-1, width),
-    ])
-    tag = f"{treated_source.provenance or 'a'}+{control_source.provenance or 'b'}[{keep}]"
-    return Dataset(treated, outcome, covars, schema=treated_source.schema, provenance=tag)
+    return Dataset(
+        np.concatenate([treated_source.treated[m1], control_source.treated[m2]]),
+        np.concatenate([treated_source.outcome[m1], control_source.outcome[m2]]),
+        np.concatenate([treated_source.covariates[m1].reshape(-1, width),
+                        control_source.covariates[m2].reshape(-1, width)]),
+        schema=treated_source.schema,
+    )
 
 
 def _sha256(data: bytes) -> str:
@@ -360,6 +336,4 @@ def load_source(source_key: str, cache_dir, *, offline: bool = False,
                 opener=None) -> Dataset:
     """Fetch (or read cached) source and parse it with its canonical schema."""
     text = fetch_dataset(source_key, cache_dir, offline=offline, opener=opener)
-    data = parse_table(text, SOURCE_SCHEMAS[source_key])
-    data.provenance = source_key
-    return data
+    return parse_table(text, SOURCE_SCHEMAS[source_key])

@@ -206,7 +206,7 @@ def trim(data: Dataset, model: PropensityModel, rule: TrimRule) -> Dataset:
         raise TrimmingError(
             f"trim rule [{rule.low}, {rule.high}] retained no units"
         )
-    return data.subset(keep, provenance=f"{data.provenance}|trim[{rule.low},{rule.high}]")
+    return data.subset(keep)
 
 
 def trim_counts(data: Dataset, model: PropensityModel, rule: TrimRule) -> dict:

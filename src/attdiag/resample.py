@@ -37,7 +37,6 @@ class BootstrapSummary:
     mean: float
     sd: float
     q025: float
-    q50: float
     q975: float
     b_requested: int
     n_failed: int
@@ -57,7 +56,6 @@ class DecileRow:
 @dataclass(frozen=True)
 class DecileReport:
     rows: tuple[DecileRow, ...]
-    score_boundaries: tuple[float, ...]  # realized decile score cut points
 
 
 def _replicate_rng(seed: int, r: int) -> np.random.Generator:
@@ -85,13 +83,13 @@ def _summarize(design: str, replicates: list, estimates: list, failures: list,
             f"design ({per_type}; last: {failures[-1]})"
         )
     values = np.asarray(estimates)
-    q025, q50, q975 = np.percentile(values, [2.5, 50.0, 97.5])
+    q025, q975 = np.percentile(values, [2.5, 97.5])
     return BootstrapSummary(
         estimates=tuple(float(v) for v in values),
         replicates=tuple(replicates),
         mean=float(np.mean(values)),
         sd=float(np.std(values, ddof=1)) if len(values) > 1 else 0.0,
-        q025=float(q025), q50=float(q50), q975=float(q975),
+        q025=float(q025), q975=float(q975),
         b_requested=b, n_failed=len(failures),
     )
 
@@ -163,10 +161,7 @@ def decile_att(data: Dataset, model: PropensityModel, min_per_arm: int = 5) -> D
     order = np.lexsort((data.unit_ids, scores))
     groups = np.array_split(order, 10)
     rows = []
-    boundaries = [float(scores[order[0]])] if len(order) else []
     for g, idx in enumerate(groups, start=1):
-        if len(idx):
-            boundaries.append(float(scores[idx[-1]]))
         treated = data.treated[idx]
         outcome = data.outcome[idx]
         n_t = int(treated.sum())
@@ -183,4 +178,4 @@ def decile_att(data: Dataset, model: PropensityModel, min_per_arm: int = 5) -> D
             se=float(np.sqrt(var_t + var_c)),
             dropped=False,
         ))
-    return DecileReport(rows=tuple(rows), score_boundaries=tuple(boundaries))
+    return DecileReport(rows=tuple(rows))

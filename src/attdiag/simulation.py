@@ -110,7 +110,6 @@ def apply_selection(pop: Population, delta: float, seed: int) -> Dataset:
         outcome=pop.y_observed[selected].astype(float),
         covariates=None,
         unit_ids=np.flatnonzero(selected),
-        provenance=f"sim_selected[delta={delta:g}]",
     )
 
 

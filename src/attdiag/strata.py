@@ -9,7 +9,6 @@ units have in-stratum comparisons.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
 from itertools import product
 
@@ -89,23 +88,12 @@ class SupportMap:
     def n_cells(self) -> int:
         return int(np.prod(self.shape))
 
-    def status(self, cell: tuple[int, ...]) -> CellStatus:
-        return CellStatus.from_counts(
-            int(self.treated_counts[cell]), int(self.control_counts[cell])
-        )
-
     def cells(self):
         """Yield (multi_index, treated_count, control_count, status) per cell."""
         for cell in product(*(range(n) for n in self.shape)):
             t = int(self.treated_counts[cell])
             c = int(self.control_counts[cell])
             yield cell, t, c, CellStatus.from_counts(t, c)
-
-    @property
-    def support_region(self) -> frozenset:
-        """Multi-indices of Both cells: strata where ATT comparisons exist."""
-        both = (self.treated_counts > 0) & (self.control_counts > 0)
-        return frozenset(map(tuple, np.argwhere(both)))
 
     def status_counts(self) -> dict[CellStatus, int]:
         t = self.treated_counts > 0
@@ -116,24 +104,6 @@ class SupportMap:
             CellStatus.CONTROL_ONLY: int(np.sum(~t & c)),
             CellStatus.EMPTY: int(np.sum(~t & ~c)),
         }
-
-    def to_json(self) -> str:
-        payload = {
-            "grid": [
-                {"dimension": b.dimension_name, "edges": list(b.edges)}
-                for b in self.grid
-            ],
-            "cells": [
-                {
-                    "index": list(cell),
-                    "treated": t,
-                    "control": c,
-                    "status": status.value,
-                }
-                for cell, t, c, status in self.cells()
-            ],
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
 
     def to_csv_rows(self) -> list[list]:
         header = [b.dimension_name for b in self.grid]
@@ -179,13 +149,6 @@ def support_share(support_map: SupportMap):
     )
 
 
-def coarse_grid_audit(data: Dataset, bins) -> tuple[int, int]:
-    """(total cells, cells with no treated units) for an alternative grid."""
-    support_map = build_support_map(data, bins)
-    without_treated = int(np.sum(support_map.treated_counts == 0))
-    return support_map.n_cells, without_treated
-
-
 def restrict_to_overlap(data: Dataset, support_map: SupportMap) -> Dataset:
     """Keep only units whose cell contains both arms."""
     idx = _cell_indices(data, support_map.grid)
@@ -193,5 +156,4 @@ def restrict_to_overlap(data: Dataset, support_map: SupportMap) -> Dataset:
     keep = both[idx]
     if not np.any(keep):
         raise RestrictionError("no overlap region: every cell is single-arm or empty")
-    restricted = data.subset(keep, provenance=f"{data.provenance}|overlap")
-    return restricted
+    return data.subset(keep)

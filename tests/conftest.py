@@ -12,13 +12,12 @@ import pytest
 from attdiag.ingest import NSW_SCHEMA, Dataset, load_source, merge
 
 
-def make_dataset(treated, outcome, covariates=None, provenance="toy") -> Dataset:
+def make_dataset(treated, outcome, covariates=None) -> Dataset:
     treated = np.asarray(treated, dtype=bool)
     outcome = np.asarray(outcome, dtype=float)
     if covariates is None:
         covariates = np.zeros((len(treated), 1))
-    return Dataset(treated, outcome, np.asarray(covariates, dtype=float),
-                   provenance=provenance)
+    return Dataset(treated, outcome, np.asarray(covariates, dtype=float))
 
 
 def synthetic_observational(seed: int = 11, n_treated: int = 180,
@@ -57,8 +56,7 @@ def synthetic_observational(seed: int = 11, n_treated: int = 180,
     covariates = np.column_stack(
         [age, education, black, hispanic, married, nodegree, re74, re75]
     )
-    return Dataset(treated, re78, covariates, schema=NSW_SCHEMA,
-                   provenance=f"synthetic[seed={seed}]")
+    return Dataset(treated, re78, covariates, schema=NSW_SCHEMA)
 
 
 def dataset_to_text(data: Dataset) -> str:
@@ -107,4 +105,4 @@ def lalonde_cache():
 def lalonde_composite(lalonde_cache):
     treated = load_source("nsw_treated", lalonde_cache, offline=True)
     control = load_source("psid_controls", lalonde_cache, offline=True)
-    return merge(treated, control, keep="treated_only")
+    return merge(treated, control)

@@ -35,7 +35,7 @@ from attdiag.ingest import Dataset
 from attdiag.propensity import TrimRule, fit_logistic, score_dataset, trim
 from attdiag.resample import bootstrap_att
 from attdiag.simulation import SimConfig, nonid_witness, run_sweep
-from attdiag.strata import build_support_map, coarse_grid_audit, restrict_to_overlap, support_share
+from attdiag.strata import build_support_map, restrict_to_overlap, support_share
 from conftest import make_dataset, synthetic_observational
 
 LALONDE_COVARIATES = [
@@ -182,11 +182,13 @@ def test_criterion_08_support_maps(lalonde_cache, tmp_path):
                           offline=True)
     control = load_source(grid_cfg["dataset"]["control_source"], lalonde_cache,
                           offline=True)
-    data = merge(treated, control, keep="treated_only")
+    data = merge(treated, control)
 
     fine_map = build_support_map(data, bins_from_config(grid_cfg["fine"]))
     counts = fine_map.status_counts()
-    total, without_treated = coarse_grid_audit(data, bins_from_config(grid_cfg["coarse"]))
+    coarse_map = build_support_map(data, bins_from_config(grid_cfg["coarse"]))
+    total = coarse_map.n_cells
+    without_treated = int(np.sum(coarse_map.treated_counts == 0))
 
     if grid_cfg["fine"].get("matched") and grid_cfg["coarse"].get("matched"):
         assert fine_map.n_cells == FINE_TARGET["cells"]

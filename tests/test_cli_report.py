@@ -305,3 +305,125 @@ def test_bootstrap_csv_pairs_estimates_by_replicate(tmp_path):
             assert float(trimmed_cell) == trimmed[int(r)]
         else:
             assert trimmed_cell == ""
+
+
+def _log_lines(text: str) -> list[dict]:
+    return [json.loads(line) for line in text.strip().splitlines()]
+
+
+def test_reproduce_builds_shared_products_once(tmp_path, monkeypatch):
+    config = write_synthetic_config(tmp_path, b=4, sim_n=5000)
+    problems, maps = [], []
+    real_problem, real_map = cli_report.TiltingProblem, cli_report.build_support_map
+
+    def counting_problem(*args):
+        problems.append(args)
+        return real_problem(*args)
+
+    def counting_map(*args):
+        maps.append(args)
+        return real_map(*args)
+
+    monkeypatch.setattr(cli_report, "TiltingProblem", counting_problem)
+    monkeypatch.setattr(cli_report, "build_support_map", counting_map)
+    assert main(["reproduce", "--config", str(config), "--seed", "5",
+                 "--out", str(tmp_path / "out")]) == 0
+    # bounds and fragility share one problem; support and match one fine map.
+    assert len(problems) == 1
+    assert len(maps) == 2  # the fine map and the coarse map
+
+
+def test_every_stage_logs_its_clocks(tmp_path, capsys):
+    config = write_synthetic_config(tmp_path, b=4, sim_n=5000)
+    capsys.readouterr()
+    assert main(["reproduce", "--config", str(config), "--seed", "5",
+                 "--out", str(tmp_path / "out")]) == 0
+    records = _log_lines(capsys.readouterr().out)
+    stages = [stage for stage, _, _ in cli_report._STAGES]
+    assert [r["stage"] for r in records] == stages + ["reproduce"]
+    for record in records:
+        assert record["elapsed_s"] >= 0 and record["cpu_s"] >= 0
+    summary = records[-1]
+    assert sorted(summary["stages"]) == sorted(stages)
+    for stage, record in zip(stages, records):
+        assert summary["stages"][stage] == {"elapsed_s": record["elapsed_s"],
+                                            "cpu_s": record["cpu_s"]}
+    # A stage logs its report values: fragility's payload names.
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    fragility = records[stages.index("fragility")]
+    assert fragility["massi_tilting"] == report["fragility"]["values"]["massi_tilting"]
+    assert "bias_robustness_se_scaled" in fragility and "massi" not in fragility
+    assert "elapsed_s" not in json.dumps(report)
+
+
+def test_bad_config_value_fails_before_any_stage(tmp_path, capsys):
+    config = write_synthetic_config(tmp_path)
+    text = config.read_text()
+    cases = (("match", "caliper", text + "\n[match]\ncaliper = abc\n"),
+             ("simulation", "n", text.replace("n = 20000", "n = 1e5")))
+    for section, key, bad_text in cases:
+        bad = tmp_path / f"{section}.ini"
+        bad.write_text(bad_text)
+        out = tmp_path / f"out_{section}"
+        capsys.readouterr()
+        assert main(["reproduce", "--config", str(bad), "--seed", "5",
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        record = json.loads(captured.err.strip())
+        assert record["error"] == "ConfigError"
+        assert f"[{section}] {key}:" in record["message"]
+        assert not out.exists()
+
+
+def test_unreadable_grid_config_is_a_config_error(tmp_path, capsys):
+    config = write_synthetic_config(tmp_path)
+    grid_file = tmp_path / "grids.json"
+    (tmp_path / "broken.json").write_text('{"fine": ')
+    for i, target in enumerate((tmp_path / "absent.json", tmp_path / "broken.json")):
+        other = tmp_path / f"grids{i}.ini"
+        other.write_text(config.read_text().replace(str(grid_file), str(target)))
+        for command in ("support", "reproduce"):
+            capsys.readouterr()
+            assert main([command, "--config", str(other), "--seed", "5",
+                         "--out", str(tmp_path / f"out{i}")]) == 1
+            record = json.loads(capsys.readouterr().err.strip())
+            assert record["error"] in ("ConfigError", "AttDiagError")
+            assert "[grids] config" in record["message"]
+            assert str(target) in record["message"]
+
+
+def test_reproduce_ignores_a_stale_model_in_out(tmp_path):
+    config = write_synthetic_config(tmp_path, b=4, sim_n=5000)
+    other_dir = tmp_path / "other"
+    other_dir.mkdir()
+    other = write_synthetic_config(other_dir, b=4, sim_n=5000, data_seed=62)
+    stale, fresh = tmp_path / "stale", tmp_path / "fresh"
+    assert main(["propensity", "--config", str(other), "--seed", "5",
+                 "--out", str(stale)]) == 0
+    for out in (stale, fresh):
+        assert main(["reproduce", "--config", str(config), "--seed", "5",
+                     "--out", str(out)]) == 0
+    reports = [json.loads((out / "report.json").read_text()) for out in (stale, fresh)]
+    for report in reports:
+        report["metadata"].pop("timestamp")
+    assert reports[0] == reports[1]
+
+
+def test_remote_fetch_logs_one_line_with_sources(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    data = synthetic_observational(seed=61, n_treated=30, n_control=50)
+    (cache / "nsw_treated.txt").write_text(dataset_to_text(data.subset(data.treated)))
+    (cache / "psid_controls.txt").write_text(dataset_to_text(data.subset(~data.treated)))
+    config = tmp_path / "remote.ini"
+    config.write_text(f"[data]\nsource = remote\ncache_dir = {cache}\n")
+    capsys.readouterr()
+    assert main(["fetch", "--config", str(config), "--seed", "5",
+                 "--out", str(tmp_path / "out"), "--offline"]) == 0
+    (record,) = _log_lines(capsys.readouterr().out)
+    assert record["stage"] == "fetch"
+    assert sorted(record["digests"]) == sorted(record["sources"]) == [
+        "nsw_treated", "psid_controls"]
+    assert record["sources"]["nsw_treated"]["lines"] == 30
+    assert record["sources"]["psid_controls"]["url"].endswith("psid_controls.txt")

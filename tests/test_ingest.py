@@ -88,25 +88,25 @@ def test_single_arm_rejected_at_estimation():
 
 
 def test_merge_counts_and_ids():
-    a = parse_table("1 1 10\n0 2 20\n", TOY_SCHEMA)
+    a = parse_table("1 1 10\n0 2 20\n1 5 50\n", TOY_SCHEMA)
     b = parse_table("1 3 30\n0 4 40\n", TOY_SCHEMA)
-    merged = merge(a, b, keep="all")
-    assert len(merged) == 4
-    assert list(merged.unit_ids) == [0, 1, 2, 3]
-    assert len(merge(a, b, keep="treated_only")) == 2  # a's treated + b's controls
+    merged = merge(a, b)  # a's treated, then b's controls
+    assert list(merged.unit_ids) == [0, 1, 2]
+    assert merged.treated.tolist() == [True, True, False]
+    assert merged.outcome.tolist() == [10.0, 50.0, 40.0]
 
 
 def test_merge_retained_counts_add_up():
     a = parse_table("1 1 10\n0 2 20\n1 5 50\n", TOY_SCHEMA)
     b = parse_table("0 4 40\n0 6 60\n", TOY_SCHEMA)
-    merged = merge(a, b, keep="treated_only")
+    merged = merge(a, b)
     assert len(merged) == a.n_treated + b.n_control
 
 
 def test_merge_empty_identity():
-    a = parse_table("1 1 10\n0 2 20\n", TOY_SCHEMA)
+    a = parse_table("1 1 10\n1 2 20\n", TOY_SCHEMA)
     empty = parse_table("", TOY_SCHEMA)
-    merged = merge(a, empty, keep="all")
+    merged = merge(a, empty)
     np.testing.assert_array_equal(merged.outcome, a.outcome)
     np.testing.assert_array_equal(merged.unit_ids, a.unit_ids)
 

@@ -6,7 +6,6 @@ from attdiag.strata import (
     BinSpec,
     CellStatus,
     build_support_map,
-    coarse_grid_audit,
     restrict_to_overlap,
     support_share,
 )
@@ -48,11 +47,13 @@ def test_hand_enumerated_counts():
     support_map = build_support_map(data, bins)
     assert support_map.treated_counts.tolist() == [[1, 0], [2, 0]]
     assert support_map.control_counts.tolist() == [[1, 1], [0, 1]]
-    assert support_map.status((0, 0)) is CellStatus.BOTH
-    assert support_map.status((0, 1)) is CellStatus.CONTROL_ONLY
-    assert support_map.status((1, 0)) is CellStatus.TREATED_ONLY
-    assert support_map.status((1, 1)) is CellStatus.CONTROL_ONLY
-    assert support_map.support_region == frozenset({(0, 0)})
+    statuses = {cell: status for cell, _, _, status in support_map.cells()}
+    assert statuses == {
+        (0, 0): CellStatus.BOTH,
+        (0, 1): CellStatus.CONTROL_ONLY,
+        (1, 0): CellStatus.TREATED_ONLY,
+        (1, 1): CellStatus.CONTROL_ONLY,
+    }
 
 
 def test_degenerate_single_cell():
@@ -103,9 +104,10 @@ def test_support_share_invariant_to_row_order():
 
 def test_coarse_grid_audit_hand_count():
     data, bins = _toy_two_dim()
-    total, without_treated = coarse_grid_audit(data, bins)
-    assert total == 4
-    assert without_treated == 2  # the two ControlOnly cells
+    # The support stage's coarse audit: total cells and cells no treated unit falls in.
+    support_map = build_support_map(data, bins)
+    assert support_map.n_cells == 4
+    assert int(np.sum(support_map.treated_counts == 0)) == 2  # the two ControlOnly cells
 
 
 def test_restrict_to_overlap_keeps_both_cells_only():
@@ -163,8 +165,8 @@ def test_refinement_never_grows_both_population():
 def test_serialization_surfaces():
     data, bins = _toy_two_dim()
     support_map = build_support_map(data, bins)
-    js = support_map.to_json()
-    assert '"status"' in js
     rows = support_map.to_csv_rows()
     assert rows[0] == ["x0", "x1", "treated", "control", "status"]
     assert len(rows) == 1 + support_map.n_cells
+    assert rows[1] == [0.0, 0.0, 1, 1, "both"]
+    assert rows[3] == [1.0, 0.0, 2, 0, "treated_only"]
