@@ -24,9 +24,10 @@ import configparser
 import functools
 import hashlib
 import json
+import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,8 @@ from .calibrate import bins_from_config, load_grid_config
 from .decision import bias_robustness, bias_robustness_curve, fragility_index, minimax_rule
 from .errors import AttDiagError, ConfigError, DependencyError, FetchError
 from .estimators import (
+    LOGIT_SCORE,
+    MAHALANOBIS,
     MatchSpec,
     att_match,
     default_design_suite,
@@ -76,10 +79,13 @@ def _parse_bool(text: str) -> bool:
     raise ValueError("expected a boolean")
 
 
-def _parse_source(text: str) -> str:
-    if text not in ("remote", "local"):
-        raise ValueError("expected remote or local")
-    return text
+def _choice(*options: str):
+    """Parser accepting exactly one of `options`."""
+    def parse(text: str) -> str:
+        if text not in options:
+            raise ValueError(f"expected one of {', '.join(options)}")
+        return text
+    return parse
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
@@ -93,7 +99,7 @@ def _parse_caliper(text: str) -> float | None:
 # section -> key -> (default text, parser of the text).
 _CONFIG_LAYOUT = {
     "data": {
-        "source": ("remote", _parse_source),
+        "source": ("remote", _choice("remote", "local")),
         "treated_source": ("nsw_treated", str),
         "control_source": ("psid_controls", str),
         "treated_file": ("", str),
@@ -116,7 +122,7 @@ _CONFIG_LAYOUT = {
         "high": ("0.9", float),
     },
     "match": {
-        "metric": ("logit_score", str),
+        "metric": (LOGIT_SCORE, _choice(LOGIT_SCORE, MAHALANOBIS)),
         "n_neighbors": ("1", int),
         "with_replacement": ("true", _parse_bool),
         "caliper": ("", _parse_caliper),
@@ -218,9 +224,18 @@ class RunConfig:
         except (OSError, ValueError) as exc:
             raise ConfigError(f"[grids] config {choice!r} unreadable: {exc}") from None
 
+    def grid_bins(self, grid: str):
+        """The bins of the grid config's `grid` ("fine" or "coarse")."""
+        try:
+            return bins_from_config(self.grid_config[grid])
+        except KeyError as exc:
+            key = grid if exc.args[0] == grid else f"{grid}.{exc.args[0]}"
+            raise ConfigError(
+                f"[grids] config {self.get('grids', 'config')!r} has no {key!r}") from None
+
     @functools.cached_property
     def fine_map(self):
-        return build_support_map(self.tables[0], bins_from_config(self.grid_config["fine"]))
+        return build_support_map(self.tables[0], self.grid_bins("fine"))
 
     @functools.cached_property
     def tilting(self):
@@ -256,16 +271,23 @@ def _dump_json(payload) -> str:
                       default=str, allow_nan=False)
 
 
+def _cpu_seconds() -> float:
+    """CPU seconds of this process plus those of its ended child processes
+    (the bootstrap's workers)."""
+    times = os.times()
+    return time.process_time() + times.children_user + times.children_system
+
+
 def _run_stage(stage: str, command, cfg: RunConfig):
     """Run one command and print its log line: report values, log-only
     fields, and the wall and CPU seconds it took (a shared product is
     charged to the first stage that uses it). CPU time next to wall time
     tells host load apart from the stage's own cost. Returns the values
     and the two timings."""
-    wall, cpu = time.perf_counter(), time.process_time()
+    wall, cpu = time.perf_counter(), _cpu_seconds()
     values, fields = command(cfg)
     clock = {"elapsed_s": time.perf_counter() - wall,
-             "cpu_s": time.process_time() - cpu}
+             "cpu_s": _cpu_seconds() - cpu}
     print(json.dumps(_sanitize({"stage": stage, **values, **fields, **clock}),
                      sort_keys=True, default=str))
     return values, clock
@@ -363,7 +385,7 @@ def cmd_support(cfg: RunConfig):
     shares = support_share(fine_map)
     counts = {status.value: n for status, n in fine_map.status_counts().items()}
 
-    coarse_map = build_support_map(data, bins_from_config(cfg.grid_config["coarse"]))
+    coarse_map = build_support_map(data, cfg.grid_bins("coarse"))
     _write_csv(cfg.out_dir / "support_42.csv", coarse_map.to_csv_rows())
 
     values = {
@@ -588,7 +610,7 @@ def cmd_bootstrap(cfg: RunConfig):
                     "q975": trimmed.q975, "n_failed": trimmed.n_failed},
         "b": b,
     }
-    return values, {"digests": digests}
+    return values, {"digests": digests, **asdict(full.work)}
 
 
 def cmd_deciles(cfg: RunConfig):

@@ -6,12 +6,25 @@ stream, making the estimates vector independent of execution order.
 `bootstrap_att` draws and (re)fits each replicate once and evaluates the
 full-sample design and, given a trim rule, the score-trimmed design on
 that one replicate and model.
+
+The replicates are spread over the CPUs this process may run on, in
+worker processes forked from the caller, so they inherit the dataset and
+model instead of receiving a pickled copy. Results are put back in
+replicate order before they are summarized, so the output is
+byte-identical for any worker count. Work done inside a worker is not
+seen by anything that counts calls in the caller; `BootstrapSummary.work`
+carries the bootstrap's own counters, summed over the workers.
 """
 
 from __future__ import annotations
 
+import functools
+import multiprocessing
+import os
 from collections import Counter
-from dataclasses import dataclass, replace
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -29,7 +42,8 @@ class BootstrapSummary:
     in 0..b_requested-1, in the same order; failures are excluded and
     counted in n_failed (b_requested = len(estimates) + n_failed). trimmed
     is the score-trimmed design's summary over the same replicates, or None
-    when no trim rule was given.
+    when no trim rule was given. work is the run's BootstrapWork, set on
+    the full-sample summary only and left out of comparisons.
     """
 
     estimates: tuple[float, ...]
@@ -41,6 +55,25 @@ class BootstrapSummary:
     b_requested: int
     n_failed: int
     trimmed: BootstrapSummary | None = None
+    work: BootstrapWork | None = field(default=None, compare=False)
+
+
+@dataclass(frozen=True)
+class BootstrapWork:
+    """What one bootstrap_att call did, summed over its worker processes.
+
+    workers is 1 when the replicates ran in the calling process. fits
+    counts refit attempts and fit_iterations the Newton steps of the fits
+    that returned; units_drawn counts the units of every replicate drawn.
+    failed_by_type maps each design ("full", "trimmed") to its failed
+    replicates per error type.
+    """
+
+    workers: int
+    fits: int
+    fit_iterations: int
+    units_drawn: int
+    failed_by_type: dict
 
 
 @dataclass(frozen=True)
@@ -94,6 +127,81 @@ def _summarize(design: str, replicates: list, estimates: list, failures: list,
     )
 
 
+def _run_replicates(data: Dataset, model_fit_per_replicate: bool,
+                    estimator_spec: MatchSpec, seed: int, covariates,
+                    model: PropensityModel | None, fit_options: dict, rules: tuple,
+                    indices) -> tuple[list, Counter]:
+    """Draw, fit and match the replicates in `indices`.
+
+    Returns (results, counts): one (r, outcomes) per replicate, outcomes
+    holding per design in `rules` order the estimate or the AttDiagError
+    that failed it, and the work counters. A failed fit fails the
+    replicate in every design, a failed trim or match only in its own.
+    """
+    results, counts = [], Counter()
+    for r in indices:
+        rng = _replicate_rng(seed, r)
+        replicate = data.take_with_fresh_ids(stratified_indices(rng, data.treated))
+        counts["units_drawn"] += len(replicate)
+        try:
+            if model_fit_per_replicate:
+                counts["fits"] += 1
+                rep_model = fit_logistic(replicate, covariates, **fit_options)
+                counts["fit_iterations"] += rep_model.iterations
+            else:
+                rep_model = model
+        except AttDiagError as exc:
+            results.append((r, (exc,) * len(rules)))
+            continue
+        outcomes = []
+        for rule in rules:
+            try:
+                sample = trim(replicate, rep_model, rule) if rule else replicate
+                outcomes.append(att_match(sample, rep_model, estimator_spec).tau_hat)
+            except AttDiagError as exc:
+                outcomes.append(exc)
+        results.append((r, tuple(outcomes)))
+    return results, counts
+
+
+def _worker_count(b: int) -> int:
+    """Worker processes for b replicates: one per CPU this process may run
+    on. Without an affinity mask (macOS, Windows) the replicates run in the
+    calling process."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return min(len(os.sched_getaffinity(0)), b)
+
+
+# The bound _run_replicates a forked worker runs, set by its initializer.
+_worker_job = None
+
+
+def _set_worker_job(job) -> None:
+    global _worker_job
+    _worker_job = job
+
+
+def _run_worker_job(indices):
+    return _worker_job(indices)
+
+
+def _run_pool(job, b: int, workers: int) -> list:
+    """job's (results, counts) per worker, each worker taking every
+    workers-th replicate. The pool forks explicitly: another start method
+    would pickle the job, dataset included, into every worker."""
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_set_worker_job, initargs=(job,))
+    with pool:
+        try:
+            return list(pool.map(_run_worker_job,
+                                 [range(w, b, workers) for w in range(workers)]))
+        except BrokenProcessPool as exc:
+            raise BootstrapError(
+                f"a bootstrap worker process died before returning its replicates ({exc})"
+            ) from None
+
+
 def bootstrap_att(data: Dataset, model_fit_per_replicate: bool,
                   estimator_spec: MatchSpec, b: int, seed: int, *,
                   covariates=None, model: PropensityModel | None = None,
@@ -108,7 +216,9 @@ def bootstrap_att(data: Dataset, model_fit_per_replicate: bool,
     use that one replicate and model; the trimmed design's summary is the
     result's `trimmed`. A failed fit fails the replicate in both designs, a
     failed trim or match only in its own. More than 20% failed replicates
-    in a design aborts, the full-sample design checked first.
+    in a design aborts, the full-sample design checked first. The
+    replicates run in forked worker processes, one per available CPU; a
+    worker that dies raises BootstrapError.
     """
     if b < 1:
         raise ValidationError("b must be >= 1")
@@ -119,35 +229,36 @@ def bootstrap_att(data: Dataset, model_fit_per_replicate: bool,
     elif model is None:
         raise ValidationError("model required when model_fit_per_replicate is false")
 
+    rules = (None, trim_rule) if trim_rule else (None,)
+    job = functools.partial(
+        _run_replicates, data, model_fit_per_replicate, estimator_spec, seed,
+        covariates, model, {"ridge": ridge, "tol": tol, "max_iter": max_iter}, rules)
+    workers = _worker_count(b)
+    chunks = [job(range(b))] if workers == 1 else _run_pool(job, b, workers)
+    results = sorted((result for chunk, _ in chunks for result in chunk),
+                     key=lambda result: result[0])
+    counts = sum((chunk_counts for _, chunk_counts in chunks), Counter())
+
     # One (replicates, estimates, failures) triple per design: full sample,
     # then trimmed.
-    rules = (None, trim_rule) if trim_rule else (None,)
-    results = [([], [], []) for _ in rules]
-    for r in range(b):
-        rng = _replicate_rng(seed, r)
-        replicate = data.take_with_fresh_ids(stratified_indices(rng, data.treated))
-        try:
-            rep_model = (
-                fit_logistic(replicate, covariates, ridge=ridge, tol=tol,
-                             max_iter=max_iter)
-                if model_fit_per_replicate else model
-            )
-        except AttDiagError as exc:
-            for _, _, failures in results:
-                failures.append(exc)
-            continue
-        for rule, (replicates, estimates, failures) in zip(rules, results):
-            try:
-                sample = trim(replicate, rep_model, rule) if rule else replicate
-                estimate = att_match(sample, rep_model, estimator_spec).tau_hat
-            except AttDiagError as exc:
-                failures.append(exc)
+    per_design = []
+    for d in range(len(rules)):
+        replicates, estimates, failures = [], [], []
+        for r, outcomes in results:
+            if isinstance(outcomes[d], AttDiagError):
+                failures.append(outcomes[d])
             else:
                 replicates.append(r)
-                estimates.append(estimate)
-    summaries = [_summarize(design, *outcome, b) for design, outcome
-                 in zip(("full-sample", "score-trimmed"), results)]
-    return replace(summaries[0], trimmed=summaries[1] if trim_rule else None)
+                estimates.append(outcomes[d])
+        per_design.append((replicates, estimates, failures))
+    work = BootstrapWork(
+        workers=workers, fits=counts["fits"], fit_iterations=counts["fit_iterations"],
+        units_drawn=counts["units_drawn"],
+        failed_by_type={name: dict(Counter(type(exc).__name__ for exc in failures))
+                        for name, (_, _, failures) in zip(("full", "trimmed"), per_design)})
+    full, *trimmed = [_summarize(design, *outcome, b) for design, outcome
+                      in zip(("full-sample", "score-trimmed"), per_design)]
+    return replace(full, trimmed=trimmed[0] if trimmed else None, work=work)
 
 
 def decile_att(data: Dataset, model: PropensityModel, min_per_arm: int = 5) -> DecileReport:

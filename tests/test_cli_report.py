@@ -8,7 +8,8 @@ from attdiag import cli_report, resample
 from attdiag.cli_report import RunConfig, main
 from attdiag.errors import ConfigError
 from attdiag.estimators import MatchSpec
-from attdiag.propensity import TrimRule
+from attdiag.propensity import TrimRule, fit_logistic
+from attdiag.resample import stratified_indices
 from conftest import dataset_to_text, synthetic_observational
 
 # Grid edges sized to the synthetic generator's covariate ranges.
@@ -257,24 +258,31 @@ def test_bootstrap_refits_use_propensity_iteration_budget(tmp_path):
             != (tmp_path / "capped" / "bootstrap.csv").read_text())
 
 
-def test_bootstrap_fits_each_replicate_once(tmp_path, monkeypatch):
+def test_bootstrap_fits_each_replicate_once(tmp_path, capsys):
     config = write_synthetic_config(tmp_path, b=8, sim_n=5000)
-    calls = []
-    real_fit = resample.fit_logistic
-
-    def counting_fit(*args, **kwargs):
-        calls.append(args)
-        return real_fit(*args, **kwargs)
-
-    monkeypatch.setattr(resample, "fit_logistic", counting_fit)
     out = tmp_path / "out"
+    capsys.readouterr()
     assert main(["bootstrap", "--config", str(config), "--seed", "3",
                  "--out", str(out)]) == 0
-    # One refit per replicate serves the full-sample and trimmed designs.
-    assert len(calls) == 8
+    [record] = _log_lines(capsys.readouterr().out)
+    cfg = RunConfig.from_file(config, seed=3, out_dir=out)
+    data = cli_report._load_data(cfg)[0]
+    covariates = cfg.get("propensity", "covariates")
+    iterations = sum(
+        fit_logistic(data.take_with_fresh_ids(stratified_indices(
+            resample._replicate_rng(3, r), data.treated)), covariates).iterations
+        for r in range(8))
+    # One refit per replicate serves the full-sample and trimmed designs;
+    # the counters are summed over the worker processes.
+    assert record["fits"] == 8 and record["fit_iterations"] == iterations
+    assert record["units_drawn"] == 8 * len(data)
+    assert record["workers"] == resample._worker_count(8)
+    assert record["failed_by_type"] == {"full": {}, "trimmed": {}}
     rows = (out / "bootstrap.csv").read_text().splitlines()
     assert rows[0] == "replicate,full_sample,score_trimmed"
     assert len(rows) == 9
+    # None of the counters enters the report values.
+    assert "fits" not in json.dumps(cli_report.cmd_bootstrap(cfg)[0])
 
 
 def test_bootstrap_csv_pairs_estimates_by_replicate(tmp_path):
@@ -360,6 +368,7 @@ def test_bad_config_value_fails_before_any_stage(tmp_path, capsys):
     config = write_synthetic_config(tmp_path)
     text = config.read_text()
     cases = (("match", "caliper", text + "\n[match]\ncaliper = abc\n"),
+             ("match", "metric", text + "\n[match]\nmetric = foo\n"),
              ("simulation", "n", text.replace("n = 20000", "n = 1e5")))
     for section, key, bad_text in cases:
         bad = tmp_path / f"{section}.ini"
@@ -391,6 +400,20 @@ def test_unreadable_grid_config_is_a_config_error(tmp_path, capsys):
             assert record["error"] in ("ConfigError", "AttDiagError")
             assert "[grids] config" in record["message"]
             assert str(target) in record["message"]
+
+
+def test_grid_config_missing_a_key_is_a_config_error(tmp_path, capsys):
+    config = write_synthetic_config(tmp_path)
+    grid_file = tmp_path / "grids.json"
+    no_coarse_edges = {"fine": SYNTH_GRIDS["fine"], "coarse": {}}
+    for grids, missing in (({"coarse": {}}, "'fine'"), (no_coarse_edges, "'coarse.age_edges'")):
+        grid_file.write_text(json.dumps(grids))
+        capsys.readouterr()
+        assert main(["support", "--config", str(config), "--seed", "5",
+                     "--out", str(tmp_path / "out")]) == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigError"
+        assert "[grids] config" in record["message"] and missing in record["message"]
 
 
 def test_reproduce_ignores_a_stale_model_in_out(tmp_path):

@@ -1,7 +1,11 @@
+import os
+import pickle
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from attdiag import resample
+from attdiag import errors, resample
 from attdiag.errors import AttDiagError, BootstrapError, EstimationError, ValidationError
 from attdiag.estimators import MatchSpec, att_match, naive_diff
 from attdiag.propensity import PropensityModel, TrimRule, fit_logistic, trim
@@ -14,6 +18,24 @@ from attdiag.resample import (
 from conftest import make_dataset, synthetic_observational
 
 COVS = ["age", "education", "re74", "re75"]
+
+
+def _replicate(data, seed, r):
+    return data.take_with_fresh_ids(stratified_indices(_replicate_rng(seed, r), data.treated))
+
+
+def _fit_failing_on(data, seed, failing):
+    """A fit_logistic that fails on the replicates `failing` of (data,
+    seed), recognised by their content wherever and in whatever order they
+    are fit. The message names the replicate's outcome sum."""
+    targets = {_replicate(data, seed, r).outcome.tobytes() for r in failing}
+
+    def fit(replicate, covariates, **kwargs):
+        if replicate.outcome.tobytes() in targets:
+            raise EstimationError(f"no convergence (outcome sum {replicate.outcome.sum()})")
+        return fit_logistic(replicate, covariates, **kwargs)
+
+    return fit
 
 
 def _hand_model(intercept, slopes):
@@ -126,22 +148,15 @@ def test_bootstrap_designs_equal_direct_per_replicate_estimates():
 
 def test_bootstrap_failed_fit_fails_both_designs(monkeypatch):
     data = synthetic_observational(seed=41, n_treated=40, n_control=160)
-    real_fit = resample.fit_logistic
-    calls = []
-
-    def fit_failing_once(replicate, covariates, **kwargs):
-        calls.append(len(replicate))
-        if len(calls) == 2:
-            raise EstimationError("no convergence")
-        return real_fit(replicate, covariates, **kwargs)
-
-    monkeypatch.setattr(resample, "fit_logistic", fit_failing_once)
+    monkeypatch.setattr(resample, "fit_logistic", _fit_failing_on(data, 43, [1]))
     summary = bootstrap_att(data, True, MatchSpec(), 6, seed=43,
                             covariates=COVS, trim_rule=TrimRule(0.05, 0.95))
-    assert len(calls) == 6  # one fit per replicate for both designs
+    assert summary.work.fits == 6  # one fit per replicate for both designs
+    assert summary.work.failed_by_type == {"full": {"EstimationError": 1},
+                                           "trimmed": {"EstimationError": 1}}
     for design in (summary, summary.trimmed):
         assert design.n_failed == 1
-        assert len(design.estimates) == 5
+        assert design.replicates == (0, 2, 3, 4, 5)
         assert design.b_requested == 6
 
 
@@ -228,3 +243,91 @@ def test_decile_constant_effect_recovered():
     for row in report.rows:
         if not row.dropped:
             assert row.att == pytest.approx(effect, abs=3 * row.se)
+
+
+def test_bootstrap_work_counts_fits_iterations_and_units():
+    data = synthetic_observational(seed=45, n_treated=12, n_control=60)
+    summary = bootstrap_att(data, True, MatchSpec(), 40, seed=47,
+                            covariates=COVS, trim_rule=TrimRule(0.3, 0.7))
+    iterations = sum(fit_logistic(_replicate(data, 47, r), COVS).iterations
+                     for r in range(40))
+    work = summary.work
+    assert (work.fits, work.fit_iterations, work.units_drawn) == (40, iterations, 40 * 72)
+    assert work.failed_by_type == {"full": {}, "trimmed": {"ValidationError": 5}}
+    assert work.workers == resample._worker_count(40)
+    assert summary.trimmed.work is None
+    model = fit_logistic(data, COVS)
+    fixed = bootstrap_att(data, False, MatchSpec(), 4, seed=47, model=model)
+    assert (fixed.work.fits, fixed.work.fit_iterations) == (0, 0)
+    assert fixed.work.failed_by_type == {"full": {}}
+
+
+def _bootstrap_with_workers(monkeypatch, workers, *args, **kwargs):
+    monkeypatch.setattr(resample, "_worker_count", lambda b: min(workers, b))
+    return bootstrap_att(*args, **kwargs)
+
+
+def test_bootstrap_output_independent_of_worker_count(monkeypatch):
+    data = synthetic_observational(seed=45, n_treated=12, n_control=60)
+    rule = TrimRule(0.3, 0.7)  # fails 5 of the 40 trimmed replicates
+    monkeypatch.setattr(resample, "fit_logistic", _fit_failing_on(data, 47, [3, 22]))
+    one, two = (_bootstrap_with_workers(monkeypatch, workers, data, True, MatchSpec(),
+                                        40, seed=47, covariates=COVS, trim_rule=rule)
+                for workers in (1, 2))
+    assert (one.work.workers, two.work.workers) == (1, 2)
+    assert one == two
+    assert replace(one.work, workers=2) == two.work
+    assert one.work.failed_by_type == {
+        "full": {"EstimationError": 2},
+        "trimmed": {"EstimationError": 2, "ValidationError": 5},
+    }
+
+    # Past the 20% budget both worker counts name the same failures, and
+    # the same last one.
+    monkeypatch.setattr(resample, "fit_logistic",
+                        _fit_failing_on(data, 47, [1, 5, 8, 13, 21, 30, 33, 34, 39]))
+    messages = []
+    for workers in (1, 2):
+        with pytest.raises(BootstrapError) as raised:
+            _bootstrap_with_workers(monkeypatch, workers, data, True, MatchSpec(), 40,
+                                    seed=47, covariates=COVS, trim_rule=rule)
+        messages.append(str(raised.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("9/40 bootstrap replicates failed in the full-sample "
+                                  "design (EstimationError: 9; last: no convergence")
+    assert messages[0].endswith(f"(outcome sum {_replicate(data, 47, 39).outcome.sum()}))")
+
+
+def test_bootstrap_worker_errors_reach_the_caller(monkeypatch):
+    data = synthetic_observational(seed=9, n_treated=25, n_control=100)
+    parent = os.getpid()
+
+    def broken_fit(replicate, covariates, **kwargs):
+        raise KeyError("not an AttDiagError")
+
+    def dying_fit(replicate, covariates, **kwargs):
+        if os.getpid() != parent:
+            os._exit(3)
+        raise AssertionError("the replicates ran in the calling process")
+
+    monkeypatch.setattr(resample, "fit_logistic", broken_fit)
+    for workers in (1, 2):
+        with pytest.raises(KeyError, match="not an AttDiagError"):
+            _bootstrap_with_workers(monkeypatch, workers, data, True, MatchSpec(), 4,
+                                    seed=11, covariates=COVS)
+    monkeypatch.setattr(resample, "fit_logistic", dying_fit)
+    with pytest.raises(BootstrapError, match="worker process died"):
+        _bootstrap_with_workers(monkeypatch, 2, data, True, MatchSpec(), 4,
+                                seed=11, covariates=COVS)
+
+
+def test_every_error_type_survives_pickling():
+    # Worker processes send failed replicates' errors back pickled.
+    types = [obj for obj in vars(errors).values()
+             if isinstance(obj, type) and issubclass(obj, AttDiagError)]
+    assert len(types) == 19
+    for error_type in types:
+        exc = error_type(f"{error_type.__name__}: replicate 7 failed")
+        copy = pickle.loads(pickle.dumps(exc))
+        assert type(copy) is error_type
+        assert str(copy) == str(exc)
