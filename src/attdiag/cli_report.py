@@ -5,7 +5,8 @@ Each subcommand writes its CSV/JSON artifacts into the output directory
 and returns its report values plus log-only fields; `_run_stage` prints
 them as the stage's one JSON log line, with the wall and CPU seconds the
 stage took. `reproduce` runs every stage that way, emits report.json plus
-SVG renderings, and ends with a line holding each stage's timings.
+SVG renderings, and ends with a line holding each stage's timings and the
+bootstrap's failed replicates by design and error type.
 
 Each invocation resolves its inputs once. The config is parsed when the
 file is read, so a bad value fails before any stage runs. The products
@@ -205,8 +206,9 @@ class RunConfig:
     # shared products ------------------------------------------------------
     @functools.cached_property
     def tables(self):
-        """(composite dataset, source digests); commands that need no data
-        (simulate, remote fetch) never parse them."""
+        """(composite dataset, source digests, rows parsed per table);
+        commands that need no data (simulate, remote fetch) never parse
+        them."""
         return _load_data(self)
 
     @functools.cached_property
@@ -282,15 +284,15 @@ def _run_stage(stage: str, command, cfg: RunConfig):
     """Run one command and print its log line: report values, log-only
     fields, and the wall and CPU seconds it took (a shared product is
     charged to the first stage that uses it). CPU time next to wall time
-    tells host load apart from the stage's own cost. Returns the values
-    and the two timings."""
+    tells host load apart from the stage's own cost. Returns the values,
+    the log-only fields and the two timings."""
     wall, cpu = time.perf_counter(), _cpu_seconds()
     values, fields = command(cfg)
     clock = {"elapsed_s": time.perf_counter() - wall,
              "cpu_s": _cpu_seconds() - cpu}
     print(json.dumps(_sanitize({"stage": stage, **values, **fields, **clock}),
                      sort_keys=True, default=str))
-    return values, clock
+    return values, fields, clock
 
 
 def _write_csv(path: Path, rows) -> None:
@@ -318,10 +320,10 @@ def _sha256_text(text: str) -> str:
 
 
 def _load_data(cfg: RunConfig):
-    """Composite evaluation dataset plus source digests."""
+    """Composite evaluation dataset, source digests, and the rows parsed
+    from the treated and the control table."""
     if cfg.get("data", "source") == "local":
-        digests = {}
-        parts = []
+        digests, parts = {}, {}
         for role, key in (("treated", "treated_file"), ("control", "control_file")):
             path = cfg.get("data", key)
             if not path or not Path(path).exists():
@@ -330,22 +332,24 @@ def _load_data(cfg: RunConfig):
                 )
             text = Path(path).read_text()
             digests[role] = _sha256_text(text)
-            parts.append(parse_table(text, NSW_SCHEMA))
-        return merge(*parts), digests
-    cache = cfg.get("data", "cache_dir")
-    digests = {}
-    try:
-        treated = load_source(cfg.get("data", "treated_source"), cache, offline=cfg.offline)
-        control = load_source(cfg.get("data", "control_source"), cache, offline=cfg.offline)
-    except FetchError as exc:
-        raise DependencyError(
-            f"dataset not cached ({exc}); run the fetch command first"
-        ) from exc
-    manifest_path = Path(cache) / "manifest.json"
-    if manifest_path.exists():
-        manifest = json.loads(manifest_path.read_text())
-        digests = {k: v["sha256"] for k, v in manifest.items()}
-    return merge(treated, control), digests
+            parts[role] = parse_table(text, NSW_SCHEMA)
+    else:
+        cache = cfg.get("data", "cache_dir")
+        try:
+            parts = {role: load_source(cfg.get("data", f"{role}_source"), cache,
+                                       offline=cfg.offline)
+                     for role in ("treated", "control")}
+        except FetchError as exc:
+            raise DependencyError(
+                f"dataset not cached ({exc}); run the fetch command first"
+            ) from exc
+        digests = {}
+        manifest_path = Path(cache) / "manifest.json"
+        if manifest_path.exists():
+            manifest = json.loads(manifest_path.read_text())
+            digests = {k: v["sha256"] for k, v in manifest.items()}
+    rows = {role: len(part) for role, part in parts.items()}
+    return merge(parts["treated"], parts["control"]), digests, rows
 
 
 def _match_spec(cfg: RunConfig) -> MatchSpec:
@@ -368,7 +372,8 @@ def _trim_rule(cfg: RunConfig) -> TrimRule:
 
 def cmd_fetch(cfg: RunConfig):
     if cfg.get("data", "source") == "local":
-        return {"digests": cfg.tables[1]}, {"mode": "local"}
+        _, digests, rows = cfg.tables
+        return {"digests": digests}, {"mode": "local", "rows": rows}
     cache = cfg.get("data", "cache_dir")
     digests, sources = {}, {}
     for key in (cfg.get("data", "treated_source"), cfg.get("data", "control_source")):
@@ -379,7 +384,7 @@ def cmd_fetch(cfg: RunConfig):
 
 
 def cmd_support(cfg: RunConfig):
-    data, digests = cfg.tables
+    data, digests, _ = cfg.tables
     fine_map = cfg.fine_map
     _write_csv(cfg.out_dir / "support_72.csv", fine_map.to_csv_rows())
     shares = support_share(fine_map)
@@ -400,7 +405,7 @@ def cmd_support(cfg: RunConfig):
 
 
 def cmd_propensity(cfg: RunConfig):
-    data, digests = cfg.tables
+    data, digests, _ = cfg.tables
     model = fit_logistic(
         data, cfg.get("propensity", "covariates"),
         ridge=cfg.get("propensity", "ridge"),
@@ -431,7 +436,7 @@ def cmd_propensity(cfg: RunConfig):
 
 
 def cmd_match(cfg: RunConfig):
-    data, digests = cfg.tables
+    data, digests, _ = cfg.tables
     model = cfg.model
     spec = _match_spec(cfg)
     full = att_match(data, model, spec)
@@ -466,7 +471,7 @@ def cmd_match(cfg: RunConfig):
 
 
 def cmd_bounds(cfg: RunConfig):
-    data, digests = cfg.tables
+    data, digests, _ = cfg.tables
     problem, tilting = cfg.tilting
     _write_csv(cfg.out_dir / "sweep_tilting.csv", sweep_to_csv_rows(tilting))
     _interval_chart(cfg.out_dir / "sweep_tilting.svg", tilting.deltas, tilting.intervals,
@@ -586,7 +591,7 @@ def cmd_simulate(cfg: RunConfig):
 
 
 def cmd_bootstrap(cfg: RunConfig):
-    data, digests = cfg.tables
+    data, digests, _ = cfg.tables
     refit = cfg.get("bootstrap", "refit")
     b = cfg.get("bootstrap", "b")
     full = bootstrap_att(data, refit, _match_spec(cfg), b, cfg.seed,
@@ -614,7 +619,7 @@ def cmd_bootstrap(cfg: RunConfig):
 
 
 def cmd_deciles(cfg: RunConfig):
-    data, digests = cfg.tables
+    data, digests, _ = cfg.tables
     report = decile_att(data, cfg.model, min_per_arm=cfg.get("deciles", "min_per_arm"))
     rows = [["decile", "n_treated", "n_control", "att", "se", "dropped"]]
     for row in report.rows:
@@ -649,7 +654,8 @@ _STAGES = [
 def cmd_reproduce(cfg: RunConfig):
     """Run every stage in order and bundle report.json; a stage failure
     halts with the stage name while earlier artifacts stay on disk. The
-    log-only fields hold each stage's wall and CPU seconds."""
+    log-only fields hold each stage's wall and CPU seconds and the
+    bootstrap's failed replicates per design and error type."""
     digest = cfg.digest()
     report = {
         "metadata": {
@@ -661,10 +667,10 @@ def cmd_reproduce(cfg: RunConfig):
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         }
     }
-    clocks = {}
+    clocks, fields = {}, {}
     for stage, fn, module in _STAGES:
         try:
-            values, clocks[stage] = _run_stage(stage, fn, cfg)
+            values, fields[stage], clocks[stage] = _run_stage(stage, fn, cfg)
         except AttDiagError as exc:
             (cfg.out_dir / "report.json").write_text(_dump_json(report))
             raise AttDiagError(f"stage {stage!r} failed: {exc}") from exc
@@ -674,7 +680,8 @@ def cmd_reproduce(cfg: RunConfig):
             "values": values,
         }
     (cfg.out_dir / "report.json").write_text(_dump_json(report))
-    return {"out": str(cfg.out_dir), "config_digest": digest}, {"stages": clocks}
+    return {"out": str(cfg.out_dir), "config_digest": digest}, {
+        "stages": clocks, "failed_by_type": fields["bootstrap"]["failed_by_type"]}
 
 
 # ---------------------------------------------------------------------------

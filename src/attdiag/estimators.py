@@ -6,10 +6,12 @@ logit of the propensity score unless told otherwise; ties break to the
 lowest control unit id so every estimator is deterministic. Matching never
 holds the n_treated x n_control distance matrix: 1-NN on one coordinate
 searches the controls' sorted distinct values, 1-NN on several coordinates
-(Mahalanobis) works through blocks of treated rows, and the greedy path
-computes one treated unit's distance row at a time. Every path computes a
-distance as `sqrt(sum((zt - zc) ** 2))`, so each picks the control the
-full matrix's `argmin` would.
+(Mahalanobis) searches outward from each treated row's place among the
+controls sorted on the first coordinate and stops where that coordinate's
+gap alone exceeds the best distance, and the greedy path computes one
+treated unit's distance row at a time. Every path computes a distance as
+`sqrt(sum((zt - zc) ** 2))`, so each picks the control the full matrix's
+`argmin` would.
 """
 
 from __future__ import annotations
@@ -85,10 +87,11 @@ def _match_coordinates(data: Dataset, model: PropensityModel | None,
     return np.linalg.solve(chol, x.T).T
 
 
-# Multi-column distances are computed over blocks of treated rows, sized so
-# the (rows, n_control, width) float64 temporary stays near 8 MB whatever the
-# arm sizes. Blocks much larger than this ran slower, not faster.
-_BLOCK_ELEMENTS = 1 << 20
+# Controls a multi-coordinate 1-NN search examines first on each side of a
+# treated row's place among the sorted controls; each later step doubles.
+# On a CPS-shaped table of 30,000 controls a search needs about 1,500
+# controls to a side, three steps from this start.
+_WINDOW = 256
 
 
 def _distances(zt: np.ndarray, zc: np.ndarray) -> np.ndarray:
@@ -138,17 +141,44 @@ def _nearest_on_line(zt: np.ndarray, zc: np.ndarray) -> tuple[np.ndarray, np.nda
     return nearest, d_min
 
 
-def _nearest_blocked(zt: np.ndarray, zc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _nearest_pruned(zt: np.ndarray, zc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nearest control (lowest index among equally near ones) and its
-    distance for each treated row, one block of treated rows at a time."""
-    rows = max(1, _BLOCK_ELEMENTS // zc.size)
+    distance for each treated row, on several coordinates.
+
+    The controls are stable-sorted once on the first coordinate. Each
+    treated row searches outward from its `searchsorted` place, `_WINDOW`
+    controls to a side first and twice as many at each later step. A side
+    stops once the first-coordinate gap `sqrt((zt0 - zc0) ** 2)` to its next
+    control exceeds the best distance so far. The gap never exceeds that
+    control's distance, since the rounded sum of non-negative squares is no
+    smaller than any of its terms, and it only grows further out; so every
+    control left out is strictly farther than the best and cannot tie.
+    Distances use the arithmetic of `_distances`, so the result is the
+    `argmin` of the full distance row.
+    """
+    order = np.argsort(zc[:, 0], kind="stable")
+    keys, zs = zc[order, 0], zc[order]
+    last = len(keys) - 1
     nearest = np.empty(len(zt), dtype=np.intp)
     d_min = np.empty(len(zt))
-    for start in range(0, len(zt), rows):
-        dist = _distances(zt[start:start + rows], zc)
-        block = np.argmin(dist, axis=1)
-        nearest[start:start + rows] = block
-        d_min[start:start + rows] = dist[np.arange(len(block)), block]
+    for i, z in enumerate(zt):
+        # Distances of the sorted controls lo..hi-1, the ones searched so far.
+        lo = hi = int(np.searchsorted(keys, z[0]))
+        dist, best, step = np.empty(0), np.inf, _WINDOW
+        while True:
+            # First-coordinate gaps to the next control out on each side.
+            edge = keys[[max(lo - 1, 0), min(hi, last)]]
+            gap_lo, gap_hi = np.sqrt((z[0] - edge) ** 2)
+            new_lo = max(lo - step, 0) if lo > 0 and gap_lo <= best else lo
+            new_hi = min(hi + step, last + 1) if hi <= last and gap_hi <= best else hi
+            if (new_lo, new_hi) == (lo, hi):
+                break
+            dist = np.concatenate([_distances(z[None], zs[new_lo:lo])[0], dist,
+                                   _distances(z[None], zs[hi:new_hi])[0]])
+            lo, hi, step = new_lo, new_hi, 2 * step
+            best = dist.min()
+        d_min[i] = best
+        nearest[i] = order[lo + np.flatnonzero(dist == best)].min()
     return nearest, d_min
 
 
@@ -169,9 +199,11 @@ def att_match(data: Dataset, model: PropensityModel | None, spec: MatchSpec) -> 
     No path builds the n_treated x n_control distance matrix. 1-NN with
     replacement on one coordinate (logit_score, or one covariate) searches
     the controls' sorted distinct values; on more coordinates it computes
-    distances for blocks of treated rows. The greedy path (n_neighbors > 1
-    or no replacement) computes each treated unit's distance row when it
-    reaches that unit. All paths use the same distance arithmetic.
+    distances only for the controls whose first-coordinate gap to the
+    treated unit is at most the best distance found so far. The greedy path
+    (n_neighbors > 1 or no replacement) computes each treated unit's
+    distance row when it reaches that unit. All paths use the same distance
+    arithmetic.
     """
     data.require_both_arms("att_match")
     coords = _match_coordinates(data, model, spec.metric)
@@ -191,7 +223,7 @@ def att_match(data: Dataset, model: PropensityModel | None, spec: MatchSpec) -> 
         if coords.shape[1] == 1:
             nearest, d_min = _nearest_on_line(zt[:, 0], zc[:, 0])
         else:
-            nearest, d_min = _nearest_blocked(zt, zc)
+            nearest, d_min = _nearest_pruned(zt, zc)
         kept = d_min <= caliper
         diffs = yt[kept] - yc[nearest[kept]]
         n_used = int(kept.sum())

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import fcntl
 import hashlib
+import io
 import json
 import os
 import time
@@ -18,7 +19,7 @@ import urllib.error
 import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NoReturn, Sequence
 
 import numpy as np
 
@@ -193,48 +194,67 @@ class Dataset:
 def parse_table(text: str, schema: SchemaSpec) -> Dataset:
     """Parse a whitespace-delimited numeric table into a Dataset.
 
-    Raises ParseError with the offending line number (1-based, counting
-    non-blank lines as they appear in the input) and column name where
-    possible; treatment values outside {0, 1} raise ValidationError.
+    Rows end at a newline (`\\n`, `\\r\\n` or `\\r`); any other whitespace
+    separates fields, and blank lines are skipped. A token is a number as
+    `float()` reads an ASCII string without underscores. Raises ParseError
+    with the offending physical line number (1-based, counting every line,
+    blank ones too) and column name where possible; treatment values
+    outside {0, 1} raise ValidationError.
+
+    The whole table is converted in one pass of numpy's C reader, which
+    rounds like `float()`. Only a table it rejects is scanned line by line,
+    to name the first bad line.
     """
     names = schema.column_names
-    arity = len(names)
     t_pos = names.index(schema.treatment_column)
     y_pos = names.index(schema.outcome_column)
     x_pos = [names.index(c) for c in schema.covariate_columns]
+    if not text.strip():
+        rows = np.empty((0, len(names)))
+    else:
+        try:
+            rows = np.loadtxt(io.StringIO(text, newline=None), dtype=float,
+                              comments=None, ndmin=2)
+        except ValueError:
+            rows = None
+        if (rows is None or rows.shape[1] != len(names)
+                or np.any((rows[:, t_pos] != 0.0) & (rows[:, t_pos] != 1.0))):
+            _raise_first_bad_line(text, names, t_pos)
+    return Dataset(
+        rows[:, t_pos] == 1.0,
+        np.ascontiguousarray(rows[:, y_pos]),
+        np.ascontiguousarray(rows[:, x_pos]),
+        schema=schema,
+    )
 
-    treated, outcome, covars = [], [], []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
+
+def _raise_first_bad_line(text: str, names: tuple[str, ...], t_pos: int) -> NoReturn:
+    """Raise the error of the first line of a table `parse_table` rejects."""
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
+        fields = raw.split()
+        if not fields:
             continue
-        fields = line.split()
-        if len(fields) != arity:
+        if len(fields) != len(names):
             raise ParseError(
-                f"line {lineno}: expected {arity} fields, got {len(fields)}"
+                f"line {lineno}: expected {len(names)} fields, got {len(fields)}"
             )
-        row = np.empty(arity)
-        for j, tok in enumerate(fields):
+        for name, tok in zip(names, fields):
+            # The C reader takes what float() takes of an ASCII string
+            # without digit-grouping underscores.
             try:
-                row[j] = float(tok)
+                if not tok.isascii() or "_" in tok:
+                    raise ValueError(tok)
+                float(tok)
             except ValueError:
                 raise ParseError(
-                    f"line {lineno}, column {names[j]!r}: could not parse {tok!r}"
+                    f"line {lineno}, column {name!r}: could not parse {tok!r}"
                 ) from None
-        t = row[t_pos]
+        t = float(fields[t_pos])
         if t not in (0.0, 1.0):
             raise ValidationError(
                 f"line {lineno}: treatment value {t!r} outside {{0, 1}}"
             )
-        treated.append(bool(t))
-        outcome.append(row[y_pos])
-        covars.append(row[x_pos])
-    return Dataset(
-        np.array(treated, dtype=bool),
-        np.array(outcome, dtype=float),
-        np.array(covars, dtype=float).reshape(len(treated), len(x_pos)),
-        schema=schema,
-    )
+    raise ParseError("the table reader rejected the table, yet no line is bad")
 
 
 def merge(treated_source: Dataset, control_source: Dataset) -> Dataset:

@@ -93,6 +93,12 @@ def generate_population(config: SimConfig) -> Population:
     return Population(codes, y1, y0, d)
 
 
+def _selection_probability(delta: float) -> np.ndarray:
+    """logistic(delta * y) for the observed outcomes y = 0 and y = 1, in
+    that order; indexing it by the outcomes gives each unit's probability."""
+    return 1.0 / (1.0 + np.exp(-delta * np.array([0.0, 1.0])))
+
+
 def apply_selection(pop: Population, delta: float, seed: int) -> Dataset:
     """Keep each unit with probability logistic(delta * observed outcome).
 
@@ -103,13 +109,15 @@ def apply_selection(pop: Population, delta: float, seed: int) -> Dataset:
     if not (delta >= 0):  # also catches NaN
         raise DomainError("delta must be >= 0")
     rng = _stage_rng(seed, _STAGE_SELECT)
-    p_select = 1.0 / (1.0 + np.exp(-delta * pop.y_observed.astype(float)))
-    selected = rng.random(len(pop)) < p_select
+    kept = rng.random(len(pop)) < _selection_probability(delta)[pop.y_observed]
+    # Gathering by index is several times faster than by a boolean mask
+    # that keeps about half of the units.
+    ids = np.flatnonzero(kept)
     return Dataset(
-        treated=pop.d[selected].astype(bool),
-        outcome=pop.y_observed[selected].astype(float),
+        treated=pop.d[ids].astype(bool),
+        outcome=pop.y_observed[ids].astype(float),
         covariates=None,
-        unit_ids=np.flatnonzero(selected),
+        unit_ids=ids,
     )
 
 

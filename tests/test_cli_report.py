@@ -315,6 +315,26 @@ def test_bootstrap_csv_pairs_estimates_by_replicate(tmp_path):
             assert trimmed_cell == ""
 
 
+def test_reproduce_summary_counts_bootstrap_failures(tmp_path, capsys):
+    # The data and trim rule of the test above: five replicates fail in
+    # the trimmed design only.
+    config = write_synthetic_config(tmp_path, b=40, data_seed=45, n_treated=12,
+                                    n_control=60)
+    config.write_text(config.read_text() + "\n[propensity]\n"
+                      "covariates = age education re74 re75\n"
+                      "\n[trim]\nlow = 0.3\nhigh = 0.7\n")
+    capsys.readouterr()
+    assert main(["reproduce", "--config", str(config), "--seed", "47",
+                 "--out", str(tmp_path / "out")]) == 0
+    records = _log_lines(capsys.readouterr().out)
+    assert records[-1]["stage"] == "reproduce"
+    assert records[-1]["failed_by_type"] == {"full": {},
+                                             "trimmed": {"ValidationError": 5}}
+    assert records[0]["rows"] == {"treated": 12, "control": 60}
+    report = (tmp_path / "out" / "report.json").read_text()
+    assert "failed_by_type" not in report and "ValidationError" not in report
+
+
 def _log_lines(text: str) -> list[dict]:
     return [json.loads(line) for line in text.strip().splitlines()]
 
@@ -356,12 +376,20 @@ def test_every_stage_logs_its_clocks(tmp_path, capsys):
     for stage, record in zip(stages, records):
         assert summary["stages"][stage] == {"elapsed_s": record["elapsed_s"],
                                             "cpu_s": record["cpu_s"]}
+    # The summary repeats the bootstrap's failures by design and type, and
+    # the local fetch line counts the rows parsed from each table.
+    bootstrap = records[stages.index("bootstrap")]
+    assert summary["failed_by_type"] == bootstrap["failed_by_type"] == {
+        "full": {}, "trimmed": {}}
+    assert records[0]["mode"] == "local"
+    assert records[0]["rows"] == {"treated": 90, "control": 700}
     # A stage logs its report values: fragility's payload names.
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     fragility = records[stages.index("fragility")]
     assert fragility["massi_tilting"] == report["fragility"]["values"]["massi_tilting"]
     assert "bias_robustness_se_scaled" in fragility and "massi" not in fragility
-    assert "elapsed_s" not in json.dumps(report)
+    for log_only in ("elapsed_s", "failed_by_type", "rows", "mode"):
+        assert log_only not in json.dumps(report)
 
 
 def test_bad_config_value_fails_before_any_stage(tmp_path, capsys):

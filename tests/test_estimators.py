@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from attdiag import estimators
 from attdiag.errors import AttDiagError, EstimationError, NumericalError, ValidationError
@@ -359,16 +359,103 @@ def test_logit_match_rounding_tie_takes_lowest_id():
     _assert_equals_dense(data, _LINE_MODEL, MatchSpec())
 
 
-@pytest.mark.parametrize("block_rows", [3, 4])
+# Initial search windows. The drawn pools of up to 15 controls fall below,
+# on and between multiples of windows of 1, 3 and 4 controls, so searches
+# grow and stop early; a window of 16 takes every control in its first step.
+_WINDOWS = [1, 3, 4, 16]
+
+
+@pytest.mark.parametrize("window", _WINDOWS)
 @settings(max_examples=100, deadline=None)
-@given(data=_tie_heavy_data(width=3, max_treated=9, max_control=12))
-def test_mahalanobis_match_equals_dense_oracle(block_rows, data):
-    # Blocks of 3 and 4 treated rows: the drawn treated counts fall below,
-    # on and between multiples of the block size.
-    elements = block_rows * data.n_control * data.covariates.shape[1]
+@given(data=st.sampled_from([3, 8]).flatmap(
+    lambda width: _tie_heavy_data(width=width, max_treated=9, max_control=12)))
+def test_mahalanobis_match_equals_dense_oracle(window, data):
+    # Width 8 sums each distance pairwise, as on the NSW tables; width 3 in
+    # order.
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(estimators, "_BLOCK_ELEMENTS", elements)
+        mp.setattr(estimators, "_WINDOW", window)
         _assert_equals_dense(data, None, MatchSpec(metric="mahalanobis"))
+
+
+@st.composite
+def _grid_points(draw, width):
+    # Coordinates on a coarse grid: many controls tie exactly, and many
+    # differ from a treated row in the first coordinate alone, so their
+    # distance equals the gap the search stops on.
+    value = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+    n_t, n_c = draw(st.integers(1, 4)), draw(st.integers(1, 15))
+    rows = st.lists(value, min_size=width, max_size=width)
+    return (np.array(draw(st.lists(rows, min_size=n_t, max_size=n_t))),
+            np.array(draw(st.lists(rows, min_size=n_c, max_size=n_c))))
+
+
+@pytest.mark.parametrize("window", _WINDOWS)
+@settings(max_examples=200, deadline=None)
+@given(points=st.integers(2, 3).flatmap(_grid_points))
+@example(points=(np.array([[0.0, 0.0]]),
+                 np.array([[-1.0, 0.0], [-0.5, 2.0], [1.0, 0.0]])))
+def test_pruned_search_equals_full_argmin(window, points):
+    # The example: with a window of 1 the first step finds control 2 at
+    # distance 1; control 0 ties it across a gap of exactly 1 and must win.
+    zt, zc = points
+    dist = estimators._distances(zt, zc)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimators, "_WINDOW", window)
+        nearest, d_min = estimators._nearest_pruned(zt, zc)
+    assert np.array_equal(nearest, np.argmin(dist, axis=1))
+    assert d_min.tobytes() == dist.min(axis=1).tobytes()
+
+
+def _symmetric_ties():
+    # Controls mirrored through the treated unit at the origin: whitening is
+    # linear and the data are symmetric, so each mirrored pair is exactly
+    # equally near, one on each side of the treated unit's sorted place. The
+    # right-hand control of each pair has the lower id.
+    xs = [[0.0, 0.0], [1.0, 0.5], [-1.0, -0.5], [2.0, -1.0], [-2.0, 1.0],
+          [3.0, 3.0], [-3.0, -3.0]]
+    treated = [True] + [False] * 6
+    return Dataset(treated, np.arange(7.0) ** 2, xs, unit_ids=[0, 1, 2, 3, 4, 5, 6])
+
+
+def _duplicated_controls():
+    # Three copies of the nearest control row, with ids out of row order,
+    # among other controls on both sides.
+    xs = [[0.1, 0.2], [0.0, 0.0], [0.0, 0.0], [-1.0, 1.0], [0.0, 0.0],
+          [1.0, -1.0], [0.5, 0.5], [-0.5, 0.25]]
+    treated = [True, False, False, False, False, False, False, True]
+    return Dataset(treated, np.arange(8.0) ** 2, xs, unit_ids=[7, 5, 2, 6, 4, 0, 3, 1])
+
+
+def _one_projection_value():
+    # Every control has the same first coordinate, so the sort puts all of
+    # them on one side of each treated unit and none is pruned by the gap.
+    xs = [[-1.0, 0.3], [2.0, -0.4], [0.5, 0.0], [0.5, 1.0], [0.5, -1.0],
+          [0.5, 0.3], [0.5, 2.0]]
+    treated = [True, True, False, False, False, False, False]
+    return Dataset(treated, np.arange(7.0) ** 2, xs, unit_ids=[3, 6, 5, 1, 4, 0, 2])
+
+
+@pytest.mark.parametrize("window", _WINDOWS)
+@pytest.mark.parametrize("make", [_symmetric_ties, _duplicated_controls,
+                                  _one_projection_value])
+def test_mahalanobis_match_edge_cases_equal_dense_oracle(window, make):
+    data = make()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimators, "_WINDOW", window)
+        _assert_equals_dense(data, None, MatchSpec(metric="mahalanobis"))
+
+
+def test_mahalanobis_mirrored_tie_takes_lowest_id():
+    data = _symmetric_ties()
+    coords = estimators._match_coordinates(data, None, "mahalanobis")
+    zt, zc = coords[:1], coords[1:]
+    d = np.sqrt(((zt - zc) ** 2).sum(axis=1))
+    assert d[0] == d[1] and d[2] == d[3] and d[4] == d[5]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimators, "_WINDOW", 1)
+        nearest, d_min = estimators._nearest_pruned(zt, zc)
+    # Controls 1 and 2 (ids 1, 2) tie nearest; the sort places id 2 first.
+    assert nearest[0] == 0 and d_min[0] == d[0]
 
 
 @pytest.mark.parametrize("spec", [
@@ -389,7 +476,7 @@ def test_greedy_match_equals_dense_oracle(spec):
 
 def test_mahalanobis_match_memory_stays_bounded():
     # The dense matrix's float64 temporary would be 200 x 30,000 x 8 x 8 B
-    # = 384 MB; blocked matching must stay far below it.
+    # = 384 MB; the pruned search must stay far below it.
     rng = np.random.default_rng(7)
     n_t, n_c = 200, 30_000
     data = Dataset(np.arange(n_t + n_c) < n_t, rng.normal(size=n_t + n_c),

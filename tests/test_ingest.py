@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from attdiag.errors import (
     FetchError,
@@ -54,6 +55,81 @@ def test_parse_non_numeric_names_column():
 def test_parse_rejects_nonbinary_treatment():
     with pytest.raises(ValidationError, match="treatment"):
         parse_table("2 1 3\n", TOY_SCHEMA)
+
+
+def test_parse_error_counts_blank_lines():
+    # Line numbers are physical: the blank line 2 counts.
+    with pytest.raises(ParseError, match="line 3: expected 3 fields, got 2"):
+        parse_table("1 2 3\n\n1 2\n", TOY_SCHEMA)
+    with pytest.raises(ParseError, match="line 4, column 'x'"):
+        parse_table("1 2 3\r\n  \t\r\n0 4 5\r\n1 x 6\r\n", TOY_SCHEMA)
+
+
+def test_parse_comment_line_is_a_parse_error():
+    with pytest.raises(ParseError, match="line 2: expected 3 fields, got 2"):
+        parse_table("1 2 3\n# note\n0 4 5\n", TOY_SCHEMA)
+    with pytest.raises(ParseError, match="line 1, column 'treat': could not parse '#'"):
+        parse_table("# 2 3\n", TOY_SCHEMA)
+
+
+@pytest.mark.parametrize("text", ["", "\n\n", " \t\r\n"])
+def test_parse_blank_input_is_empty(text, recwarn):
+    data = parse_table(text, TOY_SCHEMA)
+    assert len(data) == 0 and data.covariates.shape == (0, 1)
+    assert len(recwarn) == 0
+
+
+@pytest.mark.parametrize("token", ["1_000", "NA", "0x10", "1d5", "1,5", "--1", "\u0663",
+                                   "\uff11", "'1'", "1\x00"])
+def test_parse_rejected_token_names_line_and_column(token):
+    # 1_000 and the non-ASCII digits are numbers to float() but not to the
+    # table reader.
+    with pytest.raises(ParseError) as info:
+        parse_table(f"1 2 3\n0 5 {token}\n", TOY_SCHEMA)
+    assert str(info.value) == f"line 2, column 'y': could not parse {token!r}"
+
+
+def test_parse_rows_end_only_at_newlines():
+    # \r and \r\n end a row like \n; a vertical tab or form feed separates
+    # fields.
+    data = parse_table("1 2 3\r0 4 5\r\n1 6\x0b7\n0\x0c8 9", TOY_SCHEMA)
+    assert data.treated.tolist() == [True, False, True, False]
+    assert data.outcome.tolist() == [3.0, 5.0, 7.0, 9.0]
+    with pytest.raises(ParseError, match="line 1: expected 3 fields, got 6"):
+        parse_table("1 2 3\x0b0 4 5\n", TOY_SCHEMA)
+
+
+def test_parse_reports_first_bad_line_of_any_kind():
+    with pytest.raises(ValidationError, match="line 2: treatment value 0.5"):
+        parse_table("1 2 3\n0.5 2 3\n1 2 x\n", TOY_SCHEMA)
+    with pytest.raises(ParseError, match="line 2, column 'x'"):
+        parse_table("1 2 3\n1 x 3\n2 2 3\n", TOY_SCHEMA)
+
+
+_TOKENS = ("0", "1", "-2.5", "1e3", "nan", "inf", "1_0", "x", "", "\u0663", ".")
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(st.lists(st.sampled_from(_TOKENS), max_size=4), max_size=6),
+       seps=st.lists(st.sampled_from([" ", "\t", "  ", "\x0b"]), min_size=24, max_size=24),
+       ends=st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=6, max_size=6))
+def test_parse_accepts_or_raises_a_located_error(lines, seps, ends):
+    text = "".join(
+        "".join(tok + seps[4 * i + j] for j, tok in enumerate(row)) + ends[i]
+        for i, row in enumerate(lines))
+    try:
+        data = parse_table(text, TOY_SCHEMA)
+    except ParseError as exc:
+        assert str(exc).startswith("line ")
+        return
+    except ValidationError as exc:
+        assert str(exc).startswith(("line ", "non-finite"))
+        return
+    rows = [[float(tok) for tok in row.split()] for row in text.replace("\r\n", "\n")
+            .replace("\r", "\n").split("\n") if row.split()]
+    assert data.treated.tolist() == [row[0] == 1.0 for row in rows]
+    assert data.covariates[:, 0].tolist() == [row[1] for row in rows]
+    assert data.outcome.tolist() == [row[2] for row in rows]
 
 
 def test_dataset_validation():

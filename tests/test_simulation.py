@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from attdiag import simulation
 from attdiag.errors import DomainError, ValidationError, WitnessError
 from attdiag.simulation import (
     TYPE_NAMES,
@@ -84,6 +86,29 @@ def test_selection_extreme_delta():
     kept[selected.unit_ids] = True
     assert kept[pop.y_observed == 1].mean() > 0.999
     assert kept[pop.y_observed == 0].mean() == pytest.approx(0.5, abs=0.01)
+
+
+@settings(max_examples=200, deadline=None)
+@given(delta=st.floats(min_value=0.0, allow_infinity=False))
+@example(delta=0.0)
+@example(delta=5e-324)
+@example(delta=2.2250738585072009e-308)
+@example(delta=50.0)
+@example(delta=1e300)
+def test_selection_probability_lookup_equals_elementwise_formula(delta):
+    y = generate_population(SimConfig(seed=3, n=1000)).y_observed
+    elementwise = 1.0 / (1.0 + np.exp(-delta * y.astype(float)))
+    lookup = simulation._selection_probability(delta)[y]
+    assert lookup.tobytes() == elementwise.tobytes()
+
+
+def test_selection_keeps_the_units_of_the_elementwise_formula():
+    pop = generate_population(SimConfig(seed=4, n=20000))
+    for delta in (0.0, 0.7, 50.0):
+        draws = simulation._stage_rng(21, simulation._STAGE_SELECT).random(len(pop))
+        p = 1.0 / (1.0 + np.exp(-delta * pop.y_observed.astype(float)))
+        selected = apply_selection(pop, delta, seed=21)
+        assert np.array_equal(selected.unit_ids, np.flatnonzero(draws < p))
 
 
 def test_selection_rejects_negative_delta():
