@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import csv
 import functools
 import hashlib
 import json
@@ -50,11 +51,12 @@ from .estimators import (
 )
 from .identification import (
     TiltingProblem,
+    _validate_delta_grid,
     control_tilt_inputs,
     sweep_to_csv_rows,
     sweep_trimming_proxy,
 )
-from .ingest import NSW_SCHEMA, SOURCE_URLS, fetch_dataset, load_source, merge, parse_table
+from .ingest import NSW_SCHEMA, SOURCE_SCHEMAS, SOURCE_URLS, fetch_dataset, merge, parse_table
 from .propensity import (
     PropensityModel,
     TrimRule,
@@ -63,7 +65,6 @@ from .propensity import (
     score_dataset,
     score_histogram,
     trim,
-    trim_counts,
 )
 from .resample import bootstrap_att, decile_att
 from .simulation import SimConfig, nonid_witness, run_sweep
@@ -91,6 +92,10 @@ def _choice(*options: str):
 
 def _parse_floats(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in text.split())
+
+
+def _parse_delta_grid(text: str) -> tuple[float, ...]:
+    return _validate_delta_grid(_parse_floats(text))
 
 
 def _parse_caliper(text: str) -> float | None:
@@ -129,8 +134,8 @@ _CONFIG_LAYOUT = {
         "caliper": ("", _parse_caliper),
     },
     "bounds": {
-        "tilt_deltas": ("0 0.05 0.1 0.25 0.5 0.75 1.0 1.5 2.0", _parse_floats),
-        "proxy_deltas": ("0 0.5 1.0 1.5 2.0", _parse_floats),
+        "tilt_deltas": ("0 0.05 0.1 0.25 0.5 0.75 1.0 1.5 2.0", _parse_delta_grid),
+        "proxy_deltas": ("0 0.5 1.0 1.5 2.0", _parse_delta_grid),
     },
     "bootstrap": {
         "b": ("500", int),
@@ -143,7 +148,7 @@ _CONFIG_LAYOUT = {
         "n": ("100000", int),
         "proportions": ("0.3 0.2 0.4 0.1", _parse_floats),
         "treat_prob": ("0.5", float),
-        "deltas": ("0 0.5 1.0 1.5 2.0", _parse_floats),
+        "deltas": ("0 0.5 1.0 1.5 2.0", _parse_delta_grid),
         "epsilon": ("0.3", float),
         "witness_threshold": ("0.5", float),
     },
@@ -154,14 +159,18 @@ _CONFIG_LAYOUT = {
 class RunConfig:
     """Run configuration, parsed when read, plus the seed and output
     directory. `raw` holds the text as written, which report.json echoes
-    and `digest` hashes; `get` returns the parsed value. The cached
-    properties are the products several stages share, each built once per
-    invocation on first use."""
+    and `digest` hashes; `get` returns the parsed value. The [match],
+    [trim] and [simulation] sections are also built, when read, into the
+    objects the stages use. The cached properties are the products several
+    stages share, each built once per invocation on first use."""
 
     raw: dict
     values: dict
     seed: int
     out_dir: Path
+    match_spec: MatchSpec
+    trim_rule: TrimRule
+    sim_config: SimConfig
     offline_override: bool = False
 
     @classmethod
@@ -187,9 +196,23 @@ class RunConfig:
             for key, text in keys.items():
                 try:
                     values[section][key] = _CONFIG_LAYOUT[section][key][1](text)
-                except ValueError as exc:
-                    raise ConfigError(f"[{section}] {key}: cannot parse {text!r} ({exc})") from None
+                except (ValueError, AttDiagError) as exc:
+                    raise ConfigError(f"[{section}] {key}: invalid value {text!r} ({exc})") from None
+
+        def build(section, make, **kwargs):
+            try:
+                return make(**kwargs)
+            except AttDiagError as exc:
+                raise ConfigError(f"[{section}] {exc}") from None
+
+        sim = values["simulation"]
         return cls(raw=raw, values=values, seed=int(seed), out_dir=Path(out_dir),
+                   match_spec=build("match", MatchSpec, **values["match"]),
+                   trim_rule=build("trim", TrimRule, **values["trim"]),
+                   sim_config=build("simulation", SimConfig, seed=int(seed), n=sim["n"],
+                                    type_proportions=sim["proportions"],
+                                    treat_prob=sim["treat_prob"], delta_grid=sim["deltas"],
+                                    epsilon=sim["epsilon"]),
                    offline_override=offline)
 
     def get(self, section: str, key: str):
@@ -296,12 +319,10 @@ def _run_stage(stage: str, command, cfg: RunConfig):
 
 
 def _write_csv(path: Path, rows) -> None:
-    def _cell(v):
-        if isinstance(v, float):
-            return repr(v)
-        return str(v)
-
-    path.write_text("\n".join(",".join(_cell(v) for v in row) for row in rows) + "\n")
+    """Rows as CSV, floats as their repr; CSV quotes a cell holding a comma."""
+    with path.open("w", newline="") as out:
+        csv.writer(out, lineterminator="\n").writerows(
+            [repr(v) if isinstance(v, float) else v for v in row] for row in rows)
 
 
 def _interval_chart(path: Path, deltas, intervals, title: str, xlabel: str = "delta",
@@ -320,49 +341,32 @@ def _sha256_text(text: str) -> str:
 
 
 def _load_data(cfg: RunConfig):
-    """Composite evaluation dataset, source digests, and the rows parsed
-    from the treated and the control table."""
-    if cfg.get("data", "source") == "local":
-        digests, parts = {}, {}
-        for role, key in (("treated", "treated_file"), ("control", "control_file")):
-            path = cfg.get("data", key)
+    """Composite evaluation dataset, plus each table's text digest and parsed
+    rows keyed by role: [data] <role>_file in the NSW layout when local,
+    [data] <role>_source from the download cache in its own layout when not."""
+    local = cfg.get("data", "source") == "local"
+    digests, parts = {}, {}
+    for role in ("treated", "control"):
+        if local:
+            path = cfg.get("data", f"{role}_file")
             if not path or not Path(path).exists():
                 raise DependencyError(
-                    f"[data] {key} missing or unreadable; point it at a local table"
+                    f"[data] {role}_file missing or unreadable; point it at a local table"
                 )
-            text = Path(path).read_text()
-            digests[role] = _sha256_text(text)
-            parts[role] = parse_table(text, NSW_SCHEMA)
-    else:
-        cache = cfg.get("data", "cache_dir")
-        try:
-            parts = {role: load_source(cfg.get("data", f"{role}_source"), cache,
-                                       offline=cfg.offline)
-                     for role in ("treated", "control")}
-        except FetchError as exc:
-            raise DependencyError(
-                f"dataset not cached ({exc}); run the fetch command first"
-            ) from exc
-        digests = {}
-        manifest_path = Path(cache) / "manifest.json"
-        if manifest_path.exists():
-            manifest = json.loads(manifest_path.read_text())
-            digests = {k: v["sha256"] for k, v in manifest.items()}
+            text, schema = Path(path).read_text(), NSW_SCHEMA
+        else:
+            source = cfg.get("data", f"{role}_source")
+            try:
+                text = fetch_dataset(source, cfg.get("data", "cache_dir"), offline=cfg.offline)
+            except FetchError as exc:
+                raise DependencyError(
+                    f"dataset not cached ({exc}); run the fetch command first"
+                ) from exc
+            schema = SOURCE_SCHEMAS[source]
+        digests[role] = _sha256_text(text)
+        parts[role] = parse_table(text, schema)
     rows = {role: len(part) for role, part in parts.items()}
     return merge(parts["treated"], parts["control"]), digests, rows
-
-
-def _match_spec(cfg: RunConfig) -> MatchSpec:
-    return MatchSpec(
-        metric=cfg.get("match", "metric"),
-        caliper=cfg.get("match", "caliper"),
-        with_replacement=cfg.get("match", "with_replacement"),
-        n_neighbors=cfg.get("match", "n_neighbors"),
-    )
-
-
-def _trim_rule(cfg: RunConfig) -> TrimRule:
-    return TrimRule(cfg.get("trim", "low"), cfg.get("trim", "high"))
 
 
 # ---------------------------------------------------------------------------
@@ -437,12 +441,11 @@ def cmd_propensity(cfg: RunConfig):
 
 def cmd_match(cfg: RunConfig):
     data, digests, _ = cfg.tables
-    model = cfg.model
-    spec = _match_spec(cfg)
+    model, spec, rule = cfg.model, cfg.match_spec, cfg.trim_rule
     full = att_match(data, model, spec)
     overlap_est = att_match(restrict_to_overlap(data, cfg.fine_map), model, spec)
-    rule = _trim_rule(cfg)
-    trimmed_est = att_match(trim(data, model, rule), model, spec)
+    trimmed = trim(data, model, rule)
+    trimmed_est = att_match(trimmed, model, spec)
 
     labels = ["full_sample", "overlap_restricted",
               f"score_trimmed[{rule.low},{rule.high}]"]
@@ -462,7 +465,8 @@ def cmd_match(cfg: RunConfig):
             {"design": est.design_tag, "tau_hat": est.tau_hat, "se": est.se}
             for est in designs
         ],
-        "trim_drops": trim_counts(data, model, rule),
+        "trim_drops": {"dropped_treated": data.n_treated - trimmed.n_treated,
+                       "dropped_control": data.n_control - trimmed.n_control},
         "naive": naive_diff(data).tau_hat,
     }
     return values, {"digests": digests, "treated_units": data.n_treated,
@@ -478,7 +482,7 @@ def cmd_bounds(cfg: RunConfig):
                     "Identified set vs selection curvature")
 
     proxy = sweep_trimming_proxy(data, cfg.model, cfg.get("bounds", "proxy_deltas"),
-                                 match_spec=_match_spec(cfg))
+                                 match_spec=cfg.match_spec)
     _write_csv(cfg.out_dir / "sweep_proxy.csv", sweep_to_csv_rows(proxy))
     if proxy.deltas:
         _interval_chart(cfg.out_dir / "sweep_proxy.svg", proxy.deltas, proxy.intervals,
@@ -503,11 +507,10 @@ def cmd_fragility(cfg: RunConfig):
     table1_path = cfg.out_dir / "table1.csv"
     if not table1_path.exists():
         raise DependencyError(f"{table1_path} missing; run the match command first")
-    header, first_row = table1_path.read_text().splitlines()[:2]
-    cols = header.split(",")
-    cells = first_row.split(",")
-    tau_hat = float(cells[cols.index("att_estimate")])
-    se = float(cells[cols.index("standard_error")])
+    with table1_path.open(newline="") as table1:
+        full_sample = next(csv.DictReader(table1))
+    tau_hat = float(full_sample["att_estimate"])
+    se = float(full_sample["standard_error"])
 
     problem, tilting = cfg.tilting
     bisection_evals = 0
@@ -549,14 +552,7 @@ def cmd_fragility(cfg: RunConfig):
 
 
 def cmd_simulate(cfg: RunConfig):
-    sim_config = SimConfig(
-        seed=cfg.seed,
-        n=cfg.get("simulation", "n"),
-        type_proportions=cfg.get("simulation", "proportions"),
-        treat_prob=cfg.get("simulation", "treat_prob"),
-        delta_grid=cfg.get("simulation", "deltas"),
-        epsilon=cfg.get("simulation", "epsilon"),
-    )
+    sim_config = cfg.sim_config
     sweep = run_sweep(sim_config)
     rows = [["delta", "observed_ate", "lo", "hi"]]
     for d, ate, interval in zip(sweep.deltas, sweep.observed_ates, sweep.sets):
@@ -594,13 +590,13 @@ def cmd_bootstrap(cfg: RunConfig):
     data, digests, _ = cfg.tables
     refit = cfg.get("bootstrap", "refit")
     b = cfg.get("bootstrap", "b")
-    full = bootstrap_att(data, refit, _match_spec(cfg), b, cfg.seed,
+    full = bootstrap_att(data, refit, cfg.match_spec, b, cfg.seed,
                          covariates=cfg.get("propensity", "covariates"),
                          model=None if refit else cfg.model,
                          ridge=cfg.get("propensity", "ridge"),
                          tol=cfg.get("propensity", "tol"),
                          max_iter=cfg.get("propensity", "max_iter"),
-                         trim_rule=_trim_rule(cfg))
+                         trim_rule=cfg.trim_rule)
     trimmed = full.trimmed
     # One row per replicate; a design that failed it leaves its cell empty.
     by_replicate = [dict(zip(s.replicates, s.estimates)) for s in (full, trimmed)]

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EstimationError, NumericalError, ValidationError
+from .errors import AttDiagError, EstimationError, NumericalError, ValidationError
 from .ingest import Dataset
 from .propensity import PropensityModel, score_dataset
 
@@ -284,24 +284,27 @@ def att_ipw(data: Dataset, model: PropensityModel) -> AttEstimate:
     )
 
 
+def _arm_contrast(yt: np.ndarray, yc: np.ndarray) -> tuple[float, float]:
+    """Difference in arm means and its standard error; a one-unit arm adds no variance."""
+    var_t = float(np.var(yt, ddof=1)) / len(yt) if len(yt) > 1 else 0.0
+    var_c = float(np.var(yc, ddof=1)) / len(yc) if len(yc) > 1 else 0.0
+    return float(np.mean(yt) - np.mean(yc)), float(np.sqrt(var_t + var_c))
+
+
 def naive_diff(data: Dataset) -> AttEstimate:
     """Difference in arm means with the two-sample standard error."""
     data.require_both_arms("naive_diff")
     yt = data.outcome[data.treated]
-    yc = data.outcome[~data.treated]
-    var_t = float(np.var(yt, ddof=1)) / len(yt) if len(yt) > 1 else 0.0
-    var_c = float(np.var(yc, ddof=1)) / len(yc) if len(yc) > 1 else 0.0
-    return AttEstimate(
-        tau_hat=float(np.mean(yt) - np.mean(yc)),
-        se=float(np.sqrt(var_t + var_c)),
-        n_treated_used=len(yt), n_dropped=0, design_tag="naive_diff",
-    )
+    tau, se = _arm_contrast(yt, data.outcome[~data.treated])
+    return AttEstimate(tau_hat=tau, se=se, n_treated_used=len(yt), n_dropped=0,
+                       design_tag="naive_diff")
 
 
 def design_sensitivity(data: Dataset, model: PropensityModel | None,
                        designs) -> list[AttEstimate]:
-    """One estimate per matching design; per-design failures are recorded
-    in the output (NaN estimate with a tagged reason), never raised."""
+    """One estimate per matching design. A design that fails with an
+    AttDiagError is recorded in the output (NaN estimate, its tag naming the
+    error type); any other exception is a defect and propagates."""
     designs = list(designs)
     if not designs:
         raise ValidationError("designs must be non-empty")
@@ -309,7 +312,7 @@ def design_sensitivity(data: Dataset, model: PropensityModel | None,
     for spec in designs:
         try:
             out.append(att_match(data, model, spec))
-        except Exception as exc:  # captured per design by contract
+        except AttDiagError as exc:
             out.append(AttEstimate(
                 tau_hat=float("nan"), se=float("nan"), n_treated_used=0,
                 n_dropped=data.n_treated,

@@ -271,12 +271,14 @@ def oracle_curvature_bounds(control_outcomes, base_weights, treated_mean: float,
 
 
 def _validate_delta_grid(deltas) -> tuple[float, ...]:
+    """The grid as floats, checked non-empty, from >= 0 and strictly
+    increasing (a NaN fails); every delta grid, the simulation's included."""
     deltas = tuple(float(d) for d in deltas)
     if not deltas:
         raise ValidationError("delta grid must be non-empty")
-    if deltas[0] < 0:
+    if not deltas[0] >= 0:
         raise DomainError("deltas must start at >= 0")
-    if any(b <= a for a, b in zip(deltas, deltas[1:])):
+    if not all(b > a for a, b in zip(deltas, deltas[1:])):
         raise ValidationError("deltas must be strictly increasing")
     return deltas
 
@@ -311,23 +313,21 @@ def default_delta_to_trim(delta: float) -> TrimRule:
 
 
 def sweep_trimming_proxy(data: Dataset, model: PropensityModel, deltas,
-                         delta_to_trim=None,
                          match_spec: MatchSpec | None = None) -> CurvatureSweep:
-    """Identified-set proxy: per delta, trim by score and report the matching
-    estimate plus/minus its standard error (zero half-width at delta=0, the
-    point-identified case). Width monotonicity is checked and recorded, not
-    enforced; deltas with an empty trimmed sample become missing points.
+    """Identified-set proxy: per delta, trim to `default_delta_to_trim(delta)`
+    and report the matching estimate plus/minus its standard error (zero
+    half-width at delta=0, the point-identified case). Width monotonicity is
+    checked and recorded, not enforced; deltas whose trimmed sample is empty
+    or cannot be matched become missing points.
     """
     deltas = _validate_delta_grid(deltas)
-    to_trim = delta_to_trim or default_delta_to_trim
     spec = match_spec or MatchSpec()
     kept_deltas: list[float] = []
     intervals: list[Interval] = []
     missing: list[float] = []
     for delta in deltas:
-        rule = to_trim(delta)
         try:
-            sample = trim(data, model, rule)
+            sample = trim(data, model, default_delta_to_trim(delta))
             est = att_match(sample, model, spec)
         except (TrimmingError, EstimationError, ValidationError):
             missing.append(delta)

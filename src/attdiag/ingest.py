@@ -287,9 +287,11 @@ def fetch_dataset(source_key: str, cache_dir, *, offline: bool = False,
                   timeout: float = 60.0) -> str:
     """Return the raw text of a source file, downloading and caching it.
 
-    The first fetch records the file's SHA-256 in <cache_dir>/manifest.json;
-    later reads verify against that digest and raise IntegrityError on
-    mismatch. Concurrent fetches of one key serialize via an advisory lock.
+    The first read of a file, downloaded or found pre-seeded in the cache,
+    records its SHA-256 in <cache_dir>/manifest.json (a download replaces
+    the record of a file removed from the cache); later reads verify
+    against that digest and raise IntegrityError on mismatch. Concurrent
+    fetches of one key serialize via an advisory lock.
     `opener` exists for tests and offline transports; the default uses
     urllib over HTTPS.
     """
@@ -299,6 +301,7 @@ def fetch_dataset(source_key: str, cache_dir, *, offline: bool = False,
         )
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
+    url = SOURCE_URLS[source_key]
     target = cache_dir / f"{source_key}.txt"
     manifest_path = cache_dir / "manifest.json"
     lock_path = cache_dir / ".lock"
@@ -312,41 +315,34 @@ def fetch_dataset(source_key: str, cache_dir, *, offline: bool = False,
 
             if target.exists():
                 blob = target.read_bytes()
-                digest = _sha256(blob)
-                entry = manifest.get(source_key)
-                if entry is None:
-                    # Pre-seeded cache: record what we see, first observation wins.
-                    manifest[source_key] = {
-                        "sha256": digest,
-                        "url": SOURCE_URLS[source_key],
-                        "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-                    }
-                    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
-                elif entry["sha256"] != digest:
-                    raise IntegrityError(
-                        f"{target} digest {digest} != recorded {entry['sha256']}"
+                recorded = manifest.get(source_key)
+            else:
+                if offline:
+                    raise FetchError(
+                        f"{source_key} not cached in {cache_dir} and offline mode is on"
                     )
-                return blob.decode("utf-8")
-
-            if offline:
-                raise FetchError(
-                    f"{source_key} not cached in {cache_dir} and offline mode is on"
+                get = opener or _default_opener
+                try:
+                    blob = get(url, timeout)
+                except (urllib.error.URLError, OSError, TimeoutError) as exc:
+                    raise FetchError(f"could not fetch {url}: {exc}") from exc
+                tmp = target.with_suffix(".tmp")
+                tmp.write_bytes(blob)
+                os.replace(tmp, target)
+                recorded = None  # a download replaces any earlier record
+            digest = _sha256(blob)
+            if recorded is None:
+                # First observation wins, of a download or a pre-seeded file.
+                manifest[source_key] = {
+                    "sha256": digest,
+                    "url": url,
+                    "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+                }
+                manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+            elif recorded["sha256"] != digest:
+                raise IntegrityError(
+                    f"{target} digest {digest} != recorded {recorded['sha256']}"
                 )
-            url = SOURCE_URLS[source_key]
-            get = opener or _default_opener
-            try:
-                blob = get(url, timeout)
-            except (urllib.error.URLError, OSError, TimeoutError) as exc:
-                raise FetchError(f"could not fetch {url}: {exc}") from exc
-            tmp = target.with_suffix(".tmp")
-            tmp.write_bytes(blob)
-            os.replace(tmp, target)
-            manifest[source_key] = {
-                "sha256": _sha256(blob),
-                "url": url,
-                "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-            }
-            manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
             return blob.decode("utf-8")
         finally:
             fcntl.flock(lock, fcntl.LOCK_UN)

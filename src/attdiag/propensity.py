@@ -209,16 +209,6 @@ def trim(data: Dataset, model: PropensityModel, rule: TrimRule) -> Dataset:
     return data.subset(keep)
 
 
-def trim_counts(data: Dataset, model: PropensityModel, rule: TrimRule) -> dict:
-    """Units dropped per arm under a rule (companion report to trim)."""
-    scores = score_dataset(model, data)
-    dropped = (scores < rule.low) | (scores > rule.high)
-    return {
-        "dropped_treated": int(np.sum(dropped & data.treated)),
-        "dropped_control": int(np.sum(dropped & ~data.treated)),
-    }
-
-
 def score_histogram(data: Dataset, model: PropensityModel, n_bins: int):
     """Equal-width score histograms over [0, 1], one per arm.
 

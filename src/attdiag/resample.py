@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import AttDiagError, BootstrapError, ValidationError
-from .estimators import MatchSpec, att_match
+from .estimators import MatchSpec, _arm_contrast, att_match
 from .ingest import Dataset
 from .propensity import PropensityModel, TrimRule, fit_logistic, score_dataset, trim
 
@@ -264,9 +264,11 @@ def bootstrap_att(data: Dataset, model_fit_per_replicate: bool,
 def decile_att(data: Dataset, model: PropensityModel, min_per_arm: int = 5) -> DecileReport:
     """Arm-mean contrasts within propensity-score deciles.
 
-    Units sort by (score, unit_id) and split into ten near-equal groups; a
-    decile is dropped (att/se None) when either arm has fewer than
-    min_per_arm units. Dropped deciles are data, not errors.
+    Units sort by (score, unit_id) and split into ten near-equal groups;
+    each decile's att and se are the difference in arm means and its
+    two-sample standard error, as `naive_diff` computes them. A decile is
+    dropped (att/se None) when either arm has fewer than min_per_arm units.
+    Dropped deciles are data, not errors.
     """
     scores = score_dataset(model, data)
     order = np.lexsort((data.unit_ids, scores))
@@ -280,13 +282,6 @@ def decile_att(data: Dataset, model: PropensityModel, min_per_arm: int = 5) -> D
         if n_t < min_per_arm or n_c < min_per_arm:
             rows.append(DecileRow(g, n_t, n_c, None, None, dropped=True))
             continue
-        yt, yc = outcome[treated], outcome[~treated]
-        var_t = float(np.var(yt, ddof=1)) / n_t if n_t > 1 else 0.0
-        var_c = float(np.var(yc, ddof=1)) / n_c if n_c > 1 else 0.0
-        rows.append(DecileRow(
-            g, n_t, n_c,
-            att=float(np.mean(yt) - np.mean(yc)),
-            se=float(np.sqrt(var_t + var_c)),
-            dropped=False,
-        ))
+        att, se = _arm_contrast(outcome[treated], outcome[~treated])
+        rows.append(DecileRow(g, n_t, n_c, att=att, se=se, dropped=False))
     return DecileReport(rows=tuple(rows))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ValidationError, WitnessError
-from .identification import Interval, fixed_radius_sets, massi_from_intervals
+from .identification import Interval, _validate_delta_grid, fixed_radius_sets, massi_from_intervals
 from .ingest import Dataset
 
 # latent type -> (y1, y0)
@@ -35,7 +35,7 @@ def _stage_rng(seed: int, *stage) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Knobs for the selection experiment."""
+    """Knobs for the selection experiment; delta_grid is checked as every sweep's is."""
 
     seed: int
     n: int = 100_000
@@ -46,7 +46,7 @@ class SimConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "type_proportions", tuple(float(p) for p in self.type_proportions))
-        object.__setattr__(self, "delta_grid", tuple(float(d) for d in self.delta_grid))
+        object.__setattr__(self, "delta_grid", _validate_delta_grid(self.delta_grid))
         if self.n < 1:
             raise ValidationError("n must be >= 1")
         if len(self.type_proportions) != 4 or any(p < 0 for p in self.type_proportions):
@@ -81,16 +81,21 @@ class Population:
         return np.bincount(self.type_codes, minlength=4) / len(self)
 
 
+def _draw_population(rng_types: np.random.Generator, rng_treat: np.random.Generator,
+                     n: int, proportions, treat_prob: float) -> Population:
+    """n latent types drawn from rng_types, then n randomized treatment
+    flags from rng_treat (which may be the same stream)."""
+    codes = rng_types.choice(4, size=n, p=proportions).astype(np.int8)
+    potentials = np.array([TYPE_POTENTIALS[t] for t in TYPE_NAMES], dtype=np.int8)
+    d = (rng_treat.random(n) < treat_prob).astype(np.int8)
+    return Population(codes, potentials[codes, 0], potentials[codes, 1], d)
+
+
 def generate_population(config: SimConfig) -> Population:
     """Draw latent types and randomized treatment; deterministic per seed."""
-    rng_types = _stage_rng(config.seed, _STAGE_TYPES)
-    rng_treat = _stage_rng(config.seed, _STAGE_TREAT)
-    codes = rng_types.choice(4, size=config.n, p=config.type_proportions).astype(np.int8)
-    potentials = np.array([TYPE_POTENTIALS[t] for t in TYPE_NAMES], dtype=np.int8)
-    y1 = potentials[codes, 0]
-    y0 = potentials[codes, 1]
-    d = (rng_treat.random(config.n) < config.treat_prob).astype(np.int8)
-    return Population(codes, y1, y0, d)
+    return _draw_population(_stage_rng(config.seed, _STAGE_TYPES),
+                            _stage_rng(config.seed, _STAGE_TREAT),
+                            config.n, config.type_proportions, config.treat_prob)
 
 
 def _selection_probability(delta: float) -> np.ndarray:
@@ -142,9 +147,10 @@ def run_sweep(config: SimConfig) -> SimSweepResult:
         )
         selected = apply_selection(pop, delta, child_seed)
         selected.require_both_arms("run_sweep")
-        yt = selected.outcome[selected.treated]
-        yc = selected.outcome[~selected.treated]
-        ates.append(float(np.mean(yt) - np.mean(yc)))
+        # The outcomes are 0/1, so each arm mean is an exact count over the
+        # arm size: the same float as np.mean over the arm's outcomes.
+        c00, c01, c10, c11 = _cell_counts(selected.treated, selected.outcome)
+        ates.append(float(c11 / (c10 + c11) - c01 / (c00 + c01)))
     sets = fixed_radius_sets(ates, config.epsilon)
     return SimSweepResult(
         deltas=config.delta_grid,
@@ -168,13 +174,14 @@ class WitnessResult:
     selection_rate: float
 
 
+def _cell_counts(d: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Units per (d, y) cell of 0/1 arrays: (0, 0), (0, 1), (1, 0), (1, 1)."""
+    return np.bincount(2 * d + y.astype(np.intp), minlength=4)
+
+
 def _freq_table(d: np.ndarray, y: np.ndarray) -> dict:
-    n = len(d)
-    table = {}
-    for dv in (0, 1):
-        for yv in (0, 1):
-            table[(dv, yv)] = float(np.sum((d == dv) & (y == yv)) / n)
-    return table
+    counts = _cell_counts(d, y)
+    return {(dv, yv): float(counts[2 * dv + yv] / len(d)) for dv in (0, 1) for yv in (0, 1)}
 
 
 def total_variation(table_a: dict, table_b: dict) -> float:
@@ -226,18 +233,13 @@ def nonid_witness(threshold_c: float = 0.5, seed: int = 0, n: int = 100_000,
         p_y0_obs = 1.0        # controls show y0, which is 1 by selection
         att_ignorable = p_y1_obs - p_y0_obs
 
-    # Monte Carlo draw of the threshold DGP.
+    # Monte Carlo draw of the threshold DGP, types then treatment from one stream.
     rng = _stage_rng(seed, _STAGE_WITNESS, 0)
-    codes = rng.choice(4, size=n, p=[pa, pb, pc, pd])
-    potentials = np.array([TYPE_POTENTIALS[t] for t in TYPE_NAMES], dtype=np.int8)
-    y1 = potentials[codes, 0]
-    y0 = potentials[codes, 1]
-    d = (rng.random(n) < treat_prob).astype(np.int8)
-    y_obs = d * y1 + (1 - d) * y0
-    keep = y0 > threshold_c
+    pop = _draw_population(rng, rng, n, (pa, pb, pc, pd), treat_prob)
+    keep = pop.y0 > threshold_c
     if not np.any(keep):
         raise WitnessError("threshold selected no units in the Monte Carlo draw")
-    digest_threshold = _freq_table(d[keep], y_obs[keep])
+    digest_threshold = _freq_table(pop.d[keep], pop.y_observed[keep])
 
     # Monte Carlo draw of the ignorable DGP: population (d, y) law equals the
     # threshold DGP's observed law; selection is an independent coin.

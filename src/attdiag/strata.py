@@ -96,14 +96,11 @@ class SupportMap:
             yield cell, t, c, CellStatus.from_counts(t, c)
 
     def status_counts(self) -> dict[CellStatus, int]:
-        t = self.treated_counts > 0
-        c = self.control_counts > 0
-        return {
-            CellStatus.BOTH: int(np.sum(t & c)),
-            CellStatus.TREATED_ONLY: int(np.sum(t & ~c)),
-            CellStatus.CONTROL_ONLY: int(np.sum(~t & c)),
-            CellStatus.EMPTY: int(np.sum(~t & ~c)),
-        }
+        """Cells per status, as `cells()` classifies them."""
+        counts = dict.fromkeys(CellStatus, 0)
+        for *_, status in self.cells():
+            counts[status] += 1
+        return counts
 
     def to_csv_rows(self) -> list[list]:
         header = [b.dimension_name for b in self.grid]
@@ -152,8 +149,9 @@ def support_share(support_map: SupportMap):
 def restrict_to_overlap(data: Dataset, support_map: SupportMap) -> Dataset:
     """Keep only units whose cell contains both arms."""
     idx = _cell_indices(data, support_map.grid)
-    both = (support_map.treated_counts > 0) & (support_map.control_counts > 0)
-    keep = both[idx]
+    # cells() runs in C order, so the statuses reshape onto the grid.
+    both = np.array([status is CellStatus.BOTH for *_, status in support_map.cells()])
+    keep = both.reshape(support_map.shape)[idx]
     if not np.any(keep):
         raise RestrictionError("no overlap region: every cell is single-arm or empty")
     return data.subset(keep)

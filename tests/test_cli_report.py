@@ -1,4 +1,7 @@
+import csv
+import hashlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +11,7 @@ from attdiag import cli_report, resample
 from attdiag.cli_report import RunConfig, main
 from attdiag.errors import ConfigError
 from attdiag.estimators import MatchSpec
-from attdiag.propensity import TrimRule, fit_logistic
+from attdiag.propensity import PropensityModel, TrimRule, fit_logistic, score_dataset
 from attdiag.resample import stratified_indices
 from conftest import dataset_to_text, synthetic_observational
 
@@ -207,6 +210,23 @@ def test_full_reproduce_pipeline_and_determinism(tmp_path):
     assert (out1 / "bootstrap.csv").read_text().splitlines()[0] == (
         "replicate,full_sample,score_trimmed"
     )
+    # Every CSV artifact is valid CSV: each row as wide as its header, the
+    # trimmed sample's label (which holds a comma) quoted.
+    for path in out1.glob("*.csv"):
+        with path.open(newline="") as table:
+            rows = list(csv.reader(table))
+        assert rows and all(len(row) == len(rows[0]) for row in rows), path.name
+    assert (out1 / "table1.csv").read_text().splitlines()[3].startswith(
+        '"score_trimmed[0.1,0.9]",')
+
+    # The trim drops are the units whose score lies outside [0.1, 0.9].
+    data = cli_report._load_data(RunConfig.from_file(config, seed=40, out_dir=out1))[0]
+    scores = score_dataset(
+        PropensityModel.from_json((out1 / "propensity_model.json").read_text()), data)
+    dropped = (scores < 0.1) | (scores > 0.9)
+    assert report1["match"]["values"]["trim_drops"] == {
+        "dropped_treated": int(np.sum(dropped & data.treated)),
+        "dropped_control": int(np.sum(dropped & ~data.treated))}
 
     # every section carries its producing module and the config digest
     digest = report1["metadata"]["config_digest"]
@@ -395,13 +415,24 @@ def test_every_stage_logs_its_clocks(tmp_path, capsys):
 def test_bad_config_value_fails_before_any_stage(tmp_path, capsys):
     config = write_synthetic_config(tmp_path)
     text = config.read_text()
-    cases = (("match", "caliper", text + "\n[match]\ncaliper = abc\n"),
-             ("match", "metric", text + "\n[match]\nmetric = foo\n"),
-             ("simulation", "n", text.replace("n = 20000", "n = 1e5")))
-    for section, key, bad_text in cases:
-        bad = tmp_path / f"{section}.ini"
+    # (what the message names, config text)
+    cases = (("[match] caliper:", text + "\n[match]\ncaliper = abc\n"),
+             ("[match] metric:", text + "\n[match]\nmetric = foo\n"),
+             ("[simulation] n:", text.replace("n = 20000", "n = 1e5")),
+             ("[trim] low must be < high", text + "\n[trim]\nlow = 0.95\n"),
+             ("[match] n_neighbors", text + "\n[match]\nn_neighbors = 0\n"),
+             ("[match] caliper must be positive", text + "\n[match]\ncaliper = -1\n"),
+             ("[simulation] treat_prob", text.replace("n = 20000", "treat_prob = 1.5")),
+             ("[simulation] deltas:", text.replace("n = 20000", "deltas = 2 1 0")),
+             ("[simulation] deltas:", text.replace("n = 20000", "deltas = -1 0 1")),
+             ("[bounds] tilt_deltas:", text.replace("tilt_deltas = 0 0.1 0.5 1.0",
+                                                    "tilt_deltas = 1 0.5")),
+             ("[bounds] proxy_deltas:", text.replace("proxy_deltas = 0 0.5 1.0",
+                                                     "proxy_deltas = 0 nan")))
+    for i, (named, bad_text) in enumerate(cases):
+        bad = tmp_path / f"bad{i}.ini"
         bad.write_text(bad_text)
-        out = tmp_path / f"out_{section}"
+        out = tmp_path / f"out{i}"
         capsys.readouterr()
         assert main(["reproduce", "--config", str(bad), "--seed", "5",
                      "--out", str(out)]) == 1
@@ -409,7 +440,7 @@ def test_bad_config_value_fails_before_any_stage(tmp_path, capsys):
         assert captured.out == ""
         record = json.loads(captured.err.strip())
         assert record["error"] == "ConfigError"
-        assert f"[{section}] {key}:" in record["message"]
+        assert named in record["message"], record["message"]
         assert not out.exists()
 
 
@@ -478,3 +509,29 @@ def test_remote_fetch_logs_one_line_with_sources(tmp_path, capsys):
         "nsw_treated", "psid_controls"]
     assert record["sources"]["nsw_treated"]["lines"] == 30
     assert record["sources"]["psid_controls"]["url"].endswith("psid_controls.txt")
+
+
+def test_remote_load_digests_each_table_by_role(tmp_path):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    data = synthetic_observational(seed=61, n_treated=30, n_control=50)
+    files = {"treated": cache / "nsw_treated.txt", "control": cache / "psid_controls.txt"}
+    files["treated"].write_text(dataset_to_text(data.subset(data.treated)))
+    files["control"].write_text(dataset_to_text(data.subset(~data.treated)))
+    config = tmp_path / "remote.ini"
+    config.write_text(f"[data]\nsource = remote\ncache_dir = {cache}\noffline = true\n")
+    cfg = RunConfig.from_file(config, seed=5, out_dir=tmp_path / "out")
+    expected = {role: hashlib.sha256(path.read_bytes()).hexdigest()
+                for role, path in files.items()}
+    _, digests, rows = cli_report._load_data(cfg)
+    assert digests == expected
+    assert rows == {"treated": 30, "control": 50}
+    manifest_path = cache / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    assert {key: entry["sha256"] for key, entry in manifest.items()} == {
+        "nsw_treated": expected["treated"], "psid_controls": expected["control"]}
+    # A second load checks the files against the manifest and leaves it as
+    # first recorded.
+    os.utime(manifest_path, (0, 0))
+    assert cli_report._load_data(cfg)[1] == expected
+    assert manifest_path.stat().st_mtime == 0

@@ -43,6 +43,14 @@ def test_naive_diff_hand_arithmetic():
     assert est.se == pytest.approx(math.sqrt(2.0 / 2 + 2.0 / 2))
 
 
+def test_naive_diff_is_the_arm_contrast_with_a_one_unit_arm():
+    # The one-unit treated arm adds no variance term: se = sqrt(var(1, 3) / 2).
+    data = make_dataset([True, False, False], [5.0, 1.0, 3.0])
+    est = naive_diff(data)
+    assert (est.tau_hat, est.se) == estimators._arm_contrast(
+        np.array([5.0]), np.array([1.0, 3.0])) == (3.0, 1.0)
+
+
 def test_naive_diff_arm_swap_antisymmetry():
     rng = np.random.default_rng(3)
     data = make_dataset(rng.random(30) < 0.5, rng.normal(size=30))
@@ -208,10 +216,22 @@ def test_design_sensitivity_composition_and_failure_capture():
     results = design_sensitivity(data, model, [MatchSpec(), impossible])
     assert np.isfinite(results[0].tau_hat)
     assert math.isnan(results[1].tau_hat)
-    assert results[1].design_tag.startswith("strict|failed:")
+    assert results[1].design_tag == "strict|failed:EstimationError"
 
     with pytest.raises(ValidationError):
         design_sensitivity(data, model, [])
+
+
+def test_design_sensitivity_lets_a_defect_propagate(monkeypatch):
+    data = synthetic_observational(seed=23, n_treated=30, n_control=120)
+    model = fit_logistic(data, ["age", "education", "re74", "re75"])
+
+    def broken(*args):
+        raise RuntimeError("a defect, not a failed design")
+
+    monkeypatch.setattr(estimators, "att_match", broken)
+    with pytest.raises(RuntimeError, match="a defect"):
+        design_sensitivity(data, model, [MatchSpec()])
 
 
 def test_default_design_suite_runs():

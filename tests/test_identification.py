@@ -373,16 +373,16 @@ def test_sweep_trimming_proxy_hand_rules():
 
 
 def test_sweep_trimming_proxy_records_missing_points():
-    data = synthetic_observational(seed=59, n_treated=40, n_control=160)
-    model = fit_logistic(data, ["age", "education", "re74", "re75"])
-
-    def brutal(delta):
-        # empty band at the last delta
-        return TrimRule(0.0, 1.0) if delta < 2.0 else TrimRule(0.49999, 0.5)
-
-    sweep = sweep_trimming_proxy(data, model, (0.0, 1.0, 2.0), delta_to_trim=brutal)
-    assert 2.0 in sweep.missing_deltas
-    assert len(sweep.deltas) == 2
+    # Every score is logistic(-4.955), about 0.007: delta 0's band [0, 1]
+    # keeps every unit, the bands [0.1, 0.9] and [0.2, 0.8] of deltas 1 and
+    # 2 keep none.
+    data = make_dataset([True, True, False, False, False], [3.0, 5.0, 1.0, 2.0, 4.0])
+    model = _hand_model(-4.955, [0.0])
+    sweep = sweep_trimming_proxy(data, model, (0.0, 1.0, 2.0))
+    assert sweep.missing_deltas == (1.0, 2.0)
+    assert sweep.deltas == (0.0,)
+    # Equal scores tie every control; the lowest id (outcome 1.0) matches.
+    assert sweep.intervals == (Interval(3.0, 3.0),)
 
 
 def test_fixed_radius_sets():

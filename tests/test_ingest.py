@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -256,6 +257,26 @@ def test_fetch_detects_tampered_cache(tmp_path):
     (tmp_path / "cps_controls.txt").write_text("9 9 9\n")
     with pytest.raises(IntegrityError):
         fetch_dataset("cps_controls", tmp_path, opener=opener)
+
+
+def test_fetch_records_a_preseeded_file_and_checks_it_later(tmp_path):
+    (tmp_path / "nsw_treated.txt").write_bytes(b"1 2 3\n")
+    assert fetch_dataset("nsw_treated", tmp_path, offline=True) == "1 2 3\n"
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["nsw_treated"]["sha256"] == hashlib.sha256(b"1 2 3\n").hexdigest()
+    assert manifest["nsw_treated"]["url"].endswith("nswre74_treated.txt")
+    (tmp_path / "nsw_treated.txt").write_bytes(b"9 9 9\n")
+    with pytest.raises(IntegrityError):
+        fetch_dataset("nsw_treated", tmp_path, offline=True)
+
+
+def test_fetch_download_replaces_the_record_of_a_removed_file(tmp_path):
+    fetch_dataset("cps_controls", tmp_path, opener=_fake_opener(b"1 2 3\n")[0])
+    (tmp_path / "cps_controls.txt").unlink()
+    assert fetch_dataset("cps_controls", tmp_path,
+                         opener=_fake_opener(b"4 5 6\n")[0]) == "4 5 6\n"
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["cps_controls"]["sha256"] == hashlib.sha256(b"4 5 6\n").hexdigest()
 
 
 def test_fetch_unknown_source(tmp_path):

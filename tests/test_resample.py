@@ -7,8 +7,8 @@ import pytest
 
 from attdiag import errors, resample
 from attdiag.errors import AttDiagError, BootstrapError, EstimationError, ValidationError
-from attdiag.estimators import MatchSpec, att_match, naive_diff
-from attdiag.propensity import PropensityModel, TrimRule, fit_logistic, trim
+from attdiag.estimators import MatchSpec, _arm_contrast, att_match, naive_diff
+from attdiag.propensity import PropensityModel, TrimRule, fit_logistic, score_dataset, trim
 from attdiag.resample import (
     bootstrap_att,
     decile_att,
@@ -215,6 +215,19 @@ def test_decile_partition_properties():
     assert total == len(data)
     sizes = [r.n_treated + r.n_control for r in report.rows]
     assert max(sizes) - min(sizes) <= 1  # near-equal split
+
+
+def test_decile_rows_are_the_arm_contrast_of_their_units():
+    data = synthetic_observational(seed=33, n_treated=50, n_control=200)
+    model = fit_logistic(data, COVS)
+    report = decile_att(data, model, min_per_arm=1)
+    order = np.lexsort((data.unit_ids, score_dataset(model, data)))
+    kept = [row for row in report.rows if not row.dropped]
+    assert kept
+    for row in kept:
+        idx = order[np.array_split(np.arange(len(data)), 10)[row.decile - 1]]
+        treated, outcome = data.treated[idx], data.outcome[idx]
+        assert (row.att, row.se) == _arm_contrast(outcome[treated], outcome[~treated])
 
 
 def test_decile_drops_thin_arms():

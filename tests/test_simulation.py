@@ -26,6 +26,12 @@ def test_config_validation():
         SimConfig(seed=0, treat_prob=1.0)
     with pytest.raises(ValidationError):
         SimConfig(seed=0, n=0)
+    # The delta grid is checked like every sweep's grid.
+    for grid in ((2.0, 1.0, 0.0), (0.0, 0.0), (), (0.0, float("nan"))):
+        with pytest.raises(ValidationError):
+            SimConfig(seed=0, delta_grid=grid)
+    with pytest.raises(DomainError):
+        SimConfig(seed=0, delta_grid=(-1.0, 0.0))
 
 
 def test_population_ate_near_design_value():
@@ -128,6 +134,33 @@ def test_run_sweep_degenerate_radius_identifies_sign():
     result = run_sweep(SimConfig(seed=15, delta_grid=(0.0,), epsilon=0.0))
     assert result.massi == 0.0
     assert result.sets[0].width == 0.0
+
+
+def test_run_sweep_ates_are_the_arm_means():
+    # n = 30 keeps a handful of units per arm; delta 40 keeps nearly every
+    # unit with outcome 1 and half of the others.
+    for seed, n in ((1, 30), (2, 30), (3, 5000), (4, 20_000)):
+        config = SimConfig(seed=seed, n=n, delta_grid=(0.0, 0.5, 3.0, 40.0))
+        pop = generate_population(config)
+        expected = []
+        for i, delta in enumerate(config.delta_grid):
+            child_seed = int(np.random.SeedSequence(
+                entropy=seed, spawn_key=(simulation._STAGE_SELECT, i)).generate_state(1)[0])
+            selected = apply_selection(pop, delta, child_seed)
+            yt = selected.outcome[selected.treated]
+            yc = selected.outcome[~selected.treated]
+            expected.append(float(np.mean(yt) - np.mean(yc)))
+        assert run_sweep(config).observed_ates == tuple(expected)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), min_size=1, max_size=40))
+def test_freq_table_counts_each_cell(units):
+    d, y = (np.array(column, dtype=np.int8) for column in zip(*units))
+    table = simulation._freq_table(d, y)
+    assert list(table) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    for (dv, yv), share in table.items():
+        assert share == float(np.sum((d == dv) & (y == yv)) / len(d))
 
 
 def test_run_sweep_deterministic():

@@ -1,10 +1,14 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from attdiag.errors import BinningError, RestrictionError, ValidationError
 from attdiag.strata import (
     BinSpec,
     CellStatus,
+    SupportMap,
     build_support_map,
     restrict_to_overlap,
     support_share,
@@ -108,6 +112,44 @@ def test_coarse_grid_audit_hand_count():
     support_map = build_support_map(data, bins)
     assert support_map.n_cells == 4
     assert int(np.sum(support_map.treated_counts == 0)) == 2  # the two ControlOnly cells
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_status_counts_and_overlap_follow_the_cell_statuses(draw):
+    # Counts of 0..2 per arm, so empty and one-arm cells are common.
+    shape = draw.draw(st.tuples(st.integers(1, 4), st.integers(1, 3)), label="shape")
+    arm_counts = st.lists(st.integers(0, 2), min_size=shape[0] * shape[1],
+                          max_size=shape[0] * shape[1])
+    treated = np.array(draw.draw(arm_counts, label="treated")).reshape(shape)
+    control = np.array(draw.draw(arm_counts, label="control")).reshape(shape)
+    grid = tuple(BinSpec(f"x{d}", tuple(range(n + 1))) for d, n in enumerate(shape))
+    support_map = SupportMap(grid, treated, control)
+
+    yielded = Counter(status for *_, status in support_map.cells())
+    counts = support_map.status_counts()
+    assert list(counts) == list(CellStatus)
+    assert counts == {status: yielded[status] for status in CellStatus}
+    t, c = treated > 0, control > 0
+    assert [counts[s] for s in CellStatus] == [
+        np.sum(t & c), np.sum(t & ~c), np.sum(~t & c), np.sum(~t & ~c)]
+
+    # Units at the cell centres rebuild the map; the overlap keeps exactly
+    # the units of Both cells.
+    units = [(cell, flag) for cell in np.ndindex(shape)
+             for flag, arm in ((True, treated), (False, control)) for _ in range(arm[cell])]
+    cells = [cell for cell, _ in units]
+    data = make_dataset([flag for _, flag in units], np.zeros(len(units)),
+                        np.array(cells, dtype=float).reshape(-1, 2) + 0.5)
+    rebuilt = build_support_map(data, grid)
+    assert rebuilt.treated_counts.tolist() == treated.tolist()
+    assert rebuilt.control_counts.tolist() == control.tolist()
+    in_both = [i for i, cell in enumerate(cells) if t[cell] and c[cell]]
+    if in_both:
+        assert restrict_to_overlap(data, rebuilt).unit_ids.tolist() == in_both
+    else:
+        with pytest.raises(RestrictionError):
+            restrict_to_overlap(data, rebuilt)
 
 
 def test_restrict_to_overlap_keeps_both_cells_only():
