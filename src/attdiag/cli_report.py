@@ -8,14 +8,14 @@ stage took. `reproduce` runs every stage that way, emits report.json plus
 SVG renderings, and ends with a line holding each stage's timings and the
 bootstrap's failed replicates by design and error type.
 
-Each invocation resolves its inputs once. The config is parsed when the
-file is read, so a bad value fails before any stage runs. The products
-several stages share (the parsed tables, the propensity model, the grid
-config, the fine support map, the tilting problem and its sweep) are
-built on first use and kept while a later stage may read them, in a
-chained run as in a standalone one. Upstream products (the propensity model,
-table 1) are read from their artifacts; a command whose upstream artifact
-is missing fails with a dependency error naming the producing command.
+Each invocation resolves its inputs once. The config is parsed when the file
+is read, so a bad value fails before any stage runs. The products several
+stages share (the parsed tables, the propensity model and its scores, the
+grid config, the fine support map, the tilting problem and its sweep) are
+built on first use and kept while a later stage may read them, in a chained
+run as in a standalone one. Upstream products (the propensity model and
+table 1) are read from their artifacts; a command whose upstream artifact is
+missing fails with a dependency error naming the producing command.
 """
 
 from __future__ import annotations
@@ -242,6 +242,12 @@ class RunConfig:
         return PropensityModel.from_json(path.read_text())
 
     @functools.cached_property
+    def scores(self) -> np.ndarray:
+        """The model's score of each unit of the composite dataset. A subset
+        is scored on its own: a slice of these can differ in the last bits."""
+        return score_dataset(self.model, self.tables[0])
+
+    @functools.cached_property
     def grid_config(self) -> dict:
         choice = self.get("grids", "config")
         try:
@@ -417,9 +423,9 @@ def cmd_propensity(cfg: RunConfig):
         max_iter=cfg.get("propensity", "max_iter"),
     )
     (cfg.out_dir / "propensity_model.json").write_text(model.to_json())
-    scores = score_dataset(model, data)
+    scores = cfg.scores  # of the model just written; its JSON round trip is exact
     n_bins = cfg.get("propensity", "hist_bins")
-    t_counts, c_counts, edges = score_histogram(data, model, n_bins)
+    t_counts, c_counts, edges = score_histogram(data, scores, n_bins)
     rows = [["bin_low", "bin_high", "treated", "control"]]
     for i in range(n_bins):
         rows.append([edges[i], edges[i + 1], int(t_counts[i]), int(c_counts[i])])
@@ -441,18 +447,19 @@ def cmd_propensity(cfg: RunConfig):
 
 def cmd_match(cfg: RunConfig):
     data, digests, _ = cfg.tables
-    model, spec, rule = cfg.model, cfg.match_spec, cfg.trim_rule
-    full = att_match(data, model, spec)
-    overlap_est = att_match(restrict_to_overlap(data, cfg.fine_map), model, spec)
-    trimmed = trim(data, model, rule)
-    trimmed_est = att_match(trimmed, model, spec)
+    model, scores, spec, rule = cfg.model, cfg.scores, cfg.match_spec, cfg.trim_rule
+    full = att_match(data, scores, spec)
+    overlap = restrict_to_overlap(data, cfg.fine_map)
+    overlap_est = att_match(overlap, score_dataset(model, overlap), spec)
+    trimmed = trim(data, scores, rule)
+    trimmed_est = att_match(trimmed, score_dataset(model, trimmed), spec)
 
     labels = ["full_sample", "overlap_restricted",
               f"score_trimmed[{rule.low},{rule.high}]"]
     table1 = [full, overlap_est, trimmed_est]
     _write_csv(cfg.out_dir / "table1.csv", estimates_to_csv_rows(table1, labels))
 
-    designs = design_sensitivity(data, model, default_design_suite(data, model))
+    designs = design_sensitivity(data, scores, default_design_suite(scores))
     _write_csv(cfg.out_dir / "designs.csv", estimates_to_csv_rows(designs))
 
     values = {
@@ -471,7 +478,7 @@ def cmd_match(cfg: RunConfig):
     }
     return values, {"digests": digests, "treated_units": data.n_treated,
                     "controls": data.n_control,
-                    "distinct_control_scores": distinct_control_scores(data, model)}
+                    "distinct_control_scores": distinct_control_scores(data, scores)}
 
 
 def cmd_bounds(cfg: RunConfig):
@@ -552,8 +559,7 @@ def cmd_fragility(cfg: RunConfig):
 
 
 def cmd_simulate(cfg: RunConfig):
-    sim_config = cfg.sim_config
-    sweep = run_sweep(sim_config)
+    sweep = run_sweep(cfg.sim_config)
     rows = [["delta", "observed_ate", "lo", "hi"]]
     for d, ate, interval in zip(sweep.deltas, sweep.observed_ates, sweep.sets):
         rows.append([d, ate, interval.lo, interval.hi])
@@ -561,12 +567,7 @@ def cmd_simulate(cfg: RunConfig):
     _interval_chart(cfg.out_dir / "sim_sweep.svg", sweep.deltas, sweep.sets,
                     "Observed effect vs selection strength",
                     ylabel="difference in means", observed=list(sweep.observed_ates))
-    witness = nonid_witness(
-        threshold_c=cfg.get("simulation", "witness_threshold"),
-        seed=cfg.seed, n=sim_config.n,
-        type_proportions=sim_config.type_proportions,
-        treat_prob=sim_config.treat_prob,
-    )
+    witness = nonid_witness(cfg.sim_config, cfg.get("simulation", "witness_threshold"))
     witness_payload = {
         "att_ignorable": witness.att_ignorable,
         "att_threshold": witness.att_threshold,
@@ -616,7 +617,7 @@ def cmd_bootstrap(cfg: RunConfig):
 
 def cmd_deciles(cfg: RunConfig):
     data, digests, _ = cfg.tables
-    report = decile_att(data, cfg.model, min_per_arm=cfg.get("deciles", "min_per_arm"))
+    report = decile_att(data, cfg.scores, min_per_arm=cfg.get("deciles", "min_per_arm"))
     rows = [["decile", "n_treated", "n_control", "att", "se", "dropped"]]
     for row in report.rows:
         rows.append([

@@ -2,7 +2,7 @@
 and the naive difference in arm means.
 
 Matching follows the 1-nearest-neighbor-with-replacement convention on the
-logit of the propensity score unless told otherwise; ties break to the
+logit of the given propensity scores unless told otherwise; ties break to the
 lowest control unit id so every estimator is deterministic. Matching never
 holds the n_treated x n_control distance matrix: 1-NN on one coordinate
 searches the controls' sorted distinct values, 1-NN on several coordinates
@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import AttDiagError, EstimationError, NumericalError, ValidationError
 from .ingest import Dataset
-from .propensity import PropensityModel, score_dataset
+from .propensity import PropensityModel, _check_scores, score_dataset
 
 LOGIT_SCORE = "logit_score"
 MAHALANOBIS = "mahalanobis"
@@ -69,12 +69,9 @@ def _logit(p: np.ndarray) -> np.ndarray:
     return np.log(p / (1.0 - p))
 
 
-def _match_coordinates(data: Dataset, model: PropensityModel | None,
-                       metric: str) -> np.ndarray:
+def _match_coordinates(data: Dataset, scores, metric: str) -> np.ndarray:
     if metric == LOGIT_SCORE:
-        if model is None:
-            raise ValidationError("logit_score matching needs a fitted model")
-        return _logit(score_dataset(model, data)).reshape(-1, 1)
+        return _logit(_check_scores(scores, len(data))).reshape(-1, 1)
     x = data.covariates
     if x.shape[1] == 0:
         raise ValidationError("mahalanobis matching needs covariates")
@@ -182,19 +179,20 @@ def _nearest_pruned(zt: np.ndarray, zc: np.ndarray) -> tuple[np.ndarray, np.ndar
     return nearest, d_min
 
 
-def distinct_control_scores(data: Dataset, model: PropensityModel) -> int:
+def distinct_control_scores(data: Dataset, scores) -> int:
     """How many distinct control values a logit_score 1-NN match searches."""
-    z = _logit(score_dataset(model, data))
+    z = _logit(_check_scores(scores, len(data)))
     return len(_sorted_distinct(z[~data.treated])[0])
 
 
-def att_match(data: Dataset, model: PropensityModel | None, spec: MatchSpec) -> AttEstimate:
+def att_match(data: Dataset, scores, spec: MatchSpec) -> AttEstimate:
     """Nearest-neighbor matching estimate of the ATT.
 
     Each treated unit is matched to its spec.n_neighbors nearest controls
-    under the metric; with a caliper, treated units with no control inside
-    it are dropped and counted (the estimand becomes the ATT on the matched
-    subset). The SE treats matched differences as independent.
+    under the metric (logit_score reads `scores`, one per unit; mahalanobis
+    reads none, so None is accepted). With a caliper, treated units with no
+    control inside it are dropped and counted (the estimand becomes the ATT
+    on the matched subset). The SE treats matched differences as independent.
 
     No path builds the n_treated x n_control distance matrix. 1-NN with
     replacement on one coordinate (logit_score, or one covariate) searches
@@ -206,7 +204,7 @@ def att_match(data: Dataset, model: PropensityModel | None, spec: MatchSpec) -> 
     arithmetic.
     """
     data.require_both_arms("att_match")
-    coords = _match_coordinates(data, model, spec.metric)
+    coords = _match_coordinates(data, scores, spec.metric)
     t_mask = data.treated
     zt, zc = coords[t_mask], coords[~t_mask]
     yt, yc = data.outcome[t_mask], data.outcome[~t_mask]
@@ -300,18 +298,18 @@ def naive_diff(data: Dataset) -> AttEstimate:
                        design_tag="naive_diff")
 
 
-def design_sensitivity(data: Dataset, model: PropensityModel | None,
-                       designs) -> list[AttEstimate]:
+def design_sensitivity(data: Dataset, scores, designs) -> list[AttEstimate]:
     """One estimate per matching design. A design that fails with an
     AttDiagError is recorded in the output (NaN estimate, its tag naming the
-    error type); any other exception is a defect and propagates."""
+    error type); bad scores, and any other exception (a defect), propagate."""
     designs = list(designs)
     if not designs:
         raise ValidationError("designs must be non-empty")
+    scores = _check_scores(scores, len(data))
     out = []
     for spec in designs:
         try:
-            out.append(att_match(data, model, spec))
+            out.append(att_match(data, scores, spec))
         except AttDiagError as exc:
             out.append(AttEstimate(
                 tau_hat=float("nan"), se=float("nan"), n_treated_used=0,
@@ -321,10 +319,10 @@ def design_sensitivity(data: Dataset, model: PropensityModel | None,
     return out
 
 
-def default_design_suite(data: Dataset, model: PropensityModel) -> list[MatchSpec]:
+def default_design_suite(scores) -> list[MatchSpec]:
     """The three comparison designs: plain logit 1-NN, logit 1-NN with a
-    0.2-SD caliper, and Mahalanobis 1-NN."""
-    z = _logit(score_dataset(model, data))
+    caliper of 0.2 SD of the logit `scores`, and Mahalanobis 1-NN."""
+    z = _logit(_check_scores(scores))
     caliper = 0.2 * float(np.std(z, ddof=1))
     return [
         MatchSpec(metric=LOGIT_SCORE, design_tag="nn_logit"),

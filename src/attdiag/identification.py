@@ -318,17 +318,18 @@ def sweep_trimming_proxy(data: Dataset, model: PropensityModel, deltas,
     and report the matching estimate plus/minus its standard error (zero
     half-width at delta=0, the point-identified case). Width monotonicity is
     checked and recorded, not enforced; deltas whose trimmed sample is empty
-    or cannot be matched become missing points.
+    or cannot be matched become missing points. `data` is scored once.
     """
     deltas = _validate_delta_grid(deltas)
     spec = match_spec or MatchSpec()
+    scores = score_dataset(model, data)
     kept_deltas: list[float] = []
     intervals: list[Interval] = []
     missing: list[float] = []
     for delta in deltas:
         try:
-            sample = trim(data, model, default_delta_to_trim(delta))
-            est = att_match(sample, model, spec)
+            sample = trim(data, scores, default_delta_to_trim(delta))
+            est = att_match(sample, score_dataset(model, sample), spec)
         except (TrimmingError, EstimationError, ValidationError):
             missing.append(delta)
             continue

@@ -3,7 +3,8 @@
 The fit runs iteratively reweighted least squares (Newton) on an
 internally z-scored design for conditioning; reported coefficients are on
 the raw covariate scale. The ridge penalty applies to the standardized
-slopes, never the intercept, so ridge=0 is the exact MLE.
+slopes, never the intercept, so ridge=0 is the exact MLE. `trim` and
+`score_histogram` take `scores`, one per unit, as `score_dataset` returns.
 """
 
 from __future__ import annotations
@@ -198,18 +199,25 @@ def count_clamped(scores: np.ndarray) -> int:
     return int(np.sum((scores <= SCORE_CLAMP) | (scores >= 1.0 - SCORE_CLAMP)))
 
 
-def trim(data: Dataset, model: PropensityModel, rule: TrimRule) -> Dataset:
+def _check_scores(scores, n_units: int | None = None) -> np.ndarray:
+    """`scores` as a float vector, of `n_units` entries when given."""
+    shape = np.shape(scores)  # () for None
+    if len(shape) != 1 or n_units not in (None, shape[0]):
+        raise ValidationError(f"need {n_units or 'a vector of'} scores, got "
+                              f"{type(scores).__name__} of shape {shape}")
+    return np.asarray(scores, dtype=float)
+
+
+def trim(data: Dataset, scores, rule: TrimRule) -> Dataset:
     """Retain units whose score lies in [rule.low, rule.high]."""
-    scores = score_dataset(model, data)
+    scores = _check_scores(scores, len(data))
     keep = (scores >= rule.low) & (scores <= rule.high)
     if not np.any(keep):
-        raise TrimmingError(
-            f"trim rule [{rule.low}, {rule.high}] retained no units"
-        )
+        raise TrimmingError(f"trim rule [{rule.low}, {rule.high}] retained no units")
     return data.subset(keep)
 
 
-def score_histogram(data: Dataset, model: PropensityModel, n_bins: int):
+def score_histogram(data: Dataset, scores, n_bins: int):
     """Equal-width score histograms over [0, 1], one per arm.
 
     Returns (treated_counts, control_counts, edges); counts sum to the
@@ -217,7 +225,7 @@ def score_histogram(data: Dataset, model: PropensityModel, n_bins: int):
     """
     if n_bins < 1:
         raise ValidationError("n_bins must be >= 1")
-    scores = score_dataset(model, data)
+    scores = _check_scores(scores, len(data))
     edges = np.linspace(0.0, 1.0, n_bins + 1)
     treated_counts, _ = np.histogram(scores[data.treated], bins=edges)
     control_counts, _ = np.histogram(scores[~data.treated], bins=edges)

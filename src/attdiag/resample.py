@@ -3,9 +3,9 @@
 Resampling is stratified by arm so every replicate keeps both arms at
 their original sizes; each replicate draws from its own spawned RNG
 stream, making the estimates vector independent of execution order.
-`bootstrap_att` draws and (re)fits each replicate once and evaluates the
-full-sample design and, given a trim rule, the score-trimmed design on
-that one replicate and model.
+`bootstrap_att` draws, (re)fits and scores each replicate once and
+evaluates the full-sample design and, given a trim rule, the score-trimmed
+design on that one replicate, model and scoring.
 
 The replicates are spread over the CPUs this process may run on, in
 worker processes forked from the caller, so they inherit the dataset and
@@ -31,7 +31,7 @@ import numpy as np
 from .errors import AttDiagError, BootstrapError, ValidationError
 from .estimators import MatchSpec, _arm_contrast, att_match
 from .ingest import Dataset
-from .propensity import PropensityModel, TrimRule, fit_logistic, score_dataset, trim
+from .propensity import PropensityModel, TrimRule, _check_scores, fit_logistic, score_dataset, trim
 
 
 @dataclass(frozen=True)
@@ -150,14 +150,16 @@ def _run_replicates(data: Dataset, model_fit_per_replicate: bool,
                 counts["fit_iterations"] += rep_model.iterations
             else:
                 rep_model = model
+            scores = score_dataset(rep_model, replicate)
         except AttDiagError as exc:
             results.append((r, (exc,) * len(rules)))
             continue
         outcomes = []
         for rule in rules:
             try:
-                sample = trim(replicate, rep_model, rule) if rule else replicate
-                outcomes.append(att_match(sample, rep_model, estimator_spec).tau_hat)
+                sample = trim(replicate, scores, rule) if rule else replicate
+                sample_scores = score_dataset(rep_model, sample) if rule else scores
+                outcomes.append(att_match(sample, sample_scores, estimator_spec).tau_hat)
             except AttDiagError as exc:
                 outcomes.append(exc)
         results.append((r, tuple(outcomes)))
@@ -211,14 +213,14 @@ def bootstrap_att(data: Dataset, model_fit_per_replicate: bool,
 
     Each replicate is drawn once. When model_fit_per_replicate is true the
     propensity model is refit on it once (covariates required); otherwise
-    `model` scores every replicate. The full-sample estimate and, when
-    trim_rule is given, the score-trimmed estimate (trim, then match) both
-    use that one replicate and model; the trimmed design's summary is the
-    result's `trimmed`. A failed fit fails the replicate in both designs, a
-    failed trim or match only in its own. More than 20% failed replicates
-    in a design aborts, the full-sample design checked first. The
-    replicates run in forked worker processes, one per available CPU; a
-    worker that dies raises BootstrapError.
+    `model` scores every replicate. The replicate is scored once. The
+    full-sample estimate matches on those scores and, when trim_rule is
+    given, the score-trimmed estimate trims on them, then scores and matches
+    the kept units; its summary is the result's `trimmed`. A failed fit
+    fails the replicate in both designs, a failed trim or match only in its
+    own. More than 20% failed replicates in a design aborts, the full-sample
+    design checked first. The replicates run in forked worker processes, one
+    per available CPU; a worker that dies raises BootstrapError.
     """
     if b < 1:
         raise ValidationError("b must be >= 1")
@@ -261,7 +263,7 @@ def bootstrap_att(data: Dataset, model_fit_per_replicate: bool,
     return replace(full, trimmed=trimmed[0] if trimmed else None, work=work)
 
 
-def decile_att(data: Dataset, model: PropensityModel, min_per_arm: int = 5) -> DecileReport:
+def decile_att(data: Dataset, scores, min_per_arm: int = 5) -> DecileReport:
     """Arm-mean contrasts within propensity-score deciles.
 
     Units sort by (score, unit_id) and split into ten near-equal groups;
@@ -270,8 +272,7 @@ def decile_att(data: Dataset, model: PropensityModel, min_per_arm: int = 5) -> D
     dropped (att/se None) when either arm has fewer than min_per_arm units.
     Dropped deciles are data, not errors.
     """
-    scores = score_dataset(model, data)
-    order = np.lexsort((data.unit_ids, scores))
+    order = np.lexsort((data.unit_ids, _check_scores(scores, len(data))))
     groups = np.array_split(order, 10)
     rows = []
     for g, idx in enumerate(groups, start=1):

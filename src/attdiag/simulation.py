@@ -74,34 +74,28 @@ class Population:
     def __len__(self) -> int:
         return len(self.type_codes)
 
-    def true_ate(self) -> float:
-        return float(np.mean(self.y1 - self.y0))
-
-    def type_frequencies(self) -> np.ndarray:
-        return np.bincount(self.type_codes, minlength=4) / len(self)
-
 
 def _draw_population(rng_types: np.random.Generator, rng_treat: np.random.Generator,
-                     n: int, proportions, treat_prob: float) -> Population:
-    """n latent types drawn from rng_types, then n randomized treatment
-    flags from rng_treat (which may be the same stream)."""
-    codes = rng_types.choice(4, size=n, p=proportions).astype(np.int8)
+                     config: SimConfig) -> Population:
+    """config.n latent types drawn from rng_types, then config.n randomized
+    treatment flags from rng_treat (which may be the same stream)."""
+    codes = rng_types.choice(4, size=config.n, p=config.type_proportions).astype(np.int8)
     potentials = np.array([TYPE_POTENTIALS[t] for t in TYPE_NAMES], dtype=np.int8)
-    d = (rng_treat.random(n) < treat_prob).astype(np.int8)
+    d = (rng_treat.random(config.n) < config.treat_prob).astype(np.int8)
     return Population(codes, potentials[codes, 0], potentials[codes, 1], d)
 
 
 def generate_population(config: SimConfig) -> Population:
     """Draw latent types and randomized treatment; deterministic per seed."""
     return _draw_population(_stage_rng(config.seed, _STAGE_TYPES),
-                            _stage_rng(config.seed, _STAGE_TREAT),
-                            config.n, config.type_proportions, config.treat_prob)
+                            _stage_rng(config.seed, _STAGE_TREAT), config)
 
 
 def _selection_probability(delta: float) -> np.ndarray:
     """logistic(delta * y) for the observed outcomes y = 0 and y = 1, in
-    that order; indexing it by the outcomes gives each unit's probability."""
-    return 1.0 / (1.0 + np.exp(-delta * np.array([0.0, 1.0])))
+    that order; indexing it by the outcomes gives each unit's probability.
+    y = 0 gets one half at every delta, inf included (inf * 0 is NaN)."""
+    return np.array([0.5, 1.0 / (1.0 + np.exp(-delta))])
 
 
 def apply_selection(pop: Population, delta: float, seed: int) -> Dataset:
@@ -189,11 +183,10 @@ def total_variation(table_a: dict, table_b: dict) -> float:
     return 0.5 * sum(abs(table_a.get(c, 0.0) - table_b.get(c, 0.0)) for c in cells)
 
 
-def nonid_witness(threshold_c: float = 0.5, seed: int = 0, n: int = 100_000,
-                  type_proportions=(0.3, 0.2, 0.4, 0.1),
-                  treat_prob: float = 0.5) -> WitnessResult:
+def nonid_witness(config: SimConfig, threshold_c: float = 0.5) -> WitnessResult:
     """Construct two DGPs that induce the same observed (d, y) law but
-    different true ATTs.
+    different true ATTs, drawing `config.n` units per DGP with the config's
+    seed, type proportions and treatment probability.
 
     The first samples ignorably (a constant selection rate) from a
     population whose (d, y) law equals the second DGP's observed law; its
@@ -203,9 +196,7 @@ def nonid_witness(threshold_c: float = 0.5, seed: int = 0, n: int = 100_000,
     contrast while its observed law is distorted. Empirical frequency
     tables are returned as the digests.
     """
-    pa, pb, pc, pd = (float(p) for p in type_proportions)
-    if abs(pa + pb + pc + pd - 1.0) > 1e-12 or min(pa, pb, pc, pd) < 0:
-        raise ValidationError("type_proportions must be a distribution")
+    pa, pb, pc, pd = config.type_proportions
     p_y1 = pa + pc  # P(y1 = 1)
     p_y0 = pb + pc  # P(y0 = 1)
     att_threshold = pa - pb  # randomized treatment: ATT = ATE
@@ -234,8 +225,8 @@ def nonid_witness(threshold_c: float = 0.5, seed: int = 0, n: int = 100_000,
         att_ignorable = p_y1_obs - p_y0_obs
 
     # Monte Carlo draw of the threshold DGP, types then treatment from one stream.
-    rng = _stage_rng(seed, _STAGE_WITNESS, 0)
-    pop = _draw_population(rng, rng, n, (pa, pb, pc, pd), treat_prob)
+    rng = _stage_rng(config.seed, _STAGE_WITNESS, 0)
+    pop = _draw_population(rng, rng, config)
     keep = pop.y0 > threshold_c
     if not np.any(keep):
         raise WitnessError("threshold selected no units in the Monte Carlo draw")
@@ -243,11 +234,11 @@ def nonid_witness(threshold_c: float = 0.5, seed: int = 0, n: int = 100_000,
 
     # Monte Carlo draw of the ignorable DGP: population (d, y) law equals the
     # threshold DGP's observed law; selection is an independent coin.
-    rng2 = _stage_rng(seed, _STAGE_WITNESS, 1)
-    d2 = (rng2.random(n) < treat_prob).astype(np.int8)
+    rng2 = _stage_rng(config.seed, _STAGE_WITNESS, 1)
+    d2 = (rng2.random(config.n) < config.treat_prob).astype(np.int8)
     p_one = np.where(d2 == 1, p_y1_obs, p_y0_obs)
-    y2 = (rng2.random(n) < p_one).astype(np.int8)
-    keep2 = rng2.random(n) < selection_rate
+    y2 = (rng2.random(config.n) < p_one).astype(np.int8)
+    keep2 = rng2.random(config.n) < selection_rate
     if not np.any(keep2):
         raise WitnessError("ignorable selection kept no units in the Monte Carlo draw")
     digest_ignorable = _freq_table(d2[keep2], y2[keep2])

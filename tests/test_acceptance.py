@@ -61,7 +61,7 @@ def test_criterion_01_simulation_sweep():
 
 def test_criterion_02_nonidentification_witness():
     start = time.monotonic()
-    result = nonid_witness(threshold_c=0.5, seed=7, n=100_000)
+    result = nonid_witness(SimConfig(seed=7, n=100_000), threshold_c=0.5)
     elapsed = time.monotonic() - start
     assert result.tv_distance < 0.01
     gap = abs(result.att_ignorable - result.att_threshold)
@@ -142,12 +142,15 @@ def test_criterion_06_table1_reproduction(lalonde_composite):
     data = lalonde_composite
     model = fit_logistic(data, LALONDE_COVARIATES)
     spec = MatchSpec()
-    full = att_match(data, model, spec)
+    scores = score_dataset(model, data)
+    full = att_match(data, scores, spec)
 
     grid_cfg = load_grid_config()
     fine_map = build_support_map(data, bins_from_config(grid_cfg["fine"]))
-    overlap = att_match(restrict_to_overlap(data, fine_map), model, spec)
-    trimmed = att_match(trim(data, model, TrimRule(0.1, 0.9)), model, spec)
+    overlap_data = restrict_to_overlap(data, fine_map)
+    overlap = att_match(overlap_data, score_dataset(model, overlap_data), spec)
+    trimmed_data = trim(data, scores, TrimRule(0.1, 0.9))
+    trimmed = att_match(trimmed_data, score_dataset(model, trimmed_data), spec)
 
     elapsed = time.monotonic() - start
     assert full.tau_hat < 0
@@ -218,7 +221,8 @@ def test_criterion_08_support_maps(lalonde_cache, tmp_path):
 def test_criterion_09_design_sensitivity(lalonde_composite):
     data = lalonde_composite
     model = fit_logistic(data, LALONDE_COVARIATES)
-    results = design_sensitivity(data, model, default_design_suite(data, model))
+    scores = score_dataset(model, data)
+    results = design_sensitivity(data, scores, default_design_suite(scores))
     for est in results:
         assert math.isfinite(est.tau_hat), est.design_tag
         assert -2100.0 <= est.tau_hat <= -800.0, est.design_tag
@@ -295,7 +299,7 @@ def test_criterion_12_estimator_invariant_suites():
                         data.covariates, schema=data.schema)
         for fn in (lambda d: naive_diff(d),
                    lambda d: att_ipw(d, model),
-                   lambda d: att_match(d, model, MatchSpec())):
+                   lambda d: att_match(d, score_dataset(model, d), MatchSpec())):
             base, new = fn(data), fn(moved)
             assert new.tau_hat == pytest.approx(scale * base.tau_hat,
                                                 rel=1e-12, abs=1e-9)

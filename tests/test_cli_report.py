@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from attdiag import cli_report, resample
+from attdiag import cli_report, identification, resample
 from attdiag.cli_report import RunConfig, main
 from attdiag.errors import ConfigError
 from attdiag.estimators import MatchSpec
@@ -379,6 +379,33 @@ def test_reproduce_builds_shared_products_once(tmp_path, monkeypatch):
     # bounds and fragility share one problem; support and match one fine map.
     assert len(problems) == 1
     assert len(maps) == 2  # the fine map and the coarse map
+
+
+def test_reproduce_scores_each_row_set_once(tmp_path, monkeypatch):
+    b = 4
+    config = write_synthetic_config(tmp_path, b=b, sim_n=5000)
+    # One worker runs the bootstrap in this process, where the count is seen.
+    monkeypatch.setattr(resample, "_worker_count", lambda b: 1)
+    calls = []
+
+    def counting_score(model, data):
+        calls.append(len(data))
+        return score_dataset(model, data)
+
+    for module in (cli_report, identification, resample):
+        monkeypatch.setattr(module, "score_dataset", counting_score)
+    out = tmp_path / "out"
+    assert main(["reproduce", "--config", str(config), "--seed", "5",
+                 "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["bounds"]["values"]["proxy_missing_deltas"] == []
+    assert report["bootstrap"]["values"]["full"]["n_failed"] == 0
+    assert report["bootstrap"]["values"]["trimmed"]["n_failed"] == 0
+    # The full sample once, shared by propensity, match and deciles; the
+    # overlap and trimmed samples; the tilting weights; the proxy's sample
+    # and its 3 trimmed samples; each replicate and its trimmed subset.
+    # With the default config's 5 proxy deltas this is 10 + 2 * b.
+    assert len(calls) == 1 + 2 + 1 + (1 + 3) + 2 * b
 
 
 def test_every_stage_logs_its_clocks(tmp_path, capsys):

@@ -17,7 +17,7 @@ from attdiag.estimators import (
     naive_diff,
 )
 from attdiag.ingest import Dataset
-from attdiag.propensity import PropensityModel, fit_logistic
+from attdiag.propensity import PropensityModel, fit_logistic, score_dataset
 from conftest import make_dataset, synthetic_observational
 
 
@@ -97,7 +97,7 @@ def test_ipw_matches_naive_on_randomized_data():
 def test_match_identical_arms_zero_effect():
     covs = np.array([[1.0], [2.0], [1.0], [2.0]])
     data = make_dataset([True, True, False, False], [5.0, 8.0, 5.0, 8.0], covs)
-    est = att_match(data, _hand_model(0.0, [1.0]), MatchSpec())
+    est = att_match(data, score_dataset(_hand_model(0.0, [1.0]), data), MatchSpec())
     assert est.tau_hat == 0.0
     assert est.n_treated_used == 2 and est.n_dropped == 0
 
@@ -108,7 +108,7 @@ def test_match_hand_enumerated_line():
     treated = [True, True, True, False, False, False, False, False]
     ys = [10.0, 20.0, 30.0, 1.0, 2.0, 3.0, 4.0, 5.0]
     data = make_dataset(treated, ys, [[v] for v in xs])
-    est = att_match(data, _hand_model(0.0, [1.0]), MatchSpec())
+    est = att_match(data, score_dataset(_hand_model(0.0, [1.0]), data), MatchSpec())
     # nearest controls: 2->1 (y=2), 5->4 (y=3), 8->9 (y=5)
     expected = np.mean([10 - 2.0, 20 - 3.0, 30 - 5.0])
     assert est.tau_hat == pytest.approx(expected, abs=1e-9)
@@ -129,7 +129,7 @@ def test_match_caliper_drops_and_counts():
     data = make_dataset([True, True, False, False], [10.0, 99.0, 1.0, 2.0],
                         [[v] for v in xs])
     spec = MatchSpec(caliper=5.0)
-    est = att_match(data, _hand_model(0.0, [1.0]), spec)
+    est = att_match(data, score_dataset(_hand_model(0.0, [1.0]), data), spec)
     assert est.n_treated_used == 1
     assert est.n_dropped == 1
     assert est.tau_hat == pytest.approx(10.0 - 1.0)
@@ -138,8 +138,9 @@ def test_match_caliper_drops_and_counts():
 def test_match_infinite_caliper_equals_none():
     data = synthetic_observational(seed=5, n_treated=40, n_control=160)
     model = fit_logistic(data, ["age", "education", "re74", "re75"])
-    a = att_match(data, model, MatchSpec(caliper=None))
-    b = att_match(data, model, MatchSpec(caliper=math.inf))
+    scores = score_dataset(model, data)
+    a = att_match(data, scores, MatchSpec(caliper=None))
+    b = att_match(data, scores, MatchSpec(caliper=math.inf))
     assert a.tau_hat == b.tau_hat and a.se == b.se
 
 
@@ -147,7 +148,7 @@ def test_match_all_dropped_raises():
     xs = [0.0, 100.0]
     data = make_dataset([True, False], [1.0, 2.0], [[v] for v in xs])
     with pytest.raises(EstimationError):
-        att_match(data, _hand_model(0.0, [1.0]), MatchSpec(caliper=1.0))
+        att_match(data, score_dataset(_hand_model(0.0, [1.0]), data), MatchSpec(caliper=1.0))
 
 
 def test_match_without_replacement_greedy():
@@ -155,7 +156,7 @@ def test_match_without_replacement_greedy():
     xs = [0.0, 0.2, 0.1, 5.0]
     data = make_dataset([True, True, False, False], [10.0, 20.0, 1.0, 2.0],
                         [[v] for v in xs])
-    est = att_match(data, _hand_model(0.0, [1.0]),
+    est = att_match(data, score_dataset(_hand_model(0.0, [1.0]), data),
                     MatchSpec(with_replacement=False))
     # unit 0 takes control id 2 (x=0.1); unit 1 must take id 3 (x=5.0)
     assert est.tau_hat == pytest.approx(np.mean([10 - 1.0, 20 - 2.0]))
@@ -165,7 +166,7 @@ def test_match_k_neighbors_average():
     xs = [0.0, -1.0, 1.0, 10.0]
     data = make_dataset([True, False, False, False], [10.0, 2.0, 4.0, 99.0],
                         [[v] for v in xs])
-    est = att_match(data, _hand_model(0.0, [1.0]), MatchSpec(n_neighbors=2))
+    est = att_match(data, score_dataset(_hand_model(0.0, [1.0]), data), MatchSpec(n_neighbors=2))
     assert est.tau_hat == pytest.approx(10.0 - 3.0)
 
 
@@ -190,7 +191,7 @@ def test_location_scale_equivariance(shift, scale):
     for est_fn in (
         lambda d: naive_diff(d),
         lambda d: att_ipw(d, model),
-        lambda d: att_match(d, model, MatchSpec()),
+        lambda d: att_match(d, score_dataset(model, d), MatchSpec()),
     ):
         base = est_fn(data)
         moved_est = est_fn(moved)
@@ -202,24 +203,26 @@ def test_estimators_deterministic():
     data = synthetic_observational(seed=19, n_treated=35, n_control=140)
     model = fit_logistic(data, ["age", "re74", "re75"])
     spec = MatchSpec()
-    assert att_match(data, model, spec).tau_hat == att_match(data, model, spec).tau_hat
+    scores = score_dataset(model, data)
+    assert att_match(data, scores, spec).tau_hat == att_match(data, scores, spec).tau_hat
     assert att_ipw(data, model).tau_hat == att_ipw(data, model).tau_hat
 
 
 def test_design_sensitivity_composition_and_failure_capture():
     data = synthetic_observational(seed=23, n_treated=30, n_control=120)
     model = fit_logistic(data, ["age", "education", "re74", "re75"])
-    single = design_sensitivity(data, model, [MatchSpec()])
-    assert single[0].tau_hat == att_match(data, model, MatchSpec()).tau_hat
+    scores = score_dataset(model, data)
+    single = design_sensitivity(data, scores, [MatchSpec()])
+    assert single[0].tau_hat == att_match(data, scores, MatchSpec()).tau_hat
 
     impossible = MatchSpec(caliper=1e-12, design_tag="strict")
-    results = design_sensitivity(data, model, [MatchSpec(), impossible])
+    results = design_sensitivity(data, scores, [MatchSpec(), impossible])
     assert np.isfinite(results[0].tau_hat)
     assert math.isnan(results[1].tau_hat)
     assert results[1].design_tag == "strict|failed:EstimationError"
 
     with pytest.raises(ValidationError):
-        design_sensitivity(data, model, [])
+        design_sensitivity(data, scores, [])
 
 
 def test_design_sensitivity_lets_a_defect_propagate(monkeypatch):
@@ -231,17 +234,18 @@ def test_design_sensitivity_lets_a_defect_propagate(monkeypatch):
 
     monkeypatch.setattr(estimators, "att_match", broken)
     with pytest.raises(RuntimeError, match="a defect"):
-        design_sensitivity(data, model, [MatchSpec()])
+        design_sensitivity(data, score_dataset(model, data), [MatchSpec()])
 
 
 def test_default_design_suite_runs():
     data = synthetic_observational(seed=29, n_treated=40, n_control=160)
     model = fit_logistic(data, ["age", "education", "re74", "re75"])
-    designs = default_design_suite(data, model)
+    scores = score_dataset(model, data)
+    designs = default_design_suite(scores)
     assert [d.design_tag for d in designs] == [
         "nn_logit", "nn_logit_caliper", "nn_mahalanobis"
     ]
-    results = design_sensitivity(data, model, designs)
+    results = design_sensitivity(data, scores, designs)
     assert len(results) == 3
 
 
@@ -253,12 +257,12 @@ def test_estimates_csv_rows():
     assert rows[1][1] == 1.0
 
 
-def _dense_att_match(data, model, spec):
+def _dense_att_match(data, scores, spec):
     """Reference matcher: the full n_treated x n_control distance matrix,
     its row argmin for 1-NN with replacement, and the greedy scan of
     argsorted rows otherwise."""
     data.require_both_arms("att_match")
-    coords = estimators._match_coordinates(data, model, spec.metric)
+    coords = estimators._match_coordinates(data, scores, spec.metric)
     t_mask = data.treated
     zt, zc = coords[t_mask], coords[~t_mask]
     yt, yc = data.outcome[t_mask], data.outcome[~t_mask]
@@ -303,14 +307,14 @@ def _dense_att_match(data, model, spec):
     return tau, se, n_used, n_t - n_used
 
 
-def _assert_equals_dense(data, model, spec):
+def _assert_equals_dense(data, scores, spec):
     try:
-        expected = _dense_att_match(data, model, spec)
+        expected = _dense_att_match(data, scores, spec)
     except AttDiagError as exc:
         with pytest.raises(type(exc)):
-            att_match(data, model, spec)
+            att_match(data, scores, spec)
         return
-    est = att_match(data, model, spec)
+    est = att_match(data, scores, spec)
     assert (est.tau_hat, est.se, est.n_treated_used, est.n_dropped) == expected
 
 
@@ -348,11 +352,11 @@ def test_logit_match_equals_dense_oracle(data, pick, caliper_kind, drawn):
     elif caliper_kind == "attained":
         # A caliper equal to one treated-control distance: that pair sits
         # exactly on the boundary, which keeps it.
-        z = estimators._match_coordinates(data, _LINE_MODEL, "logit_score")[:, 0]
+        z = estimators._logit(score_dataset(_LINE_MODEL, data))
         zt, zc = z[data.treated], z[~data.treated]
         gap = float(np.sqrt((zt[pick % len(zt)] - zc[pick % len(zc)]) ** 2))
         caliper = gap if gap > 0 else None
-    _assert_equals_dense(data, _LINE_MODEL, MatchSpec(caliper=caliper))
+    _assert_equals_dense(data, score_dataset(_LINE_MODEL, data), MatchSpec(caliper=caliper))
 
 
 @pytest.mark.parametrize("xs,treated", [
@@ -363,7 +367,7 @@ def test_logit_match_equals_dense_oracle(data, pick, caliper_kind, drawn):
 def test_logit_match_edge_cases_equal_dense_oracle(xs, treated):
     data = make_dataset(treated, np.arange(len(xs), dtype=float) ** 2,
                         [[v] for v in xs])
-    _assert_equals_dense(data, _LINE_MODEL, MatchSpec())
+    _assert_equals_dense(data, score_dataset(_LINE_MODEL, data), MatchSpec())
 
 
 def test_logit_match_rounding_tie_takes_lowest_id():
@@ -372,11 +376,11 @@ def test_logit_match_rounding_tie_takes_lowest_id():
     # score.
     data = make_dataset([True, False, False, False], [10.0, 1.0, 2.0, 3.0],
                         [[20.0], [0.0], [4.5e-16], [9e-16]])
-    z = estimators._match_coordinates(data, _LINE_MODEL, "logit_score")[:, 0]
+    z = estimators._logit(score_dataset(_LINE_MODEL, data))
     assert len(set(z[1:])) == 3
     assert len(set(np.sqrt((z[0] - z[1:]) ** 2))) == 1
-    assert att_match(data, _LINE_MODEL, MatchSpec()).tau_hat == 10.0 - 1.0
-    _assert_equals_dense(data, _LINE_MODEL, MatchSpec())
+    assert att_match(data, score_dataset(_LINE_MODEL, data), MatchSpec()).tau_hat == 10.0 - 1.0
+    _assert_equals_dense(data, score_dataset(_LINE_MODEL, data), MatchSpec())
 
 
 # Initial search windows. The drawn pools of up to 15 controls fall below,
@@ -487,11 +491,11 @@ def test_mahalanobis_mirrored_tie_takes_lowest_id():
 def test_greedy_match_equals_dense_oracle(spec):
     data = synthetic_observational(seed=31, n_treated=30, n_control=120)
     model = fit_logistic(data, ["age", "education", "re74", "re75"])
-    _assert_equals_dense(data, model, spec)
+    _assert_equals_dense(data, score_dataset(model, data), spec)
     ties = make_dataset([True, True, True, False, False, False, False, False],
                         [5.0, 6.0, 7.0, 1.0, 2.0, 3.0, 4.0, 8.0],
                         [[1.0], [1.0], [0.0], [1.0], [0.0], [2.0], [1.0], [0.0]])
-    _assert_equals_dense(ties, _LINE_MODEL, spec)
+    _assert_equals_dense(ties, score_dataset(_LINE_MODEL, ties), spec)
 
 
 def test_mahalanobis_match_memory_stays_bounded():

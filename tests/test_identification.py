@@ -29,7 +29,7 @@ from attdiag.identification import (
     sweep_tilting,
     sweep_trimming_proxy,
 )
-from attdiag.propensity import PropensityModel, TrimRule, fit_logistic
+from attdiag.propensity import PropensityModel, TrimRule, fit_logistic, score_dataset
 from conftest import make_dataset, synthetic_observational
 
 
@@ -359,14 +359,15 @@ def test_sweep_trimming_proxy_hand_rules():
 
     sweep = sweep_trimming_proxy(data, model, (0.0, 1.0))
     # delta=0: full sample, zero half-width
-    full = att_match(data, model, MatchSpec())
+    scores = score_dataset(model, data)
+    full = att_match(data, scores, MatchSpec())
     assert sweep.intervals[0].lo == pytest.approx(full.tau_hat)
     assert sweep.intervals[0].width == 0.0
     # delta=1: trimmed to [0.1, 0.9], half-width = matching SE there
     from attdiag.propensity import trim
 
-    trimmed = trim(data, model, TrimRule(0.1, 0.9))
-    est = att_match(trimmed, model, MatchSpec())
+    trimmed = trim(data, scores, TrimRule(0.1, 0.9))
+    est = att_match(trimmed, score_dataset(model, trimmed), MatchSpec())
     assert sweep.intervals[1].lo == pytest.approx(est.tau_hat - est.se)
     assert sweep.intervals[1].hi == pytest.approx(est.tau_hat + est.se)
     assert sweep.method_tag == "trimming_proxy"
@@ -383,6 +384,27 @@ def test_sweep_trimming_proxy_records_missing_points():
     assert sweep.deltas == (0.0,)
     # Equal scores tie every control; the lowest id (outcome 1.0) matches.
     assert sweep.intervals == (Interval(3.0, 3.0),)
+
+
+def test_sweep_trimming_proxy_scores_data_once_and_each_kept_sample_once(monkeypatch):
+    calls = []
+    real_score = identification.score_dataset
+
+    def counting_score(model, data):
+        calls.append(len(data))
+        return real_score(model, data)
+
+    monkeypatch.setattr(identification, "score_dataset", counting_score)
+    # The data of the missing-points case: only delta 0's trim keeps units.
+    data = make_dataset([True, True, False, False, False], [3.0, 5.0, 1.0, 2.0, 4.0])
+    sweep_trimming_proxy(data, _hand_model(-4.955, [0.0]), (0.0, 1.0, 2.0))
+    assert calls == [5, 5]
+    calls.clear()
+    data = synthetic_observational(seed=53, n_treated=60, n_control=240)
+    model = fit_logistic(data, ["age", "education", "re74", "re75"])
+    sweep = sweep_trimming_proxy(data, model, (0.0, 0.5, 1.0, 1.5))
+    assert not sweep.missing_deltas
+    assert len(calls) == 1 + 4 and calls[:2] == [300, 300]
 
 
 def test_fixed_radius_sets():

@@ -9,6 +9,13 @@ from attdiag.errors import (
     TrimmingError,
     ValidationError,
 )
+from attdiag.estimators import (
+    MatchSpec,
+    att_match,
+    default_design_suite,
+    design_sensitivity,
+    distinct_control_scores,
+)
 from attdiag.propensity import (
     PropensityModel,
     TrimRule,
@@ -18,6 +25,7 @@ from attdiag.propensity import (
     score_histogram,
     trim,
 )
+from attdiag.resample import decile_att
 from conftest import make_dataset, synthetic_observational
 
 
@@ -136,6 +144,30 @@ def test_score_clamping_counted():
     assert count_clamped(scores) == 2
 
 
+def test_score_consumers_reject_missing_or_wrong_length_scores():
+    data = synthetic_observational(seed=6, n_treated=20, n_control=60)
+    scores = score_dataset(fit_logistic(data, ["age", "re75"]), data)
+    consumers = [
+        lambda s: trim(data, s, TrimRule(0.0, 1.0)),
+        lambda s: score_histogram(data, s, 4),
+        lambda s: att_match(data, s, MatchSpec()),
+        lambda s: design_sensitivity(data, s, [MatchSpec(metric="mahalanobis")]),
+        lambda s: distinct_control_scores(data, s),
+        lambda s: decile_att(data, s),
+        default_design_suite,  # has no data to count the scores against
+    ]
+    for consume in consumers:
+        consume(scores)
+        bad = [None, scores.reshape(-1, 1)]
+        if consume is not default_design_suite:
+            bad += [scores[:-1], np.append(scores, 0.5)]
+        for bad_scores in bad:
+            with pytest.raises(ValidationError, match="scores"):
+                consume(bad_scores)
+    # A mahalanobis match reads no scores.
+    assert np.isfinite(att_match(data, None, MatchSpec(metric="mahalanobis")).tau_hat)
+
+
 def test_trim_rule_validation():
     with pytest.raises(ValidationError):
         TrimRule(0.9, 0.1)
@@ -146,7 +178,7 @@ def test_trim_rule_validation():
 def test_trim_full_rule_is_identity():
     data = synthetic_observational(seed=6, n_treated=40, n_control=120)
     model = fit_logistic(data, ["age", "re75"])
-    kept = trim(data, model, TrimRule(0.0, 1.0))
+    kept = trim(data, score_dataset(model, data), TrimRule(0.0, 1.0))
     assert len(kept) == len(data)
 
 
@@ -155,24 +187,24 @@ def test_trim_hand_scores():
     model = _hand_model(0.0, [1.0])
     xs = [math.log(0.05 / 0.95), 0.0, math.log(0.95 / 0.05)]
     data = make_dataset([True, False, True], np.zeros(3), [[v] for v in xs])
-    kept = trim(data, model, TrimRule(0.1, 0.9))
+    kept = trim(data, score_dataset(model, data), TrimRule(0.1, 0.9))
     assert kept.unit_ids.tolist() == [1]
     with pytest.raises(TrimmingError):
-        trim(data, model, TrimRule(0.40, 0.45))
+        trim(data, score_dataset(model, data), TrimRule(0.40, 0.45))
 
 
 def test_trim_widening_is_monotone():
     data = synthetic_observational(seed=8, n_treated=50, n_control=150)
     model = fit_logistic(data, ["age", "education", "re74", "re75"])
-    narrow = trim(data, model, TrimRule(0.2, 0.8))
-    wide = trim(data, model, TrimRule(0.1, 0.9))
+    narrow = trim(data, score_dataset(model, data), TrimRule(0.2, 0.8))
+    wide = trim(data, score_dataset(model, data), TrimRule(0.1, 0.9))
     assert set(narrow.unit_ids.tolist()) <= set(wide.unit_ids.tolist())
 
 
 def test_histogram_single_bin_equals_arm_sizes():
     data = synthetic_observational(seed=10, n_treated=30, n_control=90)
     model = fit_logistic(data, ["age", "re75"])
-    t_counts, c_counts, edges = score_histogram(data, model, 1)
+    t_counts, c_counts, edges = score_histogram(data, score_dataset(model, data), 1)
     assert t_counts.tolist() == [30]
     assert c_counts.tolist() == [90]
     assert edges.tolist() == [0.0, 1.0]
@@ -182,7 +214,7 @@ def test_histogram_hand_placement():
     model = _hand_model(0.0, [1.0])
     xs = [math.log(0.05 / 0.95), 0.0, math.log(0.95 / 0.05)]
     data = make_dataset([True, False, True], np.zeros(3), [[v] for v in xs])
-    t_counts, c_counts, _ = score_histogram(data, model, 10)
+    t_counts, c_counts, _ = score_histogram(data, score_dataset(model, data), 10)
     assert t_counts.tolist() == [1, 0, 0, 0, 0, 0, 0, 0, 0, 1]
     assert c_counts.tolist() == [0, 0, 0, 0, 0, 1, 0, 0, 0, 0]
 
@@ -190,7 +222,7 @@ def test_histogram_hand_placement():
 def test_histogram_counts_sum_to_arm_sizes():
     data = synthetic_observational(seed=12, n_treated=45, n_control=135)
     model = fit_logistic(data, ["age", "education", "re75"])
-    t_counts, c_counts, _ = score_histogram(data, model, 17)
+    t_counts, c_counts, _ = score_histogram(data, score_dataset(model, data), 17)
     assert t_counts.sum() == 45 and c_counts.sum() == 135
 
 

@@ -62,7 +62,7 @@ def test_bootstrap_b1_equals_single_replicate_estimate():
         stratified_indices(_replicate_rng(7, 0), data.treated)
     )
     model = fit_logistic(replicate, COVS)
-    direct = att_match(replicate, model, MatchSpec())
+    direct = att_match(replicate, score_dataset(model, replicate), MatchSpec())
     assert summary.estimates == (direct.tau_hat,)
     assert summary.mean == direct.tau_hat
     assert summary.sd == 0.0
@@ -127,6 +127,26 @@ def test_bootstrap_trim_inside_replicate():
     assert summary.trimmed.trimmed is None
 
 
+@pytest.mark.parametrize("rule,per_replicate", [(None, 1), (TrimRule(0.05, 0.95), 2)])
+def test_bootstrap_scores_each_replicate_once(monkeypatch, rule, per_replicate):
+    # One worker runs the replicates in this process, where the count is seen.
+    monkeypatch.setattr(resample, "_worker_count", lambda b: 1)
+    calls = []
+
+    def counting_score(model, data):
+        calls.append(len(data))
+        return score_dataset(model, data)
+
+    monkeypatch.setattr(resample, "score_dataset", counting_score)
+    data = synthetic_observational(seed=27, n_treated=40, n_control=160)
+    summary = bootstrap_att(data, True, MatchSpec(), 10, seed=29,
+                            covariates=COVS, trim_rule=rule)
+    assert summary.n_failed == 0 and (rule is None or summary.trimmed.n_failed == 0)
+    # The replicate once for both designs, plus its trimmed subset.
+    assert len(calls) == per_replicate * 10
+    assert calls.count(200) == 10
+
+
 def test_bootstrap_designs_equal_direct_per_replicate_estimates():
     data = synthetic_observational(seed=37, n_treated=40, n_control=160)
     rule = TrimRule(0.05, 0.95)
@@ -138,9 +158,11 @@ def test_bootstrap_designs_equal_direct_per_replicate_estimates():
             stratified_indices(_replicate_rng(39, r), data.treated)
         )
         model = fit_logistic(replicate, COVS)
-        full.append(att_match(replicate, model, MatchSpec()).tau_hat)
-        trimmed.append(att_match(trim(replicate, model, rule), model,
-                                 MatchSpec()).tau_hat)
+        scores = score_dataset(model, replicate)
+        full.append(att_match(replicate, scores, MatchSpec()).tau_hat)
+        # The trimmed subset is rescored, not sliced from `scores`.
+        kept = trim(replicate, scores, rule)
+        trimmed.append(att_match(kept, score_dataset(model, kept), MatchSpec()).tau_hat)
     assert summary.estimates == tuple(full)
     assert summary.trimmed.estimates == tuple(trimmed)
     assert summary.n_failed == summary.trimmed.n_failed == 0
@@ -184,7 +206,8 @@ def test_bootstrap_summaries_carry_replicate_indices():
             stratified_indices(_replicate_rng(47, r), data.treated))
         model = fit_logistic(replicate, COVS)
         try:
-            estimate = att_match(trim(replicate, model, rule), model, MatchSpec()).tau_hat
+            sample = trim(replicate, score_dataset(model, replicate), rule)
+            estimate = att_match(sample, score_dataset(model, sample), MatchSpec()).tau_hat
         except AttDiagError:
             assert r not in kept
         else:
@@ -199,7 +222,7 @@ def test_decile_uniform_scores_balanced_data():
     x = rng.normal(size=(n, 1))  # independent of treatment: flat scores
     data = make_dataset(treated, outcome, x)
     model = fit_logistic(data, ["x0"])
-    report = decile_att(data, model, min_per_arm=5)
+    report = decile_att(data, score_dataset(model, data), min_per_arm=5)
     assert len(report.rows) == 10
     assert not any(r.dropped for r in report.rows)
     overall = naive_diff(data).tau_hat
@@ -210,7 +233,7 @@ def test_decile_uniform_scores_balanced_data():
 def test_decile_partition_properties():
     data = synthetic_observational(seed=33, n_treated=50, n_control=200)
     model = fit_logistic(data, COVS)
-    report = decile_att(data, model)
+    report = decile_att(data, score_dataset(model, data))
     total = sum(r.n_treated + r.n_control for r in report.rows)
     assert total == len(data)
     sizes = [r.n_treated + r.n_control for r in report.rows]
@@ -220,8 +243,9 @@ def test_decile_partition_properties():
 def test_decile_rows_are_the_arm_contrast_of_their_units():
     data = synthetic_observational(seed=33, n_treated=50, n_control=200)
     model = fit_logistic(data, COVS)
-    report = decile_att(data, model, min_per_arm=1)
-    order = np.lexsort((data.unit_ids, score_dataset(model, data)))
+    scores = score_dataset(model, data)
+    report = decile_att(data, scores, min_per_arm=1)
+    order = np.lexsort((data.unit_ids, scores))
     kept = [row for row in report.rows if not row.dropped]
     assert kept
     for row in kept:
@@ -236,7 +260,7 @@ def test_decile_drops_thin_arms():
     treated = xs > 0
     data = make_dataset(treated, np.zeros(20), [[v] for v in xs])
     model = _hand_model(0.0, [5.0])
-    report = decile_att(data, model, min_per_arm=1)
+    report = decile_att(data, score_dataset(model, data), min_per_arm=1)
     assert report.rows[0].dropped  # control-only decile
     assert report.rows[-1].dropped  # treated-only decile
     assert report.rows[0].att is None
@@ -252,7 +276,7 @@ def test_decile_constant_effect_recovered():
     outcome = x[:, 0] + rng.normal(scale=0.5, size=n) + treated * effect
     data = make_dataset(treated, outcome, x)
     model = fit_logistic(data, ["x0"])
-    report = decile_att(data, model, min_per_arm=5)
+    report = decile_att(data, score_dataset(model, data), min_per_arm=5)
     for row in report.rows:
         if not row.dropped:
             assert row.att == pytest.approx(effect, abs=3 * row.se)

@@ -36,13 +36,13 @@ def test_config_validation():
 
 def test_population_ate_near_design_value():
     pop = generate_population(SimConfig(seed=1))
-    assert abs(pop.true_ate() - 0.1) < 0.005
+    assert abs(float(np.mean(pop.y1 - pop.y0)) - 0.1) < 0.005
 
 
 def test_population_degenerate_mixture():
     pop = generate_population(SimConfig(seed=2, n=500,
                                         type_proportions=(1.0, 0.0, 0.0, 0.0)))
-    assert pop.true_ate() == 1.0
+    assert float(np.mean(pop.y1 - pop.y0)) == 1.0
     assert np.all(pop.type_codes == TYPE_NAMES.index("A"))
     assert np.all(pop.y1 == 1) and np.all(pop.y0 == 0)
 
@@ -58,7 +58,7 @@ def test_population_deterministic_per_seed():
 
 def test_type_frequencies_converge():
     pop = generate_population(SimConfig(seed=5))
-    freq = pop.type_frequencies()
+    freq = np.bincount(pop.type_codes, minlength=4) / len(pop)
     assert np.max(np.abs(freq - np.array([0.3, 0.2, 0.4, 0.1]))) < 0.01
 
 
@@ -163,6 +163,16 @@ def test_freq_table_counts_each_cell(units):
         assert share == float(np.sum((d == dv) & (y == yv)) / len(d))
 
 
+def test_run_sweep_at_infinite_delta_is_the_limit():
+    # exp(-800) underflows to 0, so delta 800 selects exactly as the limit
+    # does; both grids give the second delta the same child stream.
+    # A NaN selection probability at inf would warn, which fails the test.
+    at_inf = run_sweep(SimConfig(seed=1, n=2000, delta_grid=(0.0, math.inf)))
+    at_800 = run_sweep(SimConfig(seed=1, n=2000, delta_grid=(0.0, 800.0)))
+    assert at_inf.observed_ates == at_800.observed_ates
+    assert at_inf.observed_ates[1] != 0.0
+
+
 def test_run_sweep_deterministic():
     a = run_sweep(SimConfig(seed=16, n=20_000))
     b = run_sweep(SimConfig(seed=16, n=20_000))
@@ -170,7 +180,7 @@ def test_run_sweep_deterministic():
 
 
 def test_witness_default_separates_atts_with_matching_law():
-    result = nonid_witness(seed=17)
+    result = nonid_witness(SimConfig(seed=17))
     assert result.tv_distance < 0.01
     assert abs(result.att_ignorable - result.att_threshold) > 0.1
     assert result.att_threshold == pytest.approx(0.1, abs=1e-12)
@@ -181,25 +191,25 @@ def test_witness_default_separates_atts_with_matching_law():
 
 
 def test_witness_vacuous_threshold_collapses():
-    result = nonid_witness(threshold_c=-1.0, seed=18)
+    result = nonid_witness(SimConfig(seed=18), threshold_c=-1.0)
     assert result.att_ignorable == result.att_threshold
     assert result.selection_rate == 1.0
     assert result.tv_distance < 0.02
 
 
 def test_witness_reproducible_digests():
-    a = nonid_witness(seed=19, n=20_000)
-    b = nonid_witness(seed=19, n=20_000)
+    a = nonid_witness(SimConfig(seed=19, n=20_000))
+    b = nonid_witness(SimConfig(seed=19, n=20_000))
     assert a.digest_threshold == b.digest_threshold
     assert a.digest_ignorable == b.digest_ignorable
 
 
 def test_witness_degenerate_threshold_errors():
     with pytest.raises(WitnessError):
-        nonid_witness(threshold_c=1.0, seed=20)
+        nonid_witness(SimConfig(seed=20), threshold_c=1.0)
     with pytest.raises(WitnessError):
-        nonid_witness(threshold_c=0.5, seed=21,
-                      type_proportions=(0.5, 0.0, 0.0, 0.5))  # P(y0=1)=0
+        nonid_witness(SimConfig(seed=21, type_proportions=(0.5, 0.0, 0.0, 0.5)),
+                      threshold_c=0.5)  # P(y0=1)=0
 
 
 def test_total_variation():
@@ -216,5 +226,5 @@ def test_selection_ignorability_error_shrinks_over_seeds():
         selected = apply_selection(pop, 0.0, seed=seed + 1000)
         yt = selected.outcome[selected.treated]
         yc = selected.outcome[~selected.treated]
-        errors.append(abs(float(yt.mean() - yc.mean()) - pop.true_ate()))
+        errors.append(abs(float(yt.mean() - yc.mean()) - float(np.mean(pop.y1 - pop.y0))))
     assert max(errors) < 0.01
