@@ -324,6 +324,16 @@ def _run_stage(stage: str, command, cfg: RunConfig):
     return values, fields, clock
 
 
+def _tilting_work(cfg: RunConfig, before: dict | None = None) -> dict:
+    """The shared tilting problem's work counters, as log fields named
+    tilt_<attribute>: zero before the problem is built, and net of `before`
+    when given, so that a stage logs the work done since it started."""
+    problem = vars(cfg).get("tilting", (None,))[0]
+    work = {f"tilt_{name}": getattr(problem, name, 0)
+            for name in ("split_points_evaluated", "full_scans")}
+    return {key: n - before[key] for key, n in work.items()} if before else work
+
+
 def _write_csv(path: Path, rows) -> None:
     """Rows as CSV, floats as their repr; CSV quotes a cell holding a comma."""
     with path.open("w", newline="") as out:
@@ -483,6 +493,7 @@ def cmd_match(cfg: RunConfig):
 
 def cmd_bounds(cfg: RunConfig):
     data, digests, _ = cfg.tables
+    tilt_before = _tilting_work(cfg)
     problem, tilting = cfg.tilting
     _write_csv(cfg.out_dir / "sweep_tilting.csv", sweep_to_csv_rows(tilting))
     _interval_chart(cfg.out_dir / "sweep_tilting.svg", tilting.deltas, tilting.intervals,
@@ -507,7 +518,8 @@ def cmd_bounds(cfg: RunConfig):
                             "missing_deltas": list(proxy.missing_deltas),
                             "width_violations": list(proxy.width_violations)}}))
     return values, {"digests": digests,
-                    "distinct_control_outcomes": problem.distinct_outcomes}
+                    "distinct_control_outcomes": problem.distinct_outcomes,
+                    **_tilting_work(cfg, tilt_before)}
 
 
 def cmd_fragility(cfg: RunConfig):
@@ -519,6 +531,7 @@ def cmd_fragility(cfg: RunConfig):
     tau_hat = float(full_sample["att_estimate"])
     se = float(full_sample["standard_error"])
 
+    tilt_before = _tilting_work(cfg)
     problem, tilting = cfg.tilting
     bisection_evals = 0
 
@@ -549,13 +562,14 @@ def cmd_fragility(cfg: RunConfig):
         "bias_curve": [{"delta": d, "lo": iv.lo, "hi": iv.hi} for d, iv in zip(deltas, curve)],
     }
     (cfg.out_dir / "fragility.json").write_text(_dump_json(payload))
+    tilt_work = _tilting_work(cfg, tilt_before)
     # No later stage reads the tilting problem. Kept alive past the
     # bootstrap's allocations, its arrays raised the peak RSS of a
     # 30,000-control reproduce by about 4 MB.
     del cfg.tilting
     return payload, {"digests": cfg.tables[1],
                      "distinct_control_outcomes": problem.distinct_outcomes,
-                     "bisection_evals": bisection_evals}
+                     "bisection_evals": bisection_evals, **tilt_work}
 
 
 def cmd_simulate(cfg: RunConfig):

@@ -266,9 +266,11 @@ def att_ipw(data: Dataset, model: PropensityModel) -> AttEstimate:
     data.require_both_arms("att_ipw")
     scores = score_dataset(model, data)
     t_mask = data.treated
+    controls = ~t_mask
     yt = data.outcome[t_mask]
-    yc = data.outcome[~t_mask]
-    w = scores[~t_mask] / (1.0 - scores[~t_mask])
+    yc = data.outcome[controls]
+    control_scores = scores[controls]
+    w = control_scores / (1.0 - control_scores)
     w_sum = float(np.sum(w))
     if not np.isfinite(w_sum) or w_sum <= 0:
         raise EstimationError("degenerate IPW weights (sum ~ 0 or non-finite)")
@@ -321,8 +323,13 @@ def design_sensitivity(data: Dataset, scores, designs) -> list[AttEstimate]:
 
 def default_design_suite(scores) -> list[MatchSpec]:
     """The three comparison designs: plain logit 1-NN, logit 1-NN with a
-    caliper of 0.2 SD of the logit `scores`, and Mahalanobis 1-NN."""
+    caliper of 0.2 SD of the logit `scores`, and Mahalanobis 1-NN. The SD
+    needs at least two scores."""
     z = _logit(_check_scores(scores))
+    if z.size < 2:
+        raise ValidationError(
+            f"default_design_suite needs at least 2 scores for the caliper's SD, "
+            f"got a sample of {z.size}")
     caliper = 0.2 * float(np.std(z, ddof=1))
     return [
         MatchSpec(metric=LOGIT_SCORE, design_tag="nn_logit"),

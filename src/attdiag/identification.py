@@ -12,11 +12,16 @@ Maximizing or minimizing mu0 over the box is a linear-fractional program
 whose optimum sits at a box vertex, and the optimal vertex is a threshold
 rule in the outcome: tilt the top (or bottom) of the sorted outcomes.
 The sort, the tie-collapse and the prefix sums depend on the controls
-only, not on delta, so `TiltingProblem` builds them once and each delta is
-one exact O(n) scan of all split points over them: a sweep or a fragility
-bisection sorts the controls once. `curvature_bounds` is the one-delta
-form. A brute-force vertex enumeration is kept alongside as an
-independent oracle.
+only, not on delta, so `TiltingProblem` builds them once: a sweep or a
+fragility bisection sorts the controls once. Per delta it evaluates the
+split points' ratios only in a window around the optimal threshold, which a
+Dinkelbach iteration locates, and widens the window until a rounding
+certificate proves that no split point outside it computes a more extreme
+value. The bounds are therefore the floats a scan of every split point
+would return, at the cost of the window; where nothing narrower can be
+certified (delta 0, for one) the window grows into that full scan.
+`curvature_bounds` is the one-delta form. A brute-force vertex enumeration
+is kept alongside as an independent oracle.
 """
 
 from __future__ import annotations
@@ -42,6 +47,13 @@ from .propensity import PropensityModel, TrimRule, score_dataset, trim
 # exp cap: beyond this the tilted extremes equal the support limits to
 # machine precision, and exp would overflow around 709.
 _MAX_EXP = 500.0
+# Unit roundoff and subnormal spacing of float64, for the rounding bound.
+_U = 2.0 ** -53
+_ETA = 2.0 ** -1074
+# Dinkelbach steps allowed when centring a window, and the window's first
+# half-width in split points; both affect speed only.
+_CENTRE_STEPS = 32
+_FIRST_HALF_WIDTH = 16
 
 TILTING = "tilting"
 TRIMMING_PROXY = "trimming_proxy"
@@ -159,9 +171,12 @@ class TiltingProblem:
     """The tilting bounds of one control sample, for any delta.
 
     The constructor validates the inputs, sorts the control outcomes,
-    collapses ties and takes prefix sums once; `interval(delta)` is then
-    one O(n) scan over those sums, so a sweep or a bisection over delta
-    sorts once in total.
+    collapses ties and takes prefix sums once; `interval(delta)` then
+    evaluates those sums at a certified window of split points around the
+    optimal threshold, so a sweep or a bisection over delta sorts once in
+    total. `split_points_evaluated` counts the split points `interval` has
+    evaluated (both sides, every window tried) and `full_scans` the sides
+    whose window had to grow to every split point.
     """
 
     def __init__(self, control_outcomes, base_weights, treated_mean: float):
@@ -169,7 +184,8 @@ class TiltingProblem:
         # The bounds are scale-invariant. Scaling by the power of two that puts
         # the largest weight in [0.5, 1) is exact for normal-range weights, so
         # their bounds stay bit-identical, while e^delta times the sums can no
-        # longer overflow and subnormal weights keep their digits.
+        # longer overflow and subnormal weights keep their digits. It also
+        # makes the weight total, and so every denominator, at least 0.5.
         w = np.ldexp(w, -np.frexp(w.max())[1])
         # Collapse equal outcomes (weights add): splitting a tied block across
         # the threshold adds only redundant vertices, and deduping keeps tied
@@ -184,28 +200,132 @@ class TiltingProblem:
         prefix_w = np.concatenate([[0.0], np.cumsum(ws)])
         prefix_wy = np.concatenate([[0.0], np.cumsum(wy)])
         self._prefix_w, self._prefix_wy = prefix_w, prefix_wy
-        self._suffix_w = prefix_w[-1] - prefix_w
-        self._suffix_wy = prefix_wy[-1] - prefix_wy
+        suffix_w, suffix_wy = prefix_w[-1] - prefix_w, prefix_wy[-1] - prefix_wy
+        m = ys.size
+        # Each side as (untilted sums, tilted sums, first and last split
+        # point, sign that turns its extreme into a maximum). Raising mu0
+        # tilts the suffix [k:], k = 1..m: k=m is the exact untilted vertex,
+        # and the skipped k=0 (everything tilted) equals it mathematically
+        # because a constant tilt cancels in the ratio; skipping it keeps the
+        # computed bounds exactly nested across delta. Lowering mu0 tilts the
+        # prefix [:k], k = 0..m-1, where k=0 is the untilted vertex.
+        self._sides = ((prefix_w, prefix_wy, suffix_w, suffix_wy, 1, m, 1.0),
+                       (suffix_w, suffix_wy, prefix_w, prefix_wy, 0, m - 1, -1.0))
+        self._ys = ys
+        self._untilted_mean = float(prefix_wy[-1] / prefix_w[-1])
+        self._y_max = float(max(-ys[0], ys[-1]))
+        self._total_w = float(prefix_w[-1])
         self.treated_mean = treated_mean
-        self.distinct_outcomes = ys.size
+        self.distinct_outcomes = m
+        self.split_points_evaluated = 0
+        self.full_scans = 0
 
     def interval(self, delta: float) -> Interval:
-        """Exact ATT bounds under tilt factors in [1, e^delta]."""
+        """Exact ATT bounds under tilt factors in [1, e^delta].
+
+        The bounds are the largest and smallest of the ratios
+        (untilted sum of w*y + e^delta * tilted sum of w*y) /
+        (untilted sum of w + e^delta * tilted sum of w) over the split
+        points, bit for bit as a scan of every split point computes them,
+        though only a window of them is evaluated. Why the window suffices:
+
+        Let R(k) be split point k's ratio in exact arithmetic on the same
+        inputs, and fl(k) the float computed. Raising mu0, untilting entry
+        j = k-1 changes the ratio by
+            R(k) - R(k-1) = (e^delta - 1) w_j (R(k) - y_j) / D(k-1),
+        with D(k-1) > 0 the denominator. So R rises while y_j < R(k), and
+        once it stops rising the sorted y_j stay at or above R: R is
+        non-decreasing up to its maximum and non-increasing after it. (The
+        lower side mirrors this; its ratios are negated so both sides seek
+        a maximum.) Let E >= |fl(k) - R(k)| at every split point
+        (`_rounding_bound`). If a window [a, b] computes the maximum M and
+        fl(a) < M - 2E, then R(a) <= fl(a) + E < M - E, which is at most R
+        at the window's argmax; so a lies where R is still rising, and each
+        k < a has fl(k) <= R(k) + E <= R(a) + E <= fl(a) + 2E < M. The
+        same holds to the right of b, and an edge at the first or last
+        split point needs no check. The test is made as fl(M - fl(a)) > 2E
+        with E inflated enough to absorb that subtraction's rounding.
+
+        The window starts at the threshold of a Dinkelbach iteration (the
+        vertex optimal for ratio mu tilts the outcomes beyond mu: jump to
+        that split point, re-evaluate mu, stop when the split point
+        repeats) and its width grows fourfold until both edges pass or it
+        spans every split point, which is the full scan. The centre affects
+        speed only. A window spanning everything is taken as it stands:
+        at delta 0 every R(k) is equal, so nothing narrower passes, and a
+        non-finite bound (very large delta, sums near overflow) fails every
+        check.
+        """
         _check_delta(delta)
         e_delta = math.exp(min(delta, _MAX_EXP))
-        # Tilt the suffix [k:] to raise mu0, k = 1..n: k=n is the exact
-        # untilted vertex, and the skipped k=0 (everything tilted) equals it
-        # mathematically because a constant tilt cancels in the ratio;
-        # skipping it keeps the computed bounds exactly nested across delta.
-        num_hi = self._prefix_wy[1:] + e_delta * self._suffix_wy[1:]
-        den_hi = self._prefix_w[1:] + e_delta * self._suffix_w[1:]
-        mu_max = float(np.max(num_hi / den_hi))
-        # Tilt the prefix [:k] to lower mu0, k = 0..n-1; k=0 is the untilted
-        # vertex.
-        num_lo = e_delta * self._prefix_wy[:-1] + self._suffix_wy[:-1]
-        den_lo = e_delta * self._prefix_w[:-1] + self._suffix_w[:-1]
-        mu_min = float(np.min(num_lo / den_lo))
+        gap = 2.0 * self._rounding_bound(e_delta)
+        mu_max, mu_min = (self._extreme(side, e_delta, gap) for side in self._sides)
         return Interval(self.treated_mean - mu_max, self.treated_mean - mu_min)
+
+    def _rounding_bound(self, e_delta: float) -> float:
+        """E >= |fl(k) - R(k)| at every split point k (see `interval`), or
+        inf where no useful bound is proven.
+
+        With u = 2^-53, eta = 2^-1074 the subnormal spacing, m split
+        points, g = (m + 2) u, Y = max |y| and W the weight total, assume
+        (1 + e^delta) g <= 0.05. Every denominator is at least W, and W is
+        at least 0.5 after the scaling in the constructor. Then:
+          - a prefix sum of w is within 1.03 g W of the exact one (any
+            summation order: gamma_{m-1} times the sum of |terms|), and a
+            prefix sum of the rounded products w*y within 1.03 g W Y + m eta
+            of the exact products' sum (each product adds u|wy| + eta/2);
+          - a suffix, total minus prefix, is within 2.6 g W Y + 3 m eta;
+          - a numerator, prefix + fl(e^delta * suffix), is within
+            3.8 (1 + e^delta) g W Y + 3 ((1 + e^delta) m + 1) eta, and a
+            denominator within 3.8 (1 + e^delta) g W + eta, so a computed
+            denominator is at least 0.75 W;
+          - the quotient of the computed terms is then within
+            (err_num + Y err_den) / (0.75 W) of R, as |R| <= Y, and the
+            division adds at most u (1.1 Y) + eta/2.
+        The total is below 11 (1 + e^delta) g Y + (8 (1 + e^delta) m + 3 Y + 9)
+        eta. The bound returned, 16 (1 + e^delta) g Y
+        + 8 ((1 + e^delta)(m + 2) + Y + 1) eta, exceeds that by enough to
+        absorb its own rounding and the certificate's. Where the assumption
+        fails, or (1 + e^delta) W Y comes near overflow, it is inf.
+        """
+        m, y_max = self.distinct_outcomes, self._y_max
+        g = (m + 2) * _U
+        tilt = 1.0 + e_delta
+        if tilt * g > 0.05 or not math.isfinite(2.0 * tilt * self._total_w * y_max):
+            return math.inf
+        return 16.0 * tilt * g * y_max + 8.0 * (tilt * (m + 2) + y_max + 1.0) * _ETA
+
+    def _extreme(self, side, e_delta: float, gap: float) -> float:
+        """One side's bound: the largest of `sign` times its ratios, times
+        `sign`, from the first window whose edges clear `gap` (see
+        `interval`)."""
+        base_w, base_wy, tilt_w, tilt_wy, first, last, sign = side
+
+        def ratio(at):  # at a split point or a slice of them; the full scan's expressions
+            return (base_wy[at] + e_delta * tilt_wy[at]) / (base_w[at] + e_delta * tilt_w[at])
+
+        k, mu = None, self._untilted_mean
+        for _ in range(_CENTRE_STEPS):
+            k_next = min(max(int(self._ys.searchsorted(mu)), first), last)
+            if k_next == k:
+                break
+            k = k_next
+            mu = ratio(k)
+        half = _FIRST_HALF_WIDTH
+        while True:
+            a, b = max(first, k - half), min(last, k + half)
+            if 2 * (b - a) >= last - first:  # past half of them: take them all
+                a, b = first, last
+            values = sign * ratio(slice(a, b + 1))
+            self.split_points_evaluated += values.size
+            best = values.max()
+            if a == first and b == last:
+                self.full_scans += 1
+                return sign * float(best)
+            if ((a == first or best - values[0] > gap)
+                    and (b == last or best - values[-1] > gap)):
+                return sign * float(best)
+            half *= 4
 
     def sweep(self, deltas) -> CurvatureSweep:
         """Identified sets along an ascending delta grid. Nesting across the
@@ -288,7 +408,8 @@ def control_tilt_inputs(data: Dataset, model: PropensityModel):
     data.require_both_arms("tilting sweep")
     scores = score_dataset(model, data)
     controls = ~data.treated
-    w = scores[controls] / (1.0 - scores[controls])
+    control_scores = scores[controls]
+    w = control_scores / (1.0 - control_scores)
     y = data.outcome[controls]
     treated_mean = float(np.mean(data.outcome[data.treated]))
     return y, w, treated_mean

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from attdiag import cli_report, identification, resample
+from attdiag import cli_report, decision, identification, resample
 from attdiag.cli_report import RunConfig, main
 from attdiag.errors import ConfigError
 from attdiag.estimators import MatchSpec
@@ -143,6 +143,41 @@ def test_fragility_sorts_controls_once(tmp_path, monkeypatch):
     # The value the per-delta path (one sort per bisection step) gives.
     assert payload["fragility_delta"] == 2.02618408203125
     assert sorted_sizes == [700]
+
+
+def test_tilting_stages_log_their_work(tmp_path, monkeypatch, capsys):
+    # The grid of test_fragility_sorts_controls_once, so fragility bisects.
+    config = write_synthetic_config(tmp_path, b=4, sim_n=5000, data_seed=3)
+    config.write_text(config.read_text().replace("tilt_deltas = 0 0.1 0.5 1.0",
+                                                 "tilt_deltas = 0 0.5 1 2 3 4 6"))
+    built = []
+    real_problem = cli_report.TiltingProblem
+
+    def recording_problem(*args):
+        built.append(args)
+        return real_problem(*args)
+
+    monkeypatch.setattr(cli_report, "TiltingProblem", recording_problem)
+    capsys.readouterr()
+    assert main(["reproduce", "--config", str(config), "--seed", "5",
+                 "--out", str(tmp_path / "out")]) == 0
+    records = {r["stage"]: r for r in _log_lines(capsys.readouterr().out)}
+    bounds, fragility = records["bounds"], records["fragility"]
+    # Replayed on the same controls, the sweep's work is what the bounds line
+    # logs, and the bisection's what the fragility line logs.
+    [args] = built
+    replay = real_problem(*args)
+    sweep = replay.sweep([0, 0.5, 1, 2, 3, 4, 6])
+    assert bounds["tilt_split_points_evaluated"] == replay.split_points_evaluated
+    assert bounds["tilt_full_scans"] == replay.full_scans >= 2  # delta 0, both sides
+    sweep_work = replay.split_points_evaluated, replay.full_scans
+    decision.fragility_index(sweep, interval_at=replay.interval)
+    assert fragility["bisection_evals"] > 0
+    assert fragility["tilt_split_points_evaluated"] == (
+        replay.split_points_evaluated - sweep_work[0]) > 0
+    assert fragility["tilt_full_scans"] == replay.full_scans - sweep_work[1]
+    report = (tmp_path / "out" / "report.json").read_text()
+    assert "split_points" not in report and "full_scans" not in report
 
 
 def test_simulate_writes_five_row_sweep(tmp_path):

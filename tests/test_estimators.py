@@ -237,6 +237,13 @@ def test_design_sensitivity_lets_a_defect_propagate(monkeypatch):
         design_sensitivity(data, score_dataset(model, data), [MatchSpec()])
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_default_design_suite_needs_two_scores(n):
+    # The caliper's SD has n - 1 degrees of freedom.
+    with pytest.raises(ValidationError, match=f"at least 2 scores.*sample of {n}"):
+        default_design_suite(np.full(n, 0.5))
+
+
 def test_default_design_suite_runs():
     data = synthetic_observational(seed=29, n_treated=40, n_control=160)
     model = fit_logistic(data, ["age", "education", "re74", "re75"])

@@ -248,6 +248,94 @@ def test_sweep_tilting_sorts_controls_once(monkeypatch):
     assert len(calls) == 1
 
 
+def _full_scan(problem, delta):
+    """The bounds from every split point, by the expressions of the scan that
+    `TiltingProblem.interval` replaces, over the problem's own prefix sums."""
+    e = math.exp(min(delta, identification._MAX_EXP))
+    pw, pwy = problem._prefix_w, problem._prefix_wy
+    sw, swy = pw[-1] - pw, pwy[-1] - pwy
+    mu_max = float(np.max((pwy[1:] + e * swy[1:]) / (pw[1:] + e * sw[1:])))
+    mu_min = float(np.min((e * pwy[:-1] + swy[:-1]) / (e * pw[:-1] + sw[:-1])))
+    return problem.treated_mean - mu_max, problem.treated_mean - mu_min
+
+
+@st.composite
+def _tilt_samples(draw):
+    """(outcomes, weights, delta) of up to 1,500 controls, drawn from a seed.
+
+    Outcomes are continuous of both signs, a few tied values with a zero mass
+    point, one value, or a plateau: a lightly weighted block of consecutive
+    floats on one side of the upper bound's optimum, between a block in
+    [0, 1] and a lighter one in [1000, 1001]. The ratio is then flat across
+    the plateau but for rounding noise, which the outcomes' spread makes
+    larger than an ulp of the optimum, so on the plateau's side only the
+    certificate's check of that edge keeps the window growing. Weights are
+    lognormal, partly subnormal, or near 1e300.
+    """
+    delta = draw(st.one_of(st.sampled_from([0.0, 1e-12, 40.0, math.inf]),
+                           st.floats(0.0, 5.0)))
+    kind = draw(st.sampled_from(["continuous", "ties", "single", "plateau"]))
+    n = draw(st.integers(300, 1500) if kind == "plateau" else st.integers(1, 1500))
+    scale = draw(st.sampled_from(["lognormal", "subnormal", "huge"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    below, above = n // 3, n - n // 3  # the plateau's entries
+    w = rng.lognormal(0.0, 1.0, n)
+    if kind == "plateau":
+        w[below:above] *= 1e-3
+        w[above:] *= 1e-2
+    if scale == "subnormal":
+        w[rng.random(n) < 0.5] = rng.choice([5e-324, 1e-310, 2.5e-308])
+    elif scale == "huge":
+        w *= 1e299
+    if kind == "continuous":
+        y = rng.normal(0.0, 1e3, n)
+    elif kind == "ties":
+        y = rng.choice([-2.5, 0.0, 0.0, 0.0, 1.0, 7.0], n)
+    elif kind == "single":
+        y = np.full(n, rng.normal())
+    else:
+        y = np.concatenate([rng.uniform(0.0, 1.0, below), np.zeros(above - below),
+                            rng.uniform(1000.0, 1001.0, n - above)])
+        # The upper bound's optimum over the outer blocks: every entry above
+        # it tilted.
+        e = math.exp(min(delta, identification._MAX_EXP))
+        unit = w / w.max()
+        optimum = ((unit[:below] @ y[:below] + e * (unit[above:] @ y[above:]))
+                   / (unit[:below].sum() + e * unit[above:].sum()))
+        side = draw(st.sampled_from([-1.0, 1.0]))
+        y[below:above] = optimum + side * np.arange(1, above - below + 1) * np.spacing(optimum)
+    return y, w, delta
+
+
+@settings(max_examples=600, deadline=None)
+@given(sample=_tilt_samples(), treated_mean=st.floats(-1e4, 1e4))
+def test_windowed_interval_equals_full_scan_exactly(sample, treated_mean):
+    y, w, delta = sample
+    problem = TiltingProblem(y, w, treated_mean)
+    interval = problem.interval(delta)
+    assert (interval.lo, interval.hi) == _full_scan(problem, delta)
+
+
+def test_interval_evaluates_a_window_except_at_delta_zero():
+    rng = np.random.default_rng(17)
+    n = 100_000
+    problem = TiltingProblem(rng.lognormal(9.0, 1.0, n), rng.lognormal(0.0, 1.0, n), 0.0)
+    m = problem.distinct_outcomes
+    assert m == n  # continuous outcomes: no ties
+    for delta in (0.05, 0.5, 3.0):
+        before = problem.split_points_evaluated
+        problem.interval(delta)
+        # Both sides together, so each side evaluates fewer still.
+        assert problem.split_points_evaluated - before < m / 50
+    assert problem.full_scans == 0
+    before = problem.split_points_evaluated
+    problem.interval(0.0)
+    # Every exact ratio is equal at delta 0, so no window narrower than all
+    # split points can be certified, on either side.
+    assert problem.full_scans == 2
+    assert problem.split_points_evaluated - before >= 2 * m
+
+
 @pytest.mark.parametrize("scale", [2.0 ** 990, 2.0 ** -1060], ids=["2^990", "2^-1060"])
 def test_tilt_bounds_exact_at_extreme_weight_scales(scale):
     # Integer weights stay exact when scaled into the ~1e298 or the
