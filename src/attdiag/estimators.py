@@ -72,7 +72,8 @@ def _logit(p: np.ndarray) -> np.ndarray:
 def _match_coordinates(data: Dataset, scores, metric: str) -> np.ndarray:
     if metric == LOGIT_SCORE:
         return _logit(_check_scores(scores, len(data))).reshape(-1, 1)
-    x = data.covariates
+    # Row-major, as np.cov's sums depend on the layout it reads.
+    x = np.ascontiguousarray(data.covariates)
     if x.shape[1] == 0:
         raise ValidationError("mahalanobis matching needs covariates")
     cov = np.cov(x, rowvar=False, ddof=1).reshape(x.shape[1], x.shape[1])

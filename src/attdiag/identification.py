@@ -251,8 +251,9 @@ class TiltingProblem:
         that split point, re-evaluate mu, stop when the split point
         repeats) and its width grows fourfold until both edges pass or it
         spans every split point, which is the full scan. The centre affects
-        speed only. A window spanning everything is taken as it stands:
-        at delta 0 every R(k) is equal, so nothing narrower passes, and a
+        speed only. A window spanning everything is taken as it stands.
+        Where nothing narrower can pass, the full scan comes first, with no
+        centring: at e^delta = 1 (delta 0) every R(k) is equal, and a
         non-finite bound (very large delta, sums near overflow) fails every
         check.
         """
@@ -304,14 +305,18 @@ class TiltingProblem:
         def ratio(at):  # at a split point or a slice of them; the full scan's expressions
             return (base_wy[at] + e_delta * tilt_wy[at]) / (base_w[at] + e_delta * tilt_w[at])
 
-        k, mu = None, self._untilted_mean
-        for _ in range(_CENTRE_STEPS):
-            k_next = min(max(int(self._ys.searchsorted(mu)), first), last)
-            if k_next == k:
-                break
-            k = k_next
-            mu = ratio(k)
-        half = _FIRST_HALF_WIDTH
+        # Where no window narrower than all split points can pass, the first
+        # window is all of them.
+        k, half = first, last - first
+        if e_delta != 1.0 and gap < math.inf:
+            k, mu = None, self._untilted_mean
+            for _ in range(_CENTRE_STEPS):
+                k_next = min(max(int(self._ys.searchsorted(mu)), first), last)
+                if k_next == k:
+                    break
+                k = k_next
+                mu = ratio(k)
+            half = _FIRST_HALF_WIDTH
         while True:
             a, b = max(first, k - half), min(last, k + half)
             if 2 * (b - a) >= last - first:  # past half of them: take them all

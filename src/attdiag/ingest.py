@@ -97,8 +97,11 @@ class Dataset:
     """Column-array container for observed units.
 
     Treatment flags, outcomes, covariates, and unit ids live in numpy
-    arrays, one entry per unit. `schema` is None for synthetic
-    covariate-free datasets (e.g. simulation output).
+    arrays, one entry per unit. `covariates` is stored column-major
+    (Fortran order), one contiguous column per covariate, so the model fit
+    and scoring read it as it stands; it aliases the array passed in when
+    that is already a float column-major matrix. `schema` is None for
+    synthetic covariate-free datasets (e.g. simulation output).
     """
 
     __slots__ = ("treated", "outcome", "covariates", "unit_ids", "schema")
@@ -110,7 +113,7 @@ class Dataset:
         n = treated.shape[0]
         if covariates is None:
             covariates = np.empty((n, 0))
-        covariates = np.asarray(covariates, dtype=float)
+        covariates = np.asfortranarray(covariates, dtype=float)
         if covariates.ndim != 2 or covariates.shape[0] != n or outcome.shape != (n,):
             raise ValidationError("treated, outcome, covariates shapes disagree")
         if unit_ids is None:
@@ -164,14 +167,20 @@ class Dataset:
             ) from None
 
     def covariate_matrix(self, names: Sequence[str]) -> np.ndarray:
+        """The named covariate columns as a column-major n x len(names)
+        matrix. When `names` are all the columns in order this is the
+        `covariates` storage itself, not a copy: read it, never write it.
+        Any other selection is a new matrix."""
         idx = [self.covariate_index(name) for name in names]
+        if idx == list(range(self.covariates.shape[1])):
+            return self.covariates
         return self.covariates[:, idx]
 
     def subset(self, mask_or_indices) -> "Dataset":
         """Row subset keeping original unit_ids."""
         idx = np.asarray(mask_or_indices)
         return Dataset(
-            self.treated[idx], self.outcome[idx], self.covariates[idx],
+            self.treated[idx], self.outcome[idx], _take_rows(self.covariates, idx),
             unit_ids=self.unit_ids[idx], schema=self.schema,
         )
 
@@ -179,7 +188,7 @@ class Dataset:
         """Row selection (duplicates allowed) with unit_ids renumbered 0..m-1."""
         idx = np.asarray(indices, dtype=int)
         return Dataset(
-            self.treated[idx], self.outcome[idx], self.covariates[idx],
+            self.treated[idx], self.outcome[idx], _take_rows(self.covariates, idx),
             unit_ids=np.arange(len(idx)), schema=self.schema,
         )
 
@@ -189,6 +198,18 @@ class Dataset:
                 f"{context} requires at least one treated and one control unit "
                 f"(got {self.n_treated} treated, {self.n_control} control)"
             )
+
+
+def _take_rows(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Rows of the column-major matrix x (a boolean mask or indices) as a
+    new column-major matrix, gathered one contiguous column at a time: a
+    row gather would read strided memory and return row-major data."""
+    if rows.dtype == bool:
+        rows = np.flatnonzero(rows)
+    out = np.empty((rows.size, x.shape[1]), order="F")
+    for j in range(x.shape[1]):
+        np.take(x[:, j], rows, out=out[:, j])
+    return out
 
 
 def parse_table(text: str, schema: SchemaSpec) -> Dataset:
@@ -223,7 +244,7 @@ def parse_table(text: str, schema: SchemaSpec) -> Dataset:
     return Dataset(
         rows[:, t_pos] == 1.0,
         np.ascontiguousarray(rows[:, y_pos]),
-        np.ascontiguousarray(rows[:, x_pos]),
+        rows[:, x_pos],  # a column-major copy, which Dataset keeps as it is
         schema=schema,
     )
 
@@ -263,12 +284,11 @@ def merge(treated_source: Dataset, control_source: Dataset) -> Dataset:
     if treated_source.schema != control_source.schema:
         raise MergeError("schemas differ; cannot merge")
     m1, m2 = treated_source.treated, ~control_source.treated
-    width = treated_source.covariates.shape[1]
     return Dataset(
         np.concatenate([treated_source.treated[m1], control_source.treated[m2]]),
         np.concatenate([treated_source.outcome[m1], control_source.outcome[m2]]),
-        np.concatenate([treated_source.covariates[m1].reshape(-1, width),
-                        control_source.covariates[m2].reshape(-1, width)]),
+        np.concatenate([_take_rows(treated_source.covariates, m1),
+                        _take_rows(control_source.covariates, m2)]),
         schema=treated_source.schema,
     )
 

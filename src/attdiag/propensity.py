@@ -92,7 +92,13 @@ class TrimRule:
 
 
 def _sigmoid(eta: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(eta, -30.0, 30.0)))
+    """1 / (1 + exp(-clip(eta, -30, 30))), computed in place: `eta` is
+    overwritten and returned."""
+    np.clip(eta, -30.0, 30.0, out=eta)
+    np.negative(eta, out=eta)
+    np.exp(eta, out=eta)
+    eta += 1.0
+    return np.divide(1.0, eta, out=eta)
 
 
 def fit_logistic(data: Dataset, covariates, ridge: float = 1e-8,
@@ -128,7 +134,13 @@ def fit_logistic(data: Dataset, covariates, ridge: float = 1e-8,
         raise NumericalError(
             f"covariate {covariates[j]!r} is constant; normal equations are rank-deficient"
         )
-    design = np.column_stack([np.ones(n), (x_raw - mu) / sd])
+    # The matrix products' sums depend on the layout, so the design keeps
+    # the one it has always had: column-major, or row-major when x_raw is
+    # row-major too (a single column).
+    design = np.empty((n, p + 1), order="C" if x_raw.flags.c_contiguous else "F")
+    design[:, 0] = 1.0
+    np.subtract(x_raw, mu, out=design[:, 1:])
+    design[:, 1:] /= sd
 
     beta = np.zeros(p + 1)
     converged = False
@@ -190,8 +202,9 @@ def fit_logistic(data: Dataset, covariates, ridge: float = 1e-8,
 def score_dataset(model: PropensityModel, data: Dataset) -> np.ndarray:
     """Vectorized scores for every unit, clamped inside (0, 1)."""
     x = data.covariate_matrix(model.covariate_columns)
-    eta = model.coefficients[0] + x @ model.coefficients[1:]
-    return np.clip(_sigmoid(eta), SCORE_CLAMP, 1.0 - SCORE_CLAMP)
+    eta = x @ model.coefficients[1:]
+    eta += model.coefficients[0]
+    return np.clip(_sigmoid(eta), SCORE_CLAMP, 1.0 - SCORE_CLAMP, out=eta)
 
 
 def count_clamped(scores: np.ndarray) -> int:

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from attdiag import estimators
 from attdiag.errors import (
     ConvergenceError,
     NumericalError,
@@ -10,13 +12,16 @@ from attdiag.errors import (
     ValidationError,
 )
 from attdiag.estimators import (
+    MAHALANOBIS,
     MatchSpec,
     att_match,
     default_design_suite,
     design_sensitivity,
     distinct_control_scores,
 )
+from attdiag.ingest import Dataset
 from attdiag.propensity import (
+    SCORE_CLAMP,
     PropensityModel,
     TrimRule,
     count_clamped,
@@ -233,3 +238,125 @@ def test_model_json_round_trip():
     assert np.array_equal(restored.coefficients, model.coefficients)
     assert restored.covariate_columns == model.covariate_columns
     assert restored.converged == model.converged
+
+
+# Results must not depend on how the covariates lie in memory. The oracles
+# below compute the fit, the scores and the Mahalanobis coordinates with
+# plain expressions on a row-major matrix x (a gathered copy for the fit and
+# the scores, `column_stack` for the design), and every number must equal
+# theirs bit for bit.
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def _oracle_fit(x, treated, ridge=1e-8, tol=1e-8, max_iter=100):
+    x_raw = x[:, list(range(x.shape[1]))]
+    y = treated.astype(float)
+    n, p = x_raw.shape
+    mu, sd = x_raw.mean(axis=0), x_raw.std(axis=0)
+    design = np.column_stack([np.ones(n), (x_raw - mu) / sd])
+    beta = np.zeros(p + 1)
+    for step in range(max_iter + 1):
+        prob = 1.0 / (1.0 + np.exp(-np.clip(design @ beta, -30.0, 30.0)))
+        grad = design.T @ (y - prob)
+        grad[1:] -= ridge * beta[1:]
+        if float(np.max(np.abs(grad))) <= tol or step == max_iter:
+            break
+        weight = prob * (1.0 - prob)
+        hessian = design.T @ (design * weight[:, None])
+        hessian[1:, 1:] += ridge * np.eye(p)
+        beta += np.linalg.solve(hessian, grad)
+    intercept = beta[0] - float(np.dot(beta[1:], mu / sd))
+    return np.concatenate([[intercept], beta[1:] / sd])
+
+
+def _oracle_scores(coefficients, x):
+    eta = coefficients[0] + x[:, list(range(x.shape[1]))] @ coefficients[1:]
+    return np.clip(1.0 / (1.0 + np.exp(-np.clip(eta, -30.0, 30.0))),
+                   SCORE_CLAMP, 1.0 - SCORE_CLAMP)
+
+
+def _oracle_whitened(x):
+    p = x.shape[1]
+    chol = np.linalg.cholesky(np.cov(x, rowvar=False, ddof=1).reshape(p, p))
+    return np.linalg.solve(chol, x.T).T
+
+
+def _oracle_match(z, treated, outcome):
+    """1-NN with replacement from the full distance matrix (first minimum,
+    so the lowest control id), as (tau_hat, se)."""
+    zt, zc = z[treated], z[~treated]
+    nearest = np.argmin(np.sqrt(((zt[:, None, :] - zc[None, :, :]) ** 2).sum(axis=2)),
+                        axis=1)
+    diffs = outcome[treated] - outcome[~treated][nearest]
+    se = float(np.std(diffs, ddof=1) / np.sqrt(len(diffs))) if len(diffs) > 1 else 0.0
+    return float(np.mean(diffs)), se
+
+
+def _fittable(x, treated) -> bool:
+    return 0 < treated.sum() < len(treated) and bool(np.all(x.std(axis=0) > 0))
+
+
+def _assert_matches_row_major_oracle(data, x, treated, outcome):
+    """`data` holds rows x (row-major), `treated` and `outcome`."""
+    assert data.covariates.flags.f_contiguous
+    assert np.shares_memory(data.covariate_matrix(data.covariate_columns), data.covariates)
+    model = fit_logistic(data, data.covariate_columns)
+    coefficients = _oracle_fit(x, treated)
+    assert np.array_equal(_bits(model.coefficients), _bits(coefficients))
+    scores = score_dataset(model, data)
+    oracle_scores = _oracle_scores(coefficients, x)
+    assert np.array_equal(_bits(scores), _bits(oracle_scores))
+    logit = att_match(data, scores, MatchSpec())
+    oracle_logit = _oracle_match(np.log(oracle_scores / (1.0 - oracle_scores))[:, None],
+                                 treated, outcome)
+    assert np.array_equal(_bits([logit.tau_hat, logit.se]), _bits(oracle_logit))
+    try:
+        whitened = _oracle_whitened(x)
+    except np.linalg.LinAlgError:
+        with pytest.raises(NumericalError):
+            att_match(data, None, MatchSpec(metric=MAHALANOBIS))
+        return
+    assert np.array_equal(
+        _bits(estimators._match_coordinates(data, None, MAHALANOBIS)), _bits(whitened))
+    mahalanobis = att_match(data, None, MatchSpec(metric=MAHALANOBIS))
+    assert np.array_equal(_bits([mahalanobis.tau_hat, mahalanobis.se]),
+                          _bits(_oracle_match(whitened, treated, outcome)))
+
+
+_COLUMN_KINDS = ("integer", "normal", "earnings", "binary")
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(12, 300), kinds=st.lists(st.sampled_from(_COLUMN_KINDS),
+                                              min_size=1, max_size=6),
+       share=st.floats(0.1, 0.6), seed=st.integers(0, 2**32 - 1))
+def test_results_do_not_depend_on_the_covariate_layout(n, kinds, share, seed):
+    rng = np.random.default_rng(seed)
+    draw = {
+        "integer": lambda: rng.integers(16, 56, n).astype(float),
+        "normal": lambda: rng.normal(rng.normal(0.0, 10.0), rng.lognormal(0.0, 2.0), n),
+        "earnings": lambda: np.where(rng.random(n) < 0.4, 0.0,
+                                     np.round(rng.gamma(2.0, 5000.0, n), 2)),
+        "binary": lambda: (rng.random(n) < 0.3).astype(float),
+    }
+    x = np.column_stack([draw[kind]() for kind in kinds])
+    treated = rng.random(n) < share + 0.3 * (x[:, 0] > np.median(x[:, 0]))
+    outcome = np.round(rng.normal(5000.0, 3000.0, n), 2)
+    assume(_fittable(x, treated))
+    p = x.shape[1]
+    strided = np.zeros((2 * n, 2 * p))[::2, ::2]
+    strided[...] = x
+    for covariates in (x, np.asfortranarray(x), strided):
+        data = Dataset(treated, outcome, covariates)
+        _assert_matches_row_major_oracle(data, x, treated, outcome)
+    # Row selections gather the column-major storage into new column-major
+    # storage; they must give what the same rows of x give.
+    mask = rng.random(n) < 0.7
+    draws = rng.integers(0, n, n)
+    for rows, selected in ((mask, data.subset(mask)),
+                           (draws, data.take_with_fresh_ids(draws))):
+        if _fittable(x[rows], treated[rows]):
+            _assert_matches_row_major_oracle(selected, x[rows], treated[rows],
+                                             outcome[rows])
