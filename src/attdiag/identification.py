@@ -11,11 +11,14 @@ counterfactual control mean ranges over tilted weighted means
 Maximizing or minimizing mu0 over the box is a linear-fractional program
 whose optimum sits at a box vertex, and the optimal vertex is a threshold
 rule in the outcome: tilt the top (or bottom) of the sorted outcomes.
-The sort, the tie-collapse and the prefix sums depend on the controls
-only, not on delta, so `TiltingProblem` builds them once: a sweep or a
-fragility bisection sorts the controls once. Per delta it evaluates the
-split points' ratios only in a window around the optimal threshold, which a
-Dinkelbach iteration locates, and widens the window until a rounding
+The tie-collapse and the prefix sums depend on the controls only, not on
+delta, so `TiltingProblem` builds them once for a whole sweep or
+fragility bisection. The sort happens once per `Dataset`:
+`control_tilt_inputs` returns the controls in the Dataset's cached
+outcome order, and a `TiltingProblem` given ordered outcomes collapses
+ties in one pass; only unordered input is sorted. Per delta it evaluates
+the split points' ratios only in a window around the optimal threshold,
+which a Dinkelbach iteration locates, and widens the window until a rounding
 certificate proves that no split point outside it computes a more extreme
 value. The bounds are therefore the floats a scan of every split point
 would return, at the cost of the window; where nothing narrower can be
@@ -149,9 +152,9 @@ def _check_delta(delta) -> None:
         raise DomainError(f"delta must be >= 0, got {delta}")
 
 
-def _check_tilt_inputs(control_outcomes, base_weights, delta=None):
-    """Validated float arrays (outcomes, weights); `delta` is checked too
-    when given."""
+def _check_tilt_inputs(control_outcomes, base_weights, treated_mean, delta=None):
+    """Validated float arrays (outcomes, weights), with `treated_mean`
+    checked finite; `delta` is checked too when given."""
     y = np.asarray(control_outcomes, dtype=float)
     w = np.asarray(base_weights, dtype=float)
     if y.ndim != 1 or w.shape != y.shape:
@@ -162,6 +165,8 @@ def _check_tilt_inputs(control_outcomes, base_weights, delta=None):
         raise ValidationError("base weights must be strictly positive")
     if not np.all(np.isfinite(y)) or not np.all(np.isfinite(w)):
         raise ValidationError("outcomes and weights must be finite")
+    if not math.isfinite(treated_mean):
+        raise ValidationError(f"treated_mean must be finite, got {treated_mean}")
     if delta is not None:
         _check_delta(delta)
     return y, w
@@ -170,17 +175,19 @@ def _check_tilt_inputs(control_outcomes, base_weights, delta=None):
 class TiltingProblem:
     """The tilting bounds of one control sample, for any delta.
 
-    The constructor validates the inputs, sorts the control outcomes,
-    collapses ties and takes prefix sums once; `interval(delta)` then
-    evaluates those sums at a certified window of split points around the
-    optimal threshold, so a sweep or a bisection over delta sorts once in
-    total. `split_points_evaluated` counts the split points `interval` has
+    The constructor validates the inputs, collapses tied outcomes and
+    takes prefix sums once: outcomes in non-decreasing order (as
+    `control_tilt_inputs` returns them) in one pass, any other order after
+    a sort. `interval(delta)` then evaluates those sums at a certified
+    window of split points around the optimal threshold, so a sweep or a
+    bisection over delta builds them once in total.
+    `split_points_evaluated` counts the split points `interval` has
     evaluated (both sides, every window tried) and `full_scans` the sides
     whose window had to grow to every split point.
     """
 
     def __init__(self, control_outcomes, base_weights, treated_mean: float):
-        y, w = _check_tilt_inputs(control_outcomes, base_weights)
+        y, w = _check_tilt_inputs(control_outcomes, base_weights, treated_mean)
         # The bounds are scale-invariant. Scaling by the power of two that puts
         # the largest weight in [0.5, 1) is exact for normal-range weights, so
         # their bounds stay bit-identical, while e^delta times the sums can no
@@ -190,8 +197,15 @@ class TiltingProblem:
         # Collapse equal outcomes (weights add): splitting a tied block across
         # the threshold adds only redundant vertices, and deduping keeps tied
         # data (common with mass points like zero earnings) exactly stable in
-        # delta.
-        ys, inverse = np.unique(y, return_inverse=True)
+        # delta. Ordered input needs no sort: a new value starts where the
+        # outcome changes. bincount adds each tie group's weights in input
+        # order, so input in stable outcome order gives the floats that
+        # np.unique on the rows in their original order gives.
+        if np.all(y[1:] >= y[:-1]):
+            new = np.concatenate(([True], y[1:] != y[:-1]))
+            ys, inverse = y[new], np.cumsum(new) - 1
+        else:
+            ys, inverse = np.unique(y, return_inverse=True)
         ws = np.bincount(inverse, weights=w)
         wy = ws * ys
         # prefix[k] = sum of the first k sorted entries (prefix[0] = 0), and
@@ -365,8 +379,10 @@ def curvature_bounds(control_outcomes, base_weights, treated_mean: float,
     or a prefix (to lower it) of the sorted outcomes, because a
     linear-fractional objective over a box attains its optimum at a vertex
     and the optimal vertex thresholds on the outcome. This builds a
-    `TiltingProblem` (one sort) for a single delta; to evaluate many deltas
-    on the same controls, build the problem once and call its `interval`.
+    `TiltingProblem` for a single delta, which sorts the outcomes only when
+    they are not already in non-decreasing order (those of
+    `control_tilt_inputs` are); to evaluate many deltas on the same
+    controls, build the problem once and call its `interval`.
     """
     return TiltingProblem(control_outcomes, base_weights, treated_mean).interval(delta)
 
@@ -375,7 +391,7 @@ def oracle_curvature_bounds(control_outcomes, base_weights, treated_mean: float,
                             delta: float) -> Interval:
     """Brute-force check of curvature_bounds by enumerating all 2^n tilt
     vertices (each tilt at 1 or e^delta). n <= 20."""
-    y, w = _check_tilt_inputs(control_outcomes, base_weights, delta)
+    y, w = _check_tilt_inputs(control_outcomes, base_weights, treated_mean, delta)
     n = y.size
     if n > 20:
         raise SizeError(f"vertex enumeration needs n <= 20, got {n}")
@@ -409,13 +425,17 @@ def _validate_delta_grid(deltas) -> tuple[float, ...]:
 
 
 def control_tilt_inputs(data: Dataset, model: PropensityModel):
-    """(control outcomes, odds base weights, treated mean) for ATT tilting."""
+    """(control outcomes, odds base weights, treated mean) for ATT tilting.
+
+    The controls come in `data.control_outcome_order()`: outcomes
+    non-decreasing, ties in row order. That order is sorted once per
+    Dataset, so a `TiltingProblem` built on these inputs does not sort."""
     data.require_both_arms("tilting sweep")
     scores = score_dataset(model, data)
-    controls = ~data.treated
-    control_scores = scores[controls]
+    order = data.control_outcome_order()
+    control_scores = scores[order]
     w = control_scores / (1.0 - control_scores)
-    y = data.outcome[controls]
+    y = data.outcome[order]
     treated_mean = float(np.mean(data.outcome[data.treated]))
     return y, w, treated_mean
 
@@ -424,8 +444,9 @@ def sweep_tilting(data: Dataset, model: PropensityModel, deltas) -> CurvatureSwe
     """Identified sets along a delta grid via exact tilting bounds.
 
     Base weights are the ATT counterfactual odds e(x)/(1 - e(x)) over
-    controls, so delta=0 reproduces the IPW point estimate. The controls are
-    sorted once for the whole grid (see `TiltingProblem.sweep`).
+    controls, so delta=0 reproduces the IPW point estimate. One
+    `TiltingProblem` serves the whole grid (see `TiltingProblem.sweep`), and
+    the controls come in the Dataset's cached outcome order.
     """
     return TiltingProblem(*control_tilt_inputs(data, model)).sweep(deltas)
 

@@ -102,9 +102,16 @@ class Dataset:
     and scoring read it as it stands; it aliases the array passed in when
     that is already a float column-major matrix. `schema` is None for
     synthetic covariate-free datasets (e.g. simulation output).
+
+    The arrays are read-only after construction: the Dataset holds
+    non-writable views, and `subset`, `take_with_fresh_ids` and `merge`
+    build new Datasets rather than change one. `control_outcome_order`
+    caches a result computed from `treated` and `outcome` and relies on
+    that.
     """
 
-    __slots__ = ("treated", "outcome", "covariates", "unit_ids", "schema")
+    __slots__ = ("treated", "outcome", "covariates", "unit_ids", "schema",
+                 "_control_order")
 
     def __init__(self, treated, outcome, covariates=None, unit_ids=None,
                  schema: SchemaSpec | None = None):
@@ -135,11 +142,12 @@ class Dataset:
             raise ValidationError(f"non-finite covariate for unit {bad}")
         if schema is not None and len(schema.covariate_columns) != covariates.shape[1]:
             raise ValidationError("covariate matrix width disagrees with schema")
-        self.treated = treated
-        self.outcome = outcome
-        self.covariates = covariates
-        self.unit_ids = unit_ids
+        self.treated = _read_only(treated)
+        self.outcome = _read_only(outcome)
+        self.covariates = _read_only(covariates)
+        self.unit_ids = _read_only(unit_ids)
         self.schema = schema
+        self._control_order = None
 
     def __len__(self) -> int:
         return self.treated.shape[0]
@@ -176,6 +184,16 @@ class Dataset:
             return self.covariates
         return self.covariates[:, idx]
 
+    def control_outcome_order(self) -> np.ndarray:
+        """Row indices of the control units, ordered by outcome, ties in row
+        order (a stable sort). Computed on the first call and kept: every
+        tilting build on this Dataset reads its controls in this order."""
+        if self._control_order is None:
+            controls = np.flatnonzero(~self.treated)
+            order = controls[np.argsort(self.outcome[controls], kind="stable")]
+            self._control_order = _read_only(order)
+        return self._control_order
+
     def subset(self, mask_or_indices) -> "Dataset":
         """Row subset keeping original unit_ids."""
         idx = np.asarray(mask_or_indices)
@@ -198,6 +216,14 @@ class Dataset:
                 f"{context} requires at least one treated and one control unit "
                 f"(got {self.n_treated} treated, {self.n_control} control)"
             )
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A non-writable view of `a`; `a` itself, which the caller may own,
+    stays as it was."""
+    a = a.view()
+    a.flags.writeable = False
+    return a
 
 
 def _take_rows(x: np.ndarray, rows: np.ndarray) -> np.ndarray:

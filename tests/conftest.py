@@ -20,6 +20,20 @@ def make_dataset(treated, outcome, covariates=None) -> Dataset:
     return Dataset(treated, outcome, np.asarray(covariates, dtype=float))
 
 
+def record_float_sorts(monkeypatch):
+    """A list that collects (function name, size) for each float array
+    passed to np.argsort, np.sort or np.unique from now on."""
+    sorts = []
+    for name in ("argsort", "sort", "unique"):
+        def recording(values, *args, _name=name, _real=getattr(np, name), **kwargs):
+            if np.asarray(values).dtype.kind == "f":
+                sorts.append((_name, np.size(values)))
+            return _real(values, *args, **kwargs)
+
+        monkeypatch.setattr(np, name, recording)
+    return sorts
+
+
 def synthetic_observational(seed: int = 11, n_treated: int = 180,
                             n_control: int = 1400) -> Dataset:
     """Synthetic sample shaped like the canonical evaluation data: a small

@@ -13,7 +13,7 @@ from attdiag.errors import ConfigError
 from attdiag.estimators import MatchSpec
 from attdiag.propensity import PropensityModel, TrimRule, fit_logistic, score_dataset
 from attdiag.resample import stratified_indices
-from conftest import dataset_to_text, synthetic_observational
+from conftest import dataset_to_text, record_float_sorts, synthetic_observational
 
 # Grid edges sized to the synthetic generator's covariate ranges.
 SYNTH_GRIDS = {
@@ -125,24 +125,16 @@ def test_fragility_sorts_controls_once(tmp_path, monkeypatch):
     for upstream in ("propensity", "match"):
         assert main([upstream, "--config", str(config), "--seed", "5",
                      "--out", str(out)]) == 0
-    sorted_sizes = []
-    real_unique = np.unique
-
-    def counting_unique(values, *args, **kwargs):
-        # Unit-id checks pass integer arrays; the tilting sort passes the
-        # float control outcomes.
-        if np.asarray(values).dtype.kind == "f":
-            sorted_sizes.append(len(values))
-        return real_unique(values, *args, **kwargs)
-
-    monkeypatch.setattr(np, "unique", counting_unique)
+    sorts = record_float_sorts(monkeypatch)
     assert main(["fragility", "--config", str(config), "--seed", "5",
                  "--out", str(out)]) == 0
     payload = json.loads((out / "fragility.json").read_text())
     assert payload["baseline_decision"] == "treat"
     # The value the per-delta path (one sort per bisection step) gives.
     assert payload["fragility_delta"] == 2.02618408203125
-    assert sorted_sizes == [700]
+    # The Dataset sorts its controls once, and the problem built on them
+    # does not sort again.
+    assert sorts == [("argsort", 700)]
 
 
 def test_tilting_stages_log_their_work(tmp_path, monkeypatch, capsys):

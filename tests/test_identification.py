@@ -3,9 +3,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from attdiag import identification
+from attdiag.decision import fragility_index
 from attdiag.errors import (
     AttDiagError,
     DomainError,
@@ -20,6 +21,7 @@ from attdiag.identification import (
     Interval,
     OutcomeSupport,
     TiltingProblem,
+    control_tilt_inputs,
     curvature_bounds,
     default_delta_to_trim,
     fixed_radius_sets,
@@ -30,7 +32,7 @@ from attdiag.identification import (
     sweep_trimming_proxy,
 )
 from attdiag.propensity import PropensityModel, TrimRule, fit_logistic, score_dataset
-from conftest import make_dataset, synthetic_observational
+from conftest import make_dataset, record_float_sorts, synthetic_observational
 
 
 def _hand_model(intercept, slopes):
@@ -233,19 +235,108 @@ def test_sweep_equals_per_delta_bounds_exactly(controls, deltas, treated_mean):
 
 
 def test_sweep_tilting_sorts_controls_once(monkeypatch):
+    # Data seed 51: the minimax decision flips between grid deltas 2.25 and
+    # 2.5, so the fragility bisects, each step building its own problem.
+    data = synthetic_observational(seed=51, n_treated=50, n_control=150)
+    model = fit_logistic(data, ["age", "education", "re74", "re75"])
+    grid = [0.25 * i for i in range(25)]
+    sorts = record_float_sorts(monkeypatch)
+    sweep = sweep_tilting(data, model, grid)
+    assert sweep_tilting(data, model, grid).intervals == sweep.intervals
+    y, w, treated_mean = control_tilt_inputs(data, model)
+    steps = []
+
+    def interval_at(delta):
+        steps.append(delta)
+        return curvature_bounds(y, w, treated_mean, delta)
+
+    assert fragility_index(sweep, interval_at=interval_at) < math.inf
+    assert len(steps) > 1
+    # One stable sort of the Dataset's 150 controls serves all of it.
+    assert sorts == [("argsort", 150)]
+
+
+@pytest.mark.parametrize("rows", ["subset", "take_with_fresh_ids"])
+def test_a_new_row_set_sorts_its_own_controls(monkeypatch, rows):
     data = synthetic_observational(seed=43, n_treated=50, n_control=150)
     model = fit_logistic(data, ["age", "education", "re74", "re75"])
-    calls = []
-    real_unique = identification.np.unique
+    control_tilt_inputs(data, model)  # caches data's order
+    picked = np.arange(len(data)) % 3 != 0
+    part = data.subset(picked) if rows == "subset" else data.take_with_fresh_ids(
+        np.concatenate([np.flatnonzero(picked), np.flatnonzero(picked)[::2]]))
+    sorts = record_float_sorts(monkeypatch)
+    y, _, _ = control_tilt_inputs(part, model)
+    assert sorts == [("argsort", part.n_control)]
+    controls = part.outcome[~part.treated]
+    assert np.array_equal(y, controls[np.argsort(controls, kind="stable")])
 
-    def counting_unique(*args, **kwargs):
-        calls.append(args)
-        return real_unique(*args, **kwargs)
 
-    monkeypatch.setattr(identification.np, "unique", counting_unique)
-    sweep = sweep_tilting(data, model, [0.05 * i for i in range(40)])
-    assert len(sweep.intervals) == 40
-    assert len(calls) == 1
+def _bits(values):
+    """The bits of a float array, with -0.0 read as 0.0."""
+    return (np.asarray(values, dtype=float) + 0.0).view(np.int64)
+
+
+# Heavy ties around a zero mass point, or outcomes of any sign.
+_tied_outcomes = st.sampled_from([0.0, 0.0, 0.0, 0.0, 1.0, 2.5, -3.0])
+_ordering_controls = st.one_of(
+    st.lists(st.tuples(_tied_outcomes, _tilt_weights), min_size=1, max_size=40),
+    st.lists(st.tuples(st.one_of(_tied_outcomes, st.floats(-1e4, 1e4)), _tilt_weights),
+             min_size=1, max_size=40),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(controls=_ordering_controls, treated_mean=st.floats(-1e4, 1e4))
+def test_stable_outcome_order_builds_the_same_problem(controls, treated_mean):
+    """Rows in stable outcome order (ordered, no sort) build the problem
+    that the rows in their drawn order (sorted by np.unique) build, bit for
+    bit. A tie of 0.0 and -0.0 keeps whichever zero its sort puts first, so
+    the sign of a zero is not compared."""
+    y = np.array([c[0] for c in controls])
+    w = np.array([c[1] for c in controls])
+    order = np.argsort(y, kind="stable")
+    drawn = TiltingProblem(y, w, treated_mean)
+    ordered = TiltingProblem(y[order], w[order], treated_mean)
+    for name in ("_ys", "_prefix_w", "_prefix_wy"):
+        assert np.array_equal(_bits(getattr(drawn, name)), _bits(getattr(ordered, name)))
+    for delta in (0.0, 1e-12, 0.5, 3.0, 40.0, math.inf):
+        a, b = drawn.interval(delta), ordered.interval(delta)
+        assert np.array_equal(_bits([a.lo, a.hi]), _bits([b.lo, b.hi]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(units=st.lists(st.tuples(st.booleans(), st.sampled_from([0.0, 0.0, 1.0, 2.5, -3.0]),
+                                st.floats(-3.0, 3.0)), min_size=2, max_size=60),
+       slope=st.floats(-2.0, 2.0))
+def test_control_tilt_inputs_are_the_controls_in_stable_outcome_order(units, slope):
+    treated = np.array([u[0] for u in units])
+    assume(treated.any() and not treated.all())
+    outcome = np.array([u[1] for u in units])
+    x = np.array([[u[2]] for u in units])
+    data = make_dataset(treated, outcome, x)
+    model = _hand_model(0.1, [slope])
+    y, w, treated_mean = control_tilt_inputs(data, model)
+    # The boolean-mask version: every control in row order, then a stable sort.
+    scores = score_dataset(model, data)[~treated]
+    mask_y, mask_w = outcome[~treated], scores / (1.0 - scores)
+    order = np.argsort(mask_y, kind="stable")
+    assert np.array_equal(y.view(np.int64), mask_y[order].view(np.int64))
+    assert np.array_equal(w.view(np.int64), mask_w[order].view(np.int64))
+    assert treated_mean == float(np.mean(outcome[treated]))
+    rows = data.control_outcome_order()
+    assert np.all(y[1:] >= y[:-1])
+    assert np.all((y[1:] > y[:-1]) | (rows[1:] > rows[:-1]))  # ties in row order
+
+
+@pytest.mark.parametrize("treated_mean", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bounds", [
+    lambda y, w, m: TiltingProblem(y, w, m),
+    lambda y, w, m: curvature_bounds(y, w, m, 1.0),
+    lambda y, w, m: oracle_curvature_bounds(y, w, m, 1.0),
+], ids=["TiltingProblem", "curvature_bounds", "oracle_curvature_bounds"])
+def test_tilting_rejects_a_non_finite_treated_mean(bounds, treated_mean):
+    with pytest.raises(ValidationError, match="treated_mean must be finite"):
+        bounds([1.0, 2.0], [1.0, 1.0], treated_mean)
 
 
 def _full_scan(problem, delta):
