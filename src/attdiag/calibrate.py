@@ -55,13 +55,13 @@ def _regular_edges(lo: float, hi: float, width: int, start_shift: int):
     return tuple(edges)
 
 
-def candidate_axis_edges(values: np.ndarray, widths, max_shift: bool = True):
-    """Regular integer-boundary edge families covering the observed range."""
+def candidate_axis_edges(values: np.ndarray, widths):
+    """Regular integer-boundary edge families covering the observed range,
+    at every start shift below each width."""
     lo, hi = float(values.min()), float(values.max())
     out = []
     for width in widths:
-        shifts = range(width) if max_shift else [0]
-        for shift in shifts:
+        for shift in range(width):
             edges = _regular_edges(lo, hi, width, shift)
             if len(edges) >= 2:
                 out.append(edges)
@@ -103,24 +103,29 @@ def _status_counts(data: Dataset, age_edges, edu_edges) -> dict:
     }
 
 
-def search_fine_grid(data: Dataset):
-    """All (age_edges, edu_edges, counts) with 72 cells; exact-count matches first."""
+def _search_grids(data: Dataset, age_widths, edu_widths, keep, exact):
+    """(hits, near) over the candidate grids whose cell count `keep`
+    accepts; a grid is a hit when `exact(counts)` holds."""
     ages = data.covariates[:, data.covariate_index("age")]
     edus = data.covariates[:, data.covariate_index("education")]
-    age_family = candidate_axis_edges(ages, widths=(3, 4, 5, 6))
-    edu_family = candidate_axis_edges(edus, widths=(1, 2, 3, 4))
-    edu_family += education_category_families(edus)
+    edu_family = candidate_axis_edges(edus, edu_widths) + education_category_families(edus)
     hits, near = [], []
-    for age_edges in age_family:
+    for age_edges in candidate_axis_edges(ages, age_widths):
         for edu_edges in edu_family:
-            if (len(age_edges) - 1) * (len(edu_edges) - 1) != FINE_TARGET["cells"]:
+            if not keep((len(age_edges) - 1) * (len(edu_edges) - 1)):
                 continue
             counts = _status_counts(data, age_edges, edu_edges)
             row = {"age_edges": age_edges, "education_edges": edu_edges, "counts": counts}
-            exact = all(counts[k] == FINE_TARGET[k]
-                        for k in ("both", "control_only", "treated_only", "empty"))
-            (hits if exact else near).append(row)
+            (hits if exact(counts) else near).append(row)
     return hits, near
+
+
+def search_fine_grid(data: Dataset):
+    """All (age_edges, edu_edges, counts) with 72 cells; exact-count matches first."""
+    return _search_grids(data, (3, 4, 5, 6), (1, 2, 3, 4),
+                         lambda n_cells: n_cells == FINE_TARGET["cells"],
+                         lambda counts: all(counts[k] == FINE_TARGET[k] for k in (
+                             "both", "control_only", "treated_only", "empty")))
 
 
 def search_coarse_grid(data: Dataset):
@@ -130,23 +135,12 @@ def search_coarse_grid(data: Dataset):
     near list accepts cell totals within the surrounding band, ordered by
     closeness to the target.
     """
-    ages = data.covariates[:, data.covariate_index("age")]
-    edus = data.covariates[:, data.covariate_index("education")]
-    age_family = candidate_axis_edges(ages, widths=(COARSE_TARGET["age_width"],))
-    edu_family = candidate_axis_edges(edus, widths=(2, 3, 4, 5, 6))
-    edu_family += education_category_families(edus)
     target_cells = COARSE_TARGET["cells"]
-    hits, near = [], []
-    for age_edges in age_family:
-        for edu_edges in edu_family:
-            n_cells = (len(age_edges) - 1) * (len(edu_edges) - 1)
-            if not (0.8 * target_cells <= n_cells <= 1.2 * target_cells):
-                continue
-            counts = _status_counts(data, age_edges, edu_edges)
-            row = {"age_edges": age_edges, "education_edges": edu_edges, "counts": counts}
-            exact = (n_cells == target_cells
-                     and counts["without_treated"] == COARSE_TARGET["without_treated"])
-            (hits if exact else near).append(row)
+    hits, near = _search_grids(
+        data, (COARSE_TARGET["age_width"],), (2, 3, 4, 5, 6),
+        lambda n_cells: 0.8 * target_cells <= n_cells <= 1.2 * target_cells,
+        lambda counts: (counts["cells"] == target_cells
+                        and counts["without_treated"] == COARSE_TARGET["without_treated"]))
     near.sort(key=lambda row: (abs(row["counts"]["cells"] - target_cells),
                                abs(row["counts"]["without_treated"]
                                    - COARSE_TARGET["without_treated"])))

@@ -24,7 +24,6 @@ import argparse
 import configparser
 import csv
 import functools
-import hashlib
 import json
 import os
 import sys
@@ -56,10 +55,13 @@ from .identification import (
     sweep_to_csv_rows,
     sweep_trimming_proxy,
 )
-from .ingest import NSW_SCHEMA, SOURCE_SCHEMAS, SOURCE_URLS, fetch_dataset, merge, parse_table
+from .ingest import (
+    NSW_SCHEMA, SOURCE_SCHEMAS, SOURCE_URLS, _sha256, fetch_dataset, merge, parse_table,
+)
 from .propensity import (
     PropensityModel,
     TrimRule,
+    _check_fit_options,
     count_clamped,
     fit_logistic,
     score_dataset,
@@ -88,6 +90,14 @@ def _choice(*options: str):
             raise ValueError(f"expected one of {', '.join(options)}")
         return text
     return parse
+
+
+def _parse_count(text: str) -> int:
+    """An integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise ValueError("expected an integer >= 1")
+    return value
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
@@ -121,7 +131,7 @@ _CONFIG_LAYOUT = {
         "ridge": ("1e-8", float),
         "tol": ("1e-8", float),
         "max_iter": ("100", int),
-        "hist_bins": ("20", int),
+        "hist_bins": ("20", _parse_count),
     },
     "trim": {
         "low": ("0.1", float),
@@ -138,11 +148,11 @@ _CONFIG_LAYOUT = {
         "proxy_deltas": ("0 0.5 1.0 1.5 2.0", _parse_delta_grid),
     },
     "bootstrap": {
-        "b": ("500", int),
+        "b": ("500", _parse_count),
         "refit": ("true", _parse_bool),
     },
     "deciles": {
-        "min_per_arm": ("5", int),
+        "min_per_arm": ("5", _parse_count),
     },
     "simulation": {
         "n": ("100000", int),
@@ -161,8 +171,9 @@ class RunConfig:
     directory. `raw` holds the text as written, which report.json echoes
     and `digest` hashes; `get` returns the parsed value. The [match],
     [trim] and [simulation] sections are also built, when read, into the
-    objects the stages use. The cached properties are the products several
-    stages share, each built once per invocation on first use."""
+    objects the stages use, and the [propensity] fit options are checked
+    as `fit_logistic` checks them. The cached properties are the products
+    several stages share, each built once per invocation on first use."""
 
     raw: dict
     values: dict
@@ -179,7 +190,10 @@ class RunConfig:
                for section, keys in _CONFIG_LAYOUT.items()}
         if path is not None:
             parser = configparser.ConfigParser()
-            read = parser.read(path)
+            try:
+                read = parser.read(path)
+            except configparser.Error as exc:  # a duplicate key, a line outside any section
+                raise ConfigError(f"config file {path} malformed: {exc}") from None
             if not read:
                 raise ConfigError(f"config file {path} not found")
             for section in parser.sections():
@@ -205,6 +219,9 @@ class RunConfig:
             except AttDiagError as exc:
                 raise ConfigError(f"[{section}] {exc}") from None
 
+        fit = values["propensity"]
+        build("propensity", _check_fit_options,
+              ridge=fit["ridge"], tol=fit["tol"], max_iter=fit["max_iter"])
         sim = values["simulation"]
         return cls(raw=raw, values=values, seed=int(seed), out_dir=Path(out_dir),
                    match_spec=build("match", MatchSpec, **values["match"]),
@@ -224,7 +241,7 @@ class RunConfig:
 
     def digest(self) -> str:
         canon = json.dumps({"config": self.raw, "seed": self.seed}, sort_keys=True)
-        return hashlib.sha256(canon.encode()).hexdigest()[:16]
+        return _sha256(canon.encode())[:16]
 
     # shared products ------------------------------------------------------
     @functools.cached_property
@@ -352,10 +369,6 @@ def _interval_chart(path: Path, deltas, intervals, title: str, xlabel: str = "de
     )
 
 
-def _sha256_text(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
 def _load_data(cfg: RunConfig):
     """Composite evaluation dataset, plus each table's text digest and parsed
     rows keyed by role: [data] <role>_file in the NSW layout when local,
@@ -379,7 +392,7 @@ def _load_data(cfg: RunConfig):
                     f"dataset not cached ({exc}); run the fetch command first"
                 ) from exc
             schema = SOURCE_SCHEMAS[source]
-        digests[role] = _sha256_text(text)
+        digests[role] = _sha256(text.encode())
         parts[role] = parse_table(text, schema)
     rows = {role: len(part) for role, part in parts.items()}
     return merge(parts["treated"], parts["control"]), digests, rows
@@ -398,7 +411,7 @@ def cmd_fetch(cfg: RunConfig):
     digests, sources = {}, {}
     for key in (cfg.get("data", "treated_source"), cfg.get("data", "control_source")):
         text = fetch_dataset(key, cache, offline=cfg.offline)
-        digests[key] = _sha256_text(text)
+        digests[key] = _sha256(text.encode())
         sources[key] = {"url": SOURCE_URLS[key], "lines": len(text.splitlines())}
     return {"digests": digests}, {"sources": sources}
 
@@ -603,11 +616,10 @@ def cmd_simulate(cfg: RunConfig):
 
 def cmd_bootstrap(cfg: RunConfig):
     data, digests, _ = cfg.tables
-    refit = cfg.get("bootstrap", "refit")
     b = cfg.get("bootstrap", "b")
-    full = bootstrap_att(data, refit, cfg.match_spec, b, cfg.seed,
+    full = bootstrap_att(data, cfg.match_spec, b, cfg.seed,
                          covariates=cfg.get("propensity", "covariates"),
-                         model=None if refit else cfg.model,
+                         model=None if cfg.get("bootstrap", "refit") else cfg.model,
                          ridge=cfg.get("propensity", "ridge"),
                          tol=cfg.get("propensity", "tol"),
                          max_iter=cfg.get("propensity", "max_iter"),

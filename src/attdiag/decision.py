@@ -16,6 +16,9 @@ from dataclasses import dataclass
 from .errors import ValidationError
 from .identification import CurvatureSweep, Interval
 
+# fragility_index bisects until the flip point is bracketed this tightly.
+_BISECTION_TOL = 1e-4
+
 
 class PolicyDecision(enum.Enum):
     TREAT = "treat"
@@ -47,7 +50,7 @@ def minimax_rule(interval: Interval):
     return decision, (treat, no_treat)
 
 
-def fragility_index(sweep: CurvatureSweep, interval_at=None, tol: float = 1e-4) -> float:
+def fragility_index(sweep: CurvatureSweep, interval_at=None) -> float:
     """Smallest grid delta at which the minimax decision flips away from the
     baseline (the decision at the smallest delta), +inf if it never does.
 
@@ -69,7 +72,7 @@ def fragility_index(sweep: CurvatureSweep, interval_at=None, tol: float = 1e-4) 
         return flip_delta
     lo = float(sweep.deltas[flip_idx - 1])
     hi = flip_delta
-    while hi - lo > tol:
+    while hi - lo > _BISECTION_TOL:
         mid = 0.5 * (lo + hi)
         if minimax_rule(interval_at(mid))[0] != baseline:
             hi = mid

@@ -197,16 +197,15 @@ class TiltingProblem:
         # Collapse equal outcomes (weights add): splitting a tied block across
         # the threshold adds only redundant vertices, and deduping keeps tied
         # data (common with mass points like zero earnings) exactly stable in
-        # delta. Ordered input needs no sort: a new value starts where the
-        # outcome changes. bincount adds each tie group's weights in input
-        # order, so input in stable outcome order gives the floats that
-        # np.unique on the rows in their original order gives.
-        if np.all(y[1:] >= y[:-1]):
-            new = np.concatenate(([True], y[1:] != y[:-1]))
-            ys, inverse = y[new], np.cumsum(new) - 1
-        else:
-            ys, inverse = np.unique(y, return_inverse=True)
-        ws = np.bincount(inverse, weights=w)
+        # delta. Input out of outcome order is put in stable outcome order
+        # first; a new value then starts where the outcome changes, and
+        # bincount adds each tie group's weights in row order.
+        if not np.all(y[1:] >= y[:-1]):
+            order = np.argsort(y, kind="stable")
+            y, w = y[order], w[order]
+        new = np.concatenate(([True], y[1:] != y[:-1]))
+        ys = y[new]
+        ws = np.bincount(np.cumsum(new) - 1, weights=w)
         wy = ws * ys
         # prefix[k] = sum of the first k sorted entries (prefix[0] = 0), and
         # suffix[k] = total - prefix[k], the sum from entry k on. Taking the

@@ -103,11 +103,13 @@ class Dataset:
     that is already a float column-major matrix. `schema` is None for
     synthetic covariate-free datasets (e.g. simulation output).
 
-    The arrays are read-only after construction: the Dataset holds
-    non-writable views, and `subset`, `take_with_fresh_ids` and `merge`
-    build new Datasets rather than change one. `control_outcome_order`
-    caches a result computed from `treated` and `outcome` and relies on
-    that.
+    The Dataset holds non-writable views of its arrays, and `subset`,
+    `take_with_fresh_ids` and `merge` build new Datasets rather than
+    change one. Where no conversion was needed (a float `outcome`, a bool
+    `treated`) the view is of the caller's array, which stays writable: a
+    write to it changes this Dataset too and stales the order that
+    `control_outcome_order` caches from `treated` and `outcome`. Pass a
+    copy of an array you will change.
     """
 
     __slots__ = ("treated", "outcome", "covariates", "unit_ids", "schema",

@@ -45,8 +45,8 @@ class PropensityModel:
         self.covariate_columns = tuple(self.covariate_columns)
         if self.coefficients.shape != (len(self.covariate_columns) + 1,):
             raise ValidationError("coefficient length must be covariate count + 1")
-        if self.ridge < 0:
-            raise ValidationError("ridge must be >= 0")
+        if not self.ridge >= 0:  # also catches NaN
+            raise ValidationError(f"ridge must be >= 0, got {self.ridge}")
 
     def to_json(self) -> str:
         return json.dumps(
@@ -101,6 +101,15 @@ def _sigmoid(eta: np.ndarray) -> np.ndarray:
     return np.divide(1.0, eta, out=eta)
 
 
+def _check_fit_options(ridge: float, tol: float, max_iter: int) -> None:
+    """Raise ValidationError unless ridge, tol and max_iter are all >= 0
+    (NaN fails): a NaN ridge gives NaN coefficients, a NaN or negative tol
+    never converges, and a negative max_iter takes no step from beta = 0."""
+    for name, value in (("ridge", ridge), ("tol", tol), ("max_iter", max_iter)):
+        if not value >= 0:  # also catches NaN
+            raise ValidationError(f"{name} must be >= 0, got {value}")
+
+
 def fit_logistic(data: Dataset, covariates, ridge: float = 1e-8,
                  tol: float = 1e-8, max_iter: int = 100) -> PropensityModel:
     """Maximize the ridge-penalized Bernoulli log-likelihood by IRLS.
@@ -114,12 +123,12 @@ def fit_logistic(data: Dataset, covariates, ridge: float = 1e-8,
         max_iter: Newton update budget.
 
     Raises:
+        ValidationError: a fit option below 0 or NaN (`_check_fit_options`).
         ConvergenceError: apparent perfect separation with ridge=0.
         NumericalError: rank-deficient normal equations.
     """
     covariates = tuple(covariates)
-    if ridge < 0:
-        raise ValidationError("ridge must be >= 0")
+    _check_fit_options(ridge, tol, max_iter)
     data.require_both_arms("fit_logistic")
     x_raw = data.covariate_matrix(covariates)
     if x_raw.size and not np.all(np.isfinite(x_raw)):
@@ -213,12 +222,18 @@ def count_clamped(scores: np.ndarray) -> int:
 
 
 def _check_scores(scores, n_units: int | None = None) -> np.ndarray:
-    """`scores` as a float vector, of `n_units` entries when given."""
+    """`scores` as a float vector, of `n_units` entries when given, each
+    strictly inside (0, 1) as `score_dataset` clamps them (NaN fails)."""
     shape = np.shape(scores)  # () for None
     if len(shape) != 1 or n_units not in (None, shape[0]):
         raise ValidationError(f"need {n_units or 'a vector of'} scores, got "
                               f"{type(scores).__name__} of shape {shape}")
-    return np.asarray(scores, dtype=float)
+    scores = np.asarray(scores, dtype=float)
+    inside = (scores > 0.0) & (scores < 1.0)
+    if not inside.all():
+        raise ValidationError(f"scores must lie in (0, 1), got {scores[~inside][0]} "
+                              f"at position {int(np.argmin(inside))}")
+    return scores
 
 
 def trim(data: Dataset, scores, rule: TrimRule) -> Dataset:

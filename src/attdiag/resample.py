@@ -32,6 +32,7 @@ from .errors import AttDiagError, BootstrapError, ValidationError
 from .estimators import MatchSpec, _arm_contrast, att_match
 from .ingest import Dataset
 from .propensity import PropensityModel, TrimRule, _check_scores, fit_logistic, score_dataset, trim
+from .simulation import _stage_rng
 
 
 @dataclass(frozen=True)
@@ -91,11 +92,6 @@ class DecileReport:
     rows: tuple[DecileRow, ...]
 
 
-def _replicate_rng(seed: int, r: int) -> np.random.Generator:
-    seq = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(r),))
-    return np.random.Generator(np.random.Philox(seq))
-
-
 def stratified_indices(rng: np.random.Generator, treated: np.ndarray) -> np.ndarray:
     """With-replacement resample preserving each arm's size exactly."""
     idx_t = np.flatnonzero(treated)
@@ -127,11 +123,10 @@ def _summarize(design: str, replicates: list, estimates: list, failures: list,
     )
 
 
-def _run_replicates(data: Dataset, model_fit_per_replicate: bool,
-                    estimator_spec: MatchSpec, seed: int, covariates,
+def _run_replicates(data: Dataset, estimator_spec: MatchSpec, seed: int, covariates,
                     model: PropensityModel | None, fit_options: dict, rules: tuple,
                     indices) -> tuple[list, Counter]:
-    """Draw, fit and match the replicates in `indices`.
+    """Draw, fit (when `model` is None) and match the replicates in `indices`.
 
     Returns (results, counts): one (r, outcomes) per replicate, outcomes
     holding per design in `rules` order the estimate or the AttDiagError
@@ -140,16 +135,15 @@ def _run_replicates(data: Dataset, model_fit_per_replicate: bool,
     """
     results, counts = [], Counter()
     for r in indices:
-        rng = _replicate_rng(seed, r)
+        rng = _stage_rng(seed, r)
         replicate = data.take_with_fresh_ids(stratified_indices(rng, data.treated))
         counts["units_drawn"] += len(replicate)
         try:
-            if model_fit_per_replicate:
+            rep_model = model
+            if model is None:
                 counts["fits"] += 1
                 rep_model = fit_logistic(replicate, covariates, **fit_options)
                 counts["fit_iterations"] += rep_model.iterations
-            else:
-                rep_model = model
             scores = score_dataset(rep_model, replicate)
         except AttDiagError as exc:
             results.append((r, (exc,) * len(rules)))
@@ -204,37 +198,34 @@ def _run_pool(job, b: int, workers: int) -> list:
             ) from None
 
 
-def bootstrap_att(data: Dataset, model_fit_per_replicate: bool,
-                  estimator_spec: MatchSpec, b: int, seed: int, *,
+def bootstrap_att(data: Dataset, estimator_spec: MatchSpec, b: int, seed: int, *,
                   covariates=None, model: PropensityModel | None = None,
                   ridge: float = 1e-8, tol: float = 1e-8, max_iter: int = 100,
                   trim_rule: TrimRule | None = None) -> BootstrapSummary:
     """Stratified bootstrap of the matching ATT.
 
-    Each replicate is drawn once. When model_fit_per_replicate is true the
-    propensity model is refit on it once (covariates required); otherwise
-    `model` scores every replicate. The replicate is scored once. The
-    full-sample estimate matches on those scores and, when trim_rule is
-    given, the score-trimmed estimate trims on them, then scores and matches
-    the kept units; its summary is the result's `trimmed`. A failed fit
-    fails the replicate in both designs, a failed trim or match only in its
-    own. More than 20% failed replicates in a design aborts, the full-sample
-    design checked first. The replicates run in forked worker processes, one
-    per available CPU; a worker that dies raises BootstrapError.
+    Each replicate is drawn once. A given `model` scores every replicate;
+    without one the propensity model is refit on each replicate, once, on
+    `covariates` with the ridge, tol and max_iter fit options. The replicate
+    is scored once. The full-sample estimate matches on those scores and,
+    when trim_rule is given, the score-trimmed estimate trims on them, then
+    scores and matches the kept units; its summary is the result's
+    `trimmed`. A failed fit fails the replicate in both designs, a failed
+    trim or match only in its own. More than 20% failed replicates in a
+    design aborts, the full-sample design checked first. The replicates run
+    in forked worker processes, one per available CPU; a worker that dies
+    raises BootstrapError.
     """
     if b < 1:
         raise ValidationError("b must be >= 1")
     data.require_both_arms("bootstrap_att")
-    if model_fit_per_replicate:
-        if covariates is None:
-            raise ValidationError("per-replicate refit needs covariate names")
-    elif model is None:
-        raise ValidationError("model required when model_fit_per_replicate is false")
+    if model is None and covariates is None:
+        raise ValidationError("bootstrap_att needs a model, or covariates to refit on")
 
     rules = (None, trim_rule) if trim_rule else (None,)
     job = functools.partial(
-        _run_replicates, data, model_fit_per_replicate, estimator_spec, seed,
-        covariates, model, {"ridge": ridge, "tol": tol, "max_iter": max_iter}, rules)
+        _run_replicates, data, estimator_spec, seed, covariates, model,
+        {"ridge": ridge, "tol": tol, "max_iter": max_iter}, rules)
     workers = _worker_count(b)
     chunks = [job(range(b))] if workers == 1 else _run_pool(job, b, workers)
     results = sorted((result for chunk, _ in chunks for result in chunk),
@@ -270,8 +261,11 @@ def decile_att(data: Dataset, scores, min_per_arm: int = 5) -> DecileReport:
     each decile's att and se are the difference in arm means and its
     two-sample standard error, as `naive_diff` computes them. A decile is
     dropped (att/se None) when either arm has fewer than min_per_arm units.
-    Dropped deciles are data, not errors.
+    Dropped deciles are data, not errors. min_per_arm must be >= 1, so no
+    kept decile has an empty arm.
     """
+    if not min_per_arm >= 1:
+        raise ValidationError(f"min_per_arm must be >= 1, got {min_per_arm}")
     order = np.lexsort((data.unit_ids, _check_scores(scores, len(data))))
     groups = np.array_split(order, 10)
     rows = []

@@ -13,8 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ValidationError, WitnessError
-from .identification import Interval, _validate_delta_grid, fixed_radius_sets, massi_from_intervals
+from .errors import ValidationError, WitnessError
+from .identification import (
+    Interval, _check_delta, _validate_delta_grid, fixed_radius_sets, massi_from_intervals,
+)
 from .ingest import Dataset
 
 # latent type -> (y1, y0)
@@ -29,6 +31,8 @@ _STAGE_WITNESS = 3
 
 
 def _stage_rng(seed: int, *stage) -> np.random.Generator:
+    """The Philox stream of spawn key `stage` under `seed`; the bootstrap
+    draws its replicate r from key (r,)."""
     seq = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(s) for s in stage))
     return np.random.Generator(np.random.Philox(seq))
 
@@ -49,14 +53,15 @@ class SimConfig:
         object.__setattr__(self, "delta_grid", _validate_delta_grid(self.delta_grid))
         if self.n < 1:
             raise ValidationError("n must be >= 1")
-        if len(self.type_proportions) != 4 or any(p < 0 for p in self.type_proportions):
+        # Each predicate fails on NaN.
+        if len(self.type_proportions) != 4 or not all(p >= 0 for p in self.type_proportions):
             raise ValidationError("type_proportions must be four non-negative reals")
-        if abs(sum(self.type_proportions) - 1.0) > 1e-12:
+        if not abs(sum(self.type_proportions) - 1.0) <= 1e-12:
             raise ValidationError("type_proportions must sum to 1")
         if not (0.0 < self.treat_prob < 1.0):
             raise ValidationError("treat_prob must be in (0, 1)")
-        if self.epsilon < 0:
-            raise ValidationError("epsilon must be >= 0")
+        if not self.epsilon >= 0:
+            raise ValidationError(f"epsilon must be >= 0, got {self.epsilon}")
 
 
 class Population:
@@ -105,8 +110,7 @@ def apply_selection(pop: Population, delta: float, seed: int) -> Dataset:
     outcome); growing delta favors high observed outcomes. Returns the
     selected units as a covariate-free Dataset.
     """
-    if not (delta >= 0):  # also catches NaN
-        raise DomainError("delta must be >= 0")
+    _check_delta(delta)
     rng = _stage_rng(seed, _STAGE_SELECT)
     kept = rng.random(len(pop)) < _selection_probability(delta)[pop.y_observed]
     # Gathering by index is several times faster than by a boolean mask

@@ -234,7 +234,7 @@ def test_criterion_10_bootstrap_dispersion(lalonde_composite):
     start = time.monotonic()
     data = lalonde_composite
     b = 500
-    full = bootstrap_att(data, True, MatchSpec(), b, seed=2026,
+    full = bootstrap_att(data, MatchSpec(), b, seed=2026,
                          covariates=LALONDE_COVARIATES,
                          trim_rule=TrimRule(0.1, 0.9))
     trimmed = full.trimmed

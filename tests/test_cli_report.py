@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from attdiag import cli_report, decision, identification, resample
+from attdiag import cli_report, decision, identification, resample, simulation
 from attdiag.cli_report import RunConfig, main
 from attdiag.errors import ConfigError
 from attdiag.estimators import MatchSpec
@@ -317,7 +317,7 @@ def test_bootstrap_fits_each_replicate_once(tmp_path, capsys):
     covariates = cfg.get("propensity", "covariates")
     iterations = sum(
         fit_logistic(data.take_with_fresh_ids(stratified_indices(
-            resample._replicate_rng(3, r), data.treated)), covariates).iterations
+            simulation._stage_rng(3, r), data.treated)), covariates).iterations
         for r in range(8))
     # One refit per replicate serves the full-sample and trimmed designs;
     # the counters are summed over the worker processes.
@@ -344,7 +344,7 @@ def test_bootstrap_csv_pairs_estimates_by_replicate(tmp_path):
     cfg = RunConfig.from_file(config, seed=47, out_dir=out)
     data = cli_report._load_data(cfg)[0]
     summary = resample.bootstrap_att(
-        data, True, MatchSpec(), 40, 47, covariates=["age", "education", "re74", "re75"],
+        data, MatchSpec(), 40, 47, covariates=["age", "education", "re74", "re75"],
         trim_rule=TrimRule(0.3, 0.7))
     # Five replicates fail in the trimmed design only; at the parent their
     # rows held later replicates' trimmed estimates.
@@ -482,7 +482,21 @@ def test_bad_config_value_fails_before_any_stage(tmp_path, capsys):
              ("[bounds] tilt_deltas:", text.replace("tilt_deltas = 0 0.1 0.5 1.0",
                                                     "tilt_deltas = 1 0.5")),
              ("[bounds] proxy_deltas:", text.replace("proxy_deltas = 0 0.5 1.0",
-                                                     "proxy_deltas = 0 nan")))
+                                                     "proxy_deltas = 0 nan")),
+             # NaN fails every bound check; a count must be at least 1.
+             ("[propensity] ridge must be >= 0", text + "\n[propensity]\nridge = nan\n"),
+             ("[propensity] tol must be >= 0", text + "\n[propensity]\ntol = nan\n"),
+             ("[propensity] tol must be >= 0", text + "\n[propensity]\ntol = -1e-8\n"),
+             ("[propensity] max_iter must be >= 0", text + "\n[propensity]\nmax_iter = -1\n"),
+             ("[propensity] hist_bins:", text + "\n[propensity]\nhist_bins = 0\n"),
+             ("[simulation] epsilon must be >= 0", text.replace("n = 20000", "epsilon = nan")),
+             ("[simulation] type_proportions", text.replace(
+                 "n = 20000", "proportions = nan 0.2 0.4 0.1")),
+             ("[bootstrap] b:", text.replace("b = 12", "b = 0")),
+             ("[deciles] min_per_arm:", text + "\n[deciles]\nmin_per_arm = -3\n"),
+             # configparser's own errors: a duplicate key, a line before any section.
+             ("malformed", text.replace("b = 12", "b = 12\nb = 4")),
+             ("malformed", "b = 3\n" + text))
     for i, (named, bad_text) in enumerate(cases):
         bad = tmp_path / f"bad{i}.ini"
         bad.write_text(bad_text)

@@ -87,7 +87,7 @@ def test_fragility_bisection_refines_flip():
 
     deltas = [0.0, 1.0, 1.5]
     sweep = _sweep(deltas, [interval_at(d) for d in deltas])
-    refined = fragility_index(sweep, interval_at=interval_at, tol=1e-4)
+    refined = fragility_index(sweep, interval_at=interval_at)
     assert 1.0 < refined < 1.5
     assert refined == pytest.approx(flip_at, abs=1e-3)
 

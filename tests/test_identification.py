@@ -289,9 +289,8 @@ _ordering_controls = st.one_of(
 @given(controls=_ordering_controls, treated_mean=st.floats(-1e4, 1e4))
 def test_stable_outcome_order_builds_the_same_problem(controls, treated_mean):
     """Rows in stable outcome order (ordered, no sort) build the problem
-    that the rows in their drawn order (sorted by np.unique) build, bit for
-    bit. A tie of 0.0 and -0.0 keeps whichever zero its sort puts first, so
-    the sign of a zero is not compared."""
+    that the rows in their drawn order (sorted by the constructor) build,
+    bit for bit; the sign of a zero is not compared."""
     y = np.array([c[0] for c in controls])
     w = np.array([c[1] for c in controls])
     order = np.argsort(y, kind="stable")

@@ -161,9 +161,12 @@ def test_score_consumers_reject_missing_or_wrong_length_scores():
         lambda s: decile_att(data, s),
         default_design_suite,  # has no data to count the scores against
     ]
+    # Scores outside (0, 1), NaN included, at a treated unit and a control.
+    outside = [np.where(np.isin(np.arange(len(data)), [3, 40]), value, scores)
+               for value in (math.nan, 0.0, 1.0, -0.25, 1.5, math.inf)]
     for consume in consumers:
         consume(scores)
-        bad = [None, scores.reshape(-1, 1)]
+        bad = [None, scores.reshape(-1, 1), *outside]
         if consume is not default_design_suite:
             bad += [scores[:-1], np.append(scores, 0.5)]
         for bad_scores in bad:
@@ -171,6 +174,28 @@ def test_score_consumers_reject_missing_or_wrong_length_scores():
                 consume(bad_scores)
     # A mahalanobis match reads no scores.
     assert np.isfinite(att_match(data, None, MatchSpec(metric="mahalanobis")).tau_hat)
+    # Scores that score_dataset clamps stay inside (0, 1) and pass.
+    extreme = PropensityModel(np.array([0.0, 50.0, 0.0]), ("age", "re75"),
+                              converged=True, iterations=0, ridge=0.0)
+    clamped = score_dataset(extreme, data)
+    assert count_clamped(clamped) == len(data)
+    assert len(trim(data, clamped, TrimRule(0.0, 1.0))) == len(data)
+
+
+@pytest.mark.parametrize("option", [
+    {"ridge": math.nan}, {"ridge": -1e-3}, {"tol": math.nan}, {"tol": -1.0},
+    {"max_iter": -1},
+], ids=str)
+def test_fit_logistic_rejects_fit_options_below_zero_or_nan(option):
+    data = synthetic_observational(seed=6, n_treated=40, n_control=120)
+    [name] = option
+    with pytest.raises(ValidationError, match=f"{name} must be >= 0"):
+        fit_logistic(data, ["age", "re75"], **option)
+
+
+def test_model_rejects_a_nan_ridge():
+    with pytest.raises(ValidationError, match="ridge must be >= 0"):
+        PropensityModel(np.zeros(2), ("age",), converged=True, iterations=0, ridge=math.nan)
 
 
 def test_trim_rule_validation():

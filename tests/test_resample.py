@@ -13,8 +13,8 @@ from attdiag.resample import (
     bootstrap_att,
     decile_att,
     stratified_indices,
-    _replicate_rng,
 )
+from attdiag.simulation import _stage_rng as _replicate_rng
 from conftest import make_dataset, synthetic_observational
 
 COVS = ["age", "education", "re74", "re75"]
@@ -57,7 +57,7 @@ def test_stratified_resample_preserves_arm_sizes():
 
 def test_bootstrap_b1_equals_single_replicate_estimate():
     data = synthetic_observational(seed=5, n_treated=30, n_control=120)
-    summary = bootstrap_att(data, True, MatchSpec(), 1, seed=7, covariates=COVS)
+    summary = bootstrap_att(data, MatchSpec(), 1, seed=7, covariates=COVS)
     replicate = data.take_with_fresh_ids(
         stratified_indices(_replicate_rng(7, 0), data.treated)
     )
@@ -72,17 +72,17 @@ def test_bootstrap_b1_equals_single_replicate_estimate():
 
 def test_bootstrap_deterministic_given_seed():
     data = synthetic_observational(seed=9, n_treated=25, n_control=100)
-    a = bootstrap_att(data, True, MatchSpec(), 20, seed=11, covariates=COVS)
-    b = bootstrap_att(data, True, MatchSpec(), 20, seed=11, covariates=COVS)
+    a = bootstrap_att(data, MatchSpec(), 20, seed=11, covariates=COVS)
+    b = bootstrap_att(data, MatchSpec(), 20, seed=11, covariates=COVS)
     assert a.estimates == b.estimates
-    c = bootstrap_att(data, True, MatchSpec(), 20, seed=12, covariates=COVS)
+    c = bootstrap_att(data, MatchSpec(), 20, seed=12, covariates=COVS)
     assert a.estimates != c.estimates
 
 
 def test_bootstrap_degenerate_outcomes_zero_sd():
     data = synthetic_observational(seed=13, n_treated=20, n_control=80)
     flat = make_dataset(data.treated, np.full(len(data), 7.0), data.covariates)
-    summary = bootstrap_att(flat, False, MatchSpec(metric="mahalanobis"),
+    summary = bootstrap_att(flat, MatchSpec(metric="mahalanobis"),
                             10, seed=15, model=_hand_model(0.0, [0.0] * 8))
     assert summary.sd == 0.0
     assert all(e == 0.0 for e in summary.estimates)
@@ -94,22 +94,29 @@ def test_bootstrap_failure_budget():
     impossible = MatchSpec(caliper=1e-15, design_tag="strict")
     with pytest.raises(BootstrapError, match=r"^10/10 bootstrap replicates failed "
                        r"in the full-sample design \(EstimationError: 10; last: "):
-        bootstrap_att(data, False, impossible, 10, seed=19, model=model)
+        bootstrap_att(data, impossible, 10, seed=19, model=model)
 
 
 def test_bootstrap_requires_inputs():
     data = synthetic_observational(seed=21, n_treated=10, n_control=40)
     with pytest.raises(ValidationError):
-        bootstrap_att(data, True, MatchSpec(), 0, seed=1, covariates=COVS)
-    with pytest.raises(ValidationError):
-        bootstrap_att(data, True, MatchSpec(), 5, seed=1)  # no covariates
-    with pytest.raises(ValidationError):
-        bootstrap_att(data, False, MatchSpec(), 5, seed=1)  # no model
+        bootstrap_att(data, MatchSpec(), 0, seed=1, covariates=COVS)
+    with pytest.raises(ValidationError, match="needs a model, or covariates to refit on"):
+        bootstrap_att(data, MatchSpec(), 5, seed=1)  # neither a model nor covariates
+
+
+def test_bootstrap_given_a_model_scores_with_it_and_never_refits():
+    data = synthetic_observational(seed=21, n_treated=10, n_control=40)
+    model = fit_logistic(data, COVS)
+    with_covariates = bootstrap_att(data, MatchSpec(), 5, seed=1, model=model,
+                                    covariates=COVS)
+    assert (with_covariates.work.fits, with_covariates.work.fit_iterations) == (0, 0)
+    assert with_covariates == bootstrap_att(data, MatchSpec(), 5, seed=1, model=model)
 
 
 def test_bootstrap_quantiles_recomputable():
     data = synthetic_observational(seed=23, n_treated=25, n_control=100)
-    summary = bootstrap_att(data, True, MatchSpec(), 40, seed=25, covariates=COVS)
+    summary = bootstrap_att(data, MatchSpec(), 40, seed=25, covariates=COVS)
     values = np.array(summary.estimates)
     assert summary.mean == pytest.approx(float(values.mean()))
     assert summary.sd == pytest.approx(float(values.std(ddof=1)))
@@ -119,7 +126,7 @@ def test_bootstrap_quantiles_recomputable():
 
 def test_bootstrap_trim_inside_replicate():
     data = synthetic_observational(seed=27, n_treated=40, n_control=160)
-    summary = bootstrap_att(data, True, MatchSpec(), 10, seed=29,
+    summary = bootstrap_att(data, MatchSpec(), 10, seed=29,
                             covariates=COVS, trim_rule=TrimRule(0.05, 0.95))
     assert summary.trimmed.n_failed == 0
     assert len(summary.trimmed.estimates) == 10
@@ -139,7 +146,7 @@ def test_bootstrap_scores_each_replicate_once(monkeypatch, rule, per_replicate):
 
     monkeypatch.setattr(resample, "score_dataset", counting_score)
     data = synthetic_observational(seed=27, n_treated=40, n_control=160)
-    summary = bootstrap_att(data, True, MatchSpec(), 10, seed=29,
+    summary = bootstrap_att(data, MatchSpec(), 10, seed=29,
                             covariates=COVS, trim_rule=rule)
     assert summary.n_failed == 0 and (rule is None or summary.trimmed.n_failed == 0)
     # The replicate once for both designs, plus its trimmed subset.
@@ -150,7 +157,7 @@ def test_bootstrap_scores_each_replicate_once(monkeypatch, rule, per_replicate):
 def test_bootstrap_designs_equal_direct_per_replicate_estimates():
     data = synthetic_observational(seed=37, n_treated=40, n_control=160)
     rule = TrimRule(0.05, 0.95)
-    summary = bootstrap_att(data, True, MatchSpec(), 3, seed=39,
+    summary = bootstrap_att(data, MatchSpec(), 3, seed=39,
                             covariates=COVS, trim_rule=rule)
     full, trimmed = [], []
     for r in range(3):
@@ -171,7 +178,7 @@ def test_bootstrap_designs_equal_direct_per_replicate_estimates():
 def test_bootstrap_failed_fit_fails_both_designs(monkeypatch):
     data = synthetic_observational(seed=41, n_treated=40, n_control=160)
     monkeypatch.setattr(resample, "fit_logistic", _fit_failing_on(data, 43, [1]))
-    summary = bootstrap_att(data, True, MatchSpec(), 6, seed=43,
+    summary = bootstrap_att(data, MatchSpec(), 6, seed=43,
                             covariates=COVS, trim_rule=TrimRule(0.05, 0.95))
     assert summary.work.fits == 6  # one fit per replicate for both designs
     assert summary.work.failed_by_type == {"full": {"EstimationError": 1},
@@ -188,14 +195,14 @@ def test_bootstrap_failed_trim_fails_only_the_trimmed_design():
     # A rule no score can satisfy empties every trimmed replicate.
     with pytest.raises(BootstrapError, match=r"^5/5 bootstrap replicates failed in "
                        r"the score-trimmed design \(TrimmingError: 5; last: "):
-        bootstrap_att(data, False, MatchSpec(), 5, seed=47, model=model,
+        bootstrap_att(data, MatchSpec(), 5, seed=47, model=model,
                       trim_rule=TrimRule(0.49999, 0.5))
 
 
 def test_bootstrap_summaries_carry_replicate_indices():
     data = synthetic_observational(seed=45, n_treated=12, n_control=60)
     rule = TrimRule(0.3, 0.7)
-    summary = bootstrap_att(data, True, MatchSpec(), 40, seed=47,
+    summary = bootstrap_att(data, MatchSpec(), 40, seed=47,
                             covariates=COVS, trim_rule=rule)
     assert summary.replicates == tuple(range(40))
     assert summary.trimmed.n_failed == 5
@@ -254,6 +261,14 @@ def test_decile_rows_are_the_arm_contrast_of_their_units():
         assert (row.att, row.se) == _arm_contrast(outcome[treated], outcome[~treated])
 
 
+def test_decile_rejects_min_per_arm_below_one():
+    data = synthetic_observational(seed=33, n_treated=50, n_control=200)
+    scores = score_dataset(fit_logistic(data, COVS), data)
+    for min_per_arm in (0, -3):
+        with pytest.raises(ValidationError, match="min_per_arm must be >= 1"):
+            decile_att(data, scores, min_per_arm=min_per_arm)
+
+
 def test_decile_drops_thin_arms():
     # 20 units: scores increase with x; top half has no controls at all
     xs = np.linspace(-3, 3, 20)
@@ -284,7 +299,7 @@ def test_decile_constant_effect_recovered():
 
 def test_bootstrap_work_counts_fits_iterations_and_units():
     data = synthetic_observational(seed=45, n_treated=12, n_control=60)
-    summary = bootstrap_att(data, True, MatchSpec(), 40, seed=47,
+    summary = bootstrap_att(data, MatchSpec(), 40, seed=47,
                             covariates=COVS, trim_rule=TrimRule(0.3, 0.7))
     iterations = sum(fit_logistic(_replicate(data, 47, r), COVS).iterations
                      for r in range(40))
@@ -294,7 +309,7 @@ def test_bootstrap_work_counts_fits_iterations_and_units():
     assert work.workers == resample._worker_count(40)
     assert summary.trimmed.work is None
     model = fit_logistic(data, COVS)
-    fixed = bootstrap_att(data, False, MatchSpec(), 4, seed=47, model=model)
+    fixed = bootstrap_att(data, MatchSpec(), 4, seed=47, model=model)
     assert (fixed.work.fits, fixed.work.fit_iterations) == (0, 0)
     assert fixed.work.failed_by_type == {"full": {}}
 
@@ -308,7 +323,7 @@ def test_bootstrap_output_independent_of_worker_count(monkeypatch):
     data = synthetic_observational(seed=45, n_treated=12, n_control=60)
     rule = TrimRule(0.3, 0.7)  # fails 5 of the 40 trimmed replicates
     monkeypatch.setattr(resample, "fit_logistic", _fit_failing_on(data, 47, [3, 22]))
-    one, two = (_bootstrap_with_workers(monkeypatch, workers, data, True, MatchSpec(),
+    one, two = (_bootstrap_with_workers(monkeypatch, workers, data, MatchSpec(),
                                         40, seed=47, covariates=COVS, trim_rule=rule)
                 for workers in (1, 2))
     assert (one.work.workers, two.work.workers) == (1, 2)
@@ -326,7 +341,7 @@ def test_bootstrap_output_independent_of_worker_count(monkeypatch):
     messages = []
     for workers in (1, 2):
         with pytest.raises(BootstrapError) as raised:
-            _bootstrap_with_workers(monkeypatch, workers, data, True, MatchSpec(), 40,
+            _bootstrap_with_workers(monkeypatch, workers, data, MatchSpec(), 40,
                                     seed=47, covariates=COVS, trim_rule=rule)
         messages.append(str(raised.value))
     assert messages[0] == messages[1]
@@ -350,11 +365,11 @@ def test_bootstrap_worker_errors_reach_the_caller(monkeypatch):
     monkeypatch.setattr(resample, "fit_logistic", broken_fit)
     for workers in (1, 2):
         with pytest.raises(KeyError, match="not an AttDiagError"):
-            _bootstrap_with_workers(monkeypatch, workers, data, True, MatchSpec(), 4,
+            _bootstrap_with_workers(monkeypatch, workers, data, MatchSpec(), 4,
                                     seed=11, covariates=COVS)
     monkeypatch.setattr(resample, "fit_logistic", dying_fit)
     with pytest.raises(BootstrapError, match="worker process died"):
-        _bootstrap_with_workers(monkeypatch, 2, data, True, MatchSpec(), 4,
+        _bootstrap_with_workers(monkeypatch, 2, data, MatchSpec(), 4,
                                 seed=11, covariates=COVS)
 
 

@@ -26,6 +26,12 @@ def test_config_validation():
         SimConfig(seed=0, treat_prob=1.0)
     with pytest.raises(ValidationError):
         SimConfig(seed=0, n=0)
+    # Each check fails on NaN too, before the NaN reaches the sampler.
+    for bad in ({"epsilon": math.nan}, {"epsilon": -0.1},
+                {"type_proportions": (math.nan, 0.2, 0.4, 0.1)},
+                {"type_proportions": (0.3, 0.2, 0.4, math.nan)}):
+        with pytest.raises(ValidationError):
+            SimConfig(seed=0, **bad)
     # The delta grid is checked like every sweep's grid.
     for grid in ((2.0, 1.0, 0.0), (0.0, 0.0), (), (0.0, float("nan"))):
         with pytest.raises(ValidationError):
