@@ -20,7 +20,7 @@ from .identification import (
 from .ingest import Dataset, SchemaSpec, fetch_dataset, merge, parse_table
 from .propensity import PropensityModel, TrimRule, fit_logistic, score_dataset, trim
 from .resample import BootstrapSummary, DecileReport, bootstrap_att, decile_att
-from .simulation import SimConfig, apply_selection, generate_population, nonid_witness, run_sweep
+from .simulation import SimConfig, apply_selection, nonid_witness, run_sweep
 from .strata import (
     BinSpec,
     CellStatus,

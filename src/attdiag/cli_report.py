@@ -56,7 +56,7 @@ from .identification import (
     sweep_trimming_proxy,
 )
 from .ingest import (
-    NSW_SCHEMA, SOURCE_SCHEMAS, SOURCE_URLS, _sha256, fetch_dataset, merge, parse_table,
+    NSW_SCHEMA, SOURCE_SCHEMAS, SOURCE_URLS, SchemaSpec, _sha256, fetch_dataset, merge, parse_table,
 )
 from .propensity import (
     PropensityModel,
@@ -69,7 +69,7 @@ from .propensity import (
     trim,
 )
 from .resample import bootstrap_att, decile_att
-from .simulation import SimConfig, nonid_witness, run_sweep
+from .simulation import SimConfig, _check_witness_threshold, nonid_witness, run_sweep
 from .strata import build_support_map, restrict_to_overlap, support_share
 from . import svgplot
 
@@ -110,6 +110,18 @@ def _parse_delta_grid(text: str) -> tuple[float, ...]:
 
 def _parse_caliper(text: str) -> float | None:
     return float(text) if text.strip() else None
+
+
+def _table_schema(data: dict, role: str) -> SchemaSpec:
+    """The layout the `role` table is parsed in, from the parsed [data]
+    section: the NSW layout when local, the source's own when remote."""
+    if data["source"] == "local":
+        return NSW_SCHEMA
+    source = data[f"{role}_source"]
+    if source not in SOURCE_SCHEMAS:
+        raise ConfigError(f"[data] {role}_source: unknown source {source!r}; "
+                          f"expected one of {sorted(SOURCE_SCHEMAS)}")
+    return SOURCE_SCHEMAS[source]
 
 
 # section -> key -> (default text, parser of the text).
@@ -160,7 +172,7 @@ _CONFIG_LAYOUT = {
         "treat_prob": ("0.5", float),
         "deltas": ("0 0.5 1.0 1.5 2.0", _parse_delta_grid),
         "epsilon": ("0.3", float),
-        "witness_threshold": ("0.5", float),
+        "witness_threshold": ("0.5", _check_witness_threshold),
     },
 }
 
@@ -220,6 +232,12 @@ class RunConfig:
                 raise ConfigError(f"[{section}] {exc}") from None
 
         fit = values["propensity"]
+        for role in ("treated", "control"):
+            columns = _table_schema(values["data"], role).covariate_columns
+            for name in fit["covariates"]:
+                if name not in columns:
+                    raise ConfigError(f"[propensity] covariates: {name!r} not in the "
+                                      f"{role} table's covariate columns {columns}")
         build("propensity", _check_fit_options,
               ridge=fit["ridge"], tol=fit["tol"], max_iter=fit["max_iter"])
         sim = values["simulation"]
@@ -382,7 +400,7 @@ def _load_data(cfg: RunConfig):
                 raise DependencyError(
                     f"[data] {role}_file missing or unreadable; point it at a local table"
                 )
-            text, schema = Path(path).read_text(), NSW_SCHEMA
+            text = Path(path).read_text()
         else:
             source = cfg.get("data", f"{role}_source")
             try:
@@ -391,9 +409,8 @@ def _load_data(cfg: RunConfig):
                 raise DependencyError(
                     f"dataset not cached ({exc}); run the fetch command first"
                 ) from exc
-            schema = SOURCE_SCHEMAS[source]
         digests[role] = _sha256(text.encode())
-        parts[role] = parse_table(text, schema)
+        parts[role] = parse_table(text, _table_schema(cfg.values["data"], role))
     rows = {role: len(part) for role, part in parts.items()}
     return merge(parts["treated"], parts["control"]), digests, rows
 
@@ -611,7 +628,9 @@ def cmd_simulate(cfg: RunConfig):
         "witness_att_gap": abs(witness.att_ignorable - witness.att_threshold),
         "sets": [{"lo": iv.lo, "hi": iv.hi} for iv in sweep.sets],
     }
-    return values, {"seed": cfg.seed}
+    # The sweep draws one population and the witness one per DGP.
+    return values, {"seed": cfg.seed, "units_drawn": 3 * cfg.sim_config.n,
+                    "units_kept": sum(sweep.kept)}
 
 
 def cmd_bootstrap(cfg: RunConfig):

@@ -100,8 +100,8 @@ class Dataset:
     arrays, one entry per unit. `covariates` is stored column-major
     (Fortran order), one contiguous column per covariate, so the model fit
     and scoring read it as it stands; it aliases the array passed in when
-    that is already a float column-major matrix. `schema` is None for
-    synthetic covariate-free datasets (e.g. simulation output).
+    that is already a float column-major matrix. `schema` is None for a
+    Dataset built directly from arrays, whose covariates are named x0, x1, ...
 
     The Dataset holds non-writable views of its arrays, and `subset`,
     `take_with_fresh_ids` and `merge` build new Datasets rather than

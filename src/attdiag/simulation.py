@@ -17,11 +17,9 @@ from .errors import ValidationError, WitnessError
 from .identification import (
     Interval, _check_delta, _validate_delta_grid, fixed_radius_sets, massi_from_intervals,
 )
-from .ingest import Dataset
 
-# latent type -> (y1, y0)
-TYPE_POTENTIALS = {"A": (1, 0), "B": (0, 1), "C": (1, 1), "D": (0, 0)}
-TYPE_NAMES = ("A", "B", "C", "D")
+# (y1, y0) of the latent types A, B, C and D, in type-code order
+_POTENTIALS = np.array([(1, 0), (0, 1), (1, 1), (0, 0)], dtype=np.int8)
 
 # stage ids for stream splitting
 _STAGE_TYPES = 0
@@ -64,36 +62,15 @@ class SimConfig:
             raise ValidationError(f"epsilon must be >= 0, got {self.epsilon}")
 
 
-class Population:
-    """Pre-selection population stored as arrays, one entry per unit."""
-
-    __slots__ = ("type_codes", "y1", "y0", "d", "y_observed")
-
-    def __init__(self, type_codes, y1, y0, d):
-        self.type_codes = type_codes
-        self.y1 = y1
-        self.y0 = y0
-        self.d = d
-        self.y_observed = d * y1 + (1 - d) * y0
-
-    def __len__(self) -> int:
-        return len(self.type_codes)
-
-
-def _draw_population(rng_types: np.random.Generator, rng_treat: np.random.Generator,
-                     config: SimConfig) -> Population:
+def _draw_units(rng_types: np.random.Generator, rng_treat: np.random.Generator,
+                config: SimConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """config.n latent types drawn from rng_types, then config.n randomized
-    treatment flags from rng_treat (which may be the same stream)."""
-    codes = rng_types.choice(4, size=config.n, p=config.type_proportions).astype(np.int8)
-    potentials = np.array([TYPE_POTENTIALS[t] for t in TYPE_NAMES], dtype=np.int8)
+    treatment flags from rng_treat (which may be the same stream). Returns
+    the int8 arrays d, y0 and the observed outcome y, one entry per unit."""
+    codes = rng_types.choice(4, size=config.n, p=config.type_proportions)
     d = (rng_treat.random(config.n) < config.treat_prob).astype(np.int8)
-    return Population(codes, potentials[codes, 0], potentials[codes, 1], d)
-
-
-def generate_population(config: SimConfig) -> Population:
-    """Draw latent types and randomized treatment; deterministic per seed."""
-    return _draw_population(_stage_rng(config.seed, _STAGE_TYPES),
-                            _stage_rng(config.seed, _STAGE_TREAT), config)
+    y0 = _POTENTIALS[codes, 1]
+    return d, y0, np.where(d == 1, _POTENTIALS[codes, 0], y0)
 
 
 def _selection_probability(delta: float) -> np.ndarray:
@@ -103,25 +80,15 @@ def _selection_probability(delta: float) -> np.ndarray:
     return np.array([0.5, 1.0 / (1.0 + np.exp(-delta))])
 
 
-def apply_selection(pop: Population, delta: float, seed: int) -> Dataset:
-    """Keep each unit with probability logistic(delta * observed outcome).
+def apply_selection(y: np.ndarray, delta: float, seed: int) -> np.ndarray:
+    """Keep each unit with probability logistic(delta * y), y its 0/1
+    observed outcome; returns the kept mask.
 
     delta=0 keeps everyone with probability one half (selection ignores the
-    outcome); growing delta favors high observed outcomes. Returns the
-    selected units as a covariate-free Dataset.
+    outcome); growing delta favors high observed outcomes.
     """
     _check_delta(delta)
-    rng = _stage_rng(seed, _STAGE_SELECT)
-    kept = rng.random(len(pop)) < _selection_probability(delta)[pop.y_observed]
-    # Gathering by index is several times faster than by a boolean mask
-    # that keeps about half of the units.
-    ids = np.flatnonzero(kept)
-    return Dataset(
-        treated=pop.d[ids].astype(bool),
-        outcome=pop.y_observed[ids].astype(float),
-        covariates=None,
-        unit_ids=ids,
-    )
+    return _stage_rng(seed, _STAGE_SELECT).random(len(y)) < _selection_probability(delta)[y]
 
 
 @dataclass(frozen=True)
@@ -130,32 +97,39 @@ class SimSweepResult:
     observed_ates: tuple[float, ...]
     sets: tuple[Interval, ...]
     massi: float
-    seed: int
+    kept: tuple[int, ...]  # units selected at each delta
 
 
 def run_sweep(config: SimConfig) -> SimSweepResult:
     """Observed difference in arm means per selection strength, with the
     fixed-radius identified set around each."""
-    pop = generate_population(config)
-    ates = []
+    d, _, y = _draw_units(_stage_rng(config.seed, _STAGE_TYPES),
+                          _stage_rng(config.seed, _STAGE_TREAT), config)
+    cells = 2 * d + y
+    ates, kept_counts = [], []
     for i, delta in enumerate(config.delta_grid):
         child_seed = int(
             np.random.SeedSequence(entropy=config.seed, spawn_key=(_STAGE_SELECT, i))
             .generate_state(1)[0]
         )
-        selected = apply_selection(pop, delta, child_seed)
-        selected.require_both_arms("run_sweep")
+        # y is passed by position: the benchmark tracer counts its length.
+        kept = apply_selection(y, delta, child_seed)
+        c00, c01, c10, c11 = np.bincount(cells[kept], minlength=4)
+        n_treated, n_control = c10 + c11, c00 + c01
+        if n_treated == 0 or n_control == 0:
+            raise ValidationError("run_sweep requires at least one treated and one control "
+                                  f"unit (got {n_treated} treated, {n_control} control)")
         # The outcomes are 0/1, so each arm mean is an exact count over the
         # arm size: the same float as np.mean over the arm's outcomes.
-        c00, c01, c10, c11 = _cell_counts(selected.treated, selected.outcome)
-        ates.append(float(c11 / (c10 + c11) - c01 / (c00 + c01)))
+        ates.append(float(c11 / n_treated - c01 / n_control))
+        kept_counts.append(int(n_treated + n_control))
     sets = fixed_radius_sets(ates, config.epsilon)
     return SimSweepResult(
         deltas=config.delta_grid,
         observed_ates=tuple(ates),
         sets=tuple(sets),
         massi=massi_from_intervals(config.delta_grid, sets),
-        seed=config.seed,
+        kept=tuple(kept_counts),
     )
 
 
@@ -172,14 +146,18 @@ class WitnessResult:
     selection_rate: float
 
 
-def _cell_counts(d: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Units per (d, y) cell of 0/1 arrays: (0, 0), (0, 1), (1, 0), (1, 1)."""
-    return np.bincount(2 * d + y.astype(np.intp), minlength=4)
+def _freq_table(cells: np.ndarray) -> dict:
+    """Share of each (d, y) cell among units given by cell code 2 * d + y."""
+    counts = np.bincount(cells, minlength=4)
+    return {(dv, yv): float(counts[2 * dv + yv] / len(cells)) for dv in (0, 1) for yv in (0, 1)}
 
 
-def _freq_table(d: np.ndarray, y: np.ndarray) -> dict:
-    counts = _cell_counts(d, y)
-    return {(dv, yv): float(counts[2 * dv + yv] / len(d)) for dv in (0, 1) for yv in (0, 1)}
+def _check_witness_threshold(threshold_c) -> float:
+    """`threshold_c` as a float, which must not be NaN: NaN selects no unit."""
+    threshold_c = float(threshold_c)
+    if threshold_c != threshold_c:
+        raise ValidationError("witness threshold must not be NaN")
+    return threshold_c
 
 
 def total_variation(table_a: dict, table_b: dict) -> float:
@@ -200,6 +178,7 @@ def nonid_witness(config: SimConfig, threshold_c: float = 0.5) -> WitnessResult:
     contrast while its observed law is distorted. Empirical frequency
     tables are returned as the digests.
     """
+    _check_witness_threshold(threshold_c)
     pa, pb, pc, pd = config.type_proportions
     p_y1 = pa + pc  # P(y1 = 1)
     p_y0 = pb + pc  # P(y0 = 1)
@@ -230,11 +209,11 @@ def nonid_witness(config: SimConfig, threshold_c: float = 0.5) -> WitnessResult:
 
     # Monte Carlo draw of the threshold DGP, types then treatment from one stream.
     rng = _stage_rng(config.seed, _STAGE_WITNESS, 0)
-    pop = _draw_population(rng, rng, config)
-    keep = pop.y0 > threshold_c
+    d, y0, y = _draw_units(rng, rng, config)
+    keep = y0 > threshold_c
     if not np.any(keep):
         raise WitnessError("threshold selected no units in the Monte Carlo draw")
-    digest_threshold = _freq_table(pop.d[keep], pop.y_observed[keep])
+    digest_threshold = _freq_table((2 * d + y)[keep])
 
     # Monte Carlo draw of the ignorable DGP: population (d, y) law equals the
     # threshold DGP's observed law; selection is an independent coin.
@@ -245,7 +224,7 @@ def nonid_witness(config: SimConfig, threshold_c: float = 0.5) -> WitnessResult:
     keep2 = rng2.random(config.n) < selection_rate
     if not np.any(keep2):
         raise WitnessError("ignorable selection kept no units in the Monte Carlo draw")
-    digest_ignorable = _freq_table(d2[keep2], y2[keep2])
+    digest_ignorable = _freq_table((2 * d2 + y2)[keep2])
 
     return WitnessResult(
         digest_ignorable=digest_ignorable,

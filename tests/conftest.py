@@ -1,5 +1,6 @@
-"""Shared fixtures: toy datasets, a synthetic observational sample in the
-canonical file layout, and the (optional) cached real datasets."""
+"""Shared fixtures: toy datasets, draws of the selection experiment, a
+synthetic observational sample in the canonical file layout, and the
+(optional) cached real datasets."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from attdiag import simulation
 from attdiag.ingest import NSW_SCHEMA, Dataset, load_source, merge
 
 
@@ -18,6 +20,22 @@ def make_dataset(treated, outcome, covariates=None) -> Dataset:
     if covariates is None:
         covariates = np.zeros((len(treated), 1))
     return Dataset(treated, outcome, np.asarray(covariates, dtype=float))
+
+
+def sweep_population(config: simulation.SimConfig):
+    """(d, y0, y) of the population `run_sweep` draws for `config`."""
+    return simulation._draw_units(simulation._stage_rng(config.seed, simulation._STAGE_TYPES),
+                                  simulation._stage_rng(config.seed, simulation._STAGE_TREAT),
+                                  config)
+
+
+def simulated_selection(config: simulation.SimConfig, delta: float, seed: int) -> Dataset:
+    """The units of `config`'s sweep population that `apply_selection`
+    keeps at `delta` under `seed`, as a covariate-free Dataset whose unit
+    ids are population indices."""
+    d, _, y = sweep_population(config)
+    kept = simulation.apply_selection(y, delta, seed)
+    return Dataset(d[kept], y[kept], unit_ids=np.flatnonzero(kept))
 
 
 def record_float_sorts(monkeypatch):

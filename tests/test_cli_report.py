@@ -490,6 +490,14 @@ def test_bad_config_value_fails_before_any_stage(tmp_path, capsys):
              ("[propensity] max_iter must be >= 0", text + "\n[propensity]\nmax_iter = -1\n"),
              ("[propensity] hist_bins:", text + "\n[propensity]\nhist_bins = 0\n"),
              ("[simulation] epsilon must be >= 0", text.replace("n = 20000", "epsilon = nan")),
+             ("[simulation] witness_threshold:",
+              text.replace("n = 20000", "witness_threshold = nan")),
+             # Each covariate must be a covariate column of every table the run parses.
+             ("[propensity] covariates: 'foo'", text + "\n[propensity]\ncovariates = age foo\n"),
+             ("[propensity] covariates: 're74'", text.replace(
+                 "source = local", "source = remote\ntreated_source = nsw_treated_original")),
+             ("[data] control_source: unknown source", text.replace(
+                 "source = local", "source = remote\ncontrol_source = foo_controls")),
              ("[simulation] type_proportions", text.replace(
                  "n = 20000", "proportions = nan 0.2 0.4 0.1")),
              ("[bootstrap] b:", text.replace("b = 12", "b = 0")),

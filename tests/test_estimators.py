@@ -18,7 +18,7 @@ from attdiag.estimators import (
 )
 from attdiag.ingest import Dataset
 from attdiag.propensity import PropensityModel, fit_logistic, score_dataset
-from conftest import make_dataset, synthetic_observational
+from conftest import make_dataset, simulated_selection, synthetic_observational
 
 
 def _hand_model(intercept, slopes):
@@ -78,10 +78,9 @@ def test_ipw_hand_weighted_mean():
 
 
 def test_ipw_matches_naive_on_randomized_data():
-    from attdiag.simulation import SimConfig, apply_selection, generate_population
+    from attdiag.simulation import SimConfig
 
-    pop = generate_population(SimConfig(seed=123, n=30_000))
-    selected = apply_selection(pop, 0.0, seed=9)
+    selected = simulated_selection(SimConfig(seed=123, n=30_000), 0.0, seed=9)
     # constant scores: IPW collapses to the naive contrast
     model = PropensityModel(np.array([0.0]), (), True, 0, 0.0, 0.0)
     data = Dataset(selected.treated, selected.outcome,

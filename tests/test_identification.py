@@ -32,7 +32,7 @@ from attdiag.identification import (
     sweep_trimming_proxy,
 )
 from attdiag.propensity import PropensityModel, TrimRule, fit_logistic, score_dataset
-from conftest import make_dataset, record_float_sorts, synthetic_observational
+from conftest import make_dataset, record_float_sorts, simulated_selection, synthetic_observational
 
 
 def _hand_model(intercept, slopes):
@@ -72,10 +72,9 @@ def test_manski_rejects_outcomes_outside_support():
 
 
 def test_manski_contains_truth_on_simulated_draw():
-    from attdiag.simulation import SimConfig, apply_selection, generate_population
+    from attdiag.simulation import SimConfig
 
-    pop = generate_population(SimConfig(seed=31, n=20_000))
-    selected = apply_selection(pop, 1.0, seed=4)
+    selected = simulated_selection(SimConfig(seed=31, n=20_000), 1.0, seed=4)
     iv = manski_bounds(selected, OutcomeSupport(0.0, 1.0))
     assert iv.contains(0.1)
 

@@ -6,15 +6,25 @@ from hypothesis import example, given, settings, strategies as st
 
 from attdiag import simulation
 from attdiag.errors import DomainError, ValidationError, WitnessError
-from attdiag.simulation import (
-    TYPE_NAMES,
-    SimConfig,
-    apply_selection,
-    generate_population,
-    nonid_witness,
-    run_sweep,
-    total_variation,
-)
+from attdiag.simulation import SimConfig, apply_selection, nonid_witness, run_sweep, total_variation
+from conftest import sweep_population
+
+
+class _TreatAll:
+    """A treatment stream whose every draw is 0, so every unit is treated
+    and its observed outcome is y1."""
+
+    @staticmethod
+    def random(n):
+        return np.zeros(n)
+
+
+def potentials(config):
+    """(y1, y0) of each unit of `config`'s sweep population: its types
+    drawn from the sweep's type stream, each unit then treated."""
+    rng_types = simulation._stage_rng(config.seed, simulation._STAGE_TYPES)
+    _, y0, y1 = simulation._draw_units(rng_types, _TreatAll, config)
+    return y1, y0
 
 
 def test_config_validation():
@@ -41,50 +51,52 @@ def test_config_validation():
 
 
 def test_population_ate_near_design_value():
-    pop = generate_population(SimConfig(seed=1))
-    assert abs(float(np.mean(pop.y1 - pop.y0)) - 0.1) < 0.005
+    y1, y0 = potentials(SimConfig(seed=1))
+    assert abs(float(np.mean(y1 - y0)) - 0.1) < 0.005
 
 
 def test_population_degenerate_mixture():
-    pop = generate_population(SimConfig(seed=2, n=500,
-                                        type_proportions=(1.0, 0.0, 0.0, 0.0)))
-    assert float(np.mean(pop.y1 - pop.y0)) == 1.0
-    assert np.all(pop.type_codes == TYPE_NAMES.index("A"))
-    assert np.all(pop.y1 == 1) and np.all(pop.y0 == 0)
+    y1, y0 = potentials(SimConfig(seed=2, n=500, type_proportions=(1.0, 0.0, 0.0, 0.0)))
+    assert float(np.mean(y1 - y0)) == 1.0
+    # every unit is of type A
+    assert np.all(y1 == 1) and np.all(y0 == 0)
 
 
 def test_population_deterministic_per_seed():
-    a = generate_population(SimConfig(seed=3, n=10))
-    b = generate_population(SimConfig(seed=3, n=10))
-    assert np.array_equal(a.type_codes, b.type_codes)
-    assert np.array_equal(a.d, b.d)
-    c = generate_population(SimConfig(seed=4, n=10))
-    assert not np.array_equal(a.type_codes, c.type_codes)
+    config = SimConfig(seed=3, n=10)
+    for draw in (sweep_population, potentials):
+        assert all(np.array_equal(a, b) for a, b in zip(draw(config), draw(config)))
+    # (y1, y0) fixes the type, so this compares the type draws.
+    other = potentials(SimConfig(seed=4, n=10))
+    assert not all(np.array_equal(a, c) for a, c in zip(potentials(config), other))
 
 
 def test_type_frequencies_converge():
-    pop = generate_population(SimConfig(seed=5))
-    freq = np.bincount(pop.type_codes, minlength=4) / len(pop)
-    assert np.max(np.abs(freq - np.array([0.3, 0.2, 0.4, 0.1]))) < 0.01
+    y1, y0 = potentials(SimConfig(seed=5))
+    freq = [np.mean((y1 == a) & (y0 == b)) for a, b in simulation._POTENTIALS]
+    assert np.max(np.abs(np.array(freq) - np.array([0.3, 0.2, 0.4, 0.1]))) < 0.01
 
 
 def test_unit_observed_outcome_consistency():
-    pop = generate_population(SimConfig(seed=6, n=50))
-    assert np.array_equal(pop.y_observed, pop.d * pop.y1 + (1 - pop.d) * pop.y0)
+    config = SimConfig(seed=6, n=50)
+    d, y0, y = sweep_population(config)
+    y1, y0_types = potentials(config)
+    assert np.array_equal(y0, y0_types)
+    assert np.array_equal(y, d * y1 + (1 - d) * y0)
+    assert y.dtype == d.dtype == y0.dtype == np.int8
 
 
 def test_selection_rate_at_delta_zero():
-    pop = generate_population(SimConfig(seed=7))
-    selected = apply_selection(pop, 0.0, seed=11)
-    assert abs(len(selected) / len(pop) - 0.5) < 0.01
+    _, _, y = sweep_population(SimConfig(seed=7))
+    kept = apply_selection(y, 0.0, seed=11)
+    assert kept.dtype == bool and kept.shape == y.shape
+    assert abs(kept.mean() - 0.5) < 0.01
 
 
 def test_selection_rate_formula_at_delta_one():
-    pop = generate_population(SimConfig(seed=8))
-    selected = apply_selection(pop, 1.0, seed=12)
-    kept = np.zeros(len(pop), dtype=bool)
-    kept[selected.unit_ids] = True
-    ones = pop.y_observed == 1
+    _, _, y = sweep_population(SimConfig(seed=8))
+    kept = apply_selection(y, 1.0, seed=12)
+    ones = y == 1
     rate_y1 = kept[ones].mean()
     rate_y0 = kept[~ones].mean()
     assert rate_y1 == pytest.approx(math.e / (1 + math.e), abs=0.01)
@@ -92,12 +104,10 @@ def test_selection_rate_formula_at_delta_one():
 
 
 def test_selection_extreme_delta():
-    pop = generate_population(SimConfig(seed=9))
-    selected = apply_selection(pop, 50.0, seed=13)
-    kept = np.zeros(len(pop), dtype=bool)
-    kept[selected.unit_ids] = True
-    assert kept[pop.y_observed == 1].mean() > 0.999
-    assert kept[pop.y_observed == 0].mean() == pytest.approx(0.5, abs=0.01)
+    _, _, y = sweep_population(SimConfig(seed=9))
+    kept = apply_selection(y, 50.0, seed=13)
+    assert kept[y == 1].mean() > 0.999
+    assert kept[y == 0].mean() == pytest.approx(0.5, abs=0.01)
 
 
 @settings(max_examples=200, deadline=None)
@@ -108,25 +118,24 @@ def test_selection_extreme_delta():
 @example(delta=50.0)
 @example(delta=1e300)
 def test_selection_probability_lookup_equals_elementwise_formula(delta):
-    y = generate_population(SimConfig(seed=3, n=1000)).y_observed
+    _, _, y = sweep_population(SimConfig(seed=3, n=1000))
     elementwise = 1.0 / (1.0 + np.exp(-delta * y.astype(float)))
     lookup = simulation._selection_probability(delta)[y]
     assert lookup.tobytes() == elementwise.tobytes()
 
 
 def test_selection_keeps_the_units_of_the_elementwise_formula():
-    pop = generate_population(SimConfig(seed=4, n=20000))
+    _, _, y = sweep_population(SimConfig(seed=4, n=20000))
     for delta in (0.0, 0.7, 50.0):
-        draws = simulation._stage_rng(21, simulation._STAGE_SELECT).random(len(pop))
-        p = 1.0 / (1.0 + np.exp(-delta * pop.y_observed.astype(float)))
-        selected = apply_selection(pop, delta, seed=21)
-        assert np.array_equal(selected.unit_ids, np.flatnonzero(draws < p))
+        draws = simulation._stage_rng(21, simulation._STAGE_SELECT).random(len(y))
+        p = 1.0 / (1.0 + np.exp(-delta * y.astype(float)))
+        assert np.array_equal(apply_selection(y, delta, seed=21), draws < p)
 
 
 def test_selection_rejects_negative_delta():
-    pop = generate_population(SimConfig(seed=10, n=100))
+    _, _, y = sweep_population(SimConfig(seed=10, n=100))
     with pytest.raises(DomainError):
-        apply_selection(pop, -0.1, seed=1)
+        apply_selection(y, -0.1, seed=1)
 
 
 def test_run_sweep_default_contains_zero_everywhere():
@@ -147,23 +156,26 @@ def test_run_sweep_ates_are_the_arm_means():
     # unit with outcome 1 and half of the others.
     for seed, n in ((1, 30), (2, 30), (3, 5000), (4, 20_000)):
         config = SimConfig(seed=seed, n=n, delta_grid=(0.0, 0.5, 3.0, 40.0))
-        pop = generate_population(config)
-        expected = []
+        d, _, y = sweep_population(config)
+        expected, kept_counts = [], []
         for i, delta in enumerate(config.delta_grid):
             child_seed = int(np.random.SeedSequence(
                 entropy=seed, spawn_key=(simulation._STAGE_SELECT, i)).generate_state(1)[0])
-            selected = apply_selection(pop, delta, child_seed)
-            yt = selected.outcome[selected.treated]
-            yc = selected.outcome[~selected.treated]
+            kept = apply_selection(y, delta, child_seed)
+            yt = y[kept & (d == 1)].astype(float)
+            yc = y[kept & (d == 0)].astype(float)
             expected.append(float(np.mean(yt) - np.mean(yc)))
-        assert run_sweep(config).observed_ates == tuple(expected)
+            kept_counts.append(int(kept.sum()))
+        result = run_sweep(config)
+        assert result.observed_ates == tuple(expected)
+        assert result.kept == tuple(kept_counts)
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), min_size=1, max_size=40))
 def test_freq_table_counts_each_cell(units):
     d, y = (np.array(column, dtype=np.int8) for column in zip(*units))
-    table = simulation._freq_table(d, y)
+    table = simulation._freq_table(2 * d + y)
     assert list(table) == [(0, 0), (0, 1), (1, 0), (1, 1)]
     for (dv, yv), share in table.items():
         assert share == float(np.sum((d == dv) & (y == yv)) / len(d))
@@ -218,6 +230,15 @@ def test_witness_degenerate_threshold_errors():
                       threshold_c=0.5)  # P(y0=1)=0
 
 
+def test_witness_rejects_nan_threshold_before_drawing(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("drew units")
+
+    monkeypatch.setattr(simulation, "_draw_units", no_draw)
+    with pytest.raises(ValidationError, match="NaN"):
+        nonid_witness(SimConfig(seed=20), threshold_c=math.nan)
+
+
 def test_total_variation():
     a = {(0, 0): 0.5, (0, 1): 0.5}
     b = {(0, 0): 0.25, (0, 1): 0.75}
@@ -228,9 +249,10 @@ def test_selection_ignorability_error_shrinks_over_seeds():
     errors = []
     for seed in range(20):
         config = SimConfig(seed=seed)
-        pop = generate_population(config)
-        selected = apply_selection(pop, 0.0, seed=seed + 1000)
-        yt = selected.outcome[selected.treated]
-        yc = selected.outcome[~selected.treated]
-        errors.append(abs(float(yt.mean() - yc.mean()) - float(np.mean(pop.y1 - pop.y0))))
+        d, _, y = sweep_population(config)
+        y1, y0 = potentials(config)
+        kept = apply_selection(y, 0.0, seed=seed + 1000)
+        yt = y[kept & (d == 1)].astype(float)
+        yc = y[kept & (d == 0)].astype(float)
+        errors.append(abs(float(yt.mean() - yc.mean()) - float(np.mean(y1 - y0))))
     assert max(errors) < 0.01
