@@ -10,12 +10,15 @@ bootstrap's failed replicates by design and error type.
 
 Each invocation resolves its inputs once. The config is parsed when the file
 is read, so a bad value fails before any stage runs. The products several
-stages share (the parsed tables, the propensity model and its scores, the
-grid config, the fine support map, the tilting problem and its sweep) are
-built on first use and kept while a later stage may read them, in a chained
-run as in a standalone one. Upstream products (the propensity model and
-table 1) are read from their artifacts; a command whose upstream artifact is
-missing fails with a dependency error naming the producing command.
+stages share (the parsed tables, the propensity model, the grid config, the
+fine support map, the tilting problem and its sweep) are built on first use
+and kept while a later stage may read them, in a chained run as in a
+standalone one. The model's scores and the tilting problem are kept on
+the composite dataset (`Dataset.cached`), where `sweep_tilting`, `att_ipw`
+and `sweep_trimming_proxy` find them too. Upstream products (the propensity
+model and table 1) are read from their artifacts; a command whose upstream
+artifact is missing fails with a dependency error naming the producing
+command.
 """
 
 from __future__ import annotations
@@ -49,11 +52,10 @@ from .estimators import (
     naive_diff,
 )
 from .identification import (
-    TiltingProblem,
     _validate_delta_grid,
-    control_tilt_inputs,
     sweep_to_csv_rows,
     sweep_trimming_proxy,
+    tilting_problem,
 )
 from .ingest import (
     NSW_SCHEMA, SOURCE_SCHEMAS, SOURCE_URLS, SchemaSpec, _sha256, fetch_dataset, merge, parse_table,
@@ -231,13 +233,19 @@ class RunConfig:
             except AttDiagError as exc:
                 raise ConfigError(f"[{section}] {exc}") from None
 
-        fit = values["propensity"]
-        for role in ("treated", "control"):
-            columns = _table_schema(values["data"], role).covariate_columns
+        fit, data = values["propensity"], values["data"]
+        schemas = {role: _table_schema(data, role) for role in ("treated", "control")}
+        for role, schema in schemas.items():
+            columns = schema.covariate_columns
             for name in fit["covariates"]:
                 if name not in columns:
                     raise ConfigError(f"[propensity] covariates: {name!r} not in the "
                                       f"{role} table's covariate columns {columns}")
+        if schemas["treated"] != schemas["control"]:  # `merge` would refuse the pair
+            raise ConfigError(
+                f"[data] treated_source {data['treated_source']!r} and control_source "
+                f"{data['control_source']!r} have different table layouts, which "
+                f"cannot be merged")
         build("propensity", _check_fit_options,
               ridge=fit["ridge"], tol=fit["tol"], max_iter=fit["max_iter"])
         sim = values["simulation"]
@@ -277,12 +285,6 @@ class RunConfig:
         return PropensityModel.from_json(path.read_text())
 
     @functools.cached_property
-    def scores(self) -> np.ndarray:
-        """The model's score of each unit of the composite dataset. A subset
-        is scored on its own: a slice of these can differ in the last bits."""
-        return score_dataset(self.model, self.tables[0])
-
-    @functools.cached_property
     def grid_config(self) -> dict:
         choice = self.get("grids", "config")
         try:
@@ -305,9 +307,10 @@ class RunConfig:
 
     @functools.cached_property
     def tilting(self):
-        """(TiltingProblem over the controls, its sweep over [bounds]
-        tilt_deltas): one sort serves both sweeps and every bisection step."""
-        problem = TiltingProblem(*control_tilt_inputs(self.tables[0], self.model))
+        """(the composite dataset's `tilting_problem` for the model, its
+        sweep over [bounds] tilt_deltas): one sort serves both sweeps and
+        every bisection step."""
+        problem = tilting_problem(self.tables[0], self.model)
         return problem, problem.sweep(self.get("bounds", "tilt_deltas"))
 
 
@@ -463,7 +466,8 @@ def cmd_propensity(cfg: RunConfig):
         max_iter=cfg.get("propensity", "max_iter"),
     )
     (cfg.out_dir / "propensity_model.json").write_text(model.to_json())
-    scores = cfg.scores  # of the model just written; its JSON round trip is exact
+    # Scored with the model just written; its JSON round trip is exact.
+    scores = data.cached(cfg.model, "scores", score_dataset)
     n_bins = cfg.get("propensity", "hist_bins")
     t_counts, c_counts, edges = score_histogram(data, scores, n_bins)
     rows = [["bin_low", "bin_high", "treated", "control"]]
@@ -487,7 +491,8 @@ def cmd_propensity(cfg: RunConfig):
 
 def cmd_match(cfg: RunConfig):
     data, digests, _ = cfg.tables
-    model, scores, spec, rule = cfg.model, cfg.scores, cfg.match_spec, cfg.trim_rule
+    model, spec, rule = cfg.model, cfg.match_spec, cfg.trim_rule
+    scores = data.cached(model, "scores", score_dataset)
     full = att_match(data, scores, spec)
     overlap = restrict_to_overlap(data, cfg.fine_map)
     overlap_est = att_match(overlap, score_dataset(model, overlap), spec)
@@ -593,10 +598,12 @@ def cmd_fragility(cfg: RunConfig):
     }
     (cfg.out_dir / "fragility.json").write_text(_dump_json(payload))
     tilt_work = _tilting_work(cfg, tilt_before)
-    # No later stage reads the tilting problem. Kept alive past the
-    # bootstrap's allocations, its arrays raised the peak RSS of a
-    # 30,000-control reproduce by about 4 MB.
+    # No later stage reads the tilting problem or its inputs, so the dataset
+    # drops them too. Kept alive past the bootstrap's allocations, the
+    # problem's arrays raised the peak RSS of a 30,000-control reproduce by
+    # about 4 MB.
     del cfg.tilting
+    cfg.tables[0].uncache("tilting_problem", "tilt_inputs")
     return payload, {"digests": cfg.tables[1],
                      "distinct_control_outcomes": problem.distinct_outcomes,
                      "bisection_evals": bisection_evals, **tilt_work}
@@ -662,7 +669,8 @@ def cmd_bootstrap(cfg: RunConfig):
 
 def cmd_deciles(cfg: RunConfig):
     data, digests, _ = cfg.tables
-    report = decile_att(data, cfg.scores, min_per_arm=cfg.get("deciles", "min_per_arm"))
+    report = decile_att(data, data.cached(cfg.model, "scores", score_dataset),
+                        min_per_arm=cfg.get("deciles", "min_per_arm"))
     rows = [["decile", "n_treated", "n_control", "att", "se", "dropped"]]
     for row in report.rows:
         rows.append([

@@ -263,9 +263,10 @@ def att_match(data: Dataset, scores, spec: MatchSpec) -> AttEstimate:
 
 def att_ipw(data: Dataset, model: PropensityModel) -> AttEstimate:
     """Inverse-probability-weighted ATT: treated mean minus the
-    odds-weighted control mean, weights e(x)/(1 - e(x))."""
+    odds-weighted control mean, weights e(x)/(1 - e(x)), from the scores
+    the Dataset caches for `model`."""
     data.require_both_arms("att_ipw")
-    scores = score_dataset(model, data)
+    scores = data.cached(model, "scores", score_dataset)
     t_mask = data.treated
     controls = ~t_mask
     yt = data.outcome[t_mask]

@@ -16,7 +16,11 @@ delta, so `TiltingProblem` builds them once for a whole sweep or
 fragility bisection. The sort happens once per `Dataset`:
 `control_tilt_inputs` returns the controls in the Dataset's cached
 outcome order, and a `TiltingProblem` given ordered outcomes collapses
-ties in one pass; only unordered input is sorted. Per delta it evaluates
+ties in one pass; only unordered input is sorted. The scores, the tilting
+inputs and the problem are built once per (Dataset, propensity model)
+pair and kept on the Dataset (`Dataset.cached`), so repeated sweeps and
+IPW estimates on the same pair reuse them; a `PropensityModel` is frozen,
+so none of them can go stale under a model. Per delta it evaluates
 the split points' ratios only in a window around the optimal threshold,
 which a Dinkelbach iteration locates, and widens the window until a rounding
 certificate proves that no split point outside it computes a more extreme
@@ -423,31 +427,40 @@ def _validate_delta_grid(deltas) -> tuple[float, ...]:
     return deltas
 
 
+def _tilt_inputs(model: PropensityModel, data: Dataset):
+    data.require_both_arms("tilting sweep")
+    order = data.control_outcome_order()
+    control_scores = data.cached(model, "scores", score_dataset)[order]
+    w = control_scores / (1.0 - control_scores)
+    return data.outcome[order], w, float(np.mean(data.outcome[data.treated]))
+
+
 def control_tilt_inputs(data: Dataset, model: PropensityModel):
     """(control outcomes, odds base weights, treated mean) for ATT tilting.
 
     The controls come in `data.control_outcome_order()`: outcomes
-    non-decreasing, ties in row order. That order is sorted once per
-    Dataset, so a `TiltingProblem` built on these inputs does not sort."""
-    data.require_both_arms("tilting sweep")
-    scores = score_dataset(model, data)
-    order = data.control_outcome_order()
-    control_scores = scores[order]
-    w = control_scores / (1.0 - control_scores)
-    y = data.outcome[order]
-    treated_mean = float(np.mean(data.outcome[data.treated]))
-    return y, w, treated_mean
+    non-decreasing, ties in row order, so a `TiltingProblem` built on these
+    inputs does not sort. They are computed once per (Dataset, model) from
+    the Dataset's cached scores and returned read-only (`Dataset.cached`)."""
+    return data.cached(model, "tilt_inputs", _tilt_inputs)
+
+
+def tilting_problem(data: Dataset, model: PropensityModel) -> TiltingProblem:
+    """The `TiltingProblem` on `control_tilt_inputs(data, model)`, built once
+    per (Dataset, model) and kept on the Dataset (`Dataset.cached`), so
+    every sweep and bisection on the pair shares it."""
+    return data.cached(model, "tilting_problem",
+                       lambda m, d: TiltingProblem(*control_tilt_inputs(d, m)))
 
 
 def sweep_tilting(data: Dataset, model: PropensityModel, deltas) -> CurvatureSweep:
     """Identified sets along a delta grid via exact tilting bounds.
 
     Base weights are the ATT counterfactual odds e(x)/(1 - e(x)) over
-    controls, so delta=0 reproduces the IPW point estimate. One
-    `TiltingProblem` serves the whole grid (see `TiltingProblem.sweep`), and
-    the controls come in the Dataset's cached outcome order.
+    controls, so delta=0 reproduces the IPW point estimate. The pair's one
+    `tilting_problem` serves every grid (see `TiltingProblem.sweep`).
     """
-    return TiltingProblem(*control_tilt_inputs(data, model)).sweep(deltas)
+    return tilting_problem(data, model).sweep(deltas)
 
 
 def default_delta_to_trim(delta: float) -> TrimRule:
@@ -464,11 +477,12 @@ def sweep_trimming_proxy(data: Dataset, model: PropensityModel, deltas,
     and report the matching estimate plus/minus its standard error (zero
     half-width at delta=0, the point-identified case). Width monotonicity is
     checked and recorded, not enforced; deltas whose trimmed sample is empty
-    or cannot be matched become missing points. `data` is scored once.
+    or cannot be matched become missing points. `data` is scored once per
+    model (`Dataset.cached`).
     """
     deltas = _validate_delta_grid(deltas)
     spec = match_spec or MatchSpec()
-    scores = score_dataset(model, data)
+    scores = data.cached(model, "scores", score_dataset)
     kept_deltas: list[float] = []
     intervals: list[Interval] = []
     missing: list[float] = []

@@ -107,13 +107,14 @@ class Dataset:
     `take_with_fresh_ids` and `merge` build new Datasets rather than
     change one. Where no conversion was needed (a float `outcome`, a bool
     `treated`) the view is of the caller's array, which stays writable: a
-    write to it changes this Dataset too and stales the order that
-    `control_outcome_order` caches from `treated` and `outcome`. Pass a
+    write to it changes this Dataset too and stales what the Dataset
+    caches from it, the order of `control_outcome_order` and the values of
+    `cached` (a model's scores, the tilting inputs and problem). Pass a
     copy of an array you will change.
     """
 
     __slots__ = ("treated", "outcome", "covariates", "unit_ids", "schema",
-                 "_control_order")
+                 "_control_order", "_fitted")
 
     def __init__(self, treated, outcome, covariates=None, unit_ids=None,
                  schema: SchemaSpec | None = None):
@@ -150,6 +151,7 @@ class Dataset:
         self.unit_ids = _read_only(unit_ids)
         self.schema = schema
         self._control_order = None
+        self._fitted = None
 
     def __len__(self) -> int:
         return self.treated.shape[0]
@@ -195,6 +197,36 @@ class Dataset:
             order = controls[np.argsort(self.outcome[controls], kind="stable")]
             self._control_order = _read_only(order)
         return self._control_order
+
+    def cached(self, model, key: str, build):
+        """`build(model, self)`, computed on the first call with this `model`
+        and `key` and kept, its arrays (alone or in a tuple) made read-only.
+
+        The cache holds one entry, for the last model asked about, keyed by
+        its identity; the entry keeps a reference to the model, so its id
+        cannot pass to another object. A model is frozen, so what it
+        determines here cannot change under the entry. Keys in use:
+        "scores" (`score_dataset`), "tilt_inputs" (`control_tilt_inputs`)
+        and "tilting_problem" (the `TiltingProblem` on those inputs)."""
+        if self._fitted is None or self._fitted[0] is not model:
+            self._fitted = (model, {})
+        entry = self._fitted[1]
+        if key not in entry:
+            value = build(model, self)
+            if isinstance(value, np.ndarray):
+                value = _read_only(value)
+            elif isinstance(value, tuple):
+                value = tuple(_read_only(v) if isinstance(v, np.ndarray) else v
+                              for v in value)
+            entry[key] = value
+        return entry[key]
+
+    def uncache(self, *keys: str) -> None:
+        """Drop `keys` from the cache entry of `cached`; the next call with
+        one of them builds it again."""
+        if self._fitted is not None:
+            for key in keys:
+                self._fitted[1].pop(key, None)
 
     def subset(self, mask_or_indices) -> "Dataset":
         """Row subset keeping original unit_ids."""

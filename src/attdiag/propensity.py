@@ -29,9 +29,14 @@ SCORE_CLAMP = 1e-12  # keeps odds weights e/(1-e) finite
 _SEPARATION_NORM = 40.0
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class PropensityModel:
-    """Fitted logistic coefficients for P(treated | covariates)."""
+    """Fitted logistic coefficients for P(treated | covariates).
+
+    Frozen, with read-only `coefficients` (a copy of those given), and
+    equal only to itself: a model cannot change after it is built, so a
+    Dataset can key what the model determines on it (`Dataset.cached`). A
+    second model with the same coefficients is another key."""
 
     coefficients: np.ndarray  # intercept first, raw covariate scale
     covariate_columns: tuple[str, ...]
@@ -41,8 +46,10 @@ class PropensityModel:
     grad_max_norm: float = float("nan")  # standardized-scale gradient at exit
 
     def __post_init__(self):
-        self.coefficients = np.asarray(self.coefficients, dtype=float)
-        self.covariate_columns = tuple(self.covariate_columns)
+        coefficients = np.array(self.coefficients, dtype=float)
+        coefficients.flags.writeable = False
+        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "covariate_columns", tuple(self.covariate_columns))
         if self.coefficients.shape != (len(self.covariate_columns) + 1,):
             raise ValidationError("coefficient length must be covariate count + 1")
         if not self.ridge >= 0:  # also catches NaN

@@ -143,13 +143,13 @@ def test_tilting_stages_log_their_work(tmp_path, monkeypatch, capsys):
     config.write_text(config.read_text().replace("tilt_deltas = 0 0.1 0.5 1.0",
                                                  "tilt_deltas = 0 0.5 1 2 3 4 6"))
     built = []
-    real_problem = cli_report.TiltingProblem
+    real_problem = identification.TiltingProblem
 
     def recording_problem(*args):
         built.append(args)
         return real_problem(*args)
 
-    monkeypatch.setattr(cli_report, "TiltingProblem", recording_problem)
+    monkeypatch.setattr(identification, "TiltingProblem", recording_problem)
     capsys.readouterr()
     assert main(["reproduce", "--config", str(config), "--seed", "5",
                  "--out", str(tmp_path / "out")]) == 0
@@ -389,7 +389,7 @@ def _log_lines(text: str) -> list[dict]:
 def test_reproduce_builds_shared_products_once(tmp_path, monkeypatch):
     config = write_synthetic_config(tmp_path, b=4, sim_n=5000)
     problems, maps = [], []
-    real_problem, real_map = cli_report.TiltingProblem, cli_report.build_support_map
+    real_problem, real_map = identification.TiltingProblem, cli_report.build_support_map
 
     def counting_problem(*args):
         problems.append(args)
@@ -399,7 +399,7 @@ def test_reproduce_builds_shared_products_once(tmp_path, monkeypatch):
         maps.append(args)
         return real_map(*args)
 
-    monkeypatch.setattr(cli_report, "TiltingProblem", counting_problem)
+    monkeypatch.setattr(identification, "TiltingProblem", counting_problem)
     monkeypatch.setattr(cli_report, "build_support_map", counting_map)
     assert main(["reproduce", "--config", str(config), "--seed", "5",
                  "--out", str(tmp_path / "out")]) == 0
@@ -428,11 +428,12 @@ def test_reproduce_scores_each_row_set_once(tmp_path, monkeypatch):
     assert report["bounds"]["values"]["proxy_missing_deltas"] == []
     assert report["bootstrap"]["values"]["full"]["n_failed"] == 0
     assert report["bootstrap"]["values"]["trimmed"]["n_failed"] == 0
-    # The full sample once, shared by propensity, match and deciles; the
-    # overlap and trimmed samples; the tilting weights; the proxy's sample
-    # and its 3 trimmed samples; each replicate and its trimmed subset.
-    # With the default config's 5 proxy deltas this is 10 + 2 * b.
-    assert len(calls) == 1 + 2 + 1 + (1 + 3) + 2 * b
+    # The full sample once, shared by propensity, match, the tilting
+    # weights, the proxy and deciles (the Dataset caches its scores per
+    # model); the overlap and trimmed samples; the proxy's 3 trimmed
+    # samples; each replicate and its trimmed subset. With the default
+    # config's 5 proxy deltas this is 6 + 2 * b.
+    assert len(calls) == 1 + 2 + 3 + 2 * b
 
 
 def test_every_stage_logs_its_clocks(tmp_path, capsys):
@@ -496,6 +497,12 @@ def test_bad_config_value_fails_before_any_stage(tmp_path, capsys):
              ("[propensity] covariates: 'foo'", text + "\n[propensity]\ncovariates = age foo\n"),
              ("[propensity] covariates: 're74'", text.replace(
                  "source = local", "source = remote\ntreated_source = nsw_treated_original")),
+             # The original NSW layout lacks re74; no control source has it.
+             ("[data] treated_source 'nsw_treated_original' and control_source "
+              "'psid_controls' have different table layouts",
+              text.replace("source = local", "source = remote\noffline = true\n"
+                           "treated_source = nsw_treated_original")
+              + "\n[propensity]\ncovariates = age education\n"),
              ("[data] control_source: unknown source", text.replace(
                  "source = local", "source = remote\ncontrol_source = foo_controls")),
              ("[simulation] type_proportions", text.replace(

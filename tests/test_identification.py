@@ -1,11 +1,10 @@
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from attdiag import identification
+from attdiag import estimators, identification
 from attdiag.decision import fragility_index
 from attdiag.errors import (
     AttDiagError,
@@ -201,20 +200,18 @@ def test_sweep_equals_per_delta_bounds_exactly(controls, deltas, treated_mean):
         expected = [curvature_bounds(y, w, treated_mean, d) for d in deltas]
     except AttDiagError as exc:
         expected = type(exc)
-    # Drawn weights go straight in: score-derived odds never reach the
-    # subnormal or ~1e300 range.
-    with mock.patch.object(identification, "control_tilt_inputs",
-                           return_value=(y, w, treated_mean)):
-        if not isinstance(expected, list):
-            # Sums that overflow give NaN endpoints; both paths must refuse
-            # them with the same error.
-            with pytest.raises(expected):
-                sweep_tilting(None, None, deltas)
-            return
-        try:
-            sweep = sweep_tilting(None, None, deltas)
-        except NumericalError:
-            sweep = None
+    # Drawn weights go straight into the problem `sweep_tilting` sweeps:
+    # score-derived odds never reach the subnormal or ~1e300 range.
+    if not isinstance(expected, list):
+        # Sums that overflow give NaN endpoints; both paths must refuse
+        # them with the same error.
+        with pytest.raises(expected):
+            TiltingProblem(y, w, treated_mean).sweep(deltas)
+        return
+    try:
+        sweep = TiltingProblem(y, w, treated_mean).sweep(deltas)
+    except NumericalError:
+        sweep = None
     # Each sweep interval is the per-delta interval, widened only by the
     # outward snap to the hull of the intervals before it (the true sets
     # nest; float evaluation may miss by an ulp). The sweep may refuse the
@@ -440,9 +437,7 @@ def test_tilt_bounds_exact_at_extreme_weight_scales(scale):
 
 def test_sweep_tilting_subnormal_weights():
     y, w = np.array([2.0, 3.0]), np.array([5e-324, 5e-324])
-    with mock.patch.object(identification, "control_tilt_inputs",
-                           return_value=(y, w, 0.0)):
-        sweep = sweep_tilting(None, None, [1.0, 2.0])
+    sweep = TiltingProblem(y, w, 0.0).sweep([1.0, 2.0])
     for delta, interval in zip((1.0, 2.0), sweep.intervals):
         assert interval == curvature_bounds(y, [1.0, 1.0], 0.0, delta)
 
@@ -583,6 +578,80 @@ def test_sweep_trimming_proxy_scores_data_once_and_each_kept_sample_once(monkeyp
     sweep = sweep_trimming_proxy(data, model, (0.0, 0.5, 1.0, 1.5))
     assert not sweep.missing_deltas
     assert len(calls) == 1 + 4 and calls[:2] == [300, 300]
+
+
+def _count_full_scorings(monkeypatch, data):
+    """Calls list that grows by one each time `data` itself is scored, by
+    identification or by estimators."""
+    calls = []
+
+    def counting_score(model, scored):
+        if scored is data:
+            calls.append(model)
+        return score_dataset(model, scored)
+
+    for module in (identification, estimators):
+        monkeypatch.setattr(module, "score_dataset", counting_score)
+    return calls
+
+
+def test_one_dataset_and_model_are_scored_once(monkeypatch):
+    data = synthetic_observational(seed=61, n_treated=60, n_control=240)
+    model = fit_logistic(data, ["age", "education", "re74", "re75"])
+    calls = _count_full_scorings(monkeypatch, data)
+    grid = (0.0, 0.5, 1.0)
+    sweep = sweep_tilting(data, model, grid)
+    inputs = control_tilt_inputs(data, model)
+    ipw = att_ipw(data, model)
+    sweep_trimming_proxy(data, model, grid)
+    assert sweep_tilting(data, model, grid) == sweep
+    assert control_tilt_inputs(data, model) is inputs
+    assert att_ipw(data, model) == ipw
+    assert calls == [model]
+
+
+def test_an_equal_model_is_scored_afresh_with_the_same_values(monkeypatch):
+    data = synthetic_observational(seed=61, n_treated=60, n_control=240)
+    model = fit_logistic(data, ["age", "education", "re74", "re75"])
+    y, w, treated_mean = control_tilt_inputs(data, model)
+    ipw = att_ipw(data, model)
+    grid = (0.0, 0.5, 1.0)
+    sweep = sweep_tilting(data, model, grid)
+    restored = PropensityModel.from_json(model.to_json())
+    assert np.array_equal(restored.coefficients, model.coefficients)
+    assert restored != model
+    calls = _count_full_scorings(monkeypatch, data)
+    y2, w2, treated_mean2 = control_tilt_inputs(data, restored)
+    assert calls == [restored]
+    assert np.array_equal(_bits(y2), _bits(y)) and np.array_equal(_bits(w2), _bits(w))
+    assert treated_mean2 == treated_mean
+    assert att_ipw(data, restored) == ipw
+    assert sweep_tilting(data, restored, grid) == sweep
+    assert calls == [restored]
+
+
+def test_cached_scores_and_tilt_inputs_reject_writes():
+    data = synthetic_observational(seed=61, n_treated=60, n_control=240)
+    model = fit_logistic(data, ["age", "education", "re74", "re75"])
+    y, w, _ = control_tilt_inputs(data, model)
+    scores = data.cached(model, "scores", lambda *_: pytest.fail("scores not cached"))
+    assert scores.shape == (len(data),)
+    for cached in (scores, y, w):
+        with pytest.raises(ValueError):
+            cached[0] = 0.5
+
+
+def test_repeated_sweeps_on_the_cached_problem_equal_a_fresh_problem():
+    data = synthetic_observational(seed=51, n_treated=50, n_control=150)
+    model = fit_logistic(data, ["age", "education", "re74", "re75"])
+    grids = ([0.0, 0.5, 1.0, 2.0], [0.25 * i for i in range(25)], [0.0, 0.5, 1.0, 2.0],
+             [0.1, 3.0, 40.0])
+    for grid in grids:
+        cached = sweep_tilting(data, model, grid)
+        fresh = TiltingProblem(*control_tilt_inputs(data, model)).sweep(grid)
+        assert cached.deltas == fresh.deltas and cached.massi == fresh.massi
+        for a, b in zip(cached.intervals, fresh.intervals):
+            assert np.array_equal(_bits([a.lo, a.hi]), _bits([b.lo, b.hi]))
 
 
 def test_fixed_radius_sets():

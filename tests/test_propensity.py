@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -263,6 +264,24 @@ def test_model_json_round_trip():
     assert np.array_equal(restored.coefficients, model.coefficients)
     assert restored.covariate_columns == model.covariate_columns
     assert restored.converged == model.converged
+
+
+def test_model_is_frozen_with_read_only_coefficients():
+    coefficients = np.array([0.5, -1.0])
+    model = _hand_model(0.5, [-1.0])
+    given = PropensityModel(coefficients, ("x0",), True, 0, 0.0)
+    coefficients[0] = 9.0  # the model keeps a copy
+    assert given.coefficients[0] == 0.5
+    for m in (model, given):
+        with pytest.raises(ValueError):
+            m.coefficients[0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            m.ridge = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            m.coefficients = np.zeros(2)
+    # Equality and hash are the object's own, so each model is its own key.
+    assert model != given and model == model
+    assert len({model, given}) == 2
 
 
 # Results must not depend on how the covariates lie in memory. The oracles
