@@ -173,13 +173,10 @@ def calibrate_dataset(data: Dataset) -> dict:
 
 
 def run_calibration(cache_dir, out_path, offline: bool = True) -> dict:
-    """Try every NSW-sample/control-source pairing; freeze the best grids."""
-    combos = [
-        ("nsw_treated", "psid_controls"),
-        ("nsw_treated", "cps_controls"),
-        ("nsw_treated_original", "psid_controls"),
-        ("nsw_treated_original", "cps_controls"),
-    ]
+    """Try the NSW sample with each control source; freeze the best grids.
+    The original NSW file lacks re74, so it merges with no control source
+    and is not tried."""
+    combos = [("nsw_treated", "psid_controls"), ("nsw_treated", "cps_controls")]
     attempts = []
     for treated_key, control_key in combos:
         try:
@@ -187,10 +184,6 @@ def run_calibration(cache_dir, out_path, offline: bool = True) -> dict:
             control = load_source(control_key, cache_dir, offline=offline)
         except AttDiagError as exc:
             attempts.append({"combo": (treated_key, control_key), "error": str(exc)})
-            continue
-        if treated.schema != control.schema:
-            attempts.append({"combo": (treated_key, control_key),
-                             "error": "schema mismatch (original NSW lacks re74)"})
             continue
         data = merge(treated, control)
         result = calibrate_dataset(data)

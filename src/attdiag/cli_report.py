@@ -8,17 +8,18 @@ stage took. `reproduce` runs every stage that way, emits report.json plus
 SVG renderings, and ends with a line holding each stage's timings and the
 bootstrap's failed replicates by design and error type.
 
-Each invocation resolves its inputs once. The config is parsed when the file
-is read, so a bad value fails before any stage runs. The products several
-stages share (the parsed tables, the propensity model, the grid config, the
-fine support map, the tilting problem and its sweep) are built on first use
-and kept while a later stage may read them, in a chained run as in a
-standalone one. The model's scores and the tilting problem are kept on
-the composite dataset (`Dataset.cached`), where `sweep_tilting`, `att_ipw`
-and `sweep_trimming_proxy` find them too. Upstream products (the propensity
-model and table 1) are read from their artifacts; a command whose upstream
-artifact is missing fails with a dependency error naming the producing
-command.
+Each invocation resolves its inputs once, and each shared product has one
+owner. The config is parsed when the file is read, the [grids] config file
+included, so a bad value fails before any stage runs. What the config
+determines (the parsed tables, the propensity model, the fine support map
+and the tilting sweep) is kept on the `RunConfig`, built on first use, in
+a chained run as in a standalone one. What a (dataset, model) pair
+determines (the model's scores, the tilting inputs and the tilting problem)
+is kept on the composite dataset (`Dataset.cached`), where `sweep_tilting`,
+`att_ipw` and `sweep_trimming_proxy` find it too. Upstream products (the
+propensity model and table 1) are read from their artifacts; a command
+whose upstream artifact is missing or damaged fails with a dependency
+error naming the producing command.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import argparse
 import configparser
 import csv
 import functools
+import io
 import json
 import os
 import sys
@@ -53,6 +55,7 @@ from .estimators import (
 )
 from .identification import (
     _validate_delta_grid,
+    sweep_tilting,
     sweep_to_csv_rows,
     sweep_trimming_proxy,
     tilting_problem,
@@ -126,6 +129,27 @@ def _table_schema(data: dict, role: str) -> SchemaSpec:
     return SOURCE_SCHEMAS[source]
 
 
+def _load_grids(choice: str):
+    """({"fine": bins, "coarse": bins}, its `calibrated` value) of the
+    [grids] config: the packaged grid config, or the file at `choice`."""
+    try:
+        grids = load_grid_config(None if choice == "builtin" else choice)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"[grids] config {choice!r} unreadable: {exc}") from None
+    if not isinstance(grids, dict):
+        raise ConfigError(f"[grids] config {choice!r} unreadable: not a JSON object")
+    bins = {}
+    for grid in ("fine", "coarse"):
+        try:
+            bins[grid] = bins_from_config(grids[grid])
+        except KeyError as exc:
+            key = grid if exc.args[0] == grid else f"{grid}.{exc.args[0]}"
+            raise ConfigError(f"[grids] config {choice!r} has no {key!r}") from None
+        except (TypeError, ValueError, AttDiagError) as exc:
+            raise ConfigError(f"[grids] config {choice!r} {grid}: invalid edges ({exc})") from None
+    return bins, grids.get("calibrated", False)
+
+
 # section -> key -> (default text, parser of the text).
 _CONFIG_LAYOUT = {
     "data": {
@@ -183,11 +207,13 @@ _CONFIG_LAYOUT = {
 class RunConfig:
     """Run configuration, parsed when read, plus the seed and output
     directory. `raw` holds the text as written, which report.json echoes
-    and `digest` hashes; `get` returns the parsed value. The [match],
-    [trim] and [simulation] sections are also built, when read, into the
-    objects the stages use, and the [propensity] fit options are checked
-    as `fit_logistic` checks them. The cached properties are the products
-    several stages share, each built once per invocation on first use."""
+    and `digest` hashes; `get` returns the parsed value ([data] offline is
+    also on under --offline). When read, the [match], [trim] and
+    [simulation] sections are built into the objects the stages use, the
+    [propensity] fit options are checked as `fit_logistic` checks them,
+    and the [grids] config file is read into `bins` and `calibrated`. The
+    cached properties are the products several stages share, each built
+    once per invocation on first use."""
 
     raw: dict
     values: dict
@@ -196,7 +222,9 @@ class RunConfig:
     match_spec: MatchSpec
     trim_rule: TrimRule
     sim_config: SimConfig
-    offline_override: bool = False
+    fit_options: dict
+    bins: dict
+    calibrated: bool
 
     @classmethod
     def from_file(cls, path, seed: int, out_dir, offline: bool = False) -> "RunConfig":
@@ -226,6 +254,7 @@ class RunConfig:
                     values[section][key] = _CONFIG_LAYOUT[section][key][1](text)
                 except (ValueError, AttDiagError) as exc:
                     raise ConfigError(f"[{section}] {key}: invalid value {text!r} ({exc})") from None
+        values["data"]["offline"] |= offline
 
         def build(section, make, **kwargs):
             try:
@@ -246,9 +275,10 @@ class RunConfig:
                 f"[data] treated_source {data['treated_source']!r} and control_source "
                 f"{data['control_source']!r} have different table layouts, which "
                 f"cannot be merged")
-        build("propensity", _check_fit_options,
-              ridge=fit["ridge"], tol=fit["tol"], max_iter=fit["max_iter"])
+        fit_options = {key: fit[key] for key in ("ridge", "tol", "max_iter")}
+        build("propensity", _check_fit_options, **fit_options)
         sim = values["simulation"]
+        bins, calibrated = _load_grids(values["grids"]["config"])
         return cls(raw=raw, values=values, seed=int(seed), out_dir=Path(out_dir),
                    match_spec=build("match", MatchSpec, **values["match"]),
                    trim_rule=build("trim", TrimRule, **values["trim"]),
@@ -256,14 +286,10 @@ class RunConfig:
                                     type_proportions=sim["proportions"],
                                     treat_prob=sim["treat_prob"], delta_grid=sim["deltas"],
                                     epsilon=sim["epsilon"]),
-                   offline_override=offline)
+                   fit_options=fit_options, bins=bins, calibrated=calibrated)
 
     def get(self, section: str, key: str):
         return self.values[section][key]
-
-    @property
-    def offline(self) -> bool:
-        return self.offline_override or self.get("data", "offline")
 
     def digest(self) -> str:
         canon = json.dumps({"config": self.raw, "seed": self.seed}, sort_keys=True)
@@ -279,39 +305,18 @@ class RunConfig:
 
     @functools.cached_property
     def model(self) -> PropensityModel:
-        path = self.out_dir / "propensity_model.json"
-        if not path.exists():
-            raise DependencyError(f"{path} missing; run the propensity command first")
-        return PropensityModel.from_json(path.read_text())
-
-    @functools.cached_property
-    def grid_config(self) -> dict:
-        choice = self.get("grids", "config")
-        try:
-            return load_grid_config(None if choice == "builtin" else choice)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"[grids] config {choice!r} unreadable: {exc}") from None
-
-    def grid_bins(self, grid: str):
-        """The bins of the grid config's `grid` ("fine" or "coarse")."""
-        try:
-            return bins_from_config(self.grid_config[grid])
-        except KeyError as exc:
-            key = grid if exc.args[0] == grid else f"{grid}.{exc.args[0]}"
-            raise ConfigError(
-                f"[grids] config {self.get('grids', 'config')!r} has no {key!r}") from None
+        return _read_upstream(self.out_dir / "propensity_model.json", "propensity",
+                              PropensityModel.from_json)
 
     @functools.cached_property
     def fine_map(self):
-        return build_support_map(self.tables[0], self.grid_bins("fine"))
+        return build_support_map(self.tables[0], self.bins["fine"])
 
     @functools.cached_property
     def tilting(self):
-        """(the composite dataset's `tilting_problem` for the model, its
-        sweep over [bounds] tilt_deltas): one sort serves both sweeps and
-        every bisection step."""
-        problem = tilting_problem(self.tables[0], self.model)
-        return problem, problem.sweep(self.get("bounds", "tilt_deltas"))
+        """The sweep over [bounds] tilt_deltas, on the pair's one
+        `tilting_problem`, which the fragility bisection reuses."""
+        return sweep_tilting(self.tables[0], self.model, self.get("bounds", "tilt_deltas"))
 
 
 # ---------------------------------------------------------------------------
@@ -362,14 +367,31 @@ def _run_stage(stage: str, command, cfg: RunConfig):
     return values, fields, clock
 
 
-def _tilting_work(cfg: RunConfig, before: dict | None = None) -> dict:
-    """The shared tilting problem's work counters, as log fields named
-    tilt_<attribute>: zero before the problem is built, and net of `before`
-    when given, so that a stage logs the work done since it started."""
-    problem = vars(cfg).get("tilting", (None,))[0]
-    work = {f"tilt_{name}": getattr(problem, name, 0)
+def _tilting_work(problem, before: dict | None = None) -> dict:
+    """The tilting problem's work counters, as log fields named
+    tilt_<attribute>, net of `before` when given, so that a stage logs the
+    work done since it started."""
+    work = {f"tilt_{name}": getattr(problem, name)
             for name in ("split_points_evaluated", "full_scans")}
     return {key: n - before[key] for key, n in work.items()} if before else work
+
+
+def _read_upstream(path: Path, producer: str, parse):
+    """`parse` of the text of an upstream artifact; a missing or damaged
+    one is a DependencyError naming the command that writes it."""
+    try:
+        return parse(path.read_text())
+    except FileNotFoundError:
+        raise DependencyError(f"{path} missing; run the {producer} command first") from None
+    except (OSError, ValueError, KeyError, TypeError, StopIteration, AttDiagError) as exc:
+        raise DependencyError(f"{path} damaged ({type(exc).__name__}: {exc}); "
+                              f"run the {producer} command first") from None
+
+
+def _full_sample_estimate(text: str) -> tuple[float, float]:
+    """(tau_hat, se) of table 1's first row, the full sample."""
+    full_sample = next(csv.DictReader(io.StringIO(text)))
+    return float(full_sample["att_estimate"]), float(full_sample["standard_error"])
 
 
 def _write_csv(path: Path, rows) -> None:
@@ -407,7 +429,8 @@ def _load_data(cfg: RunConfig):
         else:
             source = cfg.get("data", f"{role}_source")
             try:
-                text = fetch_dataset(source, cfg.get("data", "cache_dir"), offline=cfg.offline)
+                text = fetch_dataset(source, cfg.get("data", "cache_dir"),
+                                     offline=cfg.get("data", "offline"))
             except FetchError as exc:
                 raise DependencyError(
                     f"dataset not cached ({exc}); run the fetch command first"
@@ -430,7 +453,7 @@ def cmd_fetch(cfg: RunConfig):
     cache = cfg.get("data", "cache_dir")
     digests, sources = {}, {}
     for key in (cfg.get("data", "treated_source"), cfg.get("data", "control_source")):
-        text = fetch_dataset(key, cache, offline=cfg.offline)
+        text = fetch_dataset(key, cache, offline=cfg.get("data", "offline"))
         digests[key] = _sha256(text.encode())
         sources[key] = {"url": SOURCE_URLS[key], "lines": len(text.splitlines())}
     return {"digests": digests}, {"sources": sources}
@@ -443,14 +466,14 @@ def cmd_support(cfg: RunConfig):
     shares = support_share(fine_map)
     counts = {status.value: n for status, n in fine_map.status_counts().items()}
 
-    coarse_map = build_support_map(data, cfg.grid_bins("coarse"))
+    coarse_map = build_support_map(data, cfg.bins["coarse"])
     _write_csv(cfg.out_dir / "support_42.csv", coarse_map.to_csv_rows())
 
     values = {
         "fine": {"cells": fine_map.n_cells, "counts": counts,
                  "shares": {"both": shares[0], "control_only": shares[1],
                             "treated_only": shares[2], "empty": shares[3]},
-                 "calibrated": cfg.grid_config.get("calibrated", False)},
+                 "calibrated": cfg.calibrated},
         "coarse": {"cells": coarse_map.n_cells,
                    "without_treated": int(np.sum(coarse_map.treated_counts == 0))},
     }
@@ -459,12 +482,7 @@ def cmd_support(cfg: RunConfig):
 
 def cmd_propensity(cfg: RunConfig):
     data, digests, _ = cfg.tables
-    model = fit_logistic(
-        data, cfg.get("propensity", "covariates"),
-        ridge=cfg.get("propensity", "ridge"),
-        tol=cfg.get("propensity", "tol"),
-        max_iter=cfg.get("propensity", "max_iter"),
-    )
+    model = fit_logistic(data, cfg.get("propensity", "covariates"), **cfg.fit_options)
     (cfg.out_dir / "propensity_model.json").write_text(model.to_json())
     # Scored with the model just written; its JSON round trip is exact.
     scores = data.cached(cfg.model, "scores", score_dataset)
@@ -528,8 +546,9 @@ def cmd_match(cfg: RunConfig):
 
 def cmd_bounds(cfg: RunConfig):
     data, digests, _ = cfg.tables
-    tilt_before = _tilting_work(cfg)
-    problem, tilting = cfg.tilting
+    problem = tilting_problem(data, cfg.model)
+    tilt_before = _tilting_work(problem)
+    tilting = cfg.tilting
     _write_csv(cfg.out_dir / "sweep_tilting.csv", sweep_to_csv_rows(tilting))
     _interval_chart(cfg.out_dir / "sweep_tilting.svg", tilting.deltas, tilting.intervals,
                     "Identified set vs selection curvature")
@@ -554,20 +573,15 @@ def cmd_bounds(cfg: RunConfig):
                             "width_violations": list(proxy.width_violations)}}))
     return values, {"digests": digests,
                     "distinct_control_outcomes": problem.distinct_outcomes,
-                    **_tilting_work(cfg, tilt_before)}
+                    **_tilting_work(problem, tilt_before)}
 
 
 def cmd_fragility(cfg: RunConfig):
-    table1_path = cfg.out_dir / "table1.csv"
-    if not table1_path.exists():
-        raise DependencyError(f"{table1_path} missing; run the match command first")
-    with table1_path.open(newline="") as table1:
-        full_sample = next(csv.DictReader(table1))
-    tau_hat = float(full_sample["att_estimate"])
-    se = float(full_sample["standard_error"])
-
-    tilt_before = _tilting_work(cfg)
-    problem, tilting = cfg.tilting
+    tau_hat, se = _read_upstream(cfg.out_dir / "table1.csv", "match", _full_sample_estimate)
+    data, digests, _ = cfg.tables
+    problem = tilting_problem(data, cfg.model)
+    tilt_before = _tilting_work(problem)
+    tilting = cfg.tilting
     bisection_evals = 0
 
     def interval_at(delta):
@@ -597,14 +611,13 @@ def cmd_fragility(cfg: RunConfig):
         "bias_curve": [{"delta": d, "lo": iv.lo, "hi": iv.hi} for d, iv in zip(deltas, curve)],
     }
     (cfg.out_dir / "fragility.json").write_text(_dump_json(payload))
-    tilt_work = _tilting_work(cfg, tilt_before)
+    tilt_work = _tilting_work(problem, tilt_before)
     # No later stage reads the tilting problem or its inputs, so the dataset
-    # drops them too. Kept alive past the bootstrap's allocations, the
+    # drops them. Kept alive past the bootstrap's allocations, the
     # problem's arrays raised the peak RSS of a 30,000-control reproduce by
     # about 4 MB.
-    del cfg.tilting
-    cfg.tables[0].uncache("tilting_problem", "tilt_inputs")
-    return payload, {"digests": cfg.tables[1],
+    data.uncache("tilting_problem", "tilt_inputs")
+    return payload, {"digests": digests,
                      "distinct_control_outcomes": problem.distinct_outcomes,
                      "bisection_evals": bisection_evals, **tilt_work}
 
@@ -646,10 +659,7 @@ def cmd_bootstrap(cfg: RunConfig):
     full = bootstrap_att(data, cfg.match_spec, b, cfg.seed,
                          covariates=cfg.get("propensity", "covariates"),
                          model=None if cfg.get("bootstrap", "refit") else cfg.model,
-                         ridge=cfg.get("propensity", "ridge"),
-                         tol=cfg.get("propensity", "tol"),
-                         max_iter=cfg.get("propensity", "max_iter"),
-                         trim_rule=cfg.trim_rule)
+                         trim_rule=cfg.trim_rule, **cfg.fit_options)
     trimmed = full.trimmed
     # One row per replicate; a design that failed it leaves its cell empty.
     by_replicate = [dict(zip(s.replicates, s.estimates)) for s in (full, trimmed)]

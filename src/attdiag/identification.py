@@ -13,18 +13,17 @@ whose optimum sits at a box vertex, and the optimal vertex is a threshold
 rule in the outcome: tilt the top (or bottom) of the sorted outcomes.
 The tie-collapse and the prefix sums depend on the controls only, not on
 delta, so `TiltingProblem` builds them once for a whole sweep or
-fragility bisection. The sort happens once per `Dataset`:
-`control_tilt_inputs` returns the controls in the Dataset's cached
-outcome order, and a `TiltingProblem` given ordered outcomes collapses
-ties in one pass; only unordered input is sorted. The scores, the tilting
-inputs and the problem are built once per (Dataset, propensity model)
-pair and kept on the Dataset (`Dataset.cached`), so repeated sweeps and
-IPW estimates on the same pair reuse them; a `PropensityModel` is frozen,
-so none of them can go stale under a model. Per delta it evaluates
-the split points' ratios only in a window around the optimal threshold,
-which a Dinkelbach iteration locates, and widens the window until a rounding
-certificate proves that no split point outside it computes a more extreme
-value. The bounds are therefore the floats a scan of every split point
+fragility bisection. The scores, the tilting inputs and the problem are
+built once per (Dataset, propensity model) pair and kept on the Dataset
+(`Dataset.cached`), so repeated sweeps and IPW estimates on the same pair
+reuse them; a `PropensityModel` is frozen, so none of them can go stale
+under a model. The controls are sorted by outcome once per pair, when
+`control_tilt_inputs` gathers them, and a `TiltingProblem` given ordered
+outcomes collapses ties in one pass; only unordered input is sorted.
+Per delta it evaluates the split points' ratios only in a window around
+the optimal threshold, which a Dinkelbach iteration locates, and widens
+the window until a rounding certificate proves that no split point
+outside it computes a more extreme value. The bounds are therefore the floats a scan of every split point
 would return, at the cost of the window; where nothing narrower can be
 certified (delta 0, for one) the window grows into that full scan.
 `curvature_bounds` is the one-delta form. A brute-force vertex enumeration
@@ -429,7 +428,8 @@ def _validate_delta_grid(deltas) -> tuple[float, ...]:
 
 def _tilt_inputs(model: PropensityModel, data: Dataset):
     data.require_both_arms("tilting sweep")
-    order = data.control_outcome_order()
+    controls = np.flatnonzero(~data.treated)
+    order = controls[np.argsort(data.outcome[controls], kind="stable")]
     control_scores = data.cached(model, "scores", score_dataset)[order]
     w = control_scores / (1.0 - control_scores)
     return data.outcome[order], w, float(np.mean(data.outcome[data.treated]))
@@ -438,10 +438,10 @@ def _tilt_inputs(model: PropensityModel, data: Dataset):
 def control_tilt_inputs(data: Dataset, model: PropensityModel):
     """(control outcomes, odds base weights, treated mean) for ATT tilting.
 
-    The controls come in `data.control_outcome_order()`: outcomes
-    non-decreasing, ties in row order, so a `TiltingProblem` built on these
-    inputs does not sort. They are computed once per (Dataset, model) from
-    the Dataset's cached scores and returned read-only (`Dataset.cached`)."""
+    The controls come in stable outcome order: outcomes non-decreasing,
+    ties in row order, so a `TiltingProblem` built on these inputs does not
+    sort. They are sorted and computed once per (Dataset, model) from the
+    Dataset's cached scores and returned read-only (`Dataset.cached`)."""
     return data.cached(model, "tilt_inputs", _tilt_inputs)
 
 

@@ -107,14 +107,12 @@ class Dataset:
     `take_with_fresh_ids` and `merge` build new Datasets rather than
     change one. Where no conversion was needed (a float `outcome`, a bool
     `treated`) the view is of the caller's array, which stays writable: a
-    write to it changes this Dataset too and stales what the Dataset
-    caches from it, the order of `control_outcome_order` and the values of
-    `cached` (a model's scores, the tilting inputs and problem). Pass a
-    copy of an array you will change.
+    write to it changes this Dataset too and stales what `cached` keeps
+    (a model's scores, the tilting inputs and problem). Pass a copy of an
+    array you will change.
     """
 
-    __slots__ = ("treated", "outcome", "covariates", "unit_ids", "schema",
-                 "_control_order", "_fitted")
+    __slots__ = ("treated", "outcome", "covariates", "unit_ids", "schema", "_fitted")
 
     def __init__(self, treated, outcome, covariates=None, unit_ids=None,
                  schema: SchemaSpec | None = None):
@@ -150,7 +148,6 @@ class Dataset:
         self.covariates = _read_only(covariates)
         self.unit_ids = _read_only(unit_ids)
         self.schema = schema
-        self._control_order = None
         self._fitted = None
 
     def __len__(self) -> int:
@@ -187,16 +184,6 @@ class Dataset:
         if idx == list(range(self.covariates.shape[1])):
             return self.covariates
         return self.covariates[:, idx]
-
-    def control_outcome_order(self) -> np.ndarray:
-        """Row indices of the control units, ordered by outcome, ties in row
-        order (a stable sort). Computed on the first call and kept: every
-        tilting build on this Dataset reads its controls in this order."""
-        if self._control_order is None:
-            controls = np.flatnonzero(~self.treated)
-            order = controls[np.argsort(self.outcome[controls], kind="stable")]
-            self._control_order = _read_only(order)
-        return self._control_order
 
     def cached(self, model, key: str, build):
         """`build(model, self)`, computed on the first call with this `model`

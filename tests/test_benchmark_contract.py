@@ -7,9 +7,11 @@ interval_at=...)`, `att_ipw` and `bias_robustness`; a change to one of
 those calls, or to the numbers they return, fails here as well as in a
 benchmark run. The `simulate` section of the reproduce references
 depends on no input table, so it is recomputed here: a change to the
-simulation's draws fails here too. `run.import_program` is not called: it
-re-imports attdiag, which would give later tests a second copy of every
-class.
+simulation's draws fails here too. One `reproduce` invocation of each
+reproduce workload is checked against its whole reference, so a change to
+any stage's section fails here too. `run.import_program` is not called:
+it re-imports attdiag, which would give later tests a second copy of
+every class.
 """
 
 import sys
@@ -55,3 +57,13 @@ def test_simulate_values_match_the_reproduce_reference(tmp_path, workload, varia
     values, _ = cli_report.cmd_simulate(cfg)
     reference = checks.load_reference(workload)[str(variant)]["simulate"]
     assert checks.compare(reference, checks.encode(values)) == []
+
+
+@pytest.mark.parametrize("workload", ["reproduce_psid", "reproduce_wide"])
+def test_reproduce_workload_matches_its_reference(tmp_path, workload):
+    variant = 1
+    reference = checks.load_reference(workload)[str(variant)]
+    bench = run.ReproduceWorkload(workload, variant, tmp_path, reference)
+    bench.setup()
+    result = bench.op(0)
+    assert result.failures == [] and result.failed == 0

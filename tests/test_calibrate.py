@@ -82,3 +82,5 @@ def test_run_calibration_end_to_end_with_synthetic_cache(tmp_path):
     # unusable combos are recorded, not fatal
     errors = [a for a in persisted["attempts"] if a.get("error")]
     assert any("cps_controls" in str(a["combo"]) for a in persisted["attempts"]) or errors
+    # The original NSW file lacks re74 and merges with no control source.
+    assert all("nsw_treated_original" not in a["combo"] for a in persisted["attempts"])

@@ -1,7 +1,9 @@
 import csv
+import gc
 import hashlib
 import json
 import os
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -98,6 +100,29 @@ def test_dependency_error_for_missing_model(tmp_path, capsys):
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "DependencyError"
         assert producer in record["message"]
+    # A damaged upstream artifact: (file, its text, command that reads it, producer).
+    out = tmp_path / "damaged"
+    for upstream in ("propensity", "match"):
+        assert main([upstream, "--config", str(config), "--seed", "5", "--out", str(out)]) == 0
+    model_text = (out / "propensity_model.json").read_text()
+    model_keys = json.loads(model_text)
+    del model_keys["coefficients"]
+    header = (out / "table1.csv").read_text().splitlines()[0]
+    cases = [("propensity_model.json", model_text[:40], "match", "propensity"),
+             ("propensity_model.json", "", "match", "propensity"),
+             ("propensity_model.json", json.dumps(model_keys), "match", "propensity"),
+             ("table1.csv", "", "fragility", "match"),
+             ("table1.csv", header + "\n", "fragility", "match"),
+             ("table1.csv", header + "\nfull_sample,abc,1.0,90,0\n", "fragility", "match")]
+    for name, text, command, producer in cases:
+        kept = (out / name).read_text()
+        (out / name).write_text(text)
+        capsys.readouterr()
+        assert main([command, "--config", str(config), "--seed", "5", "--out", str(out)]) == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "DependencyError"
+        assert name in record["message"] and producer in record["message"]
+        (out / name).write_text(kept)
 
 
 def test_reproduce_parses_each_table_once(tmp_path, monkeypatch):
@@ -132,8 +157,8 @@ def test_fragility_sorts_controls_once(tmp_path, monkeypatch):
     assert payload["baseline_decision"] == "treat"
     # The value the per-delta path (one sort per bisection step) gives.
     assert payload["fragility_delta"] == 2.02618408203125
-    # The Dataset sorts its controls once, and the problem built on them
-    # does not sort again.
+    # The controls are sorted once, when their tilting inputs are gathered,
+    # and the problem built on them does not sort again.
     assert sorts == [("argsort", 700)]
 
 
@@ -408,6 +433,27 @@ def test_reproduce_builds_shared_products_once(tmp_path, monkeypatch):
     assert len(maps) == 2  # the fine map and the coarse map
 
 
+def test_fragility_releases_the_tilting_problem(tmp_path):
+    config = write_synthetic_config(tmp_path, b=4, sim_n=5000)
+    cfg = RunConfig.from_file(config, seed=5, out_dir=tmp_path / "out")
+    cfg.out_dir.mkdir()
+    for command in (cli_report.cmd_propensity, cli_report.cmd_match, cli_report.cmd_bounds):
+        command(cfg)
+    data = cfg.tables[0]
+    scores = data.cached(cfg.model, "scores", score_dataset)
+    problem = weakref.ref(identification.tilting_problem(data, cfg.model))
+    weights = weakref.ref(identification.control_tilt_inputs(data, cfg.model)[1])
+    cli_report.cmd_fragility(cfg)
+    gc.collect()
+    # No later stage reads the problem or its inputs; deciles reads the scores.
+    assert problem() is None and weights() is None
+
+    def rebuild(model, data):
+        raise AssertionError("the scores were dropped")
+
+    assert data.cached(cfg.model, "scores", rebuild) is scores
+
+
 def test_reproduce_scores_each_row_set_once(tmp_path, monkeypatch):
     b = 4
     config = write_synthetic_config(tmp_path, b=b, sim_n=5000)
@@ -470,6 +516,21 @@ def test_every_stage_logs_its_clocks(tmp_path, capsys):
 def test_bad_config_value_fails_before_any_stage(tmp_path, capsys):
     config = write_synthetic_config(tmp_path)
     text = config.read_text()
+    # Malformed [grids] config files, each read when the config is.
+    bad_grids = {"absent": None,
+                 "words": {**SYNTH_GRIDS, "fine": {**SYNTH_GRIDS["fine"], "age_edges": ["a", "b"]}},
+                 "number": {**SYNTH_GRIDS, "coarse": {**SYNTH_GRIDS["coarse"], "age_edges": 5}},
+                 "list": [SYNTH_GRIDS],
+                 "decreasing": {**SYNTH_GRIDS,
+                                "coarse": {**SYNTH_GRIDS["coarse"], "age_edges": [56, 16]}},
+                 "no_coarse": {key: v for key, v in SYNTH_GRIDS.items() if key != "coarse"}}
+    grid_cases = []
+    for name, grids in bad_grids.items():
+        path = tmp_path / f"{name}.json"
+        if grids is not None:
+            path.write_text(json.dumps(grids))
+        grid_cases.append((f"[grids] config {str(path)!r}",
+                           text.replace(str(tmp_path / "grids.json"), str(path))))
     # (what the message names, config text)
     cases = (("[match] caliper:", text + "\n[match]\ncaliper = abc\n"),
              ("[match] metric:", text + "\n[match]\nmetric = foo\n"),
@@ -511,7 +572,8 @@ def test_bad_config_value_fails_before_any_stage(tmp_path, capsys):
              ("[deciles] min_per_arm:", text + "\n[deciles]\nmin_per_arm = -3\n"),
              # configparser's own errors: a duplicate key, a line before any section.
              ("malformed", text.replace("b = 12", "b = 12\nb = 4")),
-             ("malformed", "b = 3\n" + text))
+             ("malformed", "b = 3\n" + text),
+             *grid_cases)
     for i, (named, bad_text) in enumerate(cases):
         bad = tmp_path / f"bad{i}.ini"
         bad.write_text(bad_text)
@@ -539,7 +601,7 @@ def test_unreadable_grid_config_is_a_config_error(tmp_path, capsys):
             assert main([command, "--config", str(other), "--seed", "5",
                          "--out", str(tmp_path / f"out{i}")]) == 1
             record = json.loads(capsys.readouterr().err.strip())
-            assert record["error"] in ("ConfigError", "AttDiagError")
+            assert record["error"] == "ConfigError"
             assert "[grids] config" in record["message"]
             assert str(target) in record["message"]
 
