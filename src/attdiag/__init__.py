@@ -4,7 +4,7 @@ policy conclusion is."""
 
 __version__ = "0.1.0"
 
-from .decision import PolicyDecision, RegretProfile, bias_robustness, fragility_index, minimax_rule
+from .decision import PolicyDecision, bias_robustness, fragility_index, minimax_rule
 from .estimators import AttEstimate, MatchSpec, att_ipw, att_match, design_sensitivity, naive_diff
 from .identification import (
     CurvatureSweep,

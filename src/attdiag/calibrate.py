@@ -174,20 +174,25 @@ def calibrate_dataset(data: Dataset) -> dict:
 
 def run_calibration(cache_dir, out_path, offline: bool = True) -> dict:
     """Try the NSW sample with each control source; freeze the best grids.
-    The original NSW file lacks re74, so it merges with no control source
-    and is not tried."""
-    combos = [("nsw_treated", "psid_controls"), ("nsw_treated", "cps_controls")]
-    attempts = []
-    for treated_key, control_key in combos:
+    The NSW table is loaded once; a failure to load it is recorded in
+    every attempt."""
+
+    def load(key):
         try:
-            treated = load_source(treated_key, cache_dir, offline=offline)
-            control = load_source(control_key, cache_dir, offline=offline)
+            return load_source(key, cache_dir, offline=offline), None
         except AttDiagError as exc:
-            attempts.append({"combo": (treated_key, control_key), "error": str(exc)})
+            return None, str(exc)
+
+    treated, treated_error = load("nsw_treated")
+    attempts = []
+    for control_key in ("psid_controls", "cps_controls"):
+        combo = ("nsw_treated", control_key)
+        control, error = load(control_key) if treated is not None else (None, treated_error)
+        if error is not None:
+            attempts.append({"combo": combo, "error": error})
             continue
-        data = merge(treated, control)
-        result = calibrate_dataset(data)
-        result["combo"] = (treated_key, control_key)
+        result = calibrate_dataset(merge(treated, control))
+        result["combo"] = combo
         attempts.append(result)
         if result["fine_matched"] and result["coarse_matched"]:
             break

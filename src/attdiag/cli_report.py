@@ -61,7 +61,7 @@ from .identification import (
     tilting_problem,
 )
 from .ingest import (
-    NSW_SCHEMA, SOURCE_SCHEMAS, SOURCE_URLS, SchemaSpec, _sha256, fetch_dataset, merge, parse_table,
+    NSW_SCHEMA, SOURCE_URLS, _sha256, fetch_dataset, merge, parse_table,
 )
 from .propensity import (
     PropensityModel,
@@ -115,18 +115,6 @@ def _parse_delta_grid(text: str) -> tuple[float, ...]:
 
 def _parse_caliper(text: str) -> float | None:
     return float(text) if text.strip() else None
-
-
-def _table_schema(data: dict, role: str) -> SchemaSpec:
-    """The layout the `role` table is parsed in, from the parsed [data]
-    section: the NSW layout when local, the source's own when remote."""
-    if data["source"] == "local":
-        return NSW_SCHEMA
-    source = data[f"{role}_source"]
-    if source not in SOURCE_SCHEMAS:
-        raise ConfigError(f"[data] {role}_source: unknown source {source!r}; "
-                          f"expected one of {sorted(SOURCE_SCHEMAS)}")
-    return SOURCE_SCHEMAS[source]
 
 
 def _load_grids(choice: str):
@@ -263,18 +251,16 @@ class RunConfig:
                 raise ConfigError(f"[{section}] {exc}") from None
 
         fit, data = values["propensity"], values["data"]
-        schemas = {role: _table_schema(data, role) for role in ("treated", "control")}
-        for role, schema in schemas.items():
-            columns = schema.covariate_columns
-            for name in fit["covariates"]:
-                if name not in columns:
-                    raise ConfigError(f"[propensity] covariates: {name!r} not in the "
-                                      f"{role} table's covariate columns {columns}")
-        if schemas["treated"] != schemas["control"]:  # `merge` would refuse the pair
-            raise ConfigError(
-                f"[data] treated_source {data['treated_source']!r} and control_source "
-                f"{data['control_source']!r} have different table layouts, which "
-                f"cannot be merged")
+        for role in ("treated", "control"):
+            source = data[f"{role}_source"]
+            if data["source"] == "remote" and source not in SOURCE_URLS:
+                raise ConfigError(f"[data] {role}_source: unknown source {source!r}; "
+                                  f"expected one of {sorted(SOURCE_URLS)}")
+        columns = NSW_SCHEMA.covariate_columns
+        for name in fit["covariates"]:
+            if name not in columns:
+                raise ConfigError(f"[propensity] covariates: {name!r} not in the "
+                                  f"tables' covariate columns {columns}")
         fit_options = {key: fit[key] for key in ("ridge", "tol", "max_iter")}
         build("propensity", _check_fit_options, **fit_options)
         sim = values["simulation"]
@@ -414,8 +400,9 @@ def _interval_chart(path: Path, deltas, intervals, title: str, xlabel: str = "de
 
 def _load_data(cfg: RunConfig):
     """Composite evaluation dataset, plus each table's text digest and parsed
-    rows keyed by role: [data] <role>_file in the NSW layout when local,
-    [data] <role>_source from the download cache in its own layout when not."""
+    rows keyed by role. Each table, [data] <role>_file when local and
+    [data] <role>_source from the download cache when not, is in the NSW
+    layout."""
     local = cfg.get("data", "source") == "local"
     digests, parts = {}, {}
     for role in ("treated", "control"):
@@ -436,7 +423,7 @@ def _load_data(cfg: RunConfig):
                     f"dataset not cached ({exc}); run the fetch command first"
                 ) from exc
         digests[role] = _sha256(text.encode())
-        parts[role] = parse_table(text, _table_schema(cfg.values["data"], role))
+        parts[role] = parse_table(text, NSW_SCHEMA)
     rows = {role: len(part) for role, part in parts.items()}
     return merge(parts["treated"], parts["control"]), digests, rows
 
@@ -590,7 +577,7 @@ def cmd_fragility(cfg: RunConfig):
         return problem.interval(delta)
 
     frag = fragility_index(tilting, interval_at=interval_at)
-    baseline = minimax_rule(tilting.intervals[0])[0]
+    baseline = minimax_rule(tilting.intervals[0])
     se_scaled = bias_robustness(tau_hat, se, grid_step=0.5)
 
     deltas = [0.5 * i for i in range(0, 9)]

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 from .errors import ValidationError
 from .identification import CurvatureSweep, Interval
@@ -25,29 +24,12 @@ class PolicyDecision(enum.Enum):
     NO_TREAT = "no_treat"
 
 
-@dataclass(frozen=True)
-class RegretProfile:
-    decision: PolicyDecision
-    worst_case_regret: float
-
-    def __post_init__(self):
-        if self.worst_case_regret < 0:
-            raise ValidationError("worst-case regret cannot be negative")
-
-
-def minimax_rule(interval: Interval):
-    """Pick the action minimizing worst-case regret over the interval.
-
-    Returns (decision, (treat_profile, no_treat_profile)).
-    """
-    treat = RegretProfile(PolicyDecision.TREAT, max(0.0, -interval.lo))
-    no_treat = RegretProfile(PolicyDecision.NO_TREAT, max(0.0, interval.hi))
-    decision = (
-        PolicyDecision.TREAT
-        if treat.worst_case_regret < no_treat.worst_case_regret
-        else PolicyDecision.NO_TREAT
-    )
-    return decision, (treat, no_treat)
+def minimax_rule(interval: Interval) -> PolicyDecision:
+    """The action of least worst-case regret over the interval: Treat
+    regrets max(0, -lo), NoTreat max(0, hi), and a tie goes to NoTreat."""
+    if max(0.0, -interval.lo) < max(0.0, interval.hi):
+        return PolicyDecision.TREAT
+    return PolicyDecision.NO_TREAT
 
 
 def fragility_index(sweep: CurvatureSweep, interval_at=None) -> float:
@@ -59,10 +41,10 @@ def fragility_index(sweep: CurvatureSweep, interval_at=None) -> float:
     """
     if not sweep.deltas:
         raise ValidationError("sweep is empty")
-    baseline = minimax_rule(sweep.intervals[0])[0]
+    baseline = minimax_rule(sweep.intervals[0])
     flip_idx = None
     for i in range(1, len(sweep.deltas)):
-        if minimax_rule(sweep.intervals[i])[0] != baseline:
+        if minimax_rule(sweep.intervals[i]) != baseline:
             flip_idx = i
             break
     if flip_idx is None:
@@ -74,7 +56,7 @@ def fragility_index(sweep: CurvatureSweep, interval_at=None) -> float:
     hi = flip_delta
     while hi - lo > _BISECTION_TOL:
         mid = 0.5 * (lo + hi)
-        if minimax_rule(interval_at(mid))[0] != baseline:
+        if minimax_rule(interval_at(mid)) != baseline:
             hi = mid
         else:
             lo = mid
@@ -88,8 +70,8 @@ def bias_robustness(tau_hat: float, se: float, grid_step: float = 0.5) -> float:
     Equals ceil((|tau_hat|/se) / grid_step) * grid_step, with a one-ulp
     guard so the returned delta always satisfies delta*se >= |tau_hat|.
     """
-    if not (se > 0):
-        raise ValidationError("se must be > 0")
+    if not 0 < se < math.inf:  # a NaN fails; 0 * inf would be NaN below
+        raise ValidationError(f"se must be finite and > 0, got {se}")
     if not (grid_step > 0):
         raise ValidationError("grid_step must be > 0")
     if not math.isfinite(tau_hat):

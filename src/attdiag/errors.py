@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer-count check
+that raises one."""
+
+import numbers
 
 
 class AttDiagError(Exception):
@@ -75,3 +78,12 @@ class ConfigError(AttDiagError):
 
 class DependencyError(AttDiagError):
     """A required upstream artifact is missing; names the producing command."""
+
+
+def check_count(name: str, value, minimum: int) -> None:
+    """Raise ValidationError unless `value` is an integer >= `minimum`. A
+    numpy integer is one; a bool or an integral float is not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValidationError(f"{name} must be >= {minimum}, got {value}")

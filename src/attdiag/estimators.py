@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AttDiagError, EstimationError, NumericalError, ValidationError
+from .errors import AttDiagError, EstimationError, NumericalError, ValidationError, check_count
 from .ingest import Dataset
 from .propensity import PropensityModel, _check_scores, score_dataset
 
@@ -43,8 +43,7 @@ class MatchSpec:
             raise ValidationError(f"unknown metric {self.metric!r}")
         if self.caliper is not None and not self.caliper > 0:
             raise ValidationError("caliper must be positive when given")
-        if self.n_neighbors < 1:
-            raise ValidationError("n_neighbors must be >= 1")
+        check_count("n_neighbors", self.n_neighbors, 1)
         if not self.design_tag:
             bits = [f"nn{self.n_neighbors}", self.metric]
             if self.caliper is not None and np.isfinite(self.caliper):

@@ -1,10 +1,10 @@
 """Loading, validation, and retrieval of observational treatment/outcome tables.
 
-The canonical file layout is the public NSW/PSID/CPS format: whitespace-
-delimited numeric rows with the treatment flag first and annual earnings
-last. Everything here is pure over immutable inputs except the download
-cache, which serializes concurrent fetches of one key with an advisory
-file lock.
+Every source is in the Dehejia-Wahba NSW/PSID/CPS layout (`NSW_SCHEMA`):
+whitespace-delimited numeric rows with the treatment flag first and annual
+earnings last. Everything here is pure over immutable inputs except the
+download cache, which serializes concurrent fetches of one key with an
+advisory file lock.
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ class SchemaSpec:
                 raise ValidationError(f"column {col!r} not in column_names")
 
 
-# Layout of the Dehejia-Wahba era files: treatment flag, six demographics,
-# then 1974/1975/1978 earnings.
+# Layout of the Dehejia-Wahba era files, every one in SOURCE_URLS: treatment
+# flag, six demographics, then 1974/1975/1978 earnings.
 NSW_COLUMNS = (
     "treat", "age", "education", "black", "hispanic",
     "married", "nodegree", "re74", "re75", "re78",
@@ -66,30 +66,11 @@ NSW_SCHEMA = SchemaSpec(
     covariate_columns=NSW_COLUMNS[1:-1],
 )
 
-# The original 1986-vintage NSW files lack the 1974 earnings column.
-NSW_ORIGINAL_COLUMNS = (
-    "treat", "age", "education", "black", "hispanic",
-    "married", "nodegree", "re75", "re78",
-)
-NSW_ORIGINAL_SCHEMA = SchemaSpec(
-    column_names=NSW_ORIGINAL_COLUMNS,
-    treatment_column="treat",
-    outcome_column="re78",
-    covariate_columns=NSW_ORIGINAL_COLUMNS[1:-1],
-)
-
 _URL_ROOT = "https://users.nber.org/~rdehejia/data"
 SOURCE_URLS = {
     "nsw_treated": f"{_URL_ROOT}/nswre74_treated.txt",
-    "nsw_treated_original": f"{_URL_ROOT}/nsw_treated.txt",
     "psid_controls": f"{_URL_ROOT}/psid_controls.txt",
     "cps_controls": f"{_URL_ROOT}/cps_controls.txt",
-}
-SOURCE_SCHEMAS = {
-    "nsw_treated": NSW_SCHEMA,
-    "nsw_treated_original": NSW_ORIGINAL_SCHEMA,
-    "psid_controls": NSW_SCHEMA,
-    "cps_controls": NSW_SCHEMA,
 }
 
 
@@ -415,8 +396,6 @@ def fetch_dataset(source_key: str, cache_dir, *, offline: bool = False,
             fcntl.flock(lock, fcntl.LOCK_UN)
 
 
-def load_source(source_key: str, cache_dir, *, offline: bool = False,
-                opener=None) -> Dataset:
-    """Fetch (or read cached) source and parse it with its canonical schema."""
-    text = fetch_dataset(source_key, cache_dir, offline=offline, opener=opener)
-    return parse_table(text, SOURCE_SCHEMAS[source_key])
+def load_source(source_key: str, cache_dir, *, offline: bool = False) -> Dataset:
+    """Fetch (or read cached) source and parse it in the NSW layout."""
+    return parse_table(fetch_dataset(source_key, cache_dir, offline=offline), NSW_SCHEMA)

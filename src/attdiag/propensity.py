@@ -19,6 +19,7 @@ from .errors import (
     NumericalError,
     TrimmingError,
     ValidationError,
+    check_count,
 )
 from .ingest import Dataset
 
@@ -110,11 +111,13 @@ def _sigmoid(eta: np.ndarray) -> np.ndarray:
 
 def _check_fit_options(ridge: float, tol: float, max_iter: int) -> None:
     """Raise ValidationError unless ridge, tol and max_iter are all >= 0
-    (NaN fails): a NaN ridge gives NaN coefficients, a NaN or negative tol
-    never converges, and a negative max_iter takes no step from beta = 0."""
-    for name, value in (("ridge", ridge), ("tol", tol), ("max_iter", max_iter)):
+    (NaN fails) and max_iter is an integer: a NaN ridge gives NaN
+    coefficients, a NaN or negative tol never converges, and a negative
+    max_iter takes no step from beta = 0."""
+    for name, value in (("ridge", ridge), ("tol", tol)):
         if not value >= 0:  # also catches NaN
             raise ValidationError(f"{name} must be >= 0, got {value}")
+    check_count("max_iter", max_iter, 0)
 
 
 def fit_logistic(data: Dataset, covariates, ridge: float = 1e-8,
@@ -258,8 +261,7 @@ def score_histogram(data: Dataset, scores, n_bins: int):
     Returns (treated_counts, control_counts, edges); counts sum to the
     respective arm sizes.
     """
-    if n_bins < 1:
-        raise ValidationError("n_bins must be >= 1")
+    check_count("n_bins", n_bins, 1)
     scores = _check_scores(scores, len(data))
     edges = np.linspace(0.0, 1.0, n_bins + 1)
     treated_counts, _ = np.histogram(scores[data.treated], bins=edges)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import AttDiagError, BootstrapError, ValidationError
+from .errors import AttDiagError, BootstrapError, ValidationError, check_count
 from .estimators import MatchSpec, _arm_contrast, att_match
 from .ingest import Dataset
 from .propensity import PropensityModel, TrimRule, _check_scores, fit_logistic, score_dataset, trim
@@ -216,8 +216,7 @@ def bootstrap_att(data: Dataset, estimator_spec: MatchSpec, b: int, seed: int, *
     in forked worker processes, one per available CPU; a worker that dies
     raises BootstrapError.
     """
-    if b < 1:
-        raise ValidationError("b must be >= 1")
+    check_count("b", b, 1)
     data.require_both_arms("bootstrap_att")
     if model is None and covariates is None:
         raise ValidationError("bootstrap_att needs a model, or covariates to refit on")
@@ -264,8 +263,7 @@ def decile_att(data: Dataset, scores, min_per_arm: int = 5) -> DecileReport:
     Dropped deciles are data, not errors. min_per_arm must be >= 1, so no
     kept decile has an empty arm.
     """
-    if not min_per_arm >= 1:
-        raise ValidationError(f"min_per_arm must be >= 1, got {min_per_arm}")
+    check_count("min_per_arm", min_per_arm, 1)
     order = np.lexsort((data.unit_ids, _check_scores(scores, len(data))))
     groups = np.array_split(order, 10)
     rows = []

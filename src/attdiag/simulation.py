@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, WitnessError
+from .errors import ValidationError, WitnessError, check_count
 from .identification import (
     Interval, _check_delta, _validate_delta_grid, fixed_radius_sets, massi_from_intervals,
 )
@@ -49,8 +49,7 @@ class SimConfig:
     def __post_init__(self):
         object.__setattr__(self, "type_proportions", tuple(float(p) for p in self.type_proportions))
         object.__setattr__(self, "delta_grid", _validate_delta_grid(self.delta_grid))
-        if self.n < 1:
-            raise ValidationError("n must be >= 1")
+        check_count("n", self.n, 1)
         # Each predicate fails on NaN.
         if len(self.type_proportions) != 4 or not all(p >= 0 for p in self.type_proportions):
             raise ValidationError("type_proportions must be four non-negative reals")

@@ -33,7 +33,7 @@ class BinSpec:
         object.__setattr__(self, "edges", tuple(float(e) for e in self.edges))
         if len(self.edges) < 2:
             raise ValidationError(f"{self.dimension_name}: need at least 2 edges")
-        if any(b <= a for a, b in zip(self.edges, self.edges[1:])):
+        if not all(b > a for a, b in zip(self.edges, self.edges[1:])):  # a NaN fails
             raise ValidationError(f"{self.dimension_name}: edges must strictly increase")
 
     @property

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 
+from attdiag import ingest
 from attdiag.calibrate import (
     bins_from_config,
     calibrate_dataset,
@@ -62,14 +63,22 @@ def test_calibrate_dataset_reports_match_flags():
         assert set(result["fine"]) == {"age_edges", "education_edges", "counts"}
 
 
-def test_run_calibration_end_to_end_with_synthetic_cache(tmp_path):
+def test_run_calibration_end_to_end_with_synthetic_cache(tmp_path, monkeypatch):
     data = synthetic_observational(seed=97, n_treated=100, n_control=600)
     cache = tmp_path / "cache"
     cache.mkdir()
     (cache / "nsw_treated.txt").write_text(dataset_to_text(data.subset(data.treated)))
-    (cache / "psid_controls.txt").write_text(dataset_to_text(data.subset(~data.treated)))
+    controls = dataset_to_text(data.subset(~data.treated))
+    (cache / "psid_controls.txt").write_text(controls)
+    (cache / "cps_controls.txt").write_text(controls)
+    parses = []
+    parse_table = ingest.parse_table
+    monkeypatch.setattr(ingest, "parse_table",
+                        lambda *args: parses.append(args) or parse_table(*args))
     out = tmp_path / "grid_config.json"
     config = run_calibration(cache, out, offline=True)
+    # Each cached file is parsed once, the treated table too.
+    assert len(parses) == 3
     assert out.exists()
     persisted = json.loads(out.read_text())
     assert persisted["calibrated"] is True

@@ -13,6 +13,7 @@ from attdiag import cli_report, decision, identification, resample, simulation
 from attdiag.cli_report import RunConfig, main
 from attdiag.errors import ConfigError
 from attdiag.estimators import MatchSpec
+from attdiag.ingest import SOURCE_URLS
 from attdiag.propensity import PropensityModel, TrimRule, fit_logistic, score_dataset
 from attdiag.resample import stratified_indices
 from conftest import dataset_to_text, record_float_sorts, synthetic_observational
@@ -83,6 +84,15 @@ def test_config_requires_seed(tmp_path):
 def test_missing_config_file_errors(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         RunConfig.from_file(tmp_path / "nope.ini", seed=1, out_dir=tmp_path)
+
+
+@pytest.mark.parametrize("key", sorted(SOURCE_URLS))
+@pytest.mark.parametrize("role", ["treated", "control"])
+def test_every_declared_source_can_be_named_in_a_run(tmp_path, role, key):
+    config = tmp_path / "run.ini"
+    config.write_text(f"[data]\nsource = remote\noffline = true\n{role}_source = {key}\n")
+    cfg = RunConfig.from_file(config, seed=1, out_dir=tmp_path)
+    assert cfg.get("data", f"{role}_source") == key
 
 
 def test_dependency_error_for_missing_model(tmp_path, capsys):
@@ -523,6 +533,8 @@ def test_bad_config_value_fails_before_any_stage(tmp_path, capsys):
                  "list": [SYNTH_GRIDS],
                  "decreasing": {**SYNTH_GRIDS,
                                 "coarse": {**SYNTH_GRIDS["coarse"], "age_edges": [56, 16]}},
+                 "nan": {**SYNTH_GRIDS,
+                         "fine": {**SYNTH_GRIDS["fine"], "age_edges": [16, float("nan"), 56]}},
                  "no_coarse": {key: v for key, v in SYNTH_GRIDS.items() if key != "coarse"}}
     grid_cases = []
     for name, grids in bad_grids.items():
@@ -556,14 +568,8 @@ def test_bad_config_value_fails_before_any_stage(tmp_path, capsys):
               text.replace("n = 20000", "witness_threshold = nan")),
              # Each covariate must be a covariate column of every table the run parses.
              ("[propensity] covariates: 'foo'", text + "\n[propensity]\ncovariates = age foo\n"),
-             ("[propensity] covariates: 're74'", text.replace(
+             ("[data] treated_source: unknown source", text.replace(
                  "source = local", "source = remote\ntreated_source = nsw_treated_original")),
-             # The original NSW layout lacks re74; no control source has it.
-             ("[data] treated_source 'nsw_treated_original' and control_source "
-              "'psid_controls' have different table layouts",
-              text.replace("source = local", "source = remote\noffline = true\n"
-                           "treated_source = nsw_treated_original")
-              + "\n[propensity]\ncovariates = age education\n"),
              ("[data] control_source: unknown source", text.replace(
                  "source = local", "source = remote\ncontrol_source = foo_controls")),
              ("[simulation] type_proportions", text.replace(

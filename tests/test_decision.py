@@ -23,28 +23,20 @@ def _sweep(deltas, intervals, tag="tilting"):
 
 
 def test_minimax_negative_interval_means_no_treat():
-    decision, (treat, no_treat) = minimax_rule(Interval(-2.0, -1.0))
-    assert decision is PolicyDecision.NO_TREAT
-    assert no_treat.worst_case_regret == 0.0
-    assert treat.worst_case_regret == 2.0
+    assert minimax_rule(Interval(-2.0, -1.0)) is PolicyDecision.NO_TREAT
 
 
 def test_minimax_positive_interval_means_treat():
-    decision, (treat, _) = minimax_rule(Interval(1.0, 2.0))
-    assert decision is PolicyDecision.TREAT
-    assert treat.worst_case_regret == 0.0
+    assert minimax_rule(Interval(1.0, 2.0)) is PolicyDecision.TREAT
 
 
 def test_minimax_mixed_interval_hand_arithmetic():
-    decision, (treat, no_treat) = minimax_rule(Interval(-1.0, 3.0))
-    assert treat.worst_case_regret == 1.0
-    assert no_treat.worst_case_regret == 3.0
-    assert decision is PolicyDecision.TREAT
+    # Treat regrets 1, NoTreat regrets 3.
+    assert minimax_rule(Interval(-1.0, 3.0)) is PolicyDecision.TREAT
 
 
 def test_minimax_tie_resolves_to_no_treat():
-    decision, _ = minimax_rule(Interval(-1.0, 1.0))
-    assert decision is PolicyDecision.NO_TREAT
+    assert minimax_rule(Interval(-1.0, 1.0)) is PolicyDecision.NO_TREAT
 
 
 @settings(max_examples=100, deadline=None)
@@ -57,12 +49,12 @@ def test_minimax_scale_invariance(lo, width, k):
     iv = Interval(lo, lo + width)
     assume(all(v == 0.0 or abs(k * v) >= sys.float_info.min for v in (iv.lo, iv.hi)))
     scaled = Interval(k * iv.lo, k * iv.hi)
-    assert minimax_rule(iv)[0] == minimax_rule(scaled)[0]
+    assert minimax_rule(iv) == minimax_rule(scaled)
 
 
 def test_minimax_subnormal_upside_still_treats():
     # The smallest positive upside is still strictly better than none.
-    assert minimax_rule(Interval(0.0, 5e-324))[0] is PolicyDecision.TREAT
+    assert minimax_rule(Interval(0.0, 5e-324)) is PolicyDecision.TREAT
 
 
 def test_fragility_all_negative_never_flips():
@@ -142,8 +134,10 @@ def test_bias_robustness_converges_to_ratio_as_step_shrinks():
 
 
 def test_bias_robustness_rejects_bad_se():
-    with pytest.raises(ValidationError):
-        bias_robustness(1.0, 0.0, 0.5)
+    # An infinite se would make 0 * se NaN and slip past the cover guard.
+    for se in (0.0, math.nan, math.inf):
+        with pytest.raises(ValidationError):
+            bias_robustness(1.0, se, 0.5)
 
 
 def test_bias_robustness_curve_endpoints():

@@ -236,6 +236,15 @@ def test_design_sensitivity_lets_a_defect_propagate(monkeypatch):
         design_sensitivity(data, score_dataset(model, data), [MatchSpec()])
 
 
+@pytest.mark.parametrize("k", [1.5, 2.0, True], ids=repr)
+def test_match_spec_rejects_a_neighbor_count_that_is_not_an_integer(k):
+    # A fractional k never fills a treated unit's matches, so the greedy
+    # path would average every control inside the caliper.
+    with pytest.raises(ValidationError, match="n_neighbors must be an integer"):
+        MatchSpec(n_neighbors=k)
+    assert MatchSpec(n_neighbors=np.int64(2)).design_tag == "nn2_logit_score"
+
+
 @pytest.mark.parametrize("n", [0, 1])
 def test_default_design_suite_needs_two_scores(n):
     # The caliper's SD has n - 1 degrees of freedom.

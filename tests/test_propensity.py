@@ -194,6 +194,18 @@ def test_fit_logistic_rejects_fit_options_below_zero_or_nan(option):
         fit_logistic(data, ["age", "re75"], **option)
 
 
+@pytest.mark.parametrize("count", [2.5, 3.0, True], ids=repr)
+def test_counts_must_be_integers(count):
+    data = synthetic_observational(seed=6, n_treated=40, n_control=120)
+    scores = score_dataset(fit_logistic(data, ["age", "re75"]), data)
+    with pytest.raises(ValidationError, match="max_iter must be an integer"):
+        fit_logistic(data, ["age", "re75"], max_iter=count)
+    with pytest.raises(ValidationError, match="n_bins must be an integer"):
+        score_histogram(data, scores, count)
+    with pytest.raises(ValidationError, match="min_per_arm must be an integer"):
+        decile_att(data, scores, min_per_arm=count)
+
+
 def test_model_rejects_a_nan_ridge():
     with pytest.raises(ValidationError, match="ridge must be >= 0"):
         PropensityModel(np.zeros(2), ("age",), converged=True, iterations=0, ridge=math.nan)

@@ -99,8 +99,9 @@ def test_bootstrap_failure_budget():
 
 def test_bootstrap_requires_inputs():
     data = synthetic_observational(seed=21, n_treated=10, n_control=40)
-    with pytest.raises(ValidationError):
-        bootstrap_att(data, MatchSpec(), 0, seed=1, covariates=COVS)
+    for b in (0, 2.5, True):
+        with pytest.raises(ValidationError, match="b must be"):
+            bootstrap_att(data, MatchSpec(), b, seed=1, covariates=COVS)
     with pytest.raises(ValidationError, match="needs a model, or covariates to refit on"):
         bootstrap_att(data, MatchSpec(), 5, seed=1)  # neither a model nor covariates
 

@@ -34,8 +34,9 @@ def test_config_validation():
         SimConfig(seed=0, type_proportions=(0.3, 0.3, 0.3, 0.3))
     with pytest.raises(ValidationError):
         SimConfig(seed=0, treat_prob=1.0)
-    with pytest.raises(ValidationError):
-        SimConfig(seed=0, n=0)
+    for n in (0, 1.5, True):
+        with pytest.raises(ValidationError):
+            SimConfig(seed=0, n=n)
     # Each check fails on NaN too, before the NaN reaches the sampler.
     for bad in ({"epsilon": math.nan}, {"epsilon": -0.1},
                 {"type_proportions": (math.nan, 0.2, 0.4, 0.1)},

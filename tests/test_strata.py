@@ -44,6 +44,10 @@ def test_binspec_invariants():
         BinSpec("age", (1.0,))
     with pytest.raises(ValidationError):
         BinSpec("age", (1.0, 1.0))
+    # Every comparison with NaN is false, so a NaN edge must fail the check.
+    for edges in ((0.0, float("nan"), 10.0), (float("nan"), 10.0)):
+        with pytest.raises(ValidationError):
+            BinSpec("x0", edges)
 
 
 def test_hand_enumerated_counts():
