@@ -14,12 +14,12 @@ included, so a bad value fails before any stage runs. What the config
 determines (the parsed tables, the propensity model, the fine support map
 and the tilting sweep) is kept on the `RunConfig`, built on first use, in
 a chained run as in a standalone one. What a (dataset, model) pair
-determines (the model's scores, the tilting inputs and the tilting problem)
-is kept on the composite dataset (`Dataset.cached`), where `sweep_tilting`,
-`att_ipw` and `sweep_trimming_proxy` find it too. Upstream products (the
-propensity model and table 1) are read from their artifacts; a command
-whose upstream artifact is missing or damaged fails with a dependency
-error naming the producing command.
+determines (the model's scores, the IPW estimate, the tilting inputs and
+the tilting problem) is kept on the composite dataset (`Dataset.cached`),
+where `sweep_tilting`, `att_ipw` and `sweep_trimming_proxy` find it too.
+Upstream products (the propensity model and table 1) are read from their
+artifacts; a command whose upstream artifact is missing or damaged fails
+with a dependency error naming the producing command.
 """
 
 from __future__ import annotations
@@ -358,7 +358,7 @@ def _tilting_work(problem, before: dict | None = None) -> dict:
     tilt_<attribute>, net of `before` when given, so that a stage logs the
     work done since it started."""
     work = {f"tilt_{name}": getattr(problem, name)
-            for name in ("split_points_evaluated", "full_scans")}
+            for name in ("split_points_evaluated", "full_scans", "windows_widened")}
     return {key: n - before[key] for key, n in work.items()} if before else work
 
 

@@ -263,8 +263,13 @@ def att_match(data: Dataset, scores, spec: MatchSpec) -> AttEstimate:
 def att_ipw(data: Dataset, model: PropensityModel) -> AttEstimate:
     """Inverse-probability-weighted ATT: treated mean minus the
     odds-weighted control mean, weights e(x)/(1 - e(x)), from the scores
-    the Dataset caches for `model`."""
+    the Dataset caches for `model`; the estimate is cached beside them,
+    and every caller shares it (an `AttEstimate` is frozen)."""
     data.require_both_arms("att_ipw")
+    return data.cached(model, "ipw", _att_ipw)
+
+
+def _att_ipw(model: PropensityModel, data: Dataset) -> AttEstimate:
     scores = data.cached(model, "scores", score_dataset)
     t_mask = data.treated
     controls = ~t_mask

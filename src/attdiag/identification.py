@@ -23,11 +23,13 @@ outcomes collapses ties in one pass; only unordered input is sorted.
 Per delta it evaluates the split points' ratios only in a window around
 the optimal threshold, which a Dinkelbach iteration locates, and widens
 the window until a rounding certificate proves that no split point
-outside it computes a more extreme value. The bounds are therefore the floats a scan of every split point
-would return, at the cost of the window; where nothing narrower can be
-certified (delta 0, for one) the window grows into that full scan.
-`curvature_bounds` is the one-delta form. A brute-force vertex enumeration
-is kept alongside as an independent oracle.
+outside it computes a more extreme value. The bounds are therefore the
+floats a scan of every split point would return, at the cost of the
+window; where nothing narrower can be certified (delta 0, for one) the
+window grows into that full scan. A sweep centres and certifies all its
+deltas' first windows as arrays; only uncertified sides widen, one delta
+at a time. `curvature_bounds` is the one-delta form. A brute-force vertex
+enumeration is kept alongside as an independent oracle.
 """
 
 from __future__ import annotations
@@ -183,10 +185,12 @@ class TiltingProblem:
     `control_tilt_inputs` returns them) in one pass, any other order after
     a sort. `interval(delta)` then evaluates those sums at a certified
     window of split points around the optimal threshold, so a sweep or a
-    bisection over delta builds them once in total.
-    `split_points_evaluated` counts the split points `interval` has
-    evaluated (both sides, every window tried) and `full_scans` the sides
-    whose window had to grow to every split point.
+    bisection over delta builds them once in total; `sweep` gives the
+    floats of `interval` at each delta from one array pass over the grid.
+    Counted as `interval` at each delta would: `split_points_evaluated`,
+    the split points evaluated (both sides, every window tried);
+    `full_scans`, the sides whose window had to grow to every split point;
+    `windows_widened`, the sides whose first window had to grow.
     """
 
     def __init__(self, control_outcomes, base_weights, treated_mean: float):
@@ -235,6 +239,7 @@ class TiltingProblem:
         self.distinct_outcomes = m
         self.split_points_evaluated = 0
         self.full_scans = 0
+        self.windows_widened = 0
 
     def interval(self, delta: float) -> Interval:
         """Exact ATT bounds under tilt factors in [1, e^delta].
@@ -279,6 +284,12 @@ class TiltingProblem:
         mu_max, mu_min = (self._extreme(side, e_delta, gap) for side in self._sides)
         return Interval(self.treated_mean - mu_max, self.treated_mean - mu_min)
 
+    @staticmethod
+    def _ratio(side, e_delta, at):
+        """The side's ratios at `at`, with `e_delta` broadcast: the full scan's expression."""
+        base_w, base_wy, tilt_w, tilt_wy = side[:4]
+        return (base_wy[at] + e_delta * tilt_wy[at]) / (base_w[at] + e_delta * tilt_w[at])
+
     def _rounding_bound(self, e_delta: float) -> float:
         """E >= |fl(k) - R(k)| at every split point k (see `interval`), or
         inf where no useful bound is proven.
@@ -316,11 +327,7 @@ class TiltingProblem:
         """One side's bound: the largest of `sign` times its ratios, times
         `sign`, from the first window whose edges clear `gap` (see
         `interval`)."""
-        base_w, base_wy, tilt_w, tilt_wy, first, last, sign = side
-
-        def ratio(at):  # at a split point or a slice of them; the full scan's expressions
-            return (base_wy[at] + e_delta * tilt_wy[at]) / (base_w[at] + e_delta * tilt_w[at])
-
+        first, last = side[4:6]
         # Where no window narrower than all split points can pass, the first
         # window is all of them.
         k, half = first, last - first
@@ -331,13 +338,19 @@ class TiltingProblem:
                 if k_next == k:
                     break
                 k = k_next
-                mu = ratio(k)
+                mu = self._ratio(side, e_delta, k)
             half = _FIRST_HALF_WIDTH
+        return self._widen(side, e_delta, gap, k, half)
+
+    def _widen(self, side, e_delta: float, gap: float, k: int, half: int) -> float:
+        """One side's bound from the window of half-width `half` around split
+        point `k`, grown fourfold until its edges clear `gap`."""
+        first, last, sign = side[4:]
         while True:
             a, b = max(first, k - half), min(last, k + half)
             if 2 * (b - a) >= last - first:  # past half of them: take them all
                 a, b = first, last
-            values = sign * ratio(slice(a, b + 1))
+            values = sign * self._ratio(side, e_delta, slice(a, b + 1))
             self.split_points_evaluated += values.size
             best = values.max()
             if a == first and b == last:
@@ -346,13 +359,54 @@ class TiltingProblem:
             if ((a == first or best - values[0] > gap)
                     and (b == last or best - values[-1] > gap)):
                 return sign * float(best)
+            self.windows_widened += half == _FIRST_HALF_WIDTH  # a first window failed
             half *= 4
 
+    def _extremes(self, side, e_delta: np.ndarray, gap: np.ndarray) -> list[float]:
+        """`_extreme` at every delta of a grid: the Dinkelbach centring of
+        all deltas at once, then one 2-D gather of every first window and
+        its edge tests. Any side those do not certify goes on in `_widen`."""
+        first, last, sign = side[4:]
+        h = _FIRST_HALF_WIDTH
+        k = np.full(e_delta.size, first)
+        rows = np.flatnonzero((e_delta != 1.0) & (gap < math.inf))
+        k[rows] = -1  # no split point yet, so the first step always moves
+        moving, mu = rows, np.full(rows.size, self._untilted_mean)
+        for _ in range(_CENTRE_STEPS):
+            k_next = np.minimum(np.maximum(self._ys.searchsorted(mu), first), last)
+            moved = k_next != k[moving]
+            moving, k_next = moving[moved], k_next[moved]
+            if not moving.size:
+                break
+            k[moving] = k_next
+            mu = self._ratio(side, e_delta[moving], k_next)
+        a, b = np.maximum(k[rows] - h, first), np.minimum(k[rows] + h, last)
+        narrow = 2 * (b - a) < last - first
+        rows, a, b = rows[narrow], a[narrow], b[narrow]
+        at = np.minimum(np.maximum(k[rows, None] + np.arange(-h, h + 1), first), last)
+        values = sign * self._ratio(side, e_delta[rows, None], at)
+        self.split_points_evaluated += int((b - a + 1).sum())
+        best = values.max(axis=1)
+        certified = (((a == first) | (best - values[:, 0] > gap[rows]))
+                     & ((b == last) | (best - values[:, -1] > gap[rows])))
+        done = dict(zip(rows[certified].tolist(), (sign * best[certified]).tolist()))
+        failed = set(rows[~certified].tolist())
+        self.windows_widened += len(failed)
+        # A failed first window widens around its centre; any other side not
+        # done here takes all split points as its first window.
+        return [done[i] if i in done else
+                self._widen(side, e, g, k_i, 4 * h if i in failed else last - first)
+                for i, (e, g, k_i) in enumerate(zip(e_delta.tolist(), gap.tolist(), k.tolist()))]
+
     def sweep(self, deltas) -> CurvatureSweep:
-        """Identified sets along an ascending delta grid. Nesting across the
-        grid is asserted, not assumed."""
+        """Identified sets along an ascending delta grid, `interval`'s at
+        each delta. Nesting across the grid is asserted, not assumed."""
         deltas = _validate_delta_grid(deltas)
-        raw = [self.interval(d) for d in deltas]
+        e_delta = np.array([math.exp(min(d, _MAX_EXP)) for d in deltas])
+        gap = 2.0 * np.array([self._rounding_bound(e) for e in e_delta.tolist()])
+        mu_max, mu_min = (self._extremes(side, e_delta, gap) for side in self._sides)
+        raw = [Interval(self.treated_mean - hi, self.treated_mean - lo)
+               for hi, lo in zip(mu_max, mu_min)]
         intervals = [raw[0]]
         for cur in raw[1:]:
             prev = intervals[-1]

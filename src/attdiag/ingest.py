@@ -174,8 +174,9 @@ class Dataset:
         its identity; the entry keeps a reference to the model, so its id
         cannot pass to another object. A model is frozen, so what it
         determines here cannot change under the entry. Keys in use:
-        "scores" (`score_dataset`), "tilt_inputs" (`control_tilt_inputs`)
-        and "tilting_problem" (the `TiltingProblem` on those inputs)."""
+        "scores" (`score_dataset`), "ipw" (`att_ipw`), "tilt_inputs"
+        (`control_tilt_inputs`) and "tilting_problem" (the `TiltingProblem`
+        on those inputs)."""
         if self._fitted is None or self._fitted[0] is not model:
             self._fitted = (model, {})
         entry = self._fitted[1]

@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import attdiag  # noqa: F401  (the workload reads the loaded modules)
-from attdiag import cli_report
+from attdiag import cli_report, identification
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(BENCH))
@@ -43,6 +43,20 @@ def test_query_workload_answers_a_block_as_recorded(tmp_path):
         assert [failure for result in results for failure in result.failures] == []
         assert sum(result.failed for result in results) == 0
     assert workload.final_checks() == []
+
+
+def test_lattice_sweeps_equal_the_recorded_intervals():
+    # The whole lattice in one sweep per dataset, against references recorded
+    # one delta at a time; the 100k-control dataset sends the most sides (11
+    # of 122) on to widen one delta at a time.
+    variant = 1
+    reference = checks.load_reference("tilting_queries")[str(variant)]
+    workload = run.QueryWorkload("tilting_queries", variant, None, reference)
+    workload.setup()
+    for k, (data, model) in enumerate(zip(workload.datasets, workload.models)):
+        sweep = identification.sweep_tilting(data, model, workloads.DELTA_LATTICE)
+        got = [[iv.lo, iv.hi] for iv in sweep.intervals]
+        assert got == reference["datasets"][k]["intervals"], f"dataset {k}"
 
 
 @pytest.mark.parametrize("workload", ["reproduce_psid", "reproduce_wide"])

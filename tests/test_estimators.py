@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -205,6 +206,27 @@ def test_estimators_deterministic():
     scores = score_dataset(model, data)
     assert att_match(data, scores, spec).tau_hat == att_match(data, scores, spec).tau_hat
     assert att_ipw(data, model).tau_hat == att_ipw(data, model).tau_hat
+
+
+def test_ipw_estimate_is_computed_once_per_dataset_and_model():
+    data = synthetic_observational(seed=19, n_treated=35, n_control=140)
+    model = fit_logistic(data, ["age", "re74", "re75"])
+    est = att_ipw(data, model)
+    assert att_ipw(data, model) is est
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        est.tau_hat = 0.0
+    # A new model gets its own estimate, the uncached formula's values.
+    other = fit_logistic(data, ["age", "education"])
+    fresh = att_ipw(data, other)
+    scores = score_dataset(other, data)[~data.treated]
+    w = scores / (1.0 - scores)
+    yt, yc = data.outcome[data.treated], data.outcome[~data.treated]
+    mu0 = float(np.dot(w, yc) / float(np.sum(w)))
+    var_t = float(np.var(yt, ddof=1)) / len(yt)
+    var_c = float(np.sum((w * (yc - mu0)) ** 2)) / float(np.sum(w)) ** 2
+    assert fresh.tau_hat == float(np.mean(yt)) - mu0
+    assert fresh.se == float(np.sqrt(var_t + var_c))
+    assert att_ipw(data, model) == est
 
 
 def test_design_sensitivity_composition_and_failure_capture():

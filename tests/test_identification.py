@@ -230,6 +230,80 @@ def test_sweep_equals_per_delta_bounds_exactly(controls, deltas, treated_mean):
         assert sweep.deltas == tuple(deltas)
 
 
+def _assert_sweep_is_per_delta(y, w, treated_mean, deltas) -> TiltingProblem:
+    """The sweep's intervals are the per-delta intervals up to the outward
+    nesting snap, bit for bit, and its work counters the per-delta sums;
+    returns the problem swept."""
+    single = TiltingProblem(y, w, treated_mean)
+    expected = [single.interval(d) for d in deltas]
+    problem = TiltingProblem(y, w, treated_mean)
+    sweep = problem.sweep(deltas)
+    lo, hi = math.inf, -math.inf
+    for want, got in zip(expected, sweep.intervals, strict=True):
+        lo, hi = min(lo, want.lo), max(hi, want.hi)
+        assert (got.lo, got.hi) == (lo, hi)
+    for name in ("split_points_evaluated", "full_scans", "windows_widened"):
+        assert getattr(problem, name) == getattr(single, name), name
+    return problem
+
+
+def _array_path_controls(seed, n, tied, zero_weight=1.0):
+    # Earnings-like controls with a zero mass point, either on a coarse
+    # lattice (heavy ties) or continuous, with odds-like weights; the zeros'
+    # weights are scaled by `zero_weight`.
+    rng = np.random.default_rng(seed)
+    y = rng.integers(0, 150, n) * 100.0 if tied else rng.lognormal(8.0, 1.0, n)
+    y = np.where(rng.random(n) < 0.3, 0.0, y)
+    w = rng.lognormal(0.0, 1.0, n)
+    return y, np.where(y == 0.0, zero_weight * w, w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(100, 800),
+    tied=st.booleans(),
+    # Heavy zeros can put the untilted mean below every positive outcome, so
+    # the raising side's centring starts at its first split point and must
+    # move on from there.
+    zero_weight=st.sampled_from([1.0, 100.0]),
+    # Delta 0 and deltas past the exp cap scan every split point; deltas
+    # below about 1e-8 leave the ratios too flat for a first window's edges
+    # to clear the rounding bound, so those windows widen.
+    deltas=st.lists(st.one_of(st.just(0.0), st.floats(1e-13, 1e-7), st.floats(0, 5),
+                              st.floats(500, 1000)),
+                    min_size=1, max_size=20, unique=True).map(sorted),
+    treated_mean=st.floats(-1e4, 1e4),
+)
+def test_array_sweep_equals_per_delta_bounds_exactly(seed, n, tied, zero_weight, deltas,
+                                                     treated_mean):
+    y, w = _array_path_controls(seed, n, tied, zero_weight)
+    _assert_sweep_is_per_delta(y, w, treated_mean, deltas)
+
+
+@pytest.mark.parametrize("tied", [True, False], ids=["tied", "continuous"])
+def test_array_sweep_reaches_every_path(tied):
+    y, w = _array_path_controls(5, 800, tied)
+    deltas = [0.0, 1e-13, 1e-11, 1e-9, 3e-9, 1e-6, 0.01, 0.5, 1.0, 3.0, 20.0, 700.0]
+    _assert_sweep_is_per_delta(y, w, 250.0, deltas)
+    # Per delta (full scans, first windows widened) over both sides.
+    work = []
+    for delta in deltas:
+        single = TiltingProblem(y, w, 250.0)
+        single.interval(delta)
+        work.append((single.full_scans, single.windows_widened))
+    # Delta 0 and past the exp cap scan everything at once; at 1e-13 both
+    # first windows fail, widen and end in a full scan; from 1e-6 to 3 both
+    # first windows are certified, which the sweep does in its array pass.
+    assert work[0] == work[-1] == (2, 0)
+    assert work[1] == (2, 2)
+    assert work[5:10] == [(0, 0)] * 5
+    if not tied:
+        # On 562 distinct outcomes, one side of delta 20 certifies a widened
+        # window narrower than all split points.
+        assert work[10] == (0, 1)
+
+
 def test_sweep_tilting_sorts_controls_once(monkeypatch):
     # Data seed 51: the minimax decision flips between grid deltas 2.25 and
     # 2.5, so the fragility bisects, each step building its own problem.
