@@ -353,15 +353,6 @@ def _run_stage(stage: str, command, cfg: RunConfig):
     return values, fields, clock
 
 
-def _tilting_work(problem, before: dict | None = None) -> dict:
-    """The tilting problem's work counters, as log fields named
-    tilt_<attribute>, net of `before` when given, so that a stage logs the
-    work done since it started."""
-    work = {f"tilt_{name}": getattr(problem, name)
-            for name in ("split_points_evaluated", "full_scans", "windows_widened")}
-    return {key: n - before[key] for key, n in work.items()} if before else work
-
-
 def _read_upstream(path: Path, producer: str, parse):
     """`parse` of the text of an upstream artifact; a missing or damaged
     one is a DependencyError naming the command that writes it."""
@@ -534,7 +525,7 @@ def cmd_match(cfg: RunConfig):
 def cmd_bounds(cfg: RunConfig):
     data, digests, _ = cfg.tables
     problem = tilting_problem(data, cfg.model)
-    tilt_before = _tilting_work(problem)
+    evaluated = problem.split_points_evaluated
     tilting = cfg.tilting
     _write_csv(cfg.out_dir / "sweep_tilting.csv", sweep_to_csv_rows(tilting))
     _interval_chart(cfg.out_dir / "sweep_tilting.svg", tilting.deltas, tilting.intervals,
@@ -560,14 +551,14 @@ def cmd_bounds(cfg: RunConfig):
                             "width_violations": list(proxy.width_violations)}}))
     return values, {"digests": digests,
                     "distinct_control_outcomes": problem.distinct_outcomes,
-                    **_tilting_work(problem, tilt_before)}
+                    "tilt_split_points_evaluated": problem.split_points_evaluated - evaluated}
 
 
 def cmd_fragility(cfg: RunConfig):
     tau_hat, se = _read_upstream(cfg.out_dir / "table1.csv", "match", _full_sample_estimate)
     data, digests, _ = cfg.tables
     problem = tilting_problem(data, cfg.model)
-    tilt_before = _tilting_work(problem)
+    evaluated = problem.split_points_evaluated
     tilting = cfg.tilting
     bisection_evals = 0
 
@@ -598,7 +589,6 @@ def cmd_fragility(cfg: RunConfig):
         "bias_curve": [{"delta": d, "lo": iv.lo, "hi": iv.hi} for d, iv in zip(deltas, curve)],
     }
     (cfg.out_dir / "fragility.json").write_text(_dump_json(payload))
-    tilt_work = _tilting_work(problem, tilt_before)
     # No later stage reads the tilting problem or its inputs, so the dataset
     # drops them. Kept alive past the bootstrap's allocations, the
     # problem's arrays raised the peak RSS of a 30,000-control reproduce by
@@ -606,7 +596,8 @@ def cmd_fragility(cfg: RunConfig):
     data.uncache("tilting_problem", "tilt_inputs")
     return payload, {"digests": digests,
                      "distinct_control_outcomes": problem.distinct_outcomes,
-                     "bisection_evals": bisection_evals, **tilt_work}
+                     "bisection_evals": bisection_evals,
+                     "tilt_split_points_evaluated": problem.split_points_evaluated - evaluated}
 
 
 def cmd_simulate(cfg: RunConfig):

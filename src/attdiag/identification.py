@@ -20,15 +20,12 @@ reuse them; a `PropensityModel` is frozen, so none of them can go stale
 under a model. The controls are sorted by outcome once per pair, when
 `control_tilt_inputs` gathers them, and a `TiltingProblem` given ordered
 outcomes collapses ties in one pass; only unordered input is sorted.
-Per delta it evaluates the split points' ratios only in a window around
-the optimal threshold, which a Dinkelbach iteration locates, and widens
-the window until a rounding certificate proves that no split point
-outside it computes a more extreme value. The bounds are therefore the
-floats a scan of every split point would return, at the cost of the
-window; where nothing narrower can be certified (delta 0, for one) the
-window grows into that full scan. A sweep centres and certifies all its
-deltas' first windows as arrays; only uncertified sides widen, one delta
-at a time. `curvature_bounds` is the one-delta form. A brute-force vertex
+Per delta and side, a Dinkelbach iteration on those sums finds the
+optimal threshold in a few steps: the bound is the best ratio it visits or
+finds next to where it stops, which is a full scan's to within rounding.
+Delta 0, where every exact ratio is the same, still scans every split
+point. A sweep runs all its deltas and both sides as arrays.
+`curvature_bounds` is the one-delta form. A brute-force vertex
 enumeration is kept alongside as an independent oracle.
 """
 
@@ -55,13 +52,10 @@ from .propensity import PropensityModel, TrimRule, score_dataset, trim
 # exp cap: beyond this the tilted extremes equal the support limits to
 # machine precision, and exp would overflow around 709.
 _MAX_EXP = 500.0
-# Unit roundoff and subnormal spacing of float64, for the rounding bound.
-_U = 2.0 ** -53
-_ETA = 2.0 ** -1074
-# Dinkelbach steps allowed when centring a window, and the window's first
-# half-width in split points; both affect speed only.
+# Dinkelbach steps allowed per side and delta, and the split points evaluated
+# on each side of where the iteration stops.
 _CENTRE_STEPS = 32
-_FIRST_HALF_WIDTH = 16
+_NEIGHBOURS = 2
 
 TILTING = "tilting"
 TRIMMING_PROXY = "trimming_proxy"
@@ -181,16 +175,12 @@ class TiltingProblem:
     """The tilting bounds of one control sample, for any delta.
 
     The constructor validates the inputs, collapses tied outcomes and
-    takes prefix sums once: outcomes in non-decreasing order (as
+    takes prefix and suffix sums once: outcomes in non-decreasing order (as
     `control_tilt_inputs` returns them) in one pass, any other order after
-    a sort. `interval(delta)` then evaluates those sums at a certified
-    window of split points around the optimal threshold, so a sweep or a
-    bisection over delta builds them once in total; `sweep` gives the
-    floats of `interval` at each delta from one array pass over the grid.
-    Counted as `interval` at each delta would: `split_points_evaluated`,
-    the split points evaluated (both sides, every window tried);
-    `full_scans`, the sides whose window had to grow to every split point;
-    `windows_widened`, the sides whose first window had to grow.
+    a sort. `interval(delta)` evaluates those sums at a few split points
+    (at all of them at delta 0), and `sweep` gives its floats at each delta
+    of a grid from one array pass. `split_points_evaluated` counts the
+    ratios evaluated.
     """
 
     def __init__(self, control_outcomes, base_weights, treated_mean: float):
@@ -198,8 +188,7 @@ class TiltingProblem:
         # The bounds are scale-invariant. Scaling by the power of two that puts
         # the largest weight in [0.5, 1) is exact for normal-range weights, so
         # their bounds stay bit-identical, while e^delta times the sums can no
-        # longer overflow and subnormal weights keep their digits. It also
-        # makes the weight total, and so every denominator, at least 0.5.
+        # longer overflow and subnormal weights keep their digits.
         w = np.ldexp(w, -np.frexp(w.max())[1])
         # Collapse equal outcomes (weights add): splitting a tied block across
         # the threshold adds only redundant vertices, and deduping keeps tied
@@ -213,198 +202,128 @@ class TiltingProblem:
         new = np.concatenate(([True], y[1:] != y[:-1]))
         ys = y[new]
         ws = np.bincount(np.cumsum(new) - 1, weights=w)
-        wy = ws * ys
-        # prefix[k] = sum of the first k sorted entries (prefix[0] = 0), and
-        # suffix[k] = total - prefix[k], the sum from entry k on. Taking the
-        # differences once here gives the same floats a per-delta scan would.
-        prefix_w = np.concatenate([[0.0], np.cumsum(ws)])
-        prefix_wy = np.concatenate([[0.0], np.cumsum(wy)])
-        self._prefix_w, self._prefix_wy = prefix_w, prefix_wy
-        suffix_w, suffix_wy = prefix_w[-1] - prefix_w, prefix_wy[-1] - prefix_wy
         m = ys.size
-        # Each side as (untilted sums, tilted sums, first and last split
-        # point, sign that turns its extreme into a maximum). Raising mu0
-        # tilts the suffix [k:], k = 1..m: k=m is the exact untilted vertex,
-        # and the skipped k=0 (everything tilted) equals it mathematically
-        # because a constant tilt cancels in the ratio; skipping it keeps the
-        # computed bounds exactly nested across delta. Lowering mu0 tilts the
-        # prefix [:k], k = 0..m-1, where k=0 is the untilted vertex.
-        self._sides = ((prefix_w, prefix_wy, suffix_w, suffix_wy, 1, m, 1.0),
-                       (suffix_w, suffix_wy, prefix_w, prefix_wy, 0, m - 1, -1.0))
+        # Row 0 of each buffer holds the prefix sums (prefix[k] = the sum of the
+        # first k sorted entries, prefix[0] = 0), row 1 the suffix sums
+        # (total - prefix[k], the sum from entry k on): a per-delta scan's floats.
+        self._w, self._wy = np.empty((2, m + 1)), np.empty((2, m + 1))
+        for sums, terms in ((self._w, ws), (self._wy, ws * ys)):
+            sums[0, 0] = 0.0
+            np.cumsum(terms, out=sums[0, 1:])
+            np.subtract(sums[0, -1], sums[0], out=sums[1])
         self._ys = ys
-        self._untilted_mean = float(prefix_wy[-1] / prefix_w[-1])
-        self._y_max = float(max(-ys[0], ys[-1]))
-        self._total_w = float(prefix_w[-1])
+        self._untilted_mean = float(self._wy[0, -1] / self._w[0, -1])
         self.treated_mean = treated_mean
         self.distinct_outcomes = m
         self.split_points_evaluated = 0
-        self.full_scans = 0
-        self.windows_widened = 0
+
+    def _side(self, side):
+        """(sign that makes its extreme a maximum, first and last split point)
+        of `side`, an int or an array. Side 0 raises mu0 by tilting the
+        suffix [k:], k = 1..m (k=m is the untilted vertex; k=0 equals it and
+        is skipped to keep the bounds nested); side 1 lowers it by tilting
+        the prefix [:k], k = 0..m-1."""
+        return 1 - 2 * side, 1 - side, self.distinct_outcomes - side
+
+    def _ratio(self, side, e_delta, at):
+        """`side`'s ratios at split points `at`, all broadcast: untilted sums
+        from buffer row `side`, tilted ones from row `1 - side`."""
+        w, wy = self._w, self._wy
+        return ((wy[side, at] + e_delta * wy[1 - side, at])
+                / (w[side, at] + e_delta * w[1 - side, at]))
 
     def interval(self, delta: float) -> Interval:
-        """Exact ATT bounds under tilt factors in [1, e^delta].
+        """ATT bounds under tilt factors in [1, e^delta].
 
-        The bounds are the largest and smallest of the ratios
-        (untilted sum of w*y + e^delta * tilted sum of w*y) /
-        (untilted sum of w + e^delta * tilted sum of w) over the split
-        points, bit for bit as a scan of every split point computes them,
-        though only a window of them is evaluated. Why the window suffices:
+        The bounds are the extremes over the split points k of the ratio
+        R(k) = (untilted sum of w*y + e^delta * tilted sum of w*y) /
+               (untilted sum of w + e^delta * tilted sum of w).
+        The maximum is the fixed point of Dinkelbach's iteration (Dinkelbach
+        1967): the vertex optimal for ratio mu tilts the outcomes beyond mu,
+        so jump to that split point, take its ratio as the new mu, repeat.
+        Each side stops when the split point repeats, when the ratio fails
+        to rise (rounding near a flat optimum; without this, large deltas
+        cycle), or after `_CENTRE_STEPS` steps. Its bound, the best ratio
+        visited or at the `_NEIGHBOURS` split points either side of where it
+        stopped, is a full scan's maximum to within the rounding of a flat
+        optimum (at worst about 1e-13 max|y| on adversarial data).
 
-        Let R(k) be split point k's ratio in exact arithmetic on the same
-        inputs, and fl(k) the float computed. Raising mu0, untilting entry
-        j = k-1 changes the ratio by
-            R(k) - R(k-1) = (e^delta - 1) w_j (R(k) - y_j) / D(k-1),
-        with D(k-1) > 0 the denominator. So R rises while y_j < R(k), and
-        once it stops rising the sorted y_j stay at or above R: R is
-        non-decreasing up to its maximum and non-increasing after it. (The
-        lower side mirrors this; its ratios are negated so both sides seek
-        a maximum.) Let E >= |fl(k) - R(k)| at every split point
-        (`_rounding_bound`). If a window [a, b] computes the maximum M and
-        fl(a) < M - 2E, then R(a) <= fl(a) + E < M - E, which is at most R
-        at the window's argmax; so a lies where R is still rising, and each
-        k < a has fl(k) <= R(k) + E <= R(a) + E <= fl(a) + 2E < M. The
-        same holds to the right of b, and an edge at the first or last
-        split point needs no check. The test is made as fl(M - fl(a)) > 2E
-        with E inflated enough to absorb that subtraction's rounding.
-
-        The window starts at the threshold of a Dinkelbach iteration (the
-        vertex optimal for ratio mu tilts the outcomes beyond mu: jump to
-        that split point, re-evaluate mu, stop when the split point
-        repeats) and its width grows fourfold until both edges pass or it
-        spans every split point, which is the full scan. The centre affects
-        speed only. A window spanning everything is taken as it stands.
-        Where nothing narrower can pass, the full scan comes first, with no
-        centring: at e^delta = 1 (delta 0) every R(k) is equal, and a
-        non-finite bound (very large delta, sums near overflow) fails every
-        check.
+        At delta 0 every exact ratio is the untilted mean, so there is no
+        optimum to iterate to: every split point is scanned (`_scan`), and
+        the bounds are the scan's floats, a few ulp from that mean.
         """
         _check_delta(delta)
         e_delta = math.exp(min(delta, _MAX_EXP))
-        gap = 2.0 * self._rounding_bound(e_delta)
-        mu_max, mu_min = (self._extreme(side, e_delta, gap) for side in self._sides)
+        mu_max, mu_min = (self._scan() if e_delta == 1.0 else
+                          (self._extreme(0, e_delta), self._extreme(1, e_delta)))
         return Interval(self.treated_mean - mu_max, self.treated_mean - mu_min)
 
-    @staticmethod
-    def _ratio(side, e_delta, at):
-        """The side's ratios at `at`, with `e_delta` broadcast: the full scan's expression."""
-        base_w, base_wy, tilt_w, tilt_wy = side[:4]
-        return (base_wy[at] + e_delta * tilt_wy[at]) / (base_w[at] + e_delta * tilt_w[at])
+    def _scan(self) -> tuple[float, float]:
+        """Both sides' bounds at e^delta = 1 from every split point, where the
+        two sides' ratios are the same floats (the untilted and tilted sums
+        trade places), so one pass over k = 0..m serves both."""
+        ratios = (self._wy[0] + self._wy[1]) / (self._w[0] + self._w[1])
+        self.split_points_evaluated += ratios.size
+        return float(ratios[1:].max()), float(ratios[:-1].min())
 
-    def _rounding_bound(self, e_delta: float) -> float:
-        """E >= |fl(k) - R(k)| at every split point k (see `interval`), or
-        inf where no useful bound is proven.
-
-        With u = 2^-53, eta = 2^-1074 the subnormal spacing, m split
-        points, g = (m + 2) u, Y = max |y| and W the weight total, assume
-        (1 + e^delta) g <= 0.05. Every denominator is at least W, and W is
-        at least 0.5 after the scaling in the constructor. Then:
-          - a prefix sum of w is within 1.03 g W of the exact one (any
-            summation order: gamma_{m-1} times the sum of |terms|), and a
-            prefix sum of the rounded products w*y within 1.03 g W Y + m eta
-            of the exact products' sum (each product adds u|wy| + eta/2);
-          - a suffix, total minus prefix, is within 2.6 g W Y + 3 m eta;
-          - a numerator, prefix + fl(e^delta * suffix), is within
-            3.8 (1 + e^delta) g W Y + 3 ((1 + e^delta) m + 1) eta, and a
-            denominator within 3.8 (1 + e^delta) g W + eta, so a computed
-            denominator is at least 0.75 W;
-          - the quotient of the computed terms is then within
-            (err_num + Y err_den) / (0.75 W) of R, as |R| <= Y, and the
-            division adds at most u (1.1 Y) + eta/2.
-        The total is below 11 (1 + e^delta) g Y + (8 (1 + e^delta) m + 3 Y + 9)
-        eta. The bound returned, 16 (1 + e^delta) g Y
-        + 8 ((1 + e^delta)(m + 2) + Y + 1) eta, exceeds that by enough to
-        absorb its own rounding and the certificate's. Where the assumption
-        fails, or (1 + e^delta) W Y comes near overflow, it is inf.
-        """
-        m, y_max = self.distinct_outcomes, self._y_max
-        g = (m + 2) * _U
-        tilt = 1.0 + e_delta
-        if tilt * g > 0.05 or not math.isfinite(2.0 * tilt * self._total_w * y_max):
-            return math.inf
-        return 16.0 * tilt * g * y_max + 8.0 * (tilt * (m + 2) + y_max + 1.0) * _ETA
-
-    def _extreme(self, side, e_delta: float, gap: float) -> float:
-        """One side's bound: the largest of `sign` times its ratios, times
-        `sign`, from the first window whose edges clear `gap` (see
-        `interval`)."""
-        first, last = side[4:6]
-        # Where no window narrower than all split points can pass, the first
-        # window is all of them.
-        k, half = first, last - first
-        if e_delta != 1.0 and gap < math.inf:
-            k, mu = None, self._untilted_mean
-            for _ in range(_CENTRE_STEPS):
-                k_next = min(max(int(self._ys.searchsorted(mu)), first), last)
-                if k_next == k:
-                    break
-                k = k_next
-                mu = self._ratio(side, e_delta, k)
-            half = _FIRST_HALF_WIDTH
-        return self._widen(side, e_delta, gap, k, half)
-
-    def _widen(self, side, e_delta: float, gap: float, k: int, half: int) -> float:
-        """One side's bound from the window of half-width `half` around split
-        point `k`, grown fourfold until its edges clear `gap`."""
-        first, last, sign = side[4:]
-        while True:
-            a, b = max(first, k - half), min(last, k + half)
-            if 2 * (b - a) >= last - first:  # past half of them: take them all
-                a, b = first, last
-            values = sign * self._ratio(side, e_delta, slice(a, b + 1))
-            self.split_points_evaluated += values.size
-            best = values.max()
-            if a == first and b == last:
-                self.full_scans += 1
-                return sign * float(best)
-            if ((a == first or best - values[0] > gap)
-                    and (b == last or best - values[-1] > gap)):
-                return sign * float(best)
-            self.windows_widened += half == _FIRST_HALF_WIDTH  # a first window failed
-            half *= 4
-
-    def _extremes(self, side, e_delta: np.ndarray, gap: np.ndarray) -> list[float]:
-        """`_extreme` at every delta of a grid: the Dinkelbach centring of
-        all deltas at once, then one 2-D gather of every first window and
-        its edge tests. Any side those do not certify goes on in `_widen`."""
-        first, last, sign = side[4:]
-        h = _FIRST_HALF_WIDTH
-        k = np.full(e_delta.size, first)
-        rows = np.flatnonzero((e_delta != 1.0) & (gap < math.inf))
-        k[rows] = -1  # no split point yet, so the first step always moves
-        moving, mu = rows, np.full(rows.size, self._untilted_mean)
+    def _extreme(self, side: int, e_delta: float) -> float:
+        """One side's bound at one delta e^delta > 1 (see `interval`)."""
+        sign, first, last = self._side(side)
+        k, mu, best = -1, self._untilted_mean, sign * self._untilted_mean
         for _ in range(_CENTRE_STEPS):
-            k_next = np.minimum(np.maximum(self._ys.searchsorted(mu), first), last)
+            k_next = min(max(int(self._ys.searchsorted(mu)), first), last)
+            if k_next == k:
+                break
+            k = k_next
+            value = sign * self._ratio(side, e_delta, k)
+            self.split_points_evaluated += 1
+            if not value > best:
+                break
+            best, mu = value, sign * value
+        at = slice(max(first, k - _NEIGHBOURS), min(last, k + _NEIGHBOURS) + 1)
+        top = (sign * self._ratio(side, e_delta, at)).max()
+        self.split_points_evaluated += at.stop - at.start
+        return sign * float(best if best > top else top)
+
+    def _extremes(self, e_delta: np.ndarray) -> np.ndarray:
+        """`_extreme` of both sides at every delta, as a (2, deltas) array: all
+        rows' Dinkelbach iterations at once, then one gather of their neighbours."""
+        n = e_delta.size
+        rows = np.flatnonzero(np.tile(e_delta, 2) != 1.0)  # (side, delta) as side * n + delta
+        side, e = rows // n, e_delta[rows % n]
+        sign, first, last = self._side(side)
+        k = np.full(rows.size, -1)  # no split point yet, so the first step always moves
+        best = sign * self._untilted_mean
+        moving, mu = np.arange(rows.size), np.full(rows.size, self._untilted_mean)
+        for _ in range(_CENTRE_STEPS):
+            k_next = np.clip(self._ys.searchsorted(mu), first[moving], last[moving])
             moved = k_next != k[moving]
             moving, k_next = moving[moved], k_next[moved]
             if not moving.size:
                 break
             k[moving] = k_next
-            mu = self._ratio(side, e_delta[moving], k_next)
-        a, b = np.maximum(k[rows] - h, first), np.minimum(k[rows] + h, last)
-        narrow = 2 * (b - a) < last - first
-        rows, a, b = rows[narrow], a[narrow], b[narrow]
-        at = np.minimum(np.maximum(k[rows, None] + np.arange(-h, h + 1), first), last)
-        values = sign * self._ratio(side, e_delta[rows, None], at)
-        self.split_points_evaluated += int((b - a + 1).sum())
-        best = values.max(axis=1)
-        certified = (((a == first) | (best - values[:, 0] > gap[rows]))
-                     & ((b == last) | (best - values[:, -1] > gap[rows])))
-        done = dict(zip(rows[certified].tolist(), (sign * best[certified]).tolist()))
-        failed = set(rows[~certified].tolist())
-        self.windows_widened += len(failed)
-        # A failed first window widens around its centre; any other side not
-        # done here takes all split points as its first window.
-        return [done[i] if i in done else
-                self._widen(side, e, g, k_i, 4 * h if i in failed else last - first)
-                for i, (e, g, k_i) in enumerate(zip(e_delta.tolist(), gap.tolist(), k.tolist()))]
+            value = sign[moving] * self._ratio(side[moving], e[moving], k_next)
+            self.split_points_evaluated += moving.size
+            rose = value > best[moving]
+            moving, value = moving[rose], value[rose]
+            best[moving] = value
+            mu = sign[moving] * value
+        at = np.clip(k[:, None] + np.arange(-_NEIGHBOURS, _NEIGHBOURS + 1),
+                     first[:, None], last[:, None])
+        top = (sign[:, None] * self._ratio(side[:, None], e[:, None], at)).max(axis=1)
+        self.split_points_evaluated += int((at[:, -1] - at[:, 0] + 1).sum())
+        bounds = np.empty(2 * n)
+        bounds[rows] = sign * np.where(best > top, best, top)
+        for i in np.flatnonzero(e_delta == 1.0).tolist():
+            bounds[[i, n + i]] = self._scan()
+        return bounds.reshape(2, n)
 
     def sweep(self, deltas) -> CurvatureSweep:
         """Identified sets along an ascending delta grid, `interval`'s at
         each delta. Nesting across the grid is asserted, not assumed."""
         deltas = _validate_delta_grid(deltas)
         e_delta = np.array([math.exp(min(d, _MAX_EXP)) for d in deltas])
-        gap = 2.0 * np.array([self._rounding_bound(e) for e in e_delta.tolist()])
-        mu_max, mu_min = (self._extremes(side, e_delta, gap) for side in self._sides)
+        mu_max, mu_min = self._extremes(e_delta).tolist()
         raw = [Interval(self.treated_mean - hi, self.treated_mean - lo)
                for hi, lo in zip(mu_max, mu_min)]
         intervals = [raw[0]]
@@ -415,26 +334,22 @@ class TiltingProblem:
             # Any larger violation is a bug and must surface.
             scale = max(abs(prev.lo), abs(prev.hi), abs(cur.lo), abs(cur.hi), 1.0)
             if max(cur.lo - prev.lo, prev.hi - cur.hi) > 1e-9 * scale:
-                raise NumericalError(
-                    "tilting intervals failed to nest along the delta grid"
-                )
+                raise NumericalError("tilting intervals failed to nest along the delta grid")
             intervals.append(Interval(min(cur.lo, prev.lo), max(cur.hi, prev.hi)))
-        return CurvatureSweep(
-            deltas=deltas,
-            intervals=tuple(intervals),
-            massi=massi_from_intervals(deltas, intervals),
-            method_tag=TILTING,
-        )
+        return CurvatureSweep(deltas=deltas, intervals=tuple(intervals),
+                              massi=massi_from_intervals(deltas, intervals), method_tag=TILTING)
 
 
 def curvature_bounds(control_outcomes, base_weights, treated_mean: float,
                      delta: float) -> Interval:
-    """Exact ATT bounds under tilt factors in [1, e^delta] on control weights.
+    """ATT bounds under tilt factors in [1, e^delta] on control weights.
 
     The extremal tilt puts e^delta on a suffix (to raise the control mean)
     or a prefix (to lower it) of the sorted outcomes, because a
     linear-fractional objective over a box attains its optimum at a vertex
-    and the optimal vertex thresholds on the outcome. This builds a
+    and the optimal vertex thresholds on the outcome. The bounds are those
+    of `TiltingProblem.interval`, a threshold scan's to within rounding.
+    This builds a
     `TiltingProblem` for a single delta, which sorts the outcomes only when
     they are not already in non-decreasing order (those of
     `control_tilt_inputs` are); to evaluate many deltas on the same

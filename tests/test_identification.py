@@ -232,7 +232,7 @@ def test_sweep_equals_per_delta_bounds_exactly(controls, deltas, treated_mean):
 
 def _assert_sweep_is_per_delta(y, w, treated_mean, deltas) -> TiltingProblem:
     """The sweep's intervals are the per-delta intervals up to the outward
-    nesting snap, bit for bit, and its work counters the per-delta sums;
+    nesting snap, bit for bit, and its work counter the per-delta sum;
     returns the problem swept."""
     single = TiltingProblem(y, w, treated_mean)
     expected = [single.interval(d) for d in deltas]
@@ -242,8 +242,7 @@ def _assert_sweep_is_per_delta(y, w, treated_mean, deltas) -> TiltingProblem:
     for want, got in zip(expected, sweep.intervals, strict=True):
         lo, hi = min(lo, want.lo), max(hi, want.hi)
         assert (got.lo, got.hi) == (lo, hi)
-    for name in ("split_points_evaluated", "full_scans", "windows_widened"):
-        assert getattr(problem, name) == getattr(single, name), name
+    assert problem.split_points_evaluated == single.split_points_evaluated
     return problem
 
 
@@ -267,9 +266,9 @@ def _array_path_controls(seed, n, tied, zero_weight=1.0):
     # the raising side's centring starts at its first split point and must
     # move on from there.
     zero_weight=st.sampled_from([1.0, 100.0]),
-    # Delta 0 and deltas past the exp cap scan every split point; deltas
-    # below about 1e-8 leave the ratios too flat for a first window's edges
-    # to clear the rounding bound, so those windows widen.
+    # Delta 0 scans every split point; deltas below about 1e-8 leave the
+    # ratios flat to rounding, so the iteration stops on a ratio that fails
+    # to rise; deltas past the exp cap tilt little but the top outcomes.
     deltas=st.lists(st.one_of(st.just(0.0), st.floats(1e-13, 1e-7), st.floats(0, 5),
                               st.floats(500, 1000)),
                     min_size=1, max_size=20, unique=True).map(sorted),
@@ -279,29 +278,6 @@ def test_array_sweep_equals_per_delta_bounds_exactly(seed, n, tied, zero_weight,
                                                      treated_mean):
     y, w = _array_path_controls(seed, n, tied, zero_weight)
     _assert_sweep_is_per_delta(y, w, treated_mean, deltas)
-
-
-@pytest.mark.parametrize("tied", [True, False], ids=["tied", "continuous"])
-def test_array_sweep_reaches_every_path(tied):
-    y, w = _array_path_controls(5, 800, tied)
-    deltas = [0.0, 1e-13, 1e-11, 1e-9, 3e-9, 1e-6, 0.01, 0.5, 1.0, 3.0, 20.0, 700.0]
-    _assert_sweep_is_per_delta(y, w, 250.0, deltas)
-    # Per delta (full scans, first windows widened) over both sides.
-    work = []
-    for delta in deltas:
-        single = TiltingProblem(y, w, 250.0)
-        single.interval(delta)
-        work.append((single.full_scans, single.windows_widened))
-    # Delta 0 and past the exp cap scan everything at once; at 1e-13 both
-    # first windows fail, widen and end in a full scan; from 1e-6 to 3 both
-    # first windows are certified, which the sweep does in its array pass.
-    assert work[0] == work[-1] == (2, 0)
-    assert work[1] == (2, 2)
-    assert work[5:10] == [(0, 0)] * 5
-    if not tied:
-        # On 562 distinct outcomes, one side of delta 20 certifies a widened
-        # window narrower than all split points.
-        assert work[10] == (0, 1)
 
 
 def test_sweep_tilting_sorts_controls_once(monkeypatch):
@@ -366,7 +342,7 @@ def test_stable_outcome_order_builds_the_same_problem(controls, treated_mean):
     order = np.argsort(y, kind="stable")
     drawn = TiltingProblem(y, w, treated_mean)
     ordered = TiltingProblem(y[order], w[order], treated_mean)
-    for name in ("_ys", "_prefix_w", "_prefix_wy"):
+    for name in ("_ys", "_w", "_wy"):
         assert np.array_equal(_bits(getattr(drawn, name)), _bits(getattr(ordered, name)))
     for delta in (0.0, 1e-12, 0.5, 3.0, 40.0, math.inf):
         a, b = drawn.interval(delta), ordered.interval(delta)
@@ -409,7 +385,7 @@ def _full_scan(problem, delta):
     """The bounds from every split point, by the expressions of the scan that
     `TiltingProblem.interval` replaces, over the problem's own prefix sums."""
     e = math.exp(min(delta, identification._MAX_EXP))
-    pw, pwy = problem._prefix_w, problem._prefix_wy
+    pw, pwy = problem._w[0], problem._wy[0]
     sw, swy = pw[-1] - pw, pwy[-1] - pwy
     mu_max = float(np.max((pwy[1:] + e * swy[1:]) / (pw[1:] + e * sw[1:])))
     mu_min = float(np.min((e * pwy[:-1] + swy[:-1]) / (e * pw[:-1] + sw[:-1])))
@@ -425,9 +401,8 @@ def _tilt_samples(draw):
     floats on one side of the upper bound's optimum, between a block in
     [0, 1] and a lighter one in [1000, 1001]. The ratio is then flat across
     the plateau but for rounding noise, which the outcomes' spread makes
-    larger than an ulp of the optimum, so on the plateau's side only the
-    certificate's check of that edge keeps the window growing. Weights are
-    lognormal, partly subnormal, or near 1e300.
+    larger than an ulp of the optimum, so the scan's largest float may lie
+    anywhere on it. Weights are lognormal, partly subnormal, or near 1e300.
     """
     delta = draw(st.one_of(st.sampled_from([0.0, 1e-12, 40.0, math.inf]),
                            st.floats(0.0, 5.0)))
@@ -466,32 +441,69 @@ def _tilt_samples(draw):
 
 @settings(max_examples=600, deadline=None)
 @given(sample=_tilt_samples(), treated_mean=st.floats(-1e4, 1e4))
-def test_windowed_interval_equals_full_scan_exactly(sample, treated_mean):
+def test_interval_agrees_with_full_scan(sample, treated_mean):
+    # Off delta 0 the bounds are the scan's to within the rounding of a
+    # flat optimum: at worst about 1.2e-13 max|y|, on the plateau, over 12,000
+    # random samples of this kind. Delta 0 scans every split point itself.
     y, w, delta = sample
     problem = TiltingProblem(y, w, treated_mean)
     interval = problem.interval(delta)
-    assert (interval.lo, interval.hi) == _full_scan(problem, delta)
+    scan = _full_scan(problem, delta)
+    if delta == 0.0:
+        assert (interval.lo, interval.hi) == scan
+    else:
+        assert (interval.lo, interval.hi) == pytest.approx(scan, rel=0, abs=1e-12 * np.abs(y).max())
 
 
-def test_interval_evaluates_a_window_except_at_delta_zero():
+def test_interval_evaluates_few_split_points_except_at_delta_zero():
     rng = np.random.default_rng(17)
     n = 100_000
     problem = TiltingProblem(rng.lognormal(9.0, 1.0, n), rng.lognormal(0.0, 1.0, n), 0.0)
     m = problem.distinct_outcomes
     assert m == n  # continuous outcomes: no ties
-    for delta in (0.05, 0.5, 3.0):
+    for delta in (1e-12, 0.05, 0.5, 3.0, 20.0, 700.0, math.inf):
         before = problem.split_points_evaluated
         problem.interval(delta)
-        # Both sides together, so each side evaluates fewer still.
-        assert problem.split_points_evaluated - before < m / 50
-    assert problem.full_scans == 0
+        # Both sides together.
+        assert problem.split_points_evaluated - before < 100, delta
     before = problem.split_points_evaluated
     problem.interval(0.0)
-    # Every exact ratio is equal at delta 0, so no window narrower than all
-    # split points can be certified, on either side: each side scans its m
-    # split points once, with no narrower window tried first.
-    assert problem.full_scans == 2
-    assert problem.split_points_evaluated - before == 2 * m
+    # Every exact ratio is equal at delta 0, so every split point is
+    # scanned, in one pass of m + 1 ratios that serves both sides.
+    assert problem.split_points_evaluated - before == m + 1
+
+
+@pytest.mark.parametrize("kind", ["continuous", "cauchy", "plateau"])
+def test_interval_terminates_at_large_deltas(kind):
+    # Near the top outcomes the ratios are flat to rounding at large delta,
+    # and an iteration without the stop on a ratio that fails to rise cycles
+    # there until the step cap.
+    rng = np.random.default_rng(23)
+    n = 3000
+    w = rng.lognormal(0.0, 1.0, n)
+    if kind == "continuous":
+        y = rng.normal(0.0, 1e3, n)
+    elif kind == "cauchy":
+        y = rng.standard_cauchy(n) * 1e3
+    else:
+        # A lightly weighted block of consecutive floats just above 1000,
+        # between blocks in [0, 1] and [2000, 2001].
+        y = np.concatenate([rng.uniform(0.0, 1.0, n // 3),
+                            1000.0 + np.arange(n // 3) * np.spacing(1000.0),
+                            rng.uniform(2000.0, 2001.0, n - 2 * (n // 3))])
+        w[n // 3:2 * (n // 3)] *= 1e-3
+    problem = TiltingProblem(y, w, 0.0)
+    # What one side evaluates when its iteration runs to the step cap.
+    capped = identification._CENTRE_STEPS + 2 * identification._NEIGHBOURS + 1
+    for delta in (50.0, 500.0, 1000.0, math.inf):
+        e_delta = math.exp(min(delta, identification._MAX_EXP))
+        for side in (0, 1):
+            before = problem.split_points_evaluated
+            problem._extreme(side, e_delta)
+            assert problem.split_points_evaluated - before < capped, (delta, side)
+        interval = problem.interval(delta)
+        assert (interval.lo, interval.hi) == pytest.approx(
+            _full_scan(problem, delta), rel=0, abs=1e-12 * np.abs(y).max())
 
 
 @pytest.mark.parametrize("scale", [2.0 ** 990, 2.0 ** -1060], ids=["2^990", "2^-1060"])
