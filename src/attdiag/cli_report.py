@@ -3,10 +3,11 @@ bound, and bundle everything into a reproduction report.
 
 Each subcommand writes its CSV/JSON artifacts into the output directory
 and returns its report values plus log-only fields; `_run_stage` prints
-them as the stage's one JSON log line, with the wall and CPU seconds the
-stage took. `reproduce` runs every stage that way, emits report.json plus
-SVG renderings, and ends with a line holding each stage's timings and the
-bootstrap's failed replicates by design and error type.
+them as the stage's one JSON log line, with the counts it added to the work
+ledger and the wall and CPU seconds it took. `reproduce` runs every stage
+that way, emits report.json plus SVG renderings, and ends with a line
+holding each stage's timings, the bootstrap's failed replicates by design
+and error type, and the invocation's ledger totals.
 
 Each invocation resolves its inputs once, and each shared product has one
 owner. The config is parsed when the file is read, the [grids] config file
@@ -33,7 +34,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -76,6 +77,7 @@ from .propensity import (
 from .resample import bootstrap_att, decile_att
 from .simulation import SimConfig, _check_witness_threshold, nonid_witness, run_sweep
 from .strata import build_support_map, restrict_to_overlap, support_share
+from .work import COUNTS
 from . import svgplot
 
 
@@ -340,16 +342,24 @@ def _cpu_seconds() -> float:
 
 def _run_stage(stage: str, command, cfg: RunConfig):
     """Run one command and print its log line: report values, log-only
-    fields, and the wall and CPU seconds it took (a shared product is
-    charged to the first stage that uses it). CPU time next to wall time
-    tells host load apart from the stage's own cost. Returns the values,
-    the log-only fields and the two timings."""
+    fields, the counts the command added to the work ledger (a count it
+    did not move is absent), and the wall and CPU seconds it took (a shared
+    product is charged to the first stage that uses it). CPU time next to
+    wall time tells host load apart from the stage's own cost. A key set
+    by two of these parts is a defect and raises ValueError. Returns the
+    values, the log-only fields and the two timings."""
+    before = COUNTS.copy()
     wall, cpu = time.perf_counter(), _cpu_seconds()
     values, fields = command(cfg)
     clock = {"elapsed_s": time.perf_counter() - wall,
              "cpu_s": _cpu_seconds() - cpu}
-    print(json.dumps(_sanitize({"stage": stage, **values, **fields, **clock}),
-                     sort_keys=True, default=str))
+    line = {"stage": stage}
+    for part in (values, fields, COUNTS - before, clock):
+        clash = line.keys() & part.keys()
+        if clash:
+            raise ValueError(f"stage {stage!r} log line sets {sorted(clash)} twice")
+        line.update(part)
+    print(json.dumps(_sanitize(line), sort_keys=True, default=str))
     return values, fields, clock
 
 
@@ -525,7 +535,6 @@ def cmd_match(cfg: RunConfig):
 def cmd_bounds(cfg: RunConfig):
     data, digests, _ = cfg.tables
     problem = tilting_problem(data, cfg.model)
-    evaluated = problem.split_points_evaluated
     tilting = cfg.tilting
     _write_csv(cfg.out_dir / "sweep_tilting.csv", sweep_to_csv_rows(tilting))
     _interval_chart(cfg.out_dir / "sweep_tilting.svg", tilting.deltas, tilting.intervals,
@@ -550,24 +559,15 @@ def cmd_bounds(cfg: RunConfig):
                             "missing_deltas": list(proxy.missing_deltas),
                             "width_violations": list(proxy.width_violations)}}))
     return values, {"digests": digests,
-                    "distinct_control_outcomes": problem.distinct_outcomes,
-                    "tilt_split_points_evaluated": problem.split_points_evaluated - evaluated}
+                    "distinct_control_outcomes": problem.distinct_outcomes}
 
 
 def cmd_fragility(cfg: RunConfig):
     tau_hat, se = _read_upstream(cfg.out_dir / "table1.csv", "match", _full_sample_estimate)
     data, digests, _ = cfg.tables
     problem = tilting_problem(data, cfg.model)
-    evaluated = problem.split_points_evaluated
     tilting = cfg.tilting
-    bisection_evals = 0
-
-    def interval_at(delta):
-        nonlocal bisection_evals
-        bisection_evals += 1
-        return problem.interval(delta)
-
-    frag = fragility_index(tilting, interval_at=interval_at)
+    frag = fragility_index(tilting, interval_at=problem.interval)
     baseline = minimax_rule(tilting.intervals[0])
     se_scaled = bias_robustness(tau_hat, se, grid_step=0.5)
 
@@ -595,9 +595,7 @@ def cmd_fragility(cfg: RunConfig):
     # about 4 MB.
     data.uncache("tilting_problem", "tilt_inputs")
     return payload, {"digests": digests,
-                     "distinct_control_outcomes": problem.distinct_outcomes,
-                     "bisection_evals": bisection_evals,
-                     "tilt_split_points_evaluated": problem.split_points_evaluated - evaluated}
+                     "distinct_control_outcomes": problem.distinct_outcomes}
 
 
 def cmd_simulate(cfg: RunConfig):
@@ -626,9 +624,7 @@ def cmd_simulate(cfg: RunConfig):
         "witness_att_gap": abs(witness.att_ignorable - witness.att_threshold),
         "sets": [{"lo": iv.lo, "hi": iv.hi} for iv in sweep.sets],
     }
-    # The sweep draws one population and the witness one per DGP.
-    return values, {"seed": cfg.seed, "units_drawn": 3 * cfg.sim_config.n,
-                    "units_kept": sum(sweep.kept)}
+    return values, {"seed": cfg.seed}
 
 
 def cmd_bootstrap(cfg: RunConfig):
@@ -638,21 +634,18 @@ def cmd_bootstrap(cfg: RunConfig):
                          covariates=cfg.get("propensity", "covariates"),
                          model=None if cfg.get("bootstrap", "refit") else cfg.model,
                          trim_rule=cfg.trim_rule, **cfg.fit_options)
-    trimmed = full.trimmed
+    designs = {"full": full, "trimmed": full.trimmed}
     # One row per replicate; a design that failed it leaves its cell empty.
-    by_replicate = [dict(zip(s.replicates, s.estimates)) for s in (full, trimmed)]
+    by_replicate = [dict(zip(s.replicates, s.estimates)) for s in designs.values()]
     rows = [["replicate", "full_sample", "score_trimmed"]]
     for r in range(b):
         rows.append([r, *(estimates.get(r, "") for estimates in by_replicate)])
     _write_csv(cfg.out_dir / "bootstrap.csv", rows)
-    values = {
-        "full": {"mean": full.mean, "sd": full.sd, "q025": full.q025,
-                 "q975": full.q975, "n_failed": full.n_failed},
-        "trimmed": {"mean": trimmed.mean, "sd": trimmed.sd, "q025": trimmed.q025,
-                    "q975": trimmed.q975, "n_failed": trimmed.n_failed},
-        "b": b,
-    }
-    return values, {"digests": digests, **asdict(full.work)}
+    values = {name: {"mean": s.mean, "sd": s.sd, "q025": s.q025, "q975": s.q975,
+                     "n_failed": s.n_failed} for name, s in designs.items()}
+    values["b"] = b
+    return values, {"digests": digests, "failed_by_type": {
+        name: s.failed_by_type for name, s in designs.items()}}
 
 
 def cmd_deciles(cfg: RunConfig):
@@ -693,7 +686,8 @@ def cmd_reproduce(cfg: RunConfig):
     """Run every stage in order and bundle report.json; a stage failure
     halts with the stage name while earlier artifacts stay on disk. The
     log-only fields hold each stage's wall and CPU seconds and the
-    bootstrap's failed replicates per design and error type."""
+    bootstrap's failed replicates per design and error type; the line's
+    ledger counts are the sums of the stages'."""
     digest = cfg.digest()
     report = {
         "metadata": {

@@ -14,6 +14,7 @@ import math
 
 from .errors import ValidationError
 from .identification import CurvatureSweep, Interval
+from .work import COUNTS
 
 # fragility_index bisects until the flip point is bracketed this tightly.
 _BISECTION_TOL = 1e-4
@@ -56,6 +57,7 @@ def fragility_index(sweep: CurvatureSweep, interval_at=None) -> float:
     hi = flip_delta
     while hi - lo > _BISECTION_TOL:
         mid = 0.5 * (lo + hi)
+        COUNTS["bisection_evals"] += 1
         if minimax_rule(interval_at(mid)) != baseline:
             hi = mid
         else:

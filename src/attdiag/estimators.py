@@ -23,6 +23,7 @@ import numpy as np
 from .errors import AttDiagError, EstimationError, NumericalError, ValidationError, check_count
 from .ingest import Dataset
 from .propensity import PropensityModel, _check_scores, score_dataset
+from .work import COUNTS
 
 LOGIT_SCORE = "logit_score"
 MAHALANOBIS = "mahalanobis"
@@ -133,6 +134,7 @@ def _nearest_on_line(zt: np.ndarray, zc: np.ndarray) -> tuple[np.ndarray, np.nda
     d_min = np.minimum(d_below, d_above)
     tied = (((pos >= 2) & (at(pos - 2)[1] == d_min))
             | ((pos < last) & (at(pos + 1)[1] == d_min)))
+    COUNTS["match_distances"] += 4 * len(zt) + len(values) * int(tied.sum())
     for i in np.flatnonzero(tied):
         nearest[i] = owner[np.sqrt((zt[i] - values) ** 2) == d_min[i]].min()
     return nearest, d_min
@@ -176,6 +178,7 @@ def _nearest_pruned(zt: np.ndarray, zc: np.ndarray) -> tuple[np.ndarray, np.ndar
             best = dist.min()
         d_min[i] = best
         nearest[i] = order[lo + np.flatnonzero(dist == best)].min()
+        COUNTS["match_distances"] += hi - lo
     return nearest, d_min
 
 
@@ -201,9 +204,10 @@ def att_match(data: Dataset, scores, spec: MatchSpec) -> AttEstimate:
     treated unit is at most the best distance found so far. The greedy path
     (n_neighbors > 1 or no replacement) computes each treated unit's
     distance row when it reaches that unit. All paths use the same distance
-    arithmetic.
+    arithmetic. The ledger counts each call and the distances evaluated.
     """
     data.require_both_arms("att_match")
+    COUNTS["matches"] += 1
     coords = _match_coordinates(data, scores, spec.metric)
     t_mask = data.treated
     zt, zc = coords[t_mask], coords[~t_mask]
@@ -228,6 +232,7 @@ def att_match(data: Dataset, scores, spec: MatchSpec) -> AttEstimate:
     else:
         # Greedy in treated unit-id order so no-replacement matching is
         # deterministic.
+        COUNTS["match_distances"] += n_t * n_c
         diffs_list = []
         available = np.ones(n_c, dtype=bool)
         for i in np.argsort(ids_t, kind="stable"):

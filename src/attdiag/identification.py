@@ -16,10 +16,11 @@ delta, so `TiltingProblem` builds them once for a whole sweep or
 fragility bisection. The scores, the tilting inputs and the problem are
 built once per (Dataset, propensity model) pair and kept on the Dataset
 (`Dataset.cached`), so repeated sweeps and IPW estimates on the same pair
-reuse them; a `PropensityModel` is frozen, so none of them can go stale
-under a model. The controls are sorted by outcome once per pair, when
-`control_tilt_inputs` gathers them, and a `TiltingProblem` given ordered
-outcomes collapses ties in one pass; only unordered input is sorted.
+reuse them; a `PropensityModel` is frozen and a problem never changes once
+built (its work goes to the ledger), so none can go stale. The controls
+are sorted by outcome once per pair, when `control_tilt_inputs` gathers
+them, and a `TiltingProblem` given ordered outcomes collapses ties in one
+pass; only unordered input is sorted.
 Per delta and side, a Dinkelbach iteration on those sums finds the
 optimal threshold in a few steps: the bound is the best ratio it visits or
 finds next to where it stops, which is a full scan's to within rounding.
@@ -48,6 +49,7 @@ from .errors import (
 from .estimators import MatchSpec, att_match
 from .ingest import Dataset
 from .propensity import PropensityModel, TrimRule, score_dataset, trim
+from .work import COUNTS
 
 # exp cap: beyond this the tilted extremes equal the support limits to
 # machine precision, and exp would overflow around 709.
@@ -179,8 +181,8 @@ class TiltingProblem:
     `control_tilt_inputs` returns them) in one pass, any other order after
     a sort. `interval(delta)` evaluates those sums at a few split points
     (at all of them at delta 0), and `sweep` gives its floats at each delta
-    of a grid from one array pass. `split_points_evaluated` counts the
-    ratios evaluated.
+    of a grid from one array pass. Neither changes the problem; the ledger
+    counts the ratios they evaluate as `tilt_split_points_evaluated`.
     """
 
     def __init__(self, control_outcomes, base_weights, treated_mean: float):
@@ -215,7 +217,6 @@ class TiltingProblem:
         self._untilted_mean = float(self._wy[0, -1] / self._w[0, -1])
         self.treated_mean = treated_mean
         self.distinct_outcomes = m
-        self.split_points_evaluated = 0
 
     def _side(self, side):
         """(sign that makes its extreme a maximum, first and last split point)
@@ -263,26 +264,27 @@ class TiltingProblem:
         two sides' ratios are the same floats (the untilted and tilted sums
         trade places), so one pass over k = 0..m serves both."""
         ratios = (self._wy[0] + self._wy[1]) / (self._w[0] + self._w[1])
-        self.split_points_evaluated += ratios.size
+        COUNTS["tilt_split_points_evaluated"] += ratios.size
         return float(ratios[1:].max()), float(ratios[:-1].min())
 
     def _extreme(self, side: int, e_delta: float) -> float:
         """One side's bound at one delta e^delta > 1 (see `interval`)."""
         sign, first, last = self._side(side)
         k, mu, best = -1, self._untilted_mean, sign * self._untilted_mean
+        evaluated = 0
         for _ in range(_CENTRE_STEPS):
             k_next = min(max(int(self._ys.searchsorted(mu)), first), last)
             if k_next == k:
                 break
             k = k_next
             value = sign * self._ratio(side, e_delta, k)
-            self.split_points_evaluated += 1
+            evaluated += 1
             if not value > best:
                 break
             best, mu = value, sign * value
         at = slice(max(first, k - _NEIGHBOURS), min(last, k + _NEIGHBOURS) + 1)
         top = (sign * self._ratio(side, e_delta, at)).max()
-        self.split_points_evaluated += at.stop - at.start
+        COUNTS["tilt_split_points_evaluated"] += evaluated + at.stop - at.start
         return sign * float(best if best > top else top)
 
     def _extremes(self, e_delta: np.ndarray) -> np.ndarray:
@@ -303,7 +305,7 @@ class TiltingProblem:
                 break
             k[moving] = k_next
             value = sign[moving] * self._ratio(side[moving], e[moving], k_next)
-            self.split_points_evaluated += moving.size
+            COUNTS["tilt_split_points_evaluated"] += moving.size
             rose = value > best[moving]
             moving, value = moving[rose], value[rose]
             best[moving] = value
@@ -311,7 +313,7 @@ class TiltingProblem:
         at = np.clip(k[:, None] + np.arange(-_NEIGHBOURS, _NEIGHBOURS + 1),
                      first[:, None], last[:, None])
         top = (sign[:, None] * self._ratio(side[:, None], e[:, None], at)).max(axis=1)
-        self.split_points_evaluated += int((at[:, -1] - at[:, 0] + 1).sum())
+        COUNTS["tilt_split_points_evaluated"] += int((at[:, -1] - at[:, 0] + 1).sum())
         bounds = np.empty(2 * n)
         bounds[rows] = sign * np.where(best > top, best, top)
         for i in np.flatnonzero(e_delta == 1.0).tolist():

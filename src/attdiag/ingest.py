@@ -30,6 +30,8 @@ from .errors import (
     ParseError,
     ValidationError,
 )
+from .work import COUNTS
+
 
 @dataclass(frozen=True)
 class SchemaSpec:
@@ -90,7 +92,7 @@ class Dataset:
     `treated`) the view is of the caller's array, which stays writable: a
     write to it changes this Dataset too and stales what `cached` keeps
     (a model's scores, the tilting inputs and problem). Pass a copy of an
-    array you will change.
+    array you will change. The ledger counts each construction and its units.
     """
 
     __slots__ = ("treated", "outcome", "covariates", "unit_ids", "schema", "_fitted")
@@ -130,6 +132,8 @@ class Dataset:
         self.unit_ids = _read_only(unit_ids)
         self.schema = schema
         self._fitted = None
+        COUNTS["datasets_built"] += 1
+        COUNTS["dataset_units"] += n
 
     def __len__(self) -> int:
         return self.treated.shape[0]

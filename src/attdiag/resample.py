@@ -12,8 +12,8 @@ worker processes forked from the caller, so they inherit the dataset and
 model instead of receiving a pickled copy. Results are put back in
 replicate order before they are summarized, so the output is
 byte-identical for any worker count. Work done inside a worker is not
-seen by anything that counts calls in the caller; `BootstrapSummary.work`
-carries the bootstrap's own counters, summed over the workers.
+seen by anything that counts calls in the caller; each worker returns what
+it added to the work ledger (`work.COUNTS`), and the caller adds it there.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .estimators import MatchSpec, _arm_contrast, att_match
 from .ingest import Dataset
 from .propensity import PropensityModel, TrimRule, _check_scores, fit_logistic, score_dataset, trim
 from .simulation import _stage_rng
+from .work import COUNTS
 
 
 @dataclass(frozen=True)
@@ -41,10 +42,10 @@ class BootstrapSummary:
 
     estimates holds the successful replicates and replicates their indices
     in 0..b_requested-1, in the same order; failures are excluded and
-    counted in n_failed (b_requested = len(estimates) + n_failed). trimmed
+    counted in n_failed (b_requested = len(estimates) + n_failed), and
+    failed_by_type maps each error type to its failed replicates. trimmed
     is the score-trimmed design's summary over the same replicates, or None
-    when no trim rule was given. work is the run's BootstrapWork, set on
-    the full-sample summary only and left out of comparisons.
+    when no trim rule was given.
     """
 
     estimates: tuple[float, ...]
@@ -55,26 +56,8 @@ class BootstrapSummary:
     q975: float
     b_requested: int
     n_failed: int
+    failed_by_type: dict = field(hash=False)
     trimmed: BootstrapSummary | None = None
-    work: BootstrapWork | None = field(default=None, compare=False)
-
-
-@dataclass(frozen=True)
-class BootstrapWork:
-    """What one bootstrap_att call did, summed over its worker processes.
-
-    workers is 1 when the replicates ran in the calling process. fits
-    counts refit attempts and fit_iterations the Newton steps of the fits
-    that returned; units_drawn counts the units of every replicate drawn.
-    failed_by_type maps each design ("full", "trimmed") to its failed
-    replicates per error type.
-    """
-
-    workers: int
-    fits: int
-    fit_iterations: int
-    units_drawn: int
-    failed_by_type: dict
 
 
 @dataclass(frozen=True)
@@ -101,49 +84,51 @@ def stratified_indices(rng: np.random.Generator, treated: np.ndarray) -> np.ndar
     return np.concatenate([draw_t, draw_c])
 
 
-def _summarize(design: str, replicates: list, estimates: list, failures: list,
-               b: int) -> BootstrapSummary:
-    """One design's summary; more than 20% failed replicates aborts."""
+def _summarize(design: str, outcomes: list, b: int) -> BootstrapSummary:
+    """One design's summary of its (replicate, estimate or the AttDiagError
+    that failed it) pairs; more than 20% failed replicates aborts."""
+    failures = [out for _, out in outcomes if isinstance(out, AttDiagError)]
+    kept = [(r, out) for r, out in outcomes if not isinstance(out, AttDiagError)]
+    counts = Counter(type(exc).__name__ for exc in failures)
     if len(failures) > 0.2 * b:
-        counts = Counter(type(exc).__name__ for exc in failures)
         per_type = ", ".join(f"{name}: {n}" for name, n in counts.items())
         raise BootstrapError(
             f"{len(failures)}/{b} bootstrap replicates failed in the {design} "
             f"design ({per_type}; last: {failures[-1]})"
         )
-    values = np.asarray(estimates)
+    values = np.asarray([estimate for _, estimate in kept])
     q025, q975 = np.percentile(values, [2.5, 97.5])
     return BootstrapSummary(
         estimates=tuple(float(v) for v in values),
-        replicates=tuple(replicates),
+        replicates=tuple(r for r, _ in kept),
         mean=float(np.mean(values)),
         sd=float(np.std(values, ddof=1)) if len(values) > 1 else 0.0,
         q025=float(q025), q975=float(q975),
-        b_requested=b, n_failed=len(failures),
+        b_requested=b, n_failed=len(failures), failed_by_type=dict(counts),
     )
 
 
 def _run_replicates(data: Dataset, estimator_spec: MatchSpec, seed: int, covariates,
                     model: PropensityModel | None, fit_options: dict, rules: tuple,
-                    indices) -> tuple[list, Counter]:
+                    indices) -> list:
     """Draw, fit (when `model` is None) and match the replicates in `indices`.
 
-    Returns (results, counts): one (r, outcomes) per replicate, outcomes
-    holding per design in `rules` order the estimate or the AttDiagError
-    that failed it, and the work counters. A failed fit fails the
-    replicate in every design, a failed trim or match only in its own.
+    Returns one (r, outcomes) per replicate, outcomes holding per design in
+    `rules` order the estimate or the AttDiagError that failed it. A failed
+    fit fails the replicate in every design, a failed trim or match only in
+    its own.
     """
-    results, counts = [], Counter()
+    results = []
     for r in indices:
         rng = _stage_rng(seed, r)
         replicate = data.take_with_fresh_ids(stratified_indices(rng, data.treated))
-        counts["units_drawn"] += len(replicate)
+        COUNTS["units_drawn"] += len(replicate)
         try:
             rep_model = model
             if model is None:
-                counts["fits"] += 1
+                COUNTS["fits"] += 1
                 rep_model = fit_logistic(replicate, covariates, **fit_options)
-                counts["fit_iterations"] += rep_model.iterations
+                COUNTS["fit_iterations"] += rep_model.iterations
             scores = score_dataset(rep_model, replicate)
         except AttDiagError as exc:
             results.append((r, (exc,) * len(rules)))
@@ -157,7 +142,7 @@ def _run_replicates(data: Dataset, estimator_spec: MatchSpec, seed: int, covaria
             except AttDiagError as exc:
                 outcomes.append(exc)
         results.append((r, tuple(outcomes)))
-    return results, counts
+    return results
 
 
 def _worker_count(b: int) -> int:
@@ -179,23 +164,29 @@ def _set_worker_job(job) -> None:
 
 
 def _run_worker_job(indices):
-    return _worker_job(indices)
+    """The job's results and what it added to the work ledger."""
+    before = COUNTS.copy()
+    return _worker_job(indices), COUNTS - before
 
 
 def _run_pool(job, b: int, workers: int) -> list:
-    """job's (results, counts) per worker, each worker taking every
-    workers-th replicate. The pool forks explicitly: another start method
-    would pickle the job, dataset included, into every worker."""
+    """job's results per worker, each worker taking every workers-th
+    replicate; what each worker added to the work ledger is added here.
+    The pool forks explicitly: another start method would pickle the job,
+    dataset included, into every worker."""
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                                initializer=_set_worker_job, initargs=(job,))
     with pool:
         try:
-            return list(pool.map(_run_worker_job,
-                                 [range(w, b, workers) for w in range(workers)]))
+            chunks = list(pool.map(_run_worker_job,
+                                   [range(w, b, workers) for w in range(workers)]))
         except BrokenProcessPool as exc:
             raise BootstrapError(
                 f"a bootstrap worker process died before returning its replicates ({exc})"
             ) from None
+    for _, counts in chunks:
+        COUNTS.update(counts)
+    return [results for results, _ in chunks]
 
 
 def bootstrap_att(data: Dataset, estimator_spec: MatchSpec, b: int, seed: int, *,
@@ -214,7 +205,9 @@ def bootstrap_att(data: Dataset, estimator_spec: MatchSpec, b: int, seed: int, *
     trim or match only in its own. More than 20% failed replicates in a
     design aborts, the full-sample design checked first. The replicates run
     in forked worker processes, one per available CPU; a worker that dies
-    raises BootstrapError.
+    raises BootstrapError. The work ledger (`work.COUNTS`) gains the
+    workers, refits, Newton steps and units drawn, and every count the
+    replicates add, summed over the workers.
     """
     check_count("b", b, 1)
     data.require_both_arms("bootstrap_att")
@@ -226,31 +219,13 @@ def bootstrap_att(data: Dataset, estimator_spec: MatchSpec, b: int, seed: int, *
         _run_replicates, data, estimator_spec, seed, covariates, model,
         {"ridge": ridge, "tol": tol, "max_iter": max_iter}, rules)
     workers = _worker_count(b)
+    COUNTS["workers"] += workers
     chunks = [job(range(b))] if workers == 1 else _run_pool(job, b, workers)
-    results = sorted((result for chunk, _ in chunks for result in chunk),
+    results = sorted((result for chunk in chunks for result in chunk),
                      key=lambda result: result[0])
-    counts = sum((chunk_counts for _, chunk_counts in chunks), Counter())
-
-    # One (replicates, estimates, failures) triple per design: full sample,
-    # then trimmed.
-    per_design = []
-    for d in range(len(rules)):
-        replicates, estimates, failures = [], [], []
-        for r, outcomes in results:
-            if isinstance(outcomes[d], AttDiagError):
-                failures.append(outcomes[d])
-            else:
-                replicates.append(r)
-                estimates.append(outcomes[d])
-        per_design.append((replicates, estimates, failures))
-    work = BootstrapWork(
-        workers=workers, fits=counts["fits"], fit_iterations=counts["fit_iterations"],
-        units_drawn=counts["units_drawn"],
-        failed_by_type={name: dict(Counter(type(exc).__name__ for exc in failures))
-                        for name, (_, _, failures) in zip(("full", "trimmed"), per_design)})
-    full, *trimmed = [_summarize(design, *outcome, b) for design, outcome
-                      in zip(("full-sample", "score-trimmed"), per_design)]
-    return replace(full, trimmed=trimmed[0] if trimmed else None, work=work)
+    full, *trimmed = [_summarize(design, [(r, outcomes[d]) for r, outcomes in results], b)
+                      for d, design in zip(range(len(rules)), ("full-sample", "score-trimmed"))]
+    return replace(full, trimmed=trimmed[0] if trimmed else None)
 
 
 def decile_att(data: Dataset, scores, min_per_arm: int = 5) -> DecileReport:

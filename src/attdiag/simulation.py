@@ -17,6 +17,7 @@ from .errors import ValidationError, WitnessError, check_count
 from .identification import (
     Interval, _check_delta, _validate_delta_grid, fixed_radius_sets, massi_from_intervals,
 )
+from .work import COUNTS
 
 # (y1, y0) of the latent types A, B, C and D, in type-code order
 _POTENTIALS = np.array([(1, 0), (0, 1), (1, 1), (0, 0)], dtype=np.int8)
@@ -66,6 +67,7 @@ def _draw_units(rng_types: np.random.Generator, rng_treat: np.random.Generator,
     """config.n latent types drawn from rng_types, then config.n randomized
     treatment flags from rng_treat (which may be the same stream). Returns
     the int8 arrays d, y0 and the observed outcome y, one entry per unit."""
+    COUNTS["sim_units_drawn"] += config.n
     codes = rng_types.choice(4, size=config.n, p=config.type_proportions)
     d = (rng_treat.random(config.n) < config.treat_prob).astype(np.int8)
     y0 = _POTENTIALS[codes, 1]
@@ -96,7 +98,6 @@ class SimSweepResult:
     observed_ates: tuple[float, ...]
     sets: tuple[Interval, ...]
     massi: float
-    kept: tuple[int, ...]  # units selected at each delta
 
 
 def run_sweep(config: SimConfig) -> SimSweepResult:
@@ -105,7 +106,7 @@ def run_sweep(config: SimConfig) -> SimSweepResult:
     d, _, y = _draw_units(_stage_rng(config.seed, _STAGE_TYPES),
                           _stage_rng(config.seed, _STAGE_TREAT), config)
     cells = 2 * d + y
-    ates, kept_counts = [], []
+    ates = []
     for i, delta in enumerate(config.delta_grid):
         child_seed = int(
             np.random.SeedSequence(entropy=config.seed, spawn_key=(_STAGE_SELECT, i))
@@ -121,14 +122,13 @@ def run_sweep(config: SimConfig) -> SimSweepResult:
         # The outcomes are 0/1, so each arm mean is an exact count over the
         # arm size: the same float as np.mean over the arm's outcomes.
         ates.append(float(c11 / n_treated - c01 / n_control))
-        kept_counts.append(int(n_treated + n_control))
+        COUNTS["sim_units_kept"] += int(n_treated + n_control)
     sets = fixed_radius_sets(ates, config.epsilon)
     return SimSweepResult(
         deltas=config.delta_grid,
         observed_ates=tuple(ates),
         sets=tuple(sets),
         massi=massi_from_intervals(config.delta_grid, sets),
-        kept=tuple(kept_counts),
     )
 
 
@@ -217,6 +217,7 @@ def nonid_witness(config: SimConfig, threshold_c: float = 0.5) -> WitnessResult:
     # Monte Carlo draw of the ignorable DGP: population (d, y) law equals the
     # threshold DGP's observed law; selection is an independent coin.
     rng2 = _stage_rng(config.seed, _STAGE_WITNESS, 1)
+    COUNTS["sim_units_drawn"] += config.n
     d2 = (rng2.random(config.n) < config.treat_prob).astype(np.int8)
     p_one = np.where(d2 == 1, p_y1_obs, p_y0_obs)
     y2 = (rng2.random(config.n) < p_one).astype(np.int8)

@@ -1,6 +1,6 @@
 """Shared fixtures: toy datasets, draws of the selection experiment, a
-synthetic observational sample in the canonical file layout, and the
-(optional) cached real datasets."""
+synthetic observational sample in the canonical file layout, the work a
+call adds to the ledger, and the (optional) cached real datasets."""
 
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ import pytest
 
 from attdiag import simulation
 from attdiag.ingest import NSW_SCHEMA, Dataset, load_source, merge
+from attdiag.work import COUNTS
 
 
 def make_dataset(treated, outcome, covariates=None) -> Dataset:
@@ -20,6 +21,13 @@ def make_dataset(treated, outcome, covariates=None) -> Dataset:
     if covariates is None:
         covariates = np.zeros((len(treated), 1))
     return Dataset(treated, outcome, np.asarray(covariates, dtype=float))
+
+
+def counted(fn, *args, **kwargs):
+    """(fn's result, the counts the call added to the work ledger)."""
+    before = COUNTS.copy()
+    result = fn(*args, **kwargs)
+    return result, COUNTS - before
 
 
 def sweep_population(config: simulation.SimConfig):

@@ -47,8 +47,8 @@ def test_query_workload_answers_a_block_as_recorded(tmp_path):
 
 def test_lattice_sweeps_equal_the_recorded_intervals():
     # The whole lattice in one sweep per dataset, against references recorded
-    # one delta at a time; the 100k-control dataset sends the most sides (11
-    # of 122) on to widen one delta at a time.
+    # one delta at a time: the sweep's array iteration must land on the same
+    # floats as the per-delta one, including on the 100k-control dataset.
     variant = 1
     reference = checks.load_reference("tilting_queries")[str(variant)]
     workload = run.QueryWorkload("tilting_queries", variant, None, reference)

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,8 @@ from attdiag.estimators import MatchSpec
 from attdiag.ingest import SOURCE_URLS
 from attdiag.propensity import PropensityModel, TrimRule, fit_logistic, score_dataset
 from attdiag.resample import stratified_indices
-from conftest import dataset_to_text, record_float_sorts, synthetic_observational
+from attdiag.work import COUNTS
+from conftest import counted, dataset_to_text, record_float_sorts, synthetic_observational
 
 # Grid edges sized to the synthetic generator's covariate ranges.
 SYNTH_GRIDS = {
@@ -194,14 +196,14 @@ def test_tilting_stages_log_their_work(tmp_path, monkeypatch, capsys):
     # logs, and the bisection's what the fragility line logs.
     [args] = built
     replay = real_problem(*args)
-    sweep = replay.sweep([0, 0.5, 1, 2, 3, 4, 6])
-    sweep_work = replay.split_points_evaluated
+    sweep, sweep_work = counted(replay.sweep, [0, 0.5, 1, 2, 3, 4, 6])
     # Delta 0 scans every split point.
-    assert bounds["tilt_split_points_evaluated"] == sweep_work > replay.distinct_outcomes
-    decision.fragility_index(sweep, interval_at=replay.interval)
-    assert fragility["bisection_evals"] > 0
-    assert fragility["tilt_split_points_evaluated"] == (
-        replay.split_points_evaluated - sweep_work) > 0
+    assert (bounds["tilt_split_points_evaluated"] == sweep_work["tilt_split_points_evaluated"]
+            > replay.distinct_outcomes)
+    _, bisection_work = counted(decision.fragility_index, sweep, interval_at=replay.interval)
+    assert fragility["bisection_evals"] == bisection_work["bisection_evals"] > 0
+    assert (fragility["tilt_split_points_evaluated"]
+            == bisection_work["tilt_split_points_evaluated"] > 0)
     assert "split_points" not in (tmp_path / "out" / "report.json").read_text()
 
 
@@ -519,6 +521,50 @@ def test_every_stage_logs_its_clocks(tmp_path, capsys):
     assert "bias_robustness_se_scaled" in fragility and "massi" not in fragility
     for log_only in ("elapsed_s", "failed_by_type", "rows", "mode"):
         assert log_only not in json.dumps(report)
+
+
+def test_stage_lines_carry_the_work_ledger(tmp_path, capsys):
+    # Without refits the bootstrap fits nothing, and its line leaves the fit
+    # counts out rather than logging zeros.
+    config = write_synthetic_config(tmp_path, b=4, sim_n=5000)
+    config.write_text(config.read_text().replace("[bootstrap]\n",
+                                                 "[bootstrap]\nrefit = false\n"))
+    capsys.readouterr()
+    assert main(["reproduce", "--config", str(config), "--seed", "5",
+                 "--out", str(tmp_path / "out")]) == 0
+    *records, summary = _log_lines(capsys.readouterr().out)
+    ledger = {r["stage"]: {key: r[key] for key in r if key in COUNTS} for r in records}
+    assert all(count > 0 for counts in ledger.values() for count in counts.values())
+    bootstrap = ledger["bootstrap"]
+    assert "fits" not in bootstrap and "fit_iterations" not in bootstrap
+    # Summed over the workers: each replicate and its trimmed subset.
+    assert bootstrap["matches"] == bootstrap["datasets_built"] == 8
+    assert bootstrap["units_drawn"] == 4 * 790
+    assert ledger["deciles"] == {}
+    assert ledger["simulate"].keys() == {"sim_units_drawn", "sim_units_kept"}
+    assert ledger["simulate"]["sim_units_drawn"] == 3 * 5000
+    # The reproduce line carries the invocation's totals.
+    total = Counter()
+    for counts in ledger.values():
+        total.update(counts)
+    assert {key: summary[key] for key in summary if key in COUNTS} == total
+
+
+def test_a_log_key_set_twice_is_a_defect(capsys):
+    def command(fields):
+        return lambda cfg: ({"b": 1}, fields)
+
+    for fields in ({"b": 2}, {"cpu_s": 0.0}, {"stage": "demo"}):
+        with pytest.raises(ValueError, match=r"stage 'demo' log line sets \['"):
+            cli_report._run_stage("demo", command(fields), None)
+
+    def counting(cfg):
+        COUNTS["matches"] += 1
+        return {}, {"matches": 5}
+
+    with pytest.raises(ValueError, match=r"sets \['matches'\] twice"):
+        cli_report._run_stage("demo", counting, None)
+    assert capsys.readouterr().out == ""
 
 
 def test_bad_config_value_fails_before_any_stage(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -31,7 +32,9 @@ from attdiag.identification import (
     sweep_trimming_proxy,
 )
 from attdiag.propensity import PropensityModel, TrimRule, fit_logistic, score_dataset
-from conftest import make_dataset, record_float_sorts, simulated_selection, synthetic_observational
+from conftest import (
+    counted, make_dataset, record_float_sorts, simulated_selection, synthetic_observational,
+)
 
 
 def _hand_model(intercept, slopes):
@@ -232,17 +235,17 @@ def test_sweep_equals_per_delta_bounds_exactly(controls, deltas, treated_mean):
 
 def _assert_sweep_is_per_delta(y, w, treated_mean, deltas) -> TiltingProblem:
     """The sweep's intervals are the per-delta intervals up to the outward
-    nesting snap, bit for bit, and its work counter the per-delta sum;
+    nesting snap, bit for bit, and its ledger counts the per-delta sums;
     returns the problem swept."""
     single = TiltingProblem(y, w, treated_mean)
-    expected = [single.interval(d) for d in deltas]
+    expected, single_work = counted(lambda: [single.interval(d) for d in deltas])
     problem = TiltingProblem(y, w, treated_mean)
-    sweep = problem.sweep(deltas)
+    sweep, sweep_work = counted(problem.sweep, deltas)
     lo, hi = math.inf, -math.inf
     for want, got in zip(expected, sweep.intervals, strict=True):
         lo, hi = min(lo, want.lo), max(hi, want.hi)
         assert (got.lo, got.hi) == (lo, hi)
-    assert problem.split_points_evaluated == single.split_points_evaluated
+    assert sweep_work == single_work
     return problem
 
 
@@ -462,15 +465,13 @@ def test_interval_evaluates_few_split_points_except_at_delta_zero():
     m = problem.distinct_outcomes
     assert m == n  # continuous outcomes: no ties
     for delta in (1e-12, 0.05, 0.5, 3.0, 20.0, 700.0, math.inf):
-        before = problem.split_points_evaluated
-        problem.interval(delta)
+        _, work = counted(problem.interval, delta)
         # Both sides together.
-        assert problem.split_points_evaluated - before < 100, delta
-    before = problem.split_points_evaluated
-    problem.interval(0.0)
+        assert work["tilt_split_points_evaluated"] < 100, delta
+    _, work = counted(problem.interval, 0.0)
     # Every exact ratio is equal at delta 0, so every split point is
     # scanned, in one pass of m + 1 ratios that serves both sides.
-    assert problem.split_points_evaluated - before == m + 1
+    assert work["tilt_split_points_evaluated"] == m + 1
 
 
 @pytest.mark.parametrize("kind", ["continuous", "cauchy", "plateau"])
@@ -498,12 +499,24 @@ def test_interval_terminates_at_large_deltas(kind):
     for delta in (50.0, 500.0, 1000.0, math.inf):
         e_delta = math.exp(min(delta, identification._MAX_EXP))
         for side in (0, 1):
-            before = problem.split_points_evaluated
-            problem._extreme(side, e_delta)
-            assert problem.split_points_evaluated - before < capped, (delta, side)
+            _, work = counted(problem._extreme, side, e_delta)
+            assert work["tilt_split_points_evaluated"] < capped, (delta, side)
         interval = problem.interval(delta)
         assert (interval.lo, interval.hi) == pytest.approx(
             _full_scan(problem, delta), rel=0, abs=1e-12 * np.abs(y).max())
+
+
+def test_queries_leave_the_problem_unchanged():
+    # A cached problem is shared by every sweep and bisection on its
+    # (Dataset, model) pair, so a query must not change it.
+    rng = np.random.default_rng(29)
+    y = np.round(rng.lognormal(8.0, 1.0, 2000), -2)  # ties collapse
+    problem = TiltingProblem(y, rng.lognormal(0.0, 1.0, 2000), 5000.0)
+    before = pickle.dumps(vars(problem))
+    problem.sweep([0.0, 0.5, 2.0, math.inf])
+    for delta in (0.0, 0.25, 3.0, math.inf):
+        problem.interval(delta)
+    assert pickle.dumps(vars(problem)) == before
 
 
 @pytest.mark.parametrize("scale", [2.0 ** 990, 2.0 ** -1060], ids=["2^990", "2^-1060"])

@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in that module, and every
-private name it defines at module level is read there."""
+"""Every name a package module imports is used in that module, every
+private name it defines at module level is read there, and every name it
+counts in the work ledger is a string literal that README documents."""
 
 import ast
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "attdiag"
+README = PACKAGE.parents[1] / "README.md"
 # __init__.py imports names to re-export them.
 MODULES = sorted(path.name for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
 ALL_MODULES = sorted(path.name for path in PACKAGE.glob("*.py"))
@@ -84,3 +86,31 @@ def test_an_unread_private_name_is_found():
     assert _unread_private_names(source) == [
         "_HALF (line 10)", "_U (line 1)", "_Window (line 9)", "_bound (line 4)",
         "_widen (line 11)"]
+
+
+def _undocumented_ledger_names(source: str, readme: str) -> list[str]:
+    """Each `COUNTS[...]` key in the source that is not a string literal
+    named in backticks in the readme text."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+                and node.value.id == "COUNTS"):
+            key = node.slice
+            if not (isinstance(key, ast.Constant) and isinstance(key.value, str)):
+                found.append(f"non-literal key (line {node.lineno})")
+            elif f"`{key.value}`" not in readme:
+                found.append(f"{key.value} (line {node.lineno})")
+    return sorted(found)
+
+
+@pytest.mark.parametrize("module", ALL_MODULES)
+def test_every_ledger_name_is_documented(module):
+    assert _undocumented_ledger_names((PACKAGE / module).read_text(),
+                                      README.read_text()) == []
+
+
+def test_an_undocumented_ledger_name_is_found():
+    source = ('COUNTS["matches"] += 1\nCOUNTS["ghost_units"] += n\n'
+              'for name in ("a", "b"):\n    COUNTS[name] += 1\n')
+    assert _undocumented_ledger_names(source, "logs `matches` per call") == [
+        "ghost_units (line 2)", "non-literal key (line 4)"]

@@ -1,6 +1,5 @@
 import os
 import pickle
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +14,7 @@ from attdiag.resample import (
     stratified_indices,
 )
 from attdiag.simulation import _stage_rng as _replicate_rng
-from conftest import make_dataset, synthetic_observational
+from conftest import counted, make_dataset, synthetic_observational
 
 COVS = ["age", "education", "re74", "re75"]
 
@@ -109,9 +108,9 @@ def test_bootstrap_requires_inputs():
 def test_bootstrap_given_a_model_scores_with_it_and_never_refits():
     data = synthetic_observational(seed=21, n_treated=10, n_control=40)
     model = fit_logistic(data, COVS)
-    with_covariates = bootstrap_att(data, MatchSpec(), 5, seed=1, model=model,
-                                    covariates=COVS)
-    assert (with_covariates.work.fits, with_covariates.work.fit_iterations) == (0, 0)
+    with_covariates, work = counted(bootstrap_att, data, MatchSpec(), 5, seed=1,
+                                    model=model, covariates=COVS)
+    assert (work["fits"], work["fit_iterations"]) == (0, 0)
     assert with_covariates == bootstrap_att(data, MatchSpec(), 5, seed=1, model=model)
 
 
@@ -179,12 +178,11 @@ def test_bootstrap_designs_equal_direct_per_replicate_estimates():
 def test_bootstrap_failed_fit_fails_both_designs(monkeypatch):
     data = synthetic_observational(seed=41, n_treated=40, n_control=160)
     monkeypatch.setattr(resample, "fit_logistic", _fit_failing_on(data, 43, [1]))
-    summary = bootstrap_att(data, MatchSpec(), 6, seed=43,
+    summary, work = counted(bootstrap_att, data, MatchSpec(), 6, seed=43,
                             covariates=COVS, trim_rule=TrimRule(0.05, 0.95))
-    assert summary.work.fits == 6  # one fit per replicate for both designs
-    assert summary.work.failed_by_type == {"full": {"EstimationError": 1},
-                                           "trimmed": {"EstimationError": 1}}
+    assert work["fits"] == 6  # one fit per replicate for both designs
     for design in (summary, summary.trimmed):
+        assert design.failed_by_type == {"EstimationError": 1}
         assert design.n_failed == 1
         assert design.replicates == (0, 2, 3, 4, 5)
         assert design.b_requested == 6
@@ -300,19 +298,19 @@ def test_decile_constant_effect_recovered():
 
 def test_bootstrap_work_counts_fits_iterations_and_units():
     data = synthetic_observational(seed=45, n_treated=12, n_control=60)
-    summary = bootstrap_att(data, MatchSpec(), 40, seed=47,
+    summary, work = counted(bootstrap_att, data, MatchSpec(), 40, seed=47,
                             covariates=COVS, trim_rule=TrimRule(0.3, 0.7))
     iterations = sum(fit_logistic(_replicate(data, 47, r), COVS).iterations
                      for r in range(40))
-    work = summary.work
-    assert (work.fits, work.fit_iterations, work.units_drawn) == (40, iterations, 40 * 72)
-    assert work.failed_by_type == {"full": {}, "trimmed": {"ValidationError": 5}}
-    assert work.workers == resample._worker_count(40)
-    assert summary.trimmed.work is None
+    assert (work["fits"], work["fit_iterations"], work["units_drawn"]) == (
+        40, iterations, 40 * 72)
+    assert summary.failed_by_type == {}
+    assert summary.trimmed.failed_by_type == {"ValidationError": 5}
+    assert work["workers"] == resample._worker_count(40)
     model = fit_logistic(data, COVS)
-    fixed = bootstrap_att(data, MatchSpec(), 4, seed=47, model=model)
-    assert (fixed.work.fits, fixed.work.fit_iterations) == (0, 0)
-    assert fixed.work.failed_by_type == {"full": {}}
+    fixed, work = counted(bootstrap_att, data, MatchSpec(), 4, seed=47, model=model)
+    assert (work["fits"], work["fit_iterations"]) == (0, 0)
+    assert fixed.failed_by_type == {} and fixed.trimmed is None
 
 
 def _bootstrap_with_workers(monkeypatch, workers, *args, **kwargs):
@@ -324,16 +322,15 @@ def test_bootstrap_output_independent_of_worker_count(monkeypatch):
     data = synthetic_observational(seed=45, n_treated=12, n_control=60)
     rule = TrimRule(0.3, 0.7)  # fails 5 of the 40 trimmed replicates
     monkeypatch.setattr(resample, "fit_logistic", _fit_failing_on(data, 47, [3, 22]))
-    one, two = (_bootstrap_with_workers(monkeypatch, workers, data, MatchSpec(),
-                                        40, seed=47, covariates=COVS, trim_rule=rule)
-                for workers in (1, 2))
-    assert (one.work.workers, two.work.workers) == (1, 2)
-    assert one == two
-    assert replace(one.work, workers=2) == two.work
-    assert one.work.failed_by_type == {
-        "full": {"EstimationError": 2},
-        "trimmed": {"EstimationError": 2, "ValidationError": 5},
-    }
+    (one, one_work), (two, two_work) = (
+        counted(_bootstrap_with_workers, monkeypatch, workers, data, MatchSpec(), 40,
+                seed=47, covariates=COVS, trim_rule=rule)
+        for workers in (1, 2))
+    assert (one_work.pop("workers"), two_work.pop("workers")) == (1, 2)
+    assert one == two and hash(one) == hash(two)
+    assert one_work == two_work
+    assert one.failed_by_type == {"EstimationError": 2}
+    assert one.trimmed.failed_by_type == {"EstimationError": 2, "ValidationError": 5}
 
     # Past the 20% budget both worker counts name the same failures, and
     # the same last one.
@@ -349,6 +346,21 @@ def test_bootstrap_output_independent_of_worker_count(monkeypatch):
     assert messages[0].startswith("9/40 bootstrap replicates failed in the full-sample "
                                   "design (EstimationError: 9; last: no convergence")
     assert messages[0].endswith(f"(outcome sum {_replicate(data, 47, 39).outcome.sum()}))")
+
+
+def test_bootstrap_ledger_sums_the_workers_matches_and_datasets(monkeypatch):
+    # Each replicate builds its draw and its trimmed subset and matches
+    # both, in whichever process runs it.
+    data = synthetic_observational(seed=45, n_treated=12, n_control=60)
+    model = fit_logistic(data, COVS)
+    works = []
+    for workers in (1, 2):
+        _, work = counted(_bootstrap_with_workers, monkeypatch, workers, data, MatchSpec(),
+                          10, seed=47, model=model, trim_rule=TrimRule(0.05, 0.95))
+        assert work.pop("workers") == workers
+        assert work["matches"] == work["datasets_built"] == 20
+        works.append(work)
+    assert works[0] == works[1]
 
 
 def test_bootstrap_worker_errors_reach_the_caller(monkeypatch):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from attdiag import simulation
 from attdiag.errors import DomainError, ValidationError, WitnessError
 from attdiag.simulation import SimConfig, apply_selection, nonid_witness, run_sweep, total_variation
-from conftest import sweep_population
+from conftest import counted, sweep_population
 
 
 class _TreatAll:
@@ -169,7 +170,11 @@ def test_run_sweep_ates_are_the_arm_means():
             kept_counts.append(int(kept.sum()))
         result = run_sweep(config)
         assert result.observed_ates == tuple(expected)
-        assert result.kept == tuple(kept_counts)
+        # The ledger sums the units kept over the deltas, so each prefix of
+        # the grid gives the count kept at its last delta.
+        for i in range(1, len(kept_counts) + 1):
+            _, work = counted(run_sweep, replace(config, delta_grid=config.delta_grid[:i]))
+            assert work == {"sim_units_drawn": n, "sim_units_kept": sum(kept_counts[:i])}
 
 
 @settings(max_examples=50, deadline=None)
