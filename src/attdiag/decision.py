@@ -38,7 +38,10 @@ def fragility_index(sweep: CurvatureSweep, interval_at=None) -> float:
     baseline (the decision at the smallest delta), +inf if it never does.
 
     When `interval_at` (a callable delta -> Interval) is given the flip
-    point is refined by bisection between the straddling grid points.
+    point is refined by bisection between the straddling grid points, and
+    the result is the upper end of the final bracket: a delta whose
+    decision differs from the baseline, at most `_BISECTION_TOL` above the
+    flip point. As everywhere, a tie in worst-case regret goes to NoTreat.
     """
     if not sweep.deltas:
         raise ValidationError("sweep is empty")

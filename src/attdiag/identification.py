@@ -26,13 +26,16 @@ optimal threshold in a few steps: the bound is the best ratio it visits or
 finds next to where it stops, which is a full scan's to within rounding.
 Delta 0, where every exact ratio is the same, still scans every split
 point. A sweep runs all its deltas and both sides as arrays.
-`curvature_bounds` is the one-delta form. A brute-force vertex
-enumeration is kept alongside as an independent oracle.
+`curvature_bounds` is the one-delta form. Given the very objects
+`control_tilt_inputs` returned for a pair whose `tilting_problem` is
+alive, it evaluates that problem; on any other input it builds one. A
+brute-force vertex enumeration is kept alongside as an independent oracle.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +64,13 @@ _NEIGHBOURS = 2
 
 TILTING = "tilting"
 TRIMMING_PROXY = "trimming_proxy"
+
+# The problems `tilting_problem` built, keyed by the id of their control
+# outcomes, for `curvature_bounds` to reuse. Their inputs are a Dataset's
+# read-only cached arrays, so they cannot change under the problem. Held
+# weakly, an entry goes when its Dataset drops the problem; a problem holds
+# its inputs, so the id cannot pass to another object while the entry lives.
+_PROBLEMS = weakref.WeakValueDictionary()
 
 
 @dataclass(frozen=True)
@@ -182,11 +192,15 @@ class TiltingProblem:
     a sort. `interval(delta)` evaluates those sums at a few split points
     (at all of them at delta 0), and `sweep` gives its floats at each delta
     of a grid from one array pass. Neither changes the problem; the ledger
-    counts the ratios they evaluate as `tilt_split_points_evaluated`.
+    counts the ratios they evaluate as `tilt_split_points_evaluated`, and
+    each problem built as `tilt_problems_built`. The problem keeps the
+    three input objects it was given, so `curvature_bounds` can tell them.
     """
 
     def __init__(self, control_outcomes, base_weights, treated_mean: float):
         y, w = _check_tilt_inputs(control_outcomes, base_weights, treated_mean)
+        COUNTS["tilt_problems_built"] += 1
+        self._inputs = (control_outcomes, base_weights, treated_mean)
         # The bounds are scale-invariant. Scaling by the power of two that puts
         # the largest weight in [0.5, 1) is exact for normal-range weights, so
         # their bounds stay bit-identical, while e^delta times the sums can no
@@ -351,13 +365,19 @@ def curvature_bounds(control_outcomes, base_weights, treated_mean: float,
     linear-fractional objective over a box attains its optimum at a vertex
     and the optimal vertex thresholds on the outcome. The bounds are those
     of `TiltingProblem.interval`, a threshold scan's to within rounding.
-    This builds a
-    `TiltingProblem` for a single delta, which sorts the outcomes only when
-    they are not already in non-decreasing order (those of
-    `control_tilt_inputs` are); to evaluate many deltas on the same
-    controls, build the problem once and call its `interval`.
+    Given the very three objects `control_tilt_inputs(data, model)`
+    returned, while the pair's `tilting_problem` lives, this evaluates that
+    problem. Any other input (a copy, a writable array, an equal but
+    distinct `treated_mean`) gets a `TiltingProblem` of its own, which sorts
+    the outcomes only when they are not already in non-decreasing order;
+    to evaluate many deltas on such controls, build the problem once and
+    call its `interval`. Either way the interval is the same float.
     """
-    return TiltingProblem(control_outcomes, base_weights, treated_mean).interval(delta)
+    inputs = (control_outcomes, base_weights, treated_mean)
+    problem = _PROBLEMS.get(id(control_outcomes))
+    if problem is None or not all(a is b for a, b in zip(problem._inputs, inputs)):
+        problem = TiltingProblem(*inputs)
+    return problem.interval(delta)
 
 
 def oracle_curvature_bounds(control_outcomes, base_weights, treated_mean: float,
@@ -416,12 +436,18 @@ def control_tilt_inputs(data: Dataset, model: PropensityModel):
     return data.cached(model, "tilt_inputs", _tilt_inputs)
 
 
+def _registered_problem(model: PropensityModel, data: Dataset) -> TiltingProblem:
+    y, w, treated_mean = control_tilt_inputs(data, model)
+    problem = _PROBLEMS[id(y)] = TiltingProblem(y, w, treated_mean)
+    return problem
+
+
 def tilting_problem(data: Dataset, model: PropensityModel) -> TiltingProblem:
     """The `TiltingProblem` on `control_tilt_inputs(data, model)`, built once
     per (Dataset, model) and kept on the Dataset (`Dataset.cached`), so
-    every sweep and bisection on the pair shares it."""
-    return data.cached(model, "tilting_problem",
-                       lambda m, d: TiltingProblem(*control_tilt_inputs(d, m)))
+    every sweep and bisection on the pair shares it, `curvature_bounds` on
+    those inputs included."""
+    return data.cached(model, "tilting_problem", _registered_problem)
 
 
 def sweep_tilting(data: Dataset, model: PropensityModel, deltas) -> CurvatureSweep:

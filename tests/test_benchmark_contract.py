@@ -21,6 +21,7 @@ import pytest
 
 import attdiag  # noqa: F401  (the workload reads the loaded modules)
 from attdiag import cli_report, identification
+from conftest import counted
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(BENCH))
@@ -36,12 +37,16 @@ def test_query_workload_answers_a_block_as_recorded(tmp_path):
     workload = run.QueryWorkload("tilting_queries", variant, tmp_path, reference)
     workload.setup()
     # The first pass fills each dataset's cached scores and tilting problem,
-    # the second reads them back; both must answer as recorded.
-    for _ in ("cold", "warm"):
-        results = run.run_ops(workload, range(workloads.BLOCK))
+    # the second reads them back; both must answer as recorded. The
+    # fragility bisection's `curvature_bounds` calls reuse the sweep's
+    # problem, so the cold pass builds one per dataset and the warm none.
+    assert len(workload.datasets) == 4
+    for problems_built in (4, 0):
+        results, work = counted(run.run_ops, workload, range(workloads.BLOCK))
         assert len(results) == workloads.BLOCK == 128
         assert [failure for result in results for failure in result.failures] == []
         assert sum(result.failed for result in results) == 0
+        assert work["tilt_problems_built"] == problems_built
     assert workload.final_checks() == []
 
 

@@ -1,3 +1,4 @@
+import gc
 import math
 import pickle
 
@@ -30,7 +31,9 @@ from attdiag.identification import (
     oracle_curvature_bounds,
     sweep_tilting,
     sweep_trimming_proxy,
+    tilting_problem,
 )
+from attdiag.ingest import Dataset
 from attdiag.propensity import PropensityModel, TrimRule, fit_logistic, score_dataset
 from conftest import (
     counted, make_dataset, record_float_sorts, simulated_selection, synthetic_observational,
@@ -285,7 +288,7 @@ def test_array_sweep_equals_per_delta_bounds_exactly(seed, n, tied, zero_weight,
 
 def test_sweep_tilting_sorts_controls_once(monkeypatch):
     # Data seed 51: the minimax decision flips between grid deltas 2.25 and
-    # 2.5, so the fragility bisects, each step building its own problem.
+    # 2.5, so the fragility bisects, each step on the sweep's problem.
     data = synthetic_observational(seed=51, n_treated=50, n_control=150)
     model = fit_logistic(data, ["age", "education", "re74", "re75"])
     grid = [0.25 * i for i in range(25)]
@@ -748,6 +751,68 @@ def test_repeated_sweeps_on_the_cached_problem_equal_a_fresh_problem():
         assert cached.deltas == fresh.deltas and cached.massi == fresh.massi
         for a, b in zip(cached.intervals, fresh.intervals):
             assert np.array_equal(_bits([a.lo, a.hi]), _bits([b.lo, b.hi]))
+
+
+# Every delta of the benchmark's query lattice.
+_LATTICE = [round(0.05 * i, 2) for i in range(61)]
+
+
+def _zero_treated_mean_pair():
+    """A (Dataset, model) pair whose treated outcomes are all 0, so its
+    treated mean is 0.0 and -0.0 equals it."""
+    base = synthetic_observational(seed=51, n_treated=50, n_control=150)
+    data = Dataset(base.treated, np.where(base.treated, 0.0, base.outcome),
+                   base.covariates, schema=base.schema)
+    return data, fit_logistic(base, ["age", "education", "re74", "re75"])
+
+
+def test_curvature_bounds_on_a_pairs_inputs_reuses_its_problem():
+    data, model = _zero_treated_mean_pair()
+    tilting_problem(data, model)
+    y, w, treated_mean = control_tilt_inputs(data, model)
+    fresh = TiltingProblem(y, w, treated_mean)
+    for delta in _LATTICE + [40.0, math.inf]:
+        interval, work = counted(curvature_bounds, y, w, treated_mean, delta)
+        assert work["tilt_problems_built"] == 0, delta
+        expected = fresh.interval(delta)
+        assert np.array_equal(_bits([interval.lo, interval.hi]),
+                              _bits([expected.lo, expected.hi])), delta
+
+
+@pytest.mark.parametrize("change", ["copy_y", "copy_w", "writable", "equal_mean",
+                                    "negative_zero_mean"])
+def test_curvature_bounds_on_other_inputs_builds_a_problem(change):
+    data, model = _zero_treated_mean_pair()
+    tilting_problem(data, model)
+    y, w, treated_mean = control_tilt_inputs(data, model)
+    assert treated_mean == 0.0
+    inputs = {
+        "copy_y": (y.copy(), w, treated_mean),
+        "copy_w": (y, w.copy(), treated_mean),
+        # The writable arrays the read-only cached views were made from.
+        "writable": (y.base, w.base, treated_mean),
+        "equal_mean": (y, w, float(repr(treated_mean))),
+        "negative_zero_mean": (y, w, -0.0),
+    }[change]
+    assert inputs[2] == treated_mean
+    assert y.base.flags.writeable and w.base.flags.writeable
+    for delta in (0.0, 0.5, 2.0):
+        interval, work = counted(curvature_bounds, *inputs, delta)
+        assert work["tilt_problems_built"] == 1, delta
+        assert interval == TiltingProblem(*inputs).interval(delta)
+
+
+def test_a_dropped_problem_leaves_the_registry():
+    data, model = _zero_treated_mean_pair()
+    gc.collect()  # so that only this test's work changes the entries
+    entries = len(identification._PROBLEMS)
+    y, _, _ = control_tilt_inputs(data, model)
+    tilting_problem(data, model)
+    assert identification._PROBLEMS[id(y)] is tilting_problem(data, model)
+    data.uncache("tilting_problem", "tilt_inputs")
+    gc.collect()
+    assert id(y) not in identification._PROBLEMS
+    assert len(identification._PROBLEMS) == entries
 
 
 def test_fixed_radius_sets():
