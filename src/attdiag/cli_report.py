@@ -7,7 +7,11 @@ them as the stage's one JSON log line, with the counts it added to the work
 ledger and the wall and CPU seconds it took. `reproduce` runs every stage
 that way, emits report.json plus SVG renderings, and ends with a line
 holding each stage's timings, the bootstrap's failed replicates by design
-and error type, and the invocation's ledger totals.
+and error type, and the invocation's ledger totals. The selection
+simulation needs only the config, so when the process may run on more
+than one CPU, `reproduce` starts it in a forked worker (`work.Forked`)
+before the first stage, and the `simulate` stage takes its result at its
+turn.
 
 Each invocation resolves its inputs once, and each shared product has one
 owner. The config is parsed when the file is read, the [grids] config file
@@ -77,7 +81,7 @@ from .propensity import (
 from .resample import bootstrap_att, decile_att
 from .simulation import SimConfig, _check_witness_threshold, nonid_witness, run_sweep
 from .strata import build_support_map, restrict_to_overlap, support_share
-from .work import COUNTS
+from .work import COUNTS, Forked, available_cpus
 from . import svgplot
 
 
@@ -215,6 +219,8 @@ class RunConfig:
     fit_options: dict
     bins: dict
     calibrated: bool
+    # The [simulation] experiments, when `reproduce` started them in a worker.
+    simulation: Forked | None = None
 
     @classmethod
     def from_file(cls, path, seed: int, out_dir, offline: bool = False) -> "RunConfig":
@@ -334,8 +340,8 @@ def _dump_json(payload) -> str:
 
 
 def _cpu_seconds() -> float:
-    """CPU seconds of this process plus those of its ended child processes
-    (the bootstrap's workers)."""
+    """CPU seconds of this process plus those of the worker processes it
+    has reaped (`work.Forked`)."""
     times = os.times()
     return time.process_time() + times.children_user + times.children_system
 
@@ -598,8 +604,22 @@ def cmd_fragility(cfg: RunConfig):
                      "distinct_control_outcomes": problem.distinct_outcomes}
 
 
-def cmd_simulate(cfg: RunConfig):
+def _simulate(cfg: RunConfig):
+    """The selection sweep, the non-identification witness, and the wall
+    seconds the two took."""
+    start = time.perf_counter()
     sweep = run_sweep(cfg.sim_config)
+    witness = nonid_witness(cfg.sim_config, cfg.get("simulation", "witness_threshold"))
+    return sweep, witness, time.perf_counter() - start
+
+
+def cmd_simulate(cfg: RunConfig):
+    worker, cfg.simulation = cfg.simulation, None
+    fields = {"seed": cfg.seed}
+    if worker is None:
+        sweep, witness, _ = _simulate(cfg)
+    else:
+        sweep, witness, fields["worker_s"] = worker.result()
     rows = [["delta", "observed_ate", "lo", "hi"]]
     for d, ate, interval in zip(sweep.deltas, sweep.observed_ates, sweep.sets):
         rows.append([d, ate, interval.lo, interval.hi])
@@ -607,7 +627,6 @@ def cmd_simulate(cfg: RunConfig):
     _interval_chart(cfg.out_dir / "sim_sweep.svg", sweep.deltas, sweep.sets,
                     "Observed effect vs selection strength",
                     ylabel="difference in means", observed=list(sweep.observed_ates))
-    witness = nonid_witness(cfg.sim_config, cfg.get("simulation", "witness_threshold"))
     witness_payload = {
         "att_ignorable": witness.att_ignorable,
         "att_threshold": witness.att_threshold,
@@ -624,7 +643,7 @@ def cmd_simulate(cfg: RunConfig):
         "witness_att_gap": abs(witness.att_ignorable - witness.att_threshold),
         "sets": [{"lo": iv.lo, "hi": iv.hi} for iv in sweep.sets],
     }
-    return values, {"seed": cfg.seed}
+    return values, fields
 
 
 def cmd_bootstrap(cfg: RunConfig):
@@ -687,7 +706,14 @@ def cmd_reproduce(cfg: RunConfig):
     halts with the stage name while earlier artifacts stay on disk. The
     log-only fields hold each stage's wall and CPU seconds and the
     bootstrap's failed replicates per design and error type; the line's
-    ledger counts are the sums of the stages'."""
+    ledger counts are the sums of the stages'.
+
+    With more than one CPU available, the selection simulation starts in
+    a forked worker before `fetch` and runs alongside the data stages; the
+    `simulate` stage waits for it at its turn, so its line stays in stage
+    order, its `elapsed_s` is the wait and its `cpu_s` and ledger counts
+    include the worker's. The worker is killed and reaped if a stage fails
+    first."""
     digest = cfg.digest()
     report = {
         "metadata": {
@@ -700,17 +726,24 @@ def cmd_reproduce(cfg: RunConfig):
         }
     }
     clocks, fields = {}, {}
-    for stage, fn, module in _STAGES:
-        try:
-            values, fields[stage], clocks[stage] = _run_stage(stage, fn, cfg)
-        except AttDiagError as exc:
-            (cfg.out_dir / "report.json").write_text(_dump_json(report))
-            raise AttDiagError(f"stage {stage!r} failed: {exc}") from exc
-        report[stage] = {
-            "module": module,
-            "config_digest": digest,
-            "values": values,
-        }
+    if available_cpus() > 1:
+        cfg.simulation = Forked(_simulate, cfg)
+    try:
+        for stage, fn, module in _STAGES:
+            try:
+                values, fields[stage], clocks[stage] = _run_stage(stage, fn, cfg)
+            except AttDiagError as exc:
+                (cfg.out_dir / "report.json").write_text(_dump_json(report))
+                raise AttDiagError(f"stage {stage!r} failed: {exc}") from exc
+            report[stage] = {
+                "module": module,
+                "config_digest": digest,
+                "values": values,
+            }
+    finally:
+        worker, cfg.simulation = cfg.simulation, None
+        if worker is not None:
+            worker.close()
     (cfg.out_dir / "report.json").write_text(_dump_json(report))
     return {"out": str(cfg.out_dir), "config_digest": digest}, {
         "stages": clocks, "failed_by_type": fields["bootstrap"]["failed_by_type"]}

@@ -72,6 +72,10 @@ class BootstrapError(AttDiagError):
     """Too many bootstrap replicates failed to estimate."""
 
 
+class WorkerError(AttDiagError):
+    """A forked worker process died before returning its result."""
+
+
 class ConfigError(AttDiagError):
     """Run configuration file is malformed or has unknown keys."""
 

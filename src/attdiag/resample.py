@@ -7,33 +7,30 @@ stream, making the estimates vector independent of execution order.
 evaluates the full-sample design and, given a trim rule, the score-trimmed
 design on that one replicate, model and scoring.
 
-The replicates are spread over the CPUs this process may run on, in
-worker processes forked from the caller, so they inherit the dataset and
-model instead of receiving a pickled copy. Results are put back in
-replicate order before they are summarized, so the output is
+The replicates are spread over the CPUs this process may run on, one
+`work.Forked` worker each, forked from the caller so they inherit the
+dataset and model instead of receiving a pickled copy. Results are put
+back in replicate order before they are summarized, so the output is
 byte-identical for any worker count. Work done inside a worker is not
 seen by anything that counts calls in the caller; each worker returns what
-it added to the work ledger (`work.COUNTS`), and the caller adds it there.
+it added to the work ledger (`work.COUNTS`) with its replicates, and the
+caller adds it there.
 """
 
 from __future__ import annotations
 
 import functools
-import multiprocessing
-import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import AttDiagError, BootstrapError, ValidationError, check_count
+from .errors import AttDiagError, BootstrapError, ValidationError, WorkerError, check_count
 from .estimators import MatchSpec, _arm_contrast, att_match
 from .ingest import Dataset
 from .propensity import PropensityModel, TrimRule, _check_scores, fit_logistic, score_dataset, trim
 from .simulation import _stage_rng
-from .work import COUNTS
+from .work import COUNTS, Forked, available_cpus
 
 
 @dataclass(frozen=True)
@@ -147,46 +144,24 @@ def _run_replicates(data: Dataset, estimator_spec: MatchSpec, seed: int, covaria
 
 def _worker_count(b: int) -> int:
     """Worker processes for b replicates: one per CPU this process may run
-    on. Without an affinity mask (macOS, Windows) the replicates run in the
-    calling process."""
-    if not hasattr(os, "sched_getaffinity"):
-        return 1
-    return min(len(os.sched_getaffinity(0)), b)
-
-
-# The bound _run_replicates a forked worker runs, set by its initializer.
-_worker_job = None
-
-
-def _set_worker_job(job) -> None:
-    global _worker_job
-    _worker_job = job
-
-
-def _run_worker_job(indices):
-    """The job's results and what it added to the work ledger."""
-    before = COUNTS.copy()
-    return _worker_job(indices), COUNTS - before
+    on (`work.available_cpus`). A single worker runs them in the calling
+    process."""
+    return min(available_cpus(), b)
 
 
 def _run_pool(job, b: int, workers: int) -> list:
     """job's results per worker, each worker taking every workers-th
-    replicate; what each worker added to the work ledger is added here.
-    The pool forks explicitly: another start method would pickle the job,
-    dataset included, into every worker."""
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_set_worker_job, initargs=(job,))
-    with pool:
-        try:
-            chunks = list(pool.map(_run_worker_job,
-                                   [range(w, b, workers) for w in range(workers)]))
-        except BrokenProcessPool as exc:
-            raise BootstrapError(
-                f"a bootstrap worker process died before returning its replicates ({exc})"
-            ) from None
-    for _, counts in chunks:
-        COUNTS.update(counts)
-    return [results for results, _ in chunks]
+    replicate; what each worker added to the work ledger is added here."""
+    pool = []
+    try:
+        for w in range(workers):
+            pool.append(Forked(job, range(w, b, workers)))
+        return [worker.result() for worker in pool]
+    except WorkerError as exc:
+        raise BootstrapError(f"a bootstrap {exc}") from None
+    finally:
+        for worker in pool:
+            worker.close()
 
 
 def bootstrap_att(data: Dataset, estimator_spec: MatchSpec, b: int, seed: int, *,

@@ -1,10 +1,13 @@
 """Shared fixtures: toy datasets, draws of the selection experiment, a
 synthetic observational sample in the canonical file layout, the work a
-call adds to the ledger, and the (optional) cached real datasets."""
+call adds to the ledger, checks on worker processes, and the (optional)
+cached real datasets."""
 
 from __future__ import annotations
 
+import contextlib
 import os
+import signal
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +31,31 @@ def counted(fn, *args, **kwargs):
     before = COUNTS.copy()
     result = fn(*args, **kwargs)
     return result, COUNTS - before
+
+
+def reaped(pid: int) -> bool:
+    """Whether the child process `pid` has ended and been waited for:
+    neither running nor a zombie."""
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+@contextlib.contextmanager
+def deadline(seconds: int):
+    """Fail a wait that lasts longer than `seconds` instead of hanging."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still waiting after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def sweep_population(config: simulation.SimConfig):

@@ -2,7 +2,9 @@ import csv
 import gc
 import hashlib
 import json
+import multiprocessing
 import os
+import threading
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -12,13 +14,15 @@ import pytest
 
 from attdiag import cli_report, decision, identification, resample, simulation
 from attdiag.cli_report import RunConfig, main
-from attdiag.errors import ConfigError
+from attdiag.errors import AttDiagError, ConfigError, DependencyError, WitnessError, WorkerError
 from attdiag.estimators import MatchSpec
 from attdiag.ingest import SOURCE_URLS
 from attdiag.propensity import PropensityModel, TrimRule, fit_logistic, score_dataset
 from attdiag.resample import stratified_indices
 from attdiag.work import COUNTS
-from conftest import counted, dataset_to_text, record_float_sorts, synthetic_observational
+from conftest import (
+    counted, dataset_to_text, deadline, reaped, record_float_sorts, synthetic_observational,
+)
 
 # Grid edges sized to the synthetic generator's covariate ranges.
 SYNTH_GRIDS = {
@@ -730,3 +734,124 @@ def test_remote_load_digests_each_table_by_role(tmp_path):
     os.utime(manifest_path, (0, 0))
     assert cli_report._load_data(cfg)[1] == expected
     assert manifest_path.stat().st_mtime == 0
+
+
+def _record_forks(monkeypatch) -> list:
+    """The pids of the worker processes forked from here on."""
+    pids, real_fork = [], os.fork
+
+    def recording_fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def _two_cpus(monkeypatch) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+@pytest.mark.parametrize("case", ["succeeds", "fails_at_fetch", "fails_at_simulate",
+                                  "worker_dies"])
+def test_reproduce_leaves_no_worker_behind(tmp_path, monkeypatch, case):
+    config = write_synthetic_config(tmp_path, b=4, sim_n=5000)
+    text = config.read_text()
+    if case == "fails_at_fetch":
+        text = text.replace(f"control_file = {tmp_path / 'control.txt'}\n", "")
+    elif case == "fails_at_simulate":
+        text += "witness_threshold = 1.5\n"  # the last section is [simulation]
+    config.write_text(text)
+    parent = os.getpid()
+
+    def dying_sweep(sim_config):
+        if os.getpid() != parent:
+            os._exit(3)
+        raise AssertionError("the simulation ran in the calling process")
+
+    if case == "worker_dies":
+        monkeypatch.setattr(cli_report, "run_sweep", dying_sweep)
+    _two_cpus(monkeypatch)
+    forked = _record_forks(monkeypatch)
+    threads = threading.active_count()
+    cfg = RunConfig.from_file(config, seed=5, out_dir=tmp_path / "out")
+    cfg.out_dir.mkdir()
+    failures = {"fails_at_fetch": ("fetch", DependencyError, "control_file missing"),
+                "fails_at_simulate": ("simulate", WitnessError, "selects nobody"),
+                "worker_dies": ("simulate", WorkerError, "worker process died")}
+    if case == "succeeds":
+        with deadline(60):
+            cli_report.cmd_reproduce(cfg)
+        assert (cfg.out_dir / "sim_sweep.csv").exists()
+        assert len(forked) == 3  # the simulation and two bootstrap workers
+    else:
+        stage, cause, message = failures[case]
+        with pytest.raises(AttDiagError, match=f"stage '{stage}' failed: .*{message}") as info:
+            with deadline(60):
+                cli_report.cmd_reproduce(cfg)
+        assert type(info.value.__cause__) is cause
+        assert len(forked) == (1 if stage == "fetch" else 3)
+    if case in ("fails_at_simulate", "worker_dies"):
+        # Earlier artifacts stay; the failed stage writes nothing.
+        assert (cfg.out_dir / "deciles.csv").exists()
+        assert (cfg.out_dir / "bootstrap.csv").exists()
+        assert not (cfg.out_dir / "sim_sweep.csv").exists()
+        assert not (cfg.out_dir / "witness.json").exists()
+    assert all(reaped(pid) for pid in forked)
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == threads
+    assert cfg.simulation is None
+
+
+def test_reproduce_simulation_writes_the_standalone_bytes(tmp_path, monkeypatch, capsys):
+    config = write_synthetic_config(tmp_path, b=4, sim_n=5000)
+    _two_cpus(monkeypatch)
+    forked = _record_forks(monkeypatch)
+    capsys.readouterr()
+    assert main(["reproduce", "--config", str(config), "--seed", "5",
+                 "--out", str(tmp_path / "reproduce")]) == 0
+    records = {r["stage"]: r for r in _log_lines(capsys.readouterr().out)}
+    workers = len(forked)
+    assert workers == 3  # the simulation and two bootstrap workers
+    assert main(["simulate", "--config", str(config), "--seed", "5",
+                 "--out", str(tmp_path / "simulate")]) == 0
+    (standalone,) = _log_lines(capsys.readouterr().out)
+    assert len(forked) == workers  # the standalone command computes in-process
+    for name in ("sim_sweep.csv", "sim_sweep.svg", "witness.json"):
+        assert ((tmp_path / "reproduce" / name).read_bytes()
+                == (tmp_path / "simulate" / name).read_bytes()), name
+    # The worker's own seconds are logged, and kept out of report.json.
+    simulate = records["simulate"]
+    assert simulate["worker_s"] > 0 and "worker_s" not in standalone
+    assert simulate["sim_units_drawn"] == standalone["sim_units_drawn"] == 3 * 5000
+    assert "worker_s" not in (tmp_path / "reproduce" / "report.json").read_text()
+
+
+@pytest.mark.parametrize("cpus", ["one_cpu", "no_affinity_mask"])
+def test_reproduce_on_one_cpu_forks_nothing(tmp_path, monkeypatch, cpus):
+    config = write_synthetic_config(tmp_path, b=4, sim_n=5000)
+    _two_cpus(monkeypatch)
+    assert main(["reproduce", "--config", str(config), "--seed", "5",
+                 "--out", str(tmp_path / "forked")]) == 0
+    if cpus == "one_cpu":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity")
+
+    def no_fork():
+        raise AssertionError("a worker was forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert main(["reproduce", "--config", str(config), "--seed", "5",
+                 "--out", str(tmp_path / "in_process")]) == 0
+    names = sorted(p.name for p in (tmp_path / "forked").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "in_process").iterdir())
+    for name in names:
+        texts = [(tmp_path / out / name).read_text() for out in ("forked", "in_process")]
+        if name == "report.json":
+            texts = [json.loads(t) for t in texts]
+            for report in texts:
+                report["metadata"].pop("timestamp")
+        assert texts[0] == texts[1], name

@@ -390,7 +390,7 @@ def test_every_error_type_survives_pickling():
     # Worker processes send failed replicates' errors back pickled.
     types = [obj for obj in vars(errors).values()
              if isinstance(obj, type) and issubclass(obj, AttDiagError)]
-    assert len(types) == 19
+    assert len(types) == 20
     for error_type in types:
         exc = error_type(f"{error_type.__name__}: replicate 7 failed")
         copy = pickle.loads(pickle.dumps(exc))
