@@ -243,6 +243,8 @@ class RunConfig:
                     raw[section][key] = value
         if seed is None:
             raise ConfigError("seed is mandatory; pass --seed")
+        if int(seed) < 0:
+            raise ConfigError(f"seed must be >= 0, got {seed}")
         values = {section: {} for section in raw}
         for section, keys in raw.items():
             for key, text in keys.items():
@@ -320,13 +322,7 @@ class RunConfig:
 def _sanitize(obj):
     """Strict-JSON-safe copy: non-finite floats become strings."""
     if isinstance(obj, float):
-        if obj != obj:
-            return "nan"
-        if obj == float("inf"):
-            return "inf"
-        if obj == float("-inf"):
-            return "-inf"
-        return obj
+        return obj if np.isfinite(obj) else str(obj)  # "nan", "inf" or "-inf"
     if isinstance(obj, dict):
         return {k: _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -414,12 +410,12 @@ def _load_data(cfg: RunConfig):
     digests, parts = {}, {}
     for role in ("treated", "control"):
         if local:
-            path = cfg.get("data", f"{role}_file")
-            if not path or not Path(path).exists():
+            try:  # an unset path reads as "." and fails as a directory
+                text = Path(cfg.get("data", f"{role}_file")).read_text()
+            except (OSError, UnicodeDecodeError):
                 raise DependencyError(
                     f"[data] {role}_file missing or unreadable; point it at a local table"
-                )
-            text = Path(path).read_text()
+                ) from None
         else:
             source = cfg.get("data", f"{role}_source")
             try:

@@ -46,11 +46,8 @@ def fragility_index(sweep: CurvatureSweep, interval_at=None) -> float:
     if not sweep.deltas:
         raise ValidationError("sweep is empty")
     baseline = minimax_rule(sweep.intervals[0])
-    flip_idx = None
-    for i in range(1, len(sweep.deltas)):
-        if minimax_rule(sweep.intervals[i]) != baseline:
-            flip_idx = i
-            break
+    flip_idx = next((i for i, interval in enumerate(sweep.intervals)
+                     if minimax_rule(interval) != baseline), None)
     if flip_idx is None:
         return math.inf
     flip_delta = float(sweep.deltas[flip_idx])

@@ -73,7 +73,7 @@ class BootstrapError(AttDiagError):
 
 
 class WorkerError(AttDiagError):
-    """A forked worker process died before returning its result."""
+    """A worker process could not be forked or died before returning its result."""
 
 
 class ConfigError(AttDiagError):

@@ -335,6 +335,18 @@ def _default_opener(url: str, timeout: float) -> bytes:
         return response.read()
 
 
+def _read_manifest(path: Path) -> dict:
+    """The cache manifest, {source key: {"sha256": digest, ...}}; a damaged
+    one raises IntegrityError naming it."""
+    try:
+        manifest = json.loads(path.read_text())
+        if all(isinstance(entry["sha256"], str) for entry in manifest.values()):
+            return manifest
+    except (OSError, ValueError, AttributeError, TypeError, KeyError) as exc:
+        raise IntegrityError(f"{path} damaged ({type(exc).__name__}: {exc})") from None
+    raise IntegrityError(f"{path} damaged (a sha256 that is not text)")
+
+
 def fetch_dataset(source_key: str, cache_dir, *, offline: bool = False,
                   opener: Callable[[str, float], bytes] | None = None,
                   timeout: float = 60.0) -> str:
@@ -343,8 +355,9 @@ def fetch_dataset(source_key: str, cache_dir, *, offline: bool = False,
     The first read of a file, downloaded or found pre-seeded in the cache,
     records its SHA-256 in <cache_dir>/manifest.json (a download replaces
     the record of a file removed from the cache); later reads verify
-    against that digest and raise IntegrityError on mismatch. Concurrent
-    fetches of one key serialize via an advisory lock.
+    against that digest and raise IntegrityError on mismatch, as does a
+    damaged manifest. Concurrent fetches of one key serialize via an
+    advisory lock.
     `opener` exists for tests and offline transports; the default uses
     urllib over HTTPS.
     """
@@ -362,9 +375,7 @@ def fetch_dataset(source_key: str, cache_dir, *, offline: bool = False,
     with open(lock_path, "w") as lock:
         fcntl.flock(lock, fcntl.LOCK_EX)
         try:
-            manifest = {}
-            if manifest_path.exists():
-                manifest = json.loads(manifest_path.read_text())
+            manifest = _read_manifest(manifest_path) if manifest_path.exists() else {}
 
             if target.exists():
                 blob = target.read_bytes()

@@ -7,14 +7,14 @@ stream, making the estimates vector independent of execution order.
 evaluates the full-sample design and, given a trim rule, the score-trimmed
 design on that one replicate, model and scoring.
 
-The replicates are spread over the CPUs this process may run on, one
-`work.Forked` worker each, forked from the caller so they inherit the
-dataset and model instead of receiving a pickled copy. Results are put
-back in replicate order before they are summarized, so the output is
-byte-identical for any worker count. Work done inside a worker is not
-seen by anything that counts calls in the caller; each worker returns what
-it added to the work ledger (`work.COUNTS`) with its replicates, and the
-caller adds it there.
+The replicates run in one stripe per CPU this process may run on, stripe
+w taking every stripes-th replicate from w. The caller runs stripe 0 and
+forks a `work.Forked` worker for each other stripe, which inherits the
+dataset and model instead of receiving a pickled copy. Results are put back
+in replicate order before they are summarized, so the output is
+byte-identical for any number of stripes. Only the caller's stripe is seen
+by what counts calls in the caller; each worker returns what it added to the
+work ledger (`work.COUNTS`) with its replicates, and the caller adds it there.
 """
 
 from __future__ import annotations
@@ -142,28 +142,6 @@ def _run_replicates(data: Dataset, estimator_spec: MatchSpec, seed: int, covaria
     return results
 
 
-def _worker_count(b: int) -> int:
-    """Worker processes for b replicates: one per CPU this process may run
-    on (`work.available_cpus`). A single worker runs them in the calling
-    process."""
-    return min(available_cpus(), b)
-
-
-def _run_pool(job, b: int, workers: int) -> list:
-    """job's results per worker, each worker taking every workers-th
-    replicate; what each worker added to the work ledger is added here."""
-    pool = []
-    try:
-        for w in range(workers):
-            pool.append(Forked(job, range(w, b, workers)))
-        return [worker.result() for worker in pool]
-    except WorkerError as exc:
-        raise BootstrapError(f"a bootstrap {exc}") from None
-    finally:
-        for worker in pool:
-            worker.close()
-
-
 def bootstrap_att(data: Dataset, estimator_spec: MatchSpec, b: int, seed: int, *,
                   covariates=None, model: PropensityModel | None = None,
                   ridge: float = 1e-8, tol: float = 1e-8, max_iter: int = 100,
@@ -179,12 +157,14 @@ def bootstrap_att(data: Dataset, estimator_spec: MatchSpec, b: int, seed: int, *
     `trimmed`. A failed fit fails the replicate in both designs, a failed
     trim or match only in its own. More than 20% failed replicates in a
     design aborts, the full-sample design checked first. The replicates run
-    in forked worker processes, one per available CPU; a worker that dies
-    raises BootstrapError. The work ledger (`work.COUNTS`) gains the
-    workers, refits, Newton steps and units drawn, and every count the
-    replicates add, summed over the workers.
+    in one stripe per available CPU, the first in the caller and each other
+    in a forked worker; a worker that cannot be forked or dies raises
+    BootstrapError. The work ledger (`work.COUNTS`) gains the `workers`
+    that ran replicates (the caller included), refits, Newton steps and
+    units drawn, and every count the replicates add, over all stripes.
     """
     check_count("b", b, 1)
+    check_count("seed", seed, 0)
     data.require_both_arms("bootstrap_att")
     if model is None and covariates is None:
         raise ValidationError("bootstrap_att needs a model, or covariates to refit on")
@@ -193,9 +173,18 @@ def bootstrap_att(data: Dataset, estimator_spec: MatchSpec, b: int, seed: int, *
     job = functools.partial(
         _run_replicates, data, estimator_spec, seed, covariates, model,
         {"ridge": ridge, "tol": tol, "max_iter": max_iter}, rules)
-    workers = _worker_count(b)
-    COUNTS["workers"] += workers
-    chunks = [job(range(b))] if workers == 1 else _run_pool(job, b, workers)
+    stripes = min(available_cpus(), b)
+    COUNTS["workers"] += stripes
+    pool = []
+    try:
+        for w in range(1, stripes):
+            pool.append(Forked(job, range(w, b, stripes)))
+        chunks = [job(range(0, b, stripes))] + [worker.result() for worker in pool]
+    except WorkerError as exc:
+        raise BootstrapError(f"a bootstrap {exc}") from None
+    finally:
+        for worker in pool:
+            worker.close()
     results = sorted((result for chunk in chunks for result in chunk),
                      key=lambda result: result[0])
     full, *trimmed = [_summarize(design, [(r, outcomes[d]) for r, outcomes in results], b)

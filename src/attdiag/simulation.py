@@ -50,6 +50,7 @@ class SimConfig:
     def __post_init__(self):
         object.__setattr__(self, "type_proportions", tuple(float(p) for p in self.type_proportions))
         object.__setattr__(self, "delta_grid", _validate_delta_grid(self.delta_grid))
+        check_count("seed", self.seed, 0)
         check_count("n", self.n, 1)
         # Each predicate fails on NaN.
         if len(self.type_proportions) != 4 or not all(p >= 0 for p in self.type_proportions):

@@ -3,7 +3,7 @@ does, under names that mean one thing wherever they appear (README lists
 them). Stage log lines carry it; `report.json` never does.
 
 `Forked` runs a function in a forked worker process; the bootstrap's
-replicates and `reproduce`'s selection simulation use it. A worker returns
+stripes and `reproduce`'s selection simulation use it. A worker returns
 what it added to the ledger with its result, and the caller adds that here.
 """
 
@@ -29,17 +29,22 @@ class Forked:
     """`fn(*args)` started in a worker process forked from the caller. The
     worker inherits the caller's memory, so nothing is pickled on the way
     in; its value, or the exception it raised, comes back pickled with what
-    it added to the ledger. `result` waits for it, adds those counts to
-    `COUNTS`, reaps the worker and returns the value or raises the
-    exception; a worker that died first raises WorkerError. `close` kills
-    and reaps a worker still running, and may be called at any time, more
-    than once. The worker is reaped only there, so the caller's CPU clock
-    (`os.times`' children) takes its seconds in at that point. No thread is
-    started."""
+    it added to the ledger. A failed fork raises WorkerError and leaves no
+    pipe open. `result` waits for the worker, adds its counts to `COUNTS`,
+    reaps it and returns the value or raises the exception; a worker that
+    died first raises WorkerError. `close` kills and reaps a worker still
+    running, and may be called at any time, more than once. The worker is
+    reaped only there, so the caller's CPU clock (`os.times`' children)
+    takes its seconds in at that point. No thread is started."""
 
     def __init__(self, fn, *args):
         receive, send = os.pipe()
-        pid = os.fork()
+        try:
+            pid = os.fork()
+        except OSError as exc:
+            os.close(receive)
+            os.close(send)
+            raise WorkerError(f"worker process could not be forked ({exc})") from None
         if pid == 0:
             code = 1
             try:

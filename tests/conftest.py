@@ -6,6 +6,7 @@ cached real datasets."""
 from __future__ import annotations
 
 import contextlib
+import errno
 import os
 import signal
 from pathlib import Path
@@ -56,6 +57,29 @@ def deadline(seconds: int):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def record_forks(monkeypatch, fail_after: int | None = None) -> list:
+    """The pids of the worker processes forked from here on; with
+    `fail_after`, every fork after that many fails as it does when no
+    process can be spared (EAGAIN)."""
+    pids, real_fork = [], os.fork
+
+    def recording_fork():
+        if fail_after is not None and len(pids) >= fail_after:
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def open_fds() -> list:
+    """This process's open file descriptors (Linux `/proc`)."""
+    return sorted(os.listdir("/proc/self/fd"))
 
 
 def sweep_population(config: simulation.SimConfig):

@@ -21,7 +21,8 @@ from attdiag.propensity import PropensityModel, TrimRule, fit_logistic, score_da
 from attdiag.resample import stratified_indices
 from attdiag.work import COUNTS
 from conftest import (
-    counted, dataset_to_text, deadline, reaped, record_float_sorts, synthetic_observational,
+    counted, dataset_to_text, deadline, reaped, record_float_sorts, record_forks,
+    synthetic_observational,
 )
 
 # Grid edges sized to the synthetic generator's covariate ranges.
@@ -85,6 +86,48 @@ def test_config_rejects_unknown_keys(tmp_path):
 def test_config_requires_seed(tmp_path):
     with pytest.raises(ConfigError, match="seed"):
         RunConfig.from_file(None, seed=None, out_dir=tmp_path)
+
+
+@pytest.mark.parametrize("command", ["reproduce", "simulate"])
+def test_a_negative_seed_fails_before_any_output(tmp_path, capsys, command):
+    config = write_synthetic_config(tmp_path, b=4, sim_n=5000)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--seed", "-1", "--out", str(out)]) == 1
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ConfigError"
+    assert record["message"] == "seed must be >= 0, got -1"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("damage", ["directory", "not_utf8"])
+def test_an_unreadable_local_table_is_a_dependency_error(tmp_path, capsys, damage):
+    config = write_synthetic_config(tmp_path, b=4, sim_n=5000)
+    treated = tmp_path / "treated.txt"
+    treated.unlink()
+    if damage == "directory":
+        treated.mkdir()
+    else:
+        treated.write_bytes(b"1 \xff\xfe 2\n")
+    assert main(["fetch", "--config", str(config), "--seed", "5",
+                 "--out", str(tmp_path / "out")]) == 1
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "DependencyError"
+    assert record["message"] == ("[data] treated_file missing or unreadable; "
+                                 "point it at a local table")
+
+
+def test_a_damaged_cache_manifest_fails_fetch_by_name(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / "nsw_treated.txt").write_text("1 2 3\n")
+    (cache / "manifest.json").write_text("[]")
+    config = tmp_path / "remote.ini"
+    config.write_text(f"[data]\nsource = remote\ncache_dir = {cache}\n")
+    assert main(["fetch", "--config", str(config), "--seed", "5",
+                 "--out", str(tmp_path / "out"), "--offline"]) == 1
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "IntegrityError"
+    assert f"{cache / 'manifest.json'} damaged" in record["message"]
 
 
 def test_missing_config_file_errors(tmp_path):
@@ -362,7 +405,7 @@ def test_bootstrap_fits_each_replicate_once(tmp_path, capsys):
     # the counters are summed over the worker processes.
     assert record["fits"] == 8 and record["fit_iterations"] == iterations
     assert record["units_drawn"] == 8 * len(data)
-    assert record["workers"] == resample._worker_count(8)
+    assert record["workers"] == min(resample.available_cpus(), 8)
     assert record["failed_by_type"] == {"full": {}, "trimmed": {}}
     rows = (out / "bootstrap.csv").read_text().splitlines()
     assert rows[0] == "replicate,full_sample,score_trimmed"
@@ -471,8 +514,9 @@ def test_fragility_releases_the_tilting_problem(tmp_path):
 def test_reproduce_scores_each_row_set_once(tmp_path, monkeypatch):
     b = 4
     config = write_synthetic_config(tmp_path, b=b, sim_n=5000)
-    # One worker runs the bootstrap in this process, where the count is seen.
-    monkeypatch.setattr(resample, "_worker_count", lambda b: 1)
+    # One CPU: one stripe runs the bootstrap in this process, where the count
+    # is seen.
+    monkeypatch.setattr(resample, "available_cpus", lambda: 1)
     calls = []
 
     def counting_score(model, data):
@@ -736,20 +780,6 @@ def test_remote_load_digests_each_table_by_role(tmp_path):
     assert manifest_path.stat().st_mtime == 0
 
 
-def _record_forks(monkeypatch) -> list:
-    """The pids of the worker processes forked from here on."""
-    pids, real_fork = [], os.fork
-
-    def recording_fork():
-        pid = real_fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recording_fork)
-    return pids
-
-
 def _two_cpus(monkeypatch) -> None:
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
@@ -774,7 +804,7 @@ def test_reproduce_leaves_no_worker_behind(tmp_path, monkeypatch, case):
     if case == "worker_dies":
         monkeypatch.setattr(cli_report, "run_sweep", dying_sweep)
     _two_cpus(monkeypatch)
-    forked = _record_forks(monkeypatch)
+    forked = record_forks(monkeypatch)
     threads = threading.active_count()
     cfg = RunConfig.from_file(config, seed=5, out_dir=tmp_path / "out")
     cfg.out_dir.mkdir()
@@ -785,14 +815,14 @@ def test_reproduce_leaves_no_worker_behind(tmp_path, monkeypatch, case):
         with deadline(60):
             cli_report.cmd_reproduce(cfg)
         assert (cfg.out_dir / "sim_sweep.csv").exists()
-        assert len(forked) == 3  # the simulation and two bootstrap workers
+        assert len(forked) == 2  # the simulation and the second bootstrap stripe
     else:
         stage, cause, message = failures[case]
         with pytest.raises(AttDiagError, match=f"stage '{stage}' failed: .*{message}") as info:
             with deadline(60):
                 cli_report.cmd_reproduce(cfg)
         assert type(info.value.__cause__) is cause
-        assert len(forked) == (1 if stage == "fetch" else 3)
+        assert len(forked) == (1 if stage == "fetch" else 2)
     if case in ("fails_at_simulate", "worker_dies"):
         # Earlier artifacts stay; the failed stage writes nothing.
         assert (cfg.out_dir / "deciles.csv").exists()
@@ -808,13 +838,13 @@ def test_reproduce_leaves_no_worker_behind(tmp_path, monkeypatch, case):
 def test_reproduce_simulation_writes_the_standalone_bytes(tmp_path, monkeypatch, capsys):
     config = write_synthetic_config(tmp_path, b=4, sim_n=5000)
     _two_cpus(monkeypatch)
-    forked = _record_forks(monkeypatch)
+    forked = record_forks(monkeypatch)
     capsys.readouterr()
     assert main(["reproduce", "--config", str(config), "--seed", "5",
                  "--out", str(tmp_path / "reproduce")]) == 0
     records = {r["stage"]: r for r in _log_lines(capsys.readouterr().out)}
     workers = len(forked)
-    assert workers == 3  # the simulation and two bootstrap workers
+    assert workers == 2  # the simulation and the second bootstrap stripe
     assert main(["simulate", "--config", str(config), "--seed", "5",
                  "--out", str(tmp_path / "simulate")]) == 0
     (standalone,) = _log_lines(capsys.readouterr().out)
@@ -827,6 +857,19 @@ def test_reproduce_simulation_writes_the_standalone_bytes(tmp_path, monkeypatch,
     assert simulate["worker_s"] > 0 and "worker_s" not in standalone
     assert simulate["sim_units_drawn"] == standalone["sim_units_drawn"] == 3 * 5000
     assert "worker_s" not in (tmp_path / "reproduce" / "report.json").read_text()
+
+
+@pytest.mark.parametrize("command,error", [("bootstrap", "BootstrapError"),
+                                           ("reproduce", "WorkerError")])
+def test_a_failed_fork_is_a_named_error(tmp_path, monkeypatch, capsys, command, error):
+    config = write_synthetic_config(tmp_path, b=4, sim_n=5000)
+    _two_cpus(monkeypatch)
+    record_forks(monkeypatch, fail_after=0)
+    assert main([command, "--config", str(config), "--seed", "5",
+                 "--out", str(tmp_path / "out")]) == 1
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == error
+    assert "worker process could not be forked" in record["message"]
 
 
 @pytest.mark.parametrize("cpus", ["one_cpu", "no_affinity_mask"])

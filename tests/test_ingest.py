@@ -279,6 +279,19 @@ def test_fetch_download_replaces_the_record_of_a_removed_file(tmp_path):
     assert manifest["cps_controls"]["sha256"] == hashlib.sha256(b"4 5 6\n").hexdigest()
 
 
+@pytest.mark.parametrize("manifest", [
+    b'{"nsw_treated": ', b'["nsw_treated"]', b'{"nsw_treated": {"url": "x"}}',
+    b'{"nsw_treated": "abc"}', b'{"nsw_treated": {"sha256": 7}}', b"\xff\xfe"],
+    ids=["not_json", "a_list", "no_sha256", "entry_not_an_object", "sha256_not_text",
+         "not_utf8"])
+def test_a_damaged_manifest_is_an_integrity_error(tmp_path, manifest):
+    (tmp_path / "nsw_treated.txt").write_bytes(b"1 2 3\n")
+    (tmp_path / "manifest.json").write_bytes(manifest)
+    with pytest.raises(IntegrityError, match="manifest.json damaged"):
+        fetch_dataset("nsw_treated", tmp_path, offline=True)
+    assert (tmp_path / "manifest.json").read_bytes() == manifest
+
+
 def test_fetch_unknown_source(tmp_path):
     with pytest.raises(ValidationError, match="unknown source"):
         fetch_dataset("mystery", tmp_path)

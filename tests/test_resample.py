@@ -14,7 +14,9 @@ from attdiag.resample import (
     stratified_indices,
 )
 from attdiag.simulation import _stage_rng as _replicate_rng
-from conftest import counted, make_dataset, synthetic_observational
+from conftest import (
+    counted, deadline, make_dataset, open_fds, reaped, record_forks, synthetic_observational,
+)
 
 COVS = ["age", "education", "re74", "re75"]
 
@@ -136,8 +138,9 @@ def test_bootstrap_trim_inside_replicate():
 
 @pytest.mark.parametrize("rule,per_replicate", [(None, 1), (TrimRule(0.05, 0.95), 2)])
 def test_bootstrap_scores_each_replicate_once(monkeypatch, rule, per_replicate):
-    # One worker runs the replicates in this process, where the count is seen.
-    monkeypatch.setattr(resample, "_worker_count", lambda b: 1)
+    # One CPU: one stripe runs every replicate in this process, where the
+    # count is seen.
+    monkeypatch.setattr(resample, "available_cpus", lambda: 1)
     calls = []
 
     def counting_score(model, data):
@@ -306,7 +309,7 @@ def test_bootstrap_work_counts_fits_iterations_and_units():
         40, iterations, 40 * 72)
     assert summary.failed_by_type == {}
     assert summary.trimmed.failed_by_type == {"ValidationError": 5}
-    assert work["workers"] == resample._worker_count(40)
+    assert work["workers"] == min(resample.available_cpus(), 40)
     model = fit_logistic(data, COVS)
     fixed, work = counted(bootstrap_att, data, MatchSpec(), 4, seed=47, model=model)
     assert (work["fits"], work["fit_iterations"]) == (0, 0)
@@ -314,7 +317,8 @@ def test_bootstrap_work_counts_fits_iterations_and_units():
 
 
 def _bootstrap_with_workers(monkeypatch, workers, *args, **kwargs):
-    monkeypatch.setattr(resample, "_worker_count", lambda b: min(workers, b))
+    """bootstrap_att run as if this process had `workers` CPUs."""
+    monkeypatch.setattr(resample, "available_cpus", lambda: workers)
     return bootstrap_att(*args, **kwargs)
 
 
@@ -322,13 +326,13 @@ def test_bootstrap_output_independent_of_worker_count(monkeypatch):
     data = synthetic_observational(seed=45, n_treated=12, n_control=60)
     rule = TrimRule(0.3, 0.7)  # fails 5 of the 40 trimmed replicates
     monkeypatch.setattr(resample, "fit_logistic", _fit_failing_on(data, 47, [3, 22]))
-    (one, one_work), (two, two_work) = (
+    (one, one_work), (two, two_work), (three, three_work) = (
         counted(_bootstrap_with_workers, monkeypatch, workers, data, MatchSpec(), 40,
                 seed=47, covariates=COVS, trim_rule=rule)
-        for workers in (1, 2))
-    assert (one_work.pop("workers"), two_work.pop("workers")) == (1, 2)
-    assert one == two and hash(one) == hash(two)
-    assert one_work == two_work
+        for workers in (1, 2, 3))
+    assert [work.pop("workers") for work in (one_work, two_work, three_work)] == [1, 2, 3]
+    assert one == two == three and hash(one) == hash(two) == hash(three)
+    assert one_work == two_work == three_work
     assert one.failed_by_type == {"EstimationError": 2}
     assert one.trimmed.failed_by_type == {"EstimationError": 2, "ValidationError": 5}
 
@@ -337,12 +341,12 @@ def test_bootstrap_output_independent_of_worker_count(monkeypatch):
     monkeypatch.setattr(resample, "fit_logistic",
                         _fit_failing_on(data, 47, [1, 5, 8, 13, 21, 30, 33, 34, 39]))
     messages = []
-    for workers in (1, 2):
+    for workers in (1, 2, 3):
         with pytest.raises(BootstrapError) as raised:
             _bootstrap_with_workers(monkeypatch, workers, data, MatchSpec(), 40,
                                     seed=47, covariates=COVS, trim_rule=rule)
         messages.append(str(raised.value))
-    assert messages[0] == messages[1]
+    assert messages[0] == messages[1] == messages[2]
     assert messages[0].startswith("9/40 bootstrap replicates failed in the full-sample "
                                   "design (EstimationError: 9; last: no convergence")
     assert messages[0].endswith(f"(outcome sum {_replicate(data, 47, 39).outcome.sum()}))")
@@ -354,13 +358,13 @@ def test_bootstrap_ledger_sums_the_workers_matches_and_datasets(monkeypatch):
     data = synthetic_observational(seed=45, n_treated=12, n_control=60)
     model = fit_logistic(data, COVS)
     works = []
-    for workers in (1, 2):
+    for workers in (1, 2, 3):
         _, work = counted(_bootstrap_with_workers, monkeypatch, workers, data, MatchSpec(),
                           10, seed=47, model=model, trim_rule=TrimRule(0.05, 0.95))
         assert work.pop("workers") == workers
         assert work["matches"] == work["datasets_built"] == 20
         works.append(work)
-    assert works[0] == works[1]
+    assert works[0] == works[1] == works[2]
 
 
 def test_bootstrap_worker_errors_reach_the_caller(monkeypatch):
@@ -370,13 +374,20 @@ def test_bootstrap_worker_errors_reach_the_caller(monkeypatch):
     def broken_fit(replicate, covariates, **kwargs):
         raise KeyError("not an AttDiagError")
 
+    def broken_in_workers(replicate, covariates, **kwargs):
+        if os.getpid() != parent:
+            raise KeyError("not an AttDiagError")
+        return fit_logistic(replicate, covariates, **kwargs)
+
     def dying_fit(replicate, covariates, **kwargs):
+        # The caller's own stripe fits; a forked stripe dies.
         if os.getpid() != parent:
             os._exit(3)
-        raise AssertionError("the replicates ran in the calling process")
+        return fit_logistic(replicate, covariates, **kwargs)
 
-    monkeypatch.setattr(resample, "fit_logistic", broken_fit)
-    for workers in (1, 2):
+    # Raised in the caller's stripe, or in a forked one and sent back.
+    for fit, workers in ((broken_fit, 1), (broken_fit, 2), (broken_in_workers, 2)):
+        monkeypatch.setattr(resample, "fit_logistic", fit)
         with pytest.raises(KeyError, match="not an AttDiagError"):
             _bootstrap_with_workers(monkeypatch, workers, data, MatchSpec(), 4,
                                     seed=11, covariates=COVS)
@@ -384,6 +395,47 @@ def test_bootstrap_worker_errors_reach_the_caller(monkeypatch):
     with pytest.raises(BootstrapError, match="worker process died"):
         _bootstrap_with_workers(monkeypatch, 2, data, MatchSpec(), 4,
                                 seed=11, covariates=COVS)
+
+
+@pytest.mark.parametrize("cpus,b", [(1, 5), (2, 5), (3, 5), (3, 2)])
+def test_the_caller_runs_the_first_stripe_and_forks_the_others(monkeypatch, cpus, b):
+    data = synthetic_observational(seed=45, n_treated=12, n_control=60)
+    parent, in_caller = os.getpid(), []
+
+    def recording_rng(seed, r):
+        if os.getpid() == parent:
+            in_caller.append(r)
+        return _replicate_rng(seed, r)
+
+    monkeypatch.setattr(resample, "_stage_rng", recording_rng)
+    forked = record_forks(monkeypatch)
+    with deadline(60):
+        summary = _bootstrap_with_workers(monkeypatch, cpus, data, MatchSpec(), b,
+                                          seed=47, covariates=COVS)
+    stripes = min(cpus, b)
+    assert in_caller == list(range(0, b, stripes))
+    assert len(forked) == stripes - 1
+    assert all(reaped(pid) for pid in forked)
+    assert summary.replicates == tuple(range(b))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_a_failed_fork_closes_the_started_stripes_and_leaks_nothing(monkeypatch):
+    data = synthetic_observational(seed=9, n_treated=25, n_control=100)
+    forked = record_forks(monkeypatch, fail_after=1)
+    fds = open_fds()
+    with pytest.raises(BootstrapError, match="worker process could not be forked"):
+        with deadline(60):
+            _bootstrap_with_workers(monkeypatch, 3, data, MatchSpec(), 6,
+                                    seed=11, covariates=COVS)
+    assert len(forked) == 1 and reaped(forked[0])
+    assert open_fds() == fds
+
+
+def test_a_negative_seed_is_a_validation_error():
+    data = synthetic_observational(seed=9, n_treated=25, n_control=100)
+    with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+        bootstrap_att(data, MatchSpec(), 4, seed=-1, covariates=COVS)
 
 
 def test_every_error_type_survives_pickling():

@@ -52,6 +52,12 @@ def test_config_validation():
         SimConfig(seed=0, delta_grid=(-1.0, 0.0))
 
 
+def test_a_negative_seed_is_a_validation_error():
+    # numpy's seeding would reject it only at the first draw.
+    with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+        SimConfig(seed=-1)
+
+
 def test_population_ate_near_design_value():
     y1, y0 = potentials(SimConfig(seed=1))
     assert abs(float(np.mean(y1 - y0)) - 0.1) < 0.005

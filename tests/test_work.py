@@ -5,7 +5,7 @@ import pytest
 
 from attdiag.errors import ValidationError, WorkerError
 from attdiag.work import COUNTS, Forked
-from conftest import counted, deadline, reaped
+from conftest import counted, deadline, open_fds, reaped, record_forks
 
 
 def _count_and_return(value):
@@ -46,3 +46,12 @@ def test_close_kills_and_reaps_a_running_worker():
         worker.close()
     worker.close()
     assert reaped(pid)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_a_failed_fork_is_a_worker_error_and_leaves_no_pipe_open(monkeypatch):
+    record_forks(monkeypatch, fail_after=0)
+    fds = open_fds()
+    with pytest.raises(WorkerError, match=r"could not be forked \(\[Errno 11\]"):
+        Forked(time.sleep, 600)
+    assert open_fds() == fds
