@@ -41,7 +41,13 @@ def fragility_index(sweep: CurvatureSweep, interval_at=None) -> float:
     point is refined by bisection between the straddling grid points, and
     the result is the upper end of the final bracket: a delta whose
     decision differs from the baseline, at most `_BISECTION_TOL` above the
-    flip point. As everywhere, a tie in worst-case regret goes to NoTreat.
+    flip point, or less far when the bracket cannot be halved further in
+    floating point. When the flip's grid cell ends at +inf, a finite upper
+    end is found first, by doubling from max(lower end, 1) until the
+    decision differs; if the doubling reaches +inf first, so does the
+    result. The ledger counts every `interval_at` call as
+    `bisection_evals`. As everywhere, a tie in worst-case regret goes to
+    NoTreat.
     """
     if not sweep.deltas:
         raise ValidationError("sweep is empty")
@@ -53,12 +59,24 @@ def fragility_index(sweep: CurvatureSweep, interval_at=None) -> float:
     flip_delta = float(sweep.deltas[flip_idx])
     if interval_at is None:
         return flip_delta
+
+    def flips(delta: float) -> bool:
+        COUNTS["bisection_evals"] += 1
+        return minimax_rule(interval_at(delta)) != baseline
+
     lo = float(sweep.deltas[flip_idx - 1])
     hi = flip_delta
+    if math.isinf(hi):
+        hi = max(lo, 1.0)
+        while hi == lo or not flips(hi):
+            lo, hi = hi, 2.0 * hi
+            if math.isinf(hi):
+                return math.inf
     while hi - lo > _BISECTION_TOL:
         mid = 0.5 * (lo + hi)
-        COUNTS["bisection_evals"] += 1
-        if minimax_rule(interval_at(mid)) != baseline:
+        if not lo < mid < hi:
+            break
+        if flips(mid):
             hi = mid
         else:
             lo = mid

@@ -335,13 +335,19 @@ def design_sensitivity(data: Dataset, scores, designs) -> list[AttEstimate]:
 def default_design_suite(scores) -> list[MatchSpec]:
     """The three comparison designs: plain logit 1-NN, logit 1-NN with a
     caliper of 0.2 SD of the logit `scores`, and Mahalanobis 1-NN. The SD
-    needs at least two scores."""
+    needs at least two scores, and scores that are all equal (a model
+    fitted with no Newton step scores every unit 0.5) leave the caliper
+    design undefined: `EstimationError`."""
     z = _logit(_check_scores(scores))
     if z.size < 2:
         raise ValidationError(
             f"default_design_suite needs at least 2 scores for the caliper's SD, "
             f"got a sample of {z.size}")
     caliper = 0.2 * float(np.std(z, ddof=1))
+    if not caliper > 0:
+        raise EstimationError(
+            "the logit scores have zero spread, so the caliper design "
+            "(0.2 SD of the logit scores) is undefined")
     return [
         MatchSpec(metric=LOGIT_SCORE, design_tag="nn_logit"),
         MatchSpec(metric=LOGIT_SCORE, caliper=caliper, design_tag="nn_logit_caliper"),

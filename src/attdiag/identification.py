@@ -24,8 +24,9 @@ pass; only unordered input is sorted.
 Per delta and side, a Dinkelbach iteration on those sums finds the
 optimal threshold in a few steps: the bound is the best ratio it visits or
 finds next to where it stops, which is a full scan's to within rounding.
-Delta 0, where every exact ratio is the same, still scans every split
-point. A sweep runs all its deltas and both sides as arrays.
+Delta 0, where every exact ratio is the same, scans every split point, once
+per problem, when it is built; every query at delta 0 reads those bounds.
+A sweep runs all its deltas and both sides as arrays.
 `curvature_bounds` is the one-delta form. Given the very objects
 `control_tilt_inputs` returned for a pair whose `tilting_problem` is
 alive, it evaluates that problem; on any other input it builds one. A
@@ -186,15 +187,17 @@ def _check_tilt_inputs(control_outcomes, base_weights, treated_mean, delta=None)
 class TiltingProblem:
     """The tilting bounds of one control sample, for any delta.
 
-    The constructor validates the inputs, collapses tied outcomes and
-    takes prefix and suffix sums once: outcomes in non-decreasing order (as
-    `control_tilt_inputs` returns them) in one pass, any other order after
-    a sort. `interval(delta)` evaluates those sums at a few split points
-    (at all of them at delta 0), and `sweep` gives its floats at each delta
-    of a grid from one array pass. Neither changes the problem; the ledger
-    counts the ratios they evaluate as `tilt_split_points_evaluated`, and
-    each problem built as `tilt_problems_built`. The problem keeps the
-    three input objects it was given, so `curvature_bounds` can tell them.
+    The constructor validates the inputs, collapses tied outcomes, takes
+    prefix and suffix sums once (outcomes in non-decreasing order, as
+    `control_tilt_inputs` returns them, in one pass, any other order after
+    a sort) and makes the delta-0 pass over every split point (see
+    `interval`), so a problem costs O(m) whatever deltas it is asked.
+    `interval(delta)` then evaluates the sums at a few split points, none
+    at delta 0, and `sweep` gives its floats at each delta of a grid from
+    one array pass. Neither changes the problem; the ledger counts the
+    ratios evaluated as `tilt_split_points_evaluated`, and each problem
+    built as `tilt_problems_built`. The problem keeps the three input
+    objects it was given, so `curvature_bounds` can tell them.
     """
 
     def __init__(self, control_outcomes, base_weights, treated_mean: float):
@@ -229,6 +232,12 @@ class TiltingProblem:
             np.subtract(sums[0, -1], sums[0], out=sums[1])
         self._ys = ys
         self._untilted_mean = float(self._wy[0, -1] / self._w[0, -1])
+        # The delta-0 bounds from every split point k = 0..m, where the two
+        # sides' ratios are the same floats (the untilted and tilted sums trade
+        # places), so one pass serves both: (side 0's max, side 1's min).
+        ratios = (self._wy[0] + self._wy[1]) / (self._w[0] + self._w[1])
+        COUNTS["tilt_split_points_evaluated"] += ratios.size
+        self._at_zero = (float(ratios[1:].max()), float(ratios[:-1].min()))
         self.treated_mean = treated_mean
         self.distinct_outcomes = m
 
@@ -264,22 +273,15 @@ class TiltingProblem:
         optimum (at worst about 1e-13 max|y| on adversarial data).
 
         At delta 0 every exact ratio is the untilted mean, so there is no
-        optimum to iterate to: every split point is scanned (`_scan`), and
-        the bounds are the scan's floats, a few ulp from that mean.
+        optimum to iterate to: the bounds are the floats of a scan of every
+        split point, a few ulp from that mean. The constructor made that
+        scan, so delta 0 evaluates nothing here.
         """
         _check_delta(delta)
         e_delta = math.exp(min(delta, _MAX_EXP))
-        mu_max, mu_min = (self._scan() if e_delta == 1.0 else
+        mu_max, mu_min = (self._at_zero if e_delta == 1.0 else
                           (self._extreme(0, e_delta), self._extreme(1, e_delta)))
         return Interval(self.treated_mean - mu_max, self.treated_mean - mu_min)
-
-    def _scan(self) -> tuple[float, float]:
-        """Both sides' bounds at e^delta = 1 from every split point, where the
-        two sides' ratios are the same floats (the untilted and tilted sums
-        trade places), so one pass over k = 0..m serves both."""
-        ratios = (self._wy[0] + self._wy[1]) / (self._w[0] + self._w[1])
-        COUNTS["tilt_split_points_evaluated"] += ratios.size
-        return float(ratios[1:].max()), float(ratios[:-1].min())
 
     def _extreme(self, side: int, e_delta: float) -> float:
         """One side's bound at one delta e^delta > 1 (see `interval`)."""
@@ -330,9 +332,9 @@ class TiltingProblem:
         COUNTS["tilt_split_points_evaluated"] += int((at[:, -1] - at[:, 0] + 1).sum())
         bounds = np.empty(2 * n)
         bounds[rows] = sign * np.where(best > top, best, top)
-        for i in np.flatnonzero(e_delta == 1.0).tolist():
-            bounds[[i, n + i]] = self._scan()
-        return bounds.reshape(2, n)
+        bounds = bounds.reshape(2, n)
+        bounds[:, e_delta == 1.0] = np.reshape(self._at_zero, (2, 1))
+        return bounds
 
     def sweep(self, deltas) -> CurvatureSweep:
         """Identified sets along an ascending delta grid, `interval`'s at
@@ -369,9 +371,10 @@ def curvature_bounds(control_outcomes, base_weights, treated_mean: float,
     returned, while the pair's `tilting_problem` lives, this evaluates that
     problem. Any other input (a copy, a writable array, an equal but
     distinct `treated_mean`) gets a `TiltingProblem` of its own, which sorts
-    the outcomes only when they are not already in non-decreasing order;
-    to evaluate many deltas on such controls, build the problem once and
-    call its `interval`. Either way the interval is the same float.
+    the outcomes only when they are not already in non-decreasing order
+    and makes the O(m) delta-0 pass whatever the delta; to evaluate many
+    deltas on such controls, build the problem once and call its
+    `interval`. Either way the interval is the same float.
     """
     inputs = (control_outcomes, base_weights, treated_mean)
     problem = _PROBLEMS.get(id(control_outcomes))

@@ -91,11 +91,14 @@ class Dataset:
     change one. Where no conversion was needed (a float `outcome`, a bool
     `treated`) the view is of the caller's array, which stays writable: a
     write to it changes this Dataset too and stales what `cached` keeps
-    (a model's scores, the tilting inputs and problem). Pass a copy of an
-    array you will change. The ledger counts each construction and its units.
+    (a model's scores, the tilting inputs and problem) and the arm counts
+    `n_treated` and `n_control`, which are counted once, at construction.
+    Pass a copy of an array you will change. The ledger counts each
+    construction and its units.
     """
 
-    __slots__ = ("treated", "outcome", "covariates", "unit_ids", "schema", "_fitted")
+    __slots__ = ("treated", "outcome", "covariates", "unit_ids", "schema", "_fitted",
+                 "_n_treated")
 
     def __init__(self, treated, outcome, covariates=None, unit_ids=None,
                  schema: SchemaSpec | None = None):
@@ -132,6 +135,7 @@ class Dataset:
         self.unit_ids = _read_only(unit_ids)
         self.schema = schema
         self._fitted = None
+        self._n_treated = int(np.count_nonzero(treated))
         COUNTS["datasets_built"] += 1
         COUNTS["dataset_units"] += n
 
@@ -140,7 +144,7 @@ class Dataset:
 
     @property
     def n_treated(self) -> int:
-        return int(self.treated.sum())
+        return self._n_treated
 
     @property
     def n_control(self) -> int:

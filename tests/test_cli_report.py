@@ -239,19 +239,63 @@ def test_tilting_stages_log_their_work(tmp_path, monkeypatch, capsys):
                  "--out", str(tmp_path / "out")]) == 0
     records = {r["stage"]: r for r in _log_lines(capsys.readouterr().out)}
     bounds, fragility = records["bounds"], records["fragility"]
-    # Replayed on the same controls, the sweep's work is what the bounds line
-    # logs, and the bisection's what the fragility line logs.
+    # Replayed on the same controls, the problem's construction and the
+    # sweep's work are what the bounds line logs, and the bisection's what
+    # the fragility line logs.
     [args] = built
-    replay = real_problem(*args)
+    replay, build_work = counted(real_problem, *args)
     sweep, sweep_work = counted(replay.sweep, [0, 0.5, 1, 2, 3, 4, 6])
-    # Delta 0 scans every split point.
-    assert (bounds["tilt_split_points_evaluated"] == sweep_work["tilt_split_points_evaluated"]
+    # The construction's delta-0 pass scans every split point.
+    assert (bounds["tilt_split_points_evaluated"]
+            == build_work["tilt_split_points_evaluated"]
+            + sweep_work["tilt_split_points_evaluated"]
             > replay.distinct_outcomes)
     _, bisection_work = counted(decision.fragility_index, sweep, interval_at=replay.interval)
     assert fragility["bisection_evals"] == bisection_work["bisection_evals"] > 0
     assert (fragility["tilt_split_points_evaluated"]
             == bisection_work["tilt_split_points_evaluated"] > 0)
     assert "split_points" not in (tmp_path / "out" / "report.json").read_text()
+
+
+def test_fragility_on_a_grid_ending_at_infinity(tmp_path, monkeypatch):
+    # The decision flips between the grid's two deltas, 0 and inf, so the
+    # bisection first needs a finite upper end. An interval that raises
+    # past 2,000 evaluations turns a bisection that never ends into a failure.
+    config = write_synthetic_config(tmp_path, b=4, sim_n=5000, data_seed=3)
+    config.write_text(config.read_text().replace("tilt_deltas = 0 0.1 0.5 1.0",
+                                                 "tilt_deltas = 0 inf"))
+    real_interval = identification.TiltingProblem.interval
+    problems = []
+
+    def bounded_interval(self, delta):
+        problems.append(self)
+        if len(problems) > 2000:
+            raise RuntimeError("the fragility bisection did not end")
+        return real_interval(self, delta)
+
+    monkeypatch.setattr(identification.TiltingProblem, "interval", bounded_interval)
+    assert main(["reproduce", "--config", str(config), "--seed", "5",
+                 "--out", str(tmp_path / "out")]) == 0
+    frag = json.loads((tmp_path / "out" / "fragility.json").read_text())["fragility_delta"]
+    assert 0 < frag < float("inf")
+    [problem] = set(problems)
+    baseline = decision.minimax_rule(real_interval(problem, 0.0))
+    assert decision.minimax_rule(real_interval(problem, frag)) != baseline
+    assert decision.minimax_rule(real_interval(problem, frag - 1e-4)) == baseline
+
+
+def test_equal_scores_fail_match_on_their_zero_spread(tmp_path, capsys):
+    # With no Newton step every score is 0.5, so the caliper design's 0.2 SD
+    # of the logit scores would be 0.
+    config = write_synthetic_config(tmp_path, b=4, sim_n=5000)
+    config.write_text(config.read_text() + "\n[propensity]\nmax_iter = 0\n")
+    capsys.readouterr()
+    assert main(["reproduce", "--config", str(config), "--seed", "5",
+                 "--out", str(tmp_path / "out")]) == 1
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["message"] == ("stage 'match' failed: the logit scores have zero "
+                                 "spread, so the caliper design (0.2 SD of the logit "
+                                 "scores) is undefined")
 
 
 def test_simulate_writes_five_row_sweep(tmp_path):

@@ -13,6 +13,7 @@ from attdiag.decision import (
 )
 from attdiag.errors import ValidationError
 from attdiag.identification import CurvatureSweep, Interval, massi_from_intervals
+from conftest import counted
 
 
 def _sweep(deltas, intervals, tag="tilting"):
@@ -82,6 +83,57 @@ def test_fragility_bisection_refines_flip():
     refined = fragility_index(sweep, interval_at=interval_at)
     assert 1.0 < refined < 1.5
     assert refined == pytest.approx(flip_at, abs=1e-3)
+
+
+def _bounded(interval_at, calls=2000):
+    """`interval_at` that raises once called more than `calls` times, so a
+    bisection that never ends fails instead of hanging."""
+    left = iter(range(calls))
+
+    def call(delta):
+        if next(left, None) is None:
+            raise RuntimeError(f"interval_at called more than {calls} times")
+        return interval_at(delta)
+    return call
+
+
+def _treat_below(flip_at):
+    # Treat regrets delta, NoTreat regrets flip_at: Treat below flip_at,
+    # NoTreat from there on (a tie goes to NoTreat).
+    return lambda delta: Interval(-delta, flip_at)
+
+
+@pytest.mark.parametrize("deltas, flip_at", [
+    ([0.0, math.inf], 3.7),       # doubles 1, 2, 4, then bisects (2, 4)
+    ([0.0, 0.25, math.inf], 0.6),  # flips at the first doubling step, 1
+    ([0.0, 5.0, math.inf], 37.0),  # starts from the lower end: 10, 20, 40
+])
+def test_fragility_bisects_a_grid_cell_ending_at_infinity(deltas, flip_at):
+    interval_at = _treat_below(flip_at)
+    sweep = _sweep(deltas, [interval_at(d) for d in deltas])
+    calls = []
+    refined, work = counted(fragility_index, sweep,
+                            interval_at=_bounded(lambda d: calls.append(d) or interval_at(d)))
+    assert flip_at <= refined <= flip_at + 1e-4
+    assert work["bisection_evals"] == len(calls)
+
+
+def test_fragility_is_infinite_when_doubling_never_flips():
+    # Treat at every finite delta; only the interval at +inf flips.
+    interval_at = _treat_below(math.inf)
+    sweep = _sweep([0.0, math.inf], [interval_at(0.0), interval_at(math.inf)])
+    assert fragility_index(sweep) == math.inf
+    refined, work = counted(fragility_index, sweep, interval_at=_bounded(interval_at))
+    assert refined == math.inf
+    assert work["bisection_evals"] == 1024  # 1, 2, ..., 2^1023
+
+
+def test_fragility_ends_when_the_bracket_is_below_float_spacing():
+    # Floats near 1e15 are 0.125 apart, so the bracket never narrows to the
+    # tolerance; the bisection stops once no float lies strictly inside it.
+    interval_at = _treat_below(1e15)
+    sweep = _sweep([0.0, 2e15], [interval_at(0.0), interval_at(2e15)])
+    assert fragility_index(sweep, interval_at=_bounded(interval_at)) == 1e15
 
 
 def test_fragility_monotone_under_widening():

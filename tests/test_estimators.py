@@ -274,6 +274,13 @@ def test_default_design_suite_needs_two_scores(n):
         default_design_suite(np.full(n, 0.5))
 
 
+def test_default_design_suite_rejects_scores_with_zero_spread():
+    # A model fitted with no Newton step scores every unit 0.5, which would
+    # make the caliper 0.2 * 0 SD.
+    with pytest.raises(EstimationError, match="logit scores have zero spread"):
+        default_design_suite(np.full(50, 0.5))
+
+
 def test_default_design_suite_runs():
     data = synthetic_observational(seed=29, n_treated=40, n_control=160)
     model = fit_logistic(data, ["age", "education", "re74", "re75"])

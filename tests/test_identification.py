@@ -464,17 +464,20 @@ def test_interval_agrees_with_full_scan(sample, treated_mean):
 def test_interval_evaluates_few_split_points_except_at_delta_zero():
     rng = np.random.default_rng(17)
     n = 100_000
-    problem = TiltingProblem(rng.lognormal(9.0, 1.0, n), rng.lognormal(0.0, 1.0, n), 0.0)
+    problem, build = counted(TiltingProblem, rng.lognormal(9.0, 1.0, n),
+                             rng.lognormal(0.0, 1.0, n), 0.0)
     m = problem.distinct_outcomes
     assert m == n  # continuous outcomes: no ties
+    # Every exact ratio is equal at delta 0, so every split point is
+    # scanned, in one pass of m + 1 ratios that serves both sides. The
+    # construction makes that pass, once.
+    assert build["tilt_split_points_evaluated"] == m + 1
     for delta in (1e-12, 0.05, 0.5, 3.0, 20.0, 700.0, math.inf):
         _, work = counted(problem.interval, delta)
         # Both sides together.
         assert work["tilt_split_points_evaluated"] < 100, delta
     _, work = counted(problem.interval, 0.0)
-    # Every exact ratio is equal at delta 0, so every split point is
-    # scanned, in one pass of m + 1 ratios that serves both sides.
-    assert work["tilt_split_points_evaluated"] == m + 1
+    assert work["tilt_split_points_evaluated"] == 0
 
 
 @pytest.mark.parametrize("kind", ["continuous", "cauchy", "plateau"])

@@ -164,6 +164,48 @@ def test_single_arm_rejected_at_estimation():
         data.require_both_arms("naive_diff")
 
 
+def test_arm_counts_equal_the_flags_on_every_constructor_path():
+    direct = Dataset([True, False, False, True, False], np.arange(5.0), np.zeros((5, 1)))
+    table = parse_table("1 1 10\n0 2 20\n1 5 50\n0 6 60\n", TOY_SCHEMA)
+    other = parse_table("0 4 40\n1 3 30\n0 7 70\n", TOY_SCHEMA)
+    built = {
+        "direct": direct,
+        "subset mask": direct.subset(direct.treated),
+        "subset indices": direct.subset([1, 2, 4]),
+        "empty subset": direct.subset(np.array([], dtype=int)),
+        "take_with_fresh_ids": direct.take_with_fresh_ids([0, 0, 3, 1]),
+        "parse_table": table,
+        "merge": merge(table, other),
+        "empty table": parse_table("", TOY_SCHEMA),
+        "no units": Dataset([], []),
+    }
+    for path, data in built.items():
+        treated = int(data.treated.sum())
+        assert (data.n_treated, data.n_control) == (treated, len(data) - treated), path
+        assert type(data.n_treated) is int and type(data.n_control) is int, path
+    assert (built["merge"].n_treated, built["merge"].n_control) == (2, 2)
+    assert (built["no units"].n_treated, built["no units"].n_control) == (0, 0)
+
+
+@pytest.mark.parametrize("name", ["n_treated", "n_control"])
+def test_arm_counts_are_read_only(name):
+    data = Dataset([True, False], [1.0, 2.0])
+    with pytest.raises(AttributeError):
+        setattr(data, name, 5)
+    assert getattr(data, name) == 1
+
+
+@pytest.mark.parametrize("treated, counts", [
+    ([True, True, True], "got 3 treated, 0 control"),
+    ([False, False], "got 0 treated, 2 control"),
+    ([], "got 0 treated, 0 control"),
+])
+def test_require_both_arms_names_both_counts(treated, counts):
+    data = Dataset(treated, np.zeros(len(treated)))
+    with pytest.raises(ValidationError, match=f"att_ipw requires .*\\({counts}\\)"):
+        data.require_both_arms("att_ipw")
+
+
 def test_merge_counts_and_ids():
     a = parse_table("1 1 10\n0 2 20\n1 5 50\n", TOY_SCHEMA)
     b = parse_table("1 3 30\n0 4 40\n", TOY_SCHEMA)
