@@ -46,7 +46,7 @@ import numpy as np
 from . import __version__
 from .calibrate import bins_from_config, load_grid_config
 from .decision import bias_robustness, bias_robustness_curve, fragility_index, minimax_rule
-from .errors import AttDiagError, ConfigError, DependencyError, FetchError
+from .errors import AttDiagError, ConfigError, DependencyError, FetchError, WorkerError
 from .estimators import (
     LOGIT_SCORE,
     MAHALANOBIS,
@@ -591,11 +591,11 @@ def cmd_fragility(cfg: RunConfig):
         "bias_curve": [{"delta": d, "lo": iv.lo, "hi": iv.hi} for d, iv in zip(deltas, curve)],
     }
     (cfg.out_dir / "fragility.json").write_text(_dump_json(payload))
-    # No later stage reads the tilting problem or its inputs, so the dataset
-    # drops them. Kept alive past the bootstrap's allocations, the
+    # No later stage reads the tilting problem, so the dataset drops it and
+    # the inputs it holds. Kept alive past the bootstrap's allocations, the
     # problem's arrays raised the peak RSS of a 30,000-control reproduce by
     # about 4 MB.
-    data.uncache("tilting_problem", "tilt_inputs")
+    data.uncache("tilting_problem")
     return payload, {"digests": digests,
                      "distinct_control_outcomes": problem.distinct_outcomes}
 
@@ -709,7 +709,8 @@ def cmd_reproduce(cfg: RunConfig):
     `simulate` stage waits for it at its turn, so its line stays in stage
     order, its `elapsed_s` is the wait and its `cpu_s` and ledger counts
     include the worker's. The worker is killed and reaped if a stage fails
-    first."""
+    first. A worker that cannot be forked leaves the simulation to its
+    turn, in-process, as on one CPU."""
     digest = cfg.digest()
     report = {
         "metadata": {
@@ -723,7 +724,10 @@ def cmd_reproduce(cfg: RunConfig):
     }
     clocks, fields = {}, {}
     if available_cpus() > 1:
-        cfg.simulation = Forked(_simulate, cfg)
+        try:
+            cfg.simulation = Forked(_simulate, cfg)
+        except WorkerError:
+            pass
     try:
         for stage, fn, module in _STAGES:
             try:

@@ -13,14 +13,14 @@ whose optimum sits at a box vertex, and the optimal vertex is a threshold
 rule in the outcome: tilt the top (or bottom) of the sorted outcomes.
 The tie-collapse and the prefix sums depend on the controls only, not on
 delta, so `TiltingProblem` builds them once for a whole sweep or
-fragility bisection. The scores, the tilting inputs and the problem are
-built once per (Dataset, propensity model) pair and kept on the Dataset
+fragility bisection. The scores and the problem are built once per
+(Dataset, propensity model) pair and kept on the Dataset
 (`Dataset.cached`), so repeated sweeps and IPW estimates on the same pair
 reuse them; a `PropensityModel` is frozen and a problem never changes once
-built (its work goes to the ledger), so none can go stale. The controls
-are sorted by outcome once per pair, when `control_tilt_inputs` gathers
-them, and a `TiltingProblem` given ordered outcomes collapses ties in one
-pass; only unordered input is sorted.
+built (its work goes to the ledger), so none can go stale. The problem
+owns its inputs, the controls sorted by outcome once (`control_tilt_inputs`
+returns them), so it collapses ties in one pass; only unordered input
+given to a `TiltingProblem` is sorted.
 Per delta and side, a Dinkelbach iteration on those sums finds the
 optimal threshold in a few steps: the bound is the best ratio it visits or
 finds next to where it stops, which is a full scan's to within rounding.
@@ -51,7 +51,7 @@ from .errors import (
     ValidationError,
 )
 from .estimators import MatchSpec, att_match
-from .ingest import Dataset
+from .ingest import Dataset, _read_only
 from .propensity import PropensityModel, TrimRule, score_dataset, trim
 from .work import COUNTS
 
@@ -67,10 +67,10 @@ TILTING = "tilting"
 TRIMMING_PROXY = "trimming_proxy"
 
 # The problems `tilting_problem` built, keyed by the id of their control
-# outcomes, for `curvature_bounds` to reuse. Their inputs are a Dataset's
-# read-only cached arrays, so they cannot change under the problem. Held
-# weakly, an entry goes when its Dataset drops the problem; a problem holds
-# its inputs, so the id cannot pass to another object while the entry lives.
+# outcomes, for `curvature_bounds` to reuse. Their inputs are read-only
+# views made with the problem, so they cannot change under it. Held weakly,
+# an entry goes when its Dataset drops the problem; a problem holds its
+# inputs, so the id cannot pass to another object while the entry lives.
 _PROBLEMS = weakref.WeakValueDictionary()
 
 
@@ -147,14 +147,13 @@ def manski_bounds(data: Dataset, support: OutcomeSupport) -> Interval:
     """
     if data.n_treated == 0:
         raise ValidationError("manski_bounds needs a non-empty treated arm")
-    if len(data):
-        out_lo = float(data.outcome.min())
-        out_hi = float(data.outcome.max())
-        if out_lo < support.y_lo or out_hi > support.y_hi:
-            raise SupportError(
-                f"observed outcomes span [{out_lo}, {out_hi}], outside declared "
-                f"support [{support.y_lo}, {support.y_hi}]"
-            )
+    out_lo = float(data.outcome.min())
+    out_hi = float(data.outcome.max())
+    if out_lo < support.y_lo or out_hi > support.y_hi:
+        raise SupportError(
+            f"observed outcomes span [{out_lo}, {out_hi}], outside declared "
+            f"support [{support.y_lo}, {support.y_hi}]"
+        )
     m1 = float(np.mean(data.outcome[data.treated]))
     return Interval(m1 - support.y_hi, m1 - support.y_lo)
 
@@ -164,9 +163,9 @@ def _check_delta(delta) -> None:
         raise DomainError(f"delta must be >= 0, got {delta}")
 
 
-def _check_tilt_inputs(control_outcomes, base_weights, treated_mean, delta=None):
+def _check_tilt_inputs(control_outcomes, base_weights, treated_mean):
     """Validated float arrays (outcomes, weights), with `treated_mean`
-    checked finite; `delta` is checked too when given."""
+    checked finite."""
     y = np.asarray(control_outcomes, dtype=float)
     w = np.asarray(base_weights, dtype=float)
     if y.ndim != 1 or w.shape != y.shape:
@@ -179,8 +178,6 @@ def _check_tilt_inputs(control_outcomes, base_weights, treated_mean, delta=None)
         raise ValidationError("outcomes and weights must be finite")
     if not math.isfinite(treated_mean):
         raise ValidationError(f"treated_mean must be finite, got {treated_mean}")
-    if delta is not None:
-        _check_delta(delta)
     return y, w
 
 
@@ -197,7 +194,8 @@ class TiltingProblem:
     one array pass. Neither changes the problem; the ledger counts the
     ratios evaluated as `tilt_split_points_evaluated`, and each problem
     built as `tilt_problems_built`. The problem keeps the three input
-    objects it was given, so `curvature_bounds` can tell them.
+    objects it was given, so `curvature_bounds` can tell them and
+    `control_tilt_inputs` return them.
     """
 
     def __init__(self, control_outcomes, base_weights, treated_mean: float):
@@ -387,7 +385,8 @@ def oracle_curvature_bounds(control_outcomes, base_weights, treated_mean: float,
                             delta: float) -> Interval:
     """Brute-force check of curvature_bounds by enumerating all 2^n tilt
     vertices (each tilt at 1 or e^delta). n <= 20."""
-    y, w = _check_tilt_inputs(control_outcomes, base_weights, treated_mean, delta)
+    y, w = _check_tilt_inputs(control_outcomes, base_weights, treated_mean)
+    _check_delta(delta)
     n = y.size
     if n > 20:
         raise SizeError(f"vertex enumeration needs n <= 20, got {n}")
@@ -420,36 +419,31 @@ def _validate_delta_grid(deltas) -> tuple[float, ...]:
     return deltas
 
 
-def _tilt_inputs(model: PropensityModel, data: Dataset):
+def control_tilt_inputs(data: Dataset, model: PropensityModel):
+    """(control outcomes, odds base weights, treated mean) for ATT tilting,
+    the very objects `tilting_problem(data, model)` was built on: the
+    controls in stable outcome order (outcomes non-decreasing, ties in row
+    order), the arrays read-only. The first call on a pair builds its
+    problem, O(m) with the delta-0 pass; later calls are one cache lookup."""
+    return tilting_problem(data, model)._inputs
+
+
+def _registered_problem(model: PropensityModel, data: Dataset) -> TiltingProblem:
     data.require_both_arms("tilting sweep")
     controls = np.flatnonzero(~data.treated)
     order = controls[np.argsort(data.outcome[controls], kind="stable")]
     control_scores = data.cached(model, "scores", score_dataset)[order]
-    w = control_scores / (1.0 - control_scores)
-    return data.outcome[order], w, float(np.mean(data.outcome[data.treated]))
-
-
-def control_tilt_inputs(data: Dataset, model: PropensityModel):
-    """(control outcomes, odds base weights, treated mean) for ATT tilting.
-
-    The controls come in stable outcome order: outcomes non-decreasing,
-    ties in row order, so a `TiltingProblem` built on these inputs does not
-    sort. They are sorted and computed once per (Dataset, model) from the
-    Dataset's cached scores and returned read-only (`Dataset.cached`)."""
-    return data.cached(model, "tilt_inputs", _tilt_inputs)
-
-
-def _registered_problem(model: PropensityModel, data: Dataset) -> TiltingProblem:
-    y, w, treated_mean = control_tilt_inputs(data, model)
+    y = _read_only(data.outcome[order])
+    w = _read_only(control_scores / (1.0 - control_scores))
+    treated_mean = float(np.mean(data.outcome[data.treated]))
     problem = _PROBLEMS[id(y)] = TiltingProblem(y, w, treated_mean)
     return problem
 
 
 def tilting_problem(data: Dataset, model: PropensityModel) -> TiltingProblem:
-    """The `TiltingProblem` on `control_tilt_inputs(data, model)`, built once
-    per (Dataset, model) and kept on the Dataset (`Dataset.cached`), so
-    every sweep and bisection on the pair shares it, `curvature_bounds` on
-    those inputs included."""
+    """The `TiltingProblem` of the (Dataset, model) pair, built once and kept
+    on the Dataset (`Dataset.cached`), so every sweep and bisection on the
+    pair shares it, `curvature_bounds` on its inputs included."""
     return data.cached(model, "tilting_problem", _registered_problem)
 
 

@@ -91,7 +91,7 @@ class Dataset:
     change one. Where no conversion was needed (a float `outcome`, a bool
     `treated`) the view is of the caller's array, which stays writable: a
     write to it changes this Dataset too and stales what `cached` keeps
-    (a model's scores, the tilting inputs and problem) and the arm counts
+    (a model's scores and tilting problem) and the arm counts
     `n_treated` and `n_control`, which are counted once, at construction.
     Pass a copy of an array you will change. The ledger counts each
     construction and its units.
@@ -176,26 +176,20 @@ class Dataset:
 
     def cached(self, model, key: str, build):
         """`build(model, self)`, computed on the first call with this `model`
-        and `key` and kept, its arrays (alone or in a tuple) made read-only.
+        and `key` and kept; an array is kept as a read-only view.
 
         The cache holds one entry, for the last model asked about, keyed by
         its identity; the entry keeps a reference to the model, so its id
         cannot pass to another object. A model is frozen, so what it
         determines here cannot change under the entry. Keys in use:
-        "scores" (`score_dataset`), "ipw" (`att_ipw`), "tilt_inputs"
-        (`control_tilt_inputs`) and "tilting_problem" (the `TiltingProblem`
-        on those inputs)."""
+        "scores" (`score_dataset`), "ipw" (`att_ipw`) and "tilting_problem"
+        (`tilting_problem`, which holds its own read-only inputs)."""
         if self._fitted is None or self._fitted[0] is not model:
             self._fitted = (model, {})
         entry = self._fitted[1]
         if key not in entry:
             value = build(model, self)
-            if isinstance(value, np.ndarray):
-                value = _read_only(value)
-            elif isinstance(value, tuple):
-                value = tuple(_read_only(v) if isinstance(v, np.ndarray) else v
-                              for v in value)
-            entry[key] = value
+            entry[key] = _read_only(value) if isinstance(value, np.ndarray) else value
         return entry[key]
 
     def uncache(self, *keys: str) -> None:

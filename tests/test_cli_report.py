@@ -1,4 +1,5 @@
 import csv
+import errno
 import gc
 import hashlib
 import json
@@ -401,6 +402,16 @@ def test_reproduce_cold_cache_offline_fails_at_fetch(tmp_path, capsys):
     assert "fetch" in record["message"]
 
 
+def test_a_stage_after_fetch_on_a_cold_cache_offline_names_fetch(tmp_path, capsys):
+    config = tmp_path / "remote.ini"
+    config.write_text(f"[data]\nsource = remote\ncache_dir = {tmp_path}/cache\n")
+    assert main(["support", "--config", str(config), "--seed", "5",
+                 "--out", str(tmp_path / "out"), "--offline"]) == 1
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "DependencyError"
+    assert "run the fetch command first" in record["message"]
+
+
 def test_seed_changes_bootstrap_but_not_estimates(tmp_path):
     config = write_synthetic_config(tmp_path, b=8, sim_n=5000)
     out1 = tmp_path / "o1"
@@ -711,6 +722,8 @@ def test_bad_config_value_fails_before_any_stage(tmp_path, capsys):
              ("[simulation] type_proportions", text.replace(
                  "n = 20000", "proportions = nan 0.2 0.4 0.1")),
              ("[bootstrap] b:", text.replace("b = 12", "b = 0")),
+             ("[bootstrap] refit: invalid value 'maybe' (expected a boolean)",
+              text.replace("b = 12", "b = 12\nrefit = maybe")),
              ("[deciles] min_per_arm:", text + "\n[deciles]\nmin_per_arm = -3\n"),
              # configparser's own errors: a duplicate key, a line before any section.
              ("malformed", text.replace("b = 12", "b = 12\nb = 4")),
@@ -904,7 +917,7 @@ def test_reproduce_simulation_writes_the_standalone_bytes(tmp_path, monkeypatch,
 
 
 @pytest.mark.parametrize("command,error", [("bootstrap", "BootstrapError"),
-                                           ("reproduce", "WorkerError")])
+                                           ("reproduce", "AttDiagError")])
 def test_a_failed_fork_is_a_named_error(tmp_path, monkeypatch, capsys, command, error):
     config = write_synthetic_config(tmp_path, b=4, sim_n=5000)
     _two_cpus(monkeypatch)
@@ -914,6 +927,46 @@ def test_a_failed_fork_is_a_named_error(tmp_path, monkeypatch, capsys, command, 
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == error
     assert "worker process could not be forked" in record["message"]
+    if command == "reproduce":
+        # The simulation's failed fork leaves it to its turn; the bootstrap's ends the run.
+        assert record["message"].startswith("stage 'bootstrap' failed")
+
+
+def _assert_same_artifacts(out_a, out_b) -> None:
+    """The two output directories hold the same files with the same
+    contents, `report.json`'s timestamp apart."""
+    names = sorted(p.name for p in out_a.iterdir())
+    assert names == sorted(p.name for p in out_b.iterdir())
+    for name in names:
+        texts = [(out / name).read_text() for out in (out_a, out_b)]
+        if name == "report.json":
+            texts = [json.loads(t) for t in texts]
+            for report in texts:
+                report["metadata"].pop("timestamp")
+        assert texts[0] == texts[1], name
+
+
+def test_a_failed_simulation_fork_simulates_in_process(tmp_path, monkeypatch):
+    config = write_synthetic_config(tmp_path, b=4, sim_n=5000)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert main(["reproduce", "--config", str(config), "--seed", "5",
+                 "--out", str(tmp_path / "in_process")]) == 0
+    _two_cpus(monkeypatch)
+    pids = record_forks(monkeypatch)
+    recording_fork, failed = os.fork, []
+
+    def first_fork_fails():  # the simulation's, forked before `fetch`
+        if not failed:
+            failed.append(True)
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return recording_fork()
+
+    monkeypatch.setattr(os, "fork", first_fork_fails)
+    assert main(["reproduce", "--config", str(config), "--seed", "5",
+                 "--out", str(tmp_path / "forked")]) == 0
+    assert len(pids) == 1  # the bootstrap's second stripe only
+    assert all(reaped(pid) for pid in pids)
+    _assert_same_artifacts(tmp_path / "forked", tmp_path / "in_process")
 
 
 @pytest.mark.parametrize("cpus", ["one_cpu", "no_affinity_mask"])
@@ -933,12 +986,4 @@ def test_reproduce_on_one_cpu_forks_nothing(tmp_path, monkeypatch, cpus):
     monkeypatch.setattr(os, "fork", no_fork)
     assert main(["reproduce", "--config", str(config), "--seed", "5",
                  "--out", str(tmp_path / "in_process")]) == 0
-    names = sorted(p.name for p in (tmp_path / "forked").iterdir())
-    assert names == sorted(p.name for p in (tmp_path / "in_process").iterdir())
-    for name in names:
-        texts = [(tmp_path / out / name).read_text() for out in ("forked", "in_process")]
-        if name == "report.json":
-            texts = [json.loads(t) for t in texts]
-            for report in texts:
-                report["metadata"].pop("timestamp")
-        assert texts[0] == texts[1], name
+    _assert_same_artifacts(tmp_path / "forked", tmp_path / "in_process")

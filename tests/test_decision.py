@@ -161,6 +161,13 @@ def test_bias_robustness_trivial_and_hand_cases():
     assert bias_robustness(1.01, 1.0, 0.25) == 1.25
 
 
+def test_bias_robustness_rejects_bad_inputs():
+    with pytest.raises(ValidationError, match="grid_step must be > 0"):
+        bias_robustness(1.0, 1.0, grid_step=0)
+    with pytest.raises(ValidationError, match="tau_hat must be finite"):
+        bias_robustness(math.nan, 1.0)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     tau=st.floats(-1e6, 1e6),

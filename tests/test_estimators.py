@@ -180,6 +180,9 @@ def test_match_mahalanobis_and_singular_covariance():
     )
     with pytest.raises(NumericalError, match="singular"):
         att_match(dup, None, MatchSpec(metric="mahalanobis"))
+    bare = Dataset(data.treated, data.outcome)
+    with pytest.raises(ValidationError, match="mahalanobis matching needs covariates"):
+        att_match(bare, None, MatchSpec(metric="mahalanobis"))
 
 
 @pytest.mark.parametrize("shift,scale", [(1000.0, 1.0), (0.0, 3.5), (-250.0, 2.0)])

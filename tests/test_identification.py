@@ -113,6 +113,8 @@ def test_curvature_rejects_bad_inputs():
         curvature_bounds([1.0], [0.0], 0.0, 1.0)
     with pytest.raises(ValidationError):
         curvature_bounds([], [], 0.0, 1.0)
+    with pytest.raises(ValidationError, match="equal-length"):
+        curvature_bounds([1.0, 2.0], [1.0], 0.0, 1.0)
 
 
 def test_oracle_single_point_singleton():
@@ -123,6 +125,14 @@ def test_oracle_single_point_singleton():
 def test_oracle_size_guard():
     with pytest.raises(SizeError):
         oracle_curvature_bounds(np.zeros(21), np.ones(21), 0.0, 1.0)
+
+
+def test_oracle_checks_its_inputs_then_delta():
+    for delta in (-0.5, math.nan):
+        with pytest.raises(DomainError):
+            oracle_curvature_bounds([1.0], [1.0], 0.0, delta)
+    with pytest.raises(ValidationError, match="strictly positive"):
+        oracle_curvature_bounds([1.0], [0.0], 0.0, -0.5)
 
 
 def test_oracle_matches_threshold_scan():

@@ -52,6 +52,11 @@ def test_config_validation():
         SimConfig(seed=0, delta_grid=(-1.0, 0.0))
 
 
+def test_a_sweep_that_keeps_an_empty_arm_is_a_validation_error():
+    with pytest.raises(ValidationError, match="at least one treated and one control"):
+        run_sweep(SimConfig(seed=0, n=1))
+
+
 def test_a_negative_seed_is_a_validation_error():
     # numpy's seeding would reject it only at the first draw.
     with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):

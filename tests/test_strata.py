@@ -50,6 +50,12 @@ def test_binspec_invariants():
             BinSpec("x0", edges)
 
 
+def test_support_map_needs_a_bin():
+    data, _ = _toy_two_dim()
+    with pytest.raises(ValidationError, match="at least one BinSpec"):
+        build_support_map(data, [])
+
+
 def test_hand_enumerated_counts():
     data, bins = _toy_two_dim()
     support_map = build_support_map(data, bins)
