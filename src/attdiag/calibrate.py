@@ -6,7 +6,8 @@ The published figures fix only the cell totals (a 72-cell grid and a
 sweeps small families of regular grids over the composed evaluation
 dataset and freezes whichever grid matches the target counts into
 grid_config.json. Run it once against real data; until then the packaged
-config carries provisional edges flagged calibrated=false.
+config carries provisional edges flagged calibrated=false. It is a leaf
+tool: no pipeline stage imports it; the config reader lives in `strata`.
 """
 
 from __future__ import annotations
@@ -14,14 +15,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
 from .errors import AttDiagError
 from .ingest import Dataset, load_source, merge
-from .strata import BinSpec, CellStatus, build_support_map
+from .strata import bins_from_config, build_support_map, load_grid_config
 
 FINE_TARGET = {"cells": 72, "both": 37, "control_only": 27, "treated_only": 1, "empty": 7}
 COARSE_TARGET = {"cells": 42, "without_treated": 11, "age_width": 5}
@@ -29,22 +29,6 @@ COARSE_TARGET = {"cells": 42, "without_treated": 11, "age_width": 5}
 # Degraded acceptance band when no regular grid reproduces the exact counts.
 FINE_BOTH_SHARE_BAND = (0.45, 0.60)
 COARSE_MIN_WITHOUT_TREATED = 10
-
-
-def load_grid_config(path=None) -> dict:
-    """Packaged grid config, or one previously written by this script."""
-    if path is not None:
-        return json.loads(Path(path).read_text())
-    return json.loads(
-        resources.files("attdiag").joinpath("grid_config.json").read_text()
-    )
-
-
-def bins_from_config(section: dict) -> list[BinSpec]:
-    return [
-        BinSpec("age", tuple(section["age_edges"])),
-        BinSpec("education", tuple(section["education_edges"])),
-    ]
 
 
 def _regular_edges(lo: float, hi: float, width: int, start_shift: int):
@@ -65,13 +49,7 @@ def candidate_axis_edges(values: np.ndarray, widths):
             edges = _regular_edges(lo, hi, width, shift)
             if len(edges) >= 2:
                 out.append(edges)
-    # drop duplicates, keep deterministic order
-    seen, unique = set(), []
-    for e in out:
-        if e not in seen:
-            seen.add(e)
-            unique.append(e)
-    return unique
+    return list(dict.fromkeys(out))  # drop duplicates, keep first-seen order
 
 
 def education_category_families(values: np.ndarray):
@@ -87,20 +65,11 @@ def education_category_families(values: np.ndarray):
     return [tuple(float(e) for e in f) for f in families if sorted(set(f)) == list(f)]
 
 
-def _status_counts(data: Dataset, age_edges, edu_edges) -> dict:
-    support_map = build_support_map(
-        data,
-        [BinSpec("age", age_edges), BinSpec("education", edu_edges)],
-    )
-    counts = support_map.status_counts()
-    return {
-        "cells": support_map.n_cells,
-        "both": counts[CellStatus.BOTH],
-        "control_only": counts[CellStatus.CONTROL_ONLY],
-        "treated_only": counts[CellStatus.TREATED_ONLY],
-        "empty": counts[CellStatus.EMPTY],
-        "without_treated": counts[CellStatus.CONTROL_ONLY] + counts[CellStatus.EMPTY],
-    }
+def _status_counts(data: Dataset, row: dict) -> dict:
+    support_map = build_support_map(data, bins_from_config(row))
+    counts = {status.value: n for status, n in support_map.status_counts().items()}
+    return {"cells": support_map.n_cells, **counts,
+            "without_treated": int(np.sum(support_map.treated_counts == 0))}
 
 
 def _search_grids(data: Dataset, age_widths, edu_widths, keep, exact):
@@ -114,9 +83,9 @@ def _search_grids(data: Dataset, age_widths, edu_widths, keep, exact):
         for edu_edges in edu_family:
             if not keep((len(age_edges) - 1) * (len(edu_edges) - 1)):
                 continue
-            counts = _status_counts(data, age_edges, edu_edges)
-            row = {"age_edges": age_edges, "education_edges": edu_edges, "counts": counts}
-            (hits if exact(counts) else near).append(row)
+            row = {"age_edges": age_edges, "education_edges": edu_edges}
+            row["counts"] = _status_counts(data, row)
+            (hits if exact(row["counts"]) else near).append(row)
     return hits, near
 
 
@@ -210,14 +179,11 @@ def run_calibration(cache_dir, out_path, offline: bool = True) -> dict:
     provisional = load_grid_config()
 
     def _section(row, matched, target, fallback):
-        if row is None:
-            # no candidate grid at all: keep the packaged provisional edges
-            return {"age_edges": list(fallback["age_edges"]),
-                    "education_edges": list(fallback["education_edges"]),
-                    "counts": None, "matched": False, "target": target}
-        return {"age_edges": list(row["age_edges"]),
-                "education_edges": list(row["education_edges"]),
-                "counts": row["counts"], "matched": matched, "target": target}
+        # no candidate grid at all (nor a match): keep the packaged provisional edges
+        edges, counts = (fallback, None) if row is None else (row, row["counts"])
+        return {"age_edges": list(edges["age_edges"]),
+                "education_edges": list(edges["education_edges"]),
+                "counts": counts, "matched": matched, "target": target}
 
     config = {
         "calibrated": True,

@@ -44,7 +44,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .calibrate import bins_from_config, load_grid_config
 from .decision import bias_robustness, bias_robustness_curve, fragility_index, minimax_rule
 from .errors import AttDiagError, ConfigError, DependencyError, FetchError, WorkerError
 from .estimators import (
@@ -80,8 +79,9 @@ from .propensity import (
 )
 from .resample import bootstrap_att, decile_att
 from .simulation import SimConfig, _check_witness_threshold, nonid_witness, run_sweep
-from .strata import build_support_map, restrict_to_overlap, support_share
-from .work import COUNTS, Forked, available_cpus
+from .strata import (bins_from_config, build_support_map, load_grid_config,
+                     restrict_to_overlap, support_share)
+from .work import COUNTS, CPU_SECONDS, Forked, available_cpus
 from . import svgplot
 
 
@@ -228,9 +228,9 @@ class RunConfig:
                for section, keys in _CONFIG_LAYOUT.items()}
         if path is not None:
             parser = configparser.ConfigParser()
-            try:
+            try:  # a duplicate key, a line outside any section, bytes not UTF-8
                 read = parser.read(path)
-            except configparser.Error as exc:  # a duplicate key, a line outside any section
+            except (configparser.Error, UnicodeDecodeError) as exc:
                 raise ConfigError(f"config file {path} malformed: {exc}") from None
             if not read:
                 raise ConfigError(f"config file {path} not found")
@@ -267,6 +267,8 @@ class RunConfig:
                 raise ConfigError(f"[data] {role}_source: unknown source {source!r}; "
                                   f"expected one of {sorted(SOURCE_URLS)}")
         columns = NSW_SCHEMA.covariate_columns
+        if not fit["covariates"]:  # an intercept-only model scores every unit the same
+            raise ConfigError("[propensity] covariates: need at least one covariate")
         for name in fit["covariates"]:
             if name not in columns:
                 raise ConfigError(f"[propensity] covariates: {name!r} not in the "
@@ -345,18 +347,19 @@ def _cpu_seconds() -> float:
 def _run_stage(stage: str, command, cfg: RunConfig):
     """Run one command and print its log line: report values, log-only
     fields, the counts the command added to the work ledger (a count it
-    did not move is absent), and the wall and CPU seconds it took (a shared
-    product is charged to the first stage that uses it). CPU time next to
-    wall time tells host load apart from the stage's own cost. A key set
-    by two of these parts is a defect and raises ValueError. Returns the
-    values, the log-only fields and the two timings."""
-    before = COUNTS.copy()
+    did not move is absent) and the CPU seconds it added per bootstrap
+    phase (`work.CPU_SECONDS`), and the wall and CPU seconds it took (a
+    shared product is charged to the first stage that uses it). CPU time
+    next to wall time tells host load apart from the stage's own cost. A
+    key set by two of these parts is a defect and raises ValueError.
+    Returns the values, the log-only fields and the two timings."""
+    before, phases = COUNTS.copy(), CPU_SECONDS.copy()
     wall, cpu = time.perf_counter(), _cpu_seconds()
     values, fields = command(cfg)
     clock = {"elapsed_s": time.perf_counter() - wall,
              "cpu_s": _cpu_seconds() - cpu}
     line = {"stage": stage}
-    for part in (values, fields, COUNTS - before, clock):
+    for part in (values, fields, COUNTS - before, CPU_SECONDS - phases, clock):
         clash = line.keys() & part.keys()
         if clash:
             raise ValueError(f"stage {stage!r} log line sets {sorted(clash)} twice")
@@ -770,7 +773,11 @@ def main(argv=None) -> int:
     try:
         cfg = RunConfig.from_file(args.config, seed=args.seed, out_dir=args.out,
                                   offline=args.offline)
-        cfg.out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            cfg.out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # a file of that name, a read-only parent
+            raise ConfigError(f"--out {args.out}: cannot make the output "
+                              f"directory ({exc})") from None
         _run_stage(args.command, _COMMANDS[args.command], cfg)
     except AttDiagError as exc:
         print(

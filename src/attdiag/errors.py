@@ -77,7 +77,9 @@ class WorkerError(AttDiagError):
 
 
 class ConfigError(AttDiagError):
-    """Run configuration file is malformed or has unknown keys."""
+    """Run configuration is unusable: the config file is missing, malformed,
+    not UTF-8 or has unknown keys or bad values, or a command-line argument
+    is (a negative --seed, an --out that cannot be made a directory)."""
 
 
 class DependencyError(AttDiagError):

@@ -14,12 +14,14 @@ dataset and model instead of receiving a pickled copy. Results are put back
 in replicate order before they are summarized, so the output is
 byte-identical for any number of stripes. Only the caller's stripe is seen
 by what counts calls in the caller; each worker returns what it added to the
-work ledger (`work.COUNTS`) with its replicates, and the caller adds it there.
+work ledger (`work.COUNTS`) and to the CPU seconds per replicate phase
+(`work.CPU_SECONDS`) with its replicates, and the caller adds them there.
 """
 
 from __future__ import annotations
 
 import functools
+import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
@@ -30,7 +32,7 @@ from .estimators import MatchSpec, _arm_contrast, att_match
 from .ingest import Dataset
 from .propensity import PropensityModel, TrimRule, _check_scores, fit_logistic, score_dataset, trim
 from .simulation import _stage_rng
-from .work import COUNTS, Forked, available_cpus
+from .work import COUNTS, CPU_SECONDS, Forked, available_cpus
 
 
 @dataclass(frozen=True)
@@ -105,6 +107,18 @@ def _summarize(design: str, outcomes: list, b: int) -> BootstrapSummary:
     )
 
 
+def _lap_clock():
+    """A function returning the CPU seconds of this process since its
+    previous call, or since `_lap_clock` made it."""
+    last = time.process_time()
+
+    def lap() -> float:
+        nonlocal last
+        start, last = last, time.process_time()
+        return last - start
+    return lap
+
+
 def _run_replicates(data: Dataset, estimator_spec: MatchSpec, seed: int, covariates,
                     model: PropensityModel | None, fit_options: dict, rules: tuple,
                     indices) -> list:
@@ -113,30 +127,43 @@ def _run_replicates(data: Dataset, estimator_spec: MatchSpec, seed: int, covaria
     Returns one (r, outcomes) per replicate, outcomes holding per design in
     `rules` order the estimate or the AttDiagError that failed it. A failed
     fit fails the replicate in every design, a failed trim or match only in
-    its own.
+    its own. The CPU seconds of each phase go to `CPU_SECONDS`: `draw_s`
+    (the stream, the indices and the replicate Dataset), `fit_s`, `score_s`,
+    and per design `trim_s` (the trim and the rescore) and `match_s`; a
+    phase that raised is charged to none.
     """
     results = []
+    lap = _lap_clock()
     for r in indices:
         rng = _stage_rng(seed, r)
         replicate = data.take_with_fresh_ids(stratified_indices(rng, data.treated))
         COUNTS["units_drawn"] += len(replicate)
+        CPU_SECONDS["draw_s"] += lap()
         try:
             rep_model = model
             if model is None:
                 COUNTS["fits"] += 1
                 rep_model = fit_logistic(replicate, covariates, **fit_options)
                 COUNTS["fit_iterations"] += rep_model.iterations
+            CPU_SECONDS["fit_s"] += lap()
             scores = score_dataset(rep_model, replicate)
+            CPU_SECONDS["score_s"] += lap()
         except AttDiagError as exc:
+            lap()
             results.append((r, (exc,) * len(rules)))
             continue
         outcomes = []
         for rule in rules:
             try:
-                sample = trim(replicate, scores, rule) if rule else replicate
-                sample_scores = score_dataset(rep_model, sample) if rule else scores
+                sample, sample_scores = replicate, scores
+                if rule:
+                    sample = trim(replicate, scores, rule)
+                    sample_scores = score_dataset(rep_model, sample)
+                    CPU_SECONDS["trim_s"] += lap()
                 outcomes.append(att_match(sample, sample_scores, estimator_spec).tau_hat)
+                CPU_SECONDS["match_s"] += lap()
             except AttDiagError as exc:
+                lap()
                 outcomes.append(exc)
         results.append((r, tuple(outcomes)))
     return results
@@ -161,7 +188,8 @@ def bootstrap_att(data: Dataset, estimator_spec: MatchSpec, b: int, seed: int, *
     in a forked worker; a worker that cannot be forked or dies raises
     BootstrapError. The work ledger (`work.COUNTS`) gains the `workers`
     that ran replicates (the caller included), refits, Newton steps and
-    units drawn, and every count the replicates add, over all stripes.
+    units drawn, and every count the replicates add, and `work.CPU_SECONDS`
+    the CPU seconds of each replicate phase, over all stripes.
     """
     check_count("b", b, 1)
     check_count("seed", seed, 0)

@@ -1,16 +1,19 @@
 """Discrete stratification of the covariate space and support classification.
 
-Cells are the Cartesian product of per-dimension bins. A cell's status
-records whether it holds treated units, control units, both, or neither;
-the set of Both cells is the empirically supported region where treated
-units have in-stratum comparisons.
+Cells are the Cartesian product of per-dimension bins. A cell's status,
+classified once per map (`SupportMap.status`), records whether it holds
+treated units, control units, both, or neither; in Both cells (the supported
+region) treated units have in-stratum comparisons. Grid configs are read here.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
+import json
 from dataclasses import dataclass
-from itertools import product
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 
@@ -61,20 +64,15 @@ class CellStatus(enum.Enum):
     CONTROL_ONLY = "control_only"
     EMPTY = "empty"
 
-    @classmethod
-    def from_counts(cls, treated: int, control: int) -> "CellStatus":
-        if treated > 0 and control > 0:
-            return cls.BOTH
-        if treated > 0:
-            return cls.TREATED_ONLY
-        if control > 0:
-            return cls.CONTROL_ONLY
-        return cls.EMPTY
+
+# Indexed by 2 * (treated > 0) + (control > 0).
+_STATUS_BY_CODE = np.array([CellStatus.EMPTY, CellStatus.CONTROL_ONLY,
+                            CellStatus.TREATED_ONLY, CellStatus.BOTH], dtype=object)
 
 
 @dataclass(frozen=True, eq=False)
 class SupportMap:
-    """Per-cell treated/control counts over a stratification grid."""
+    """Per-cell treated/control counts and status over a stratification grid."""
 
     grid: tuple[BinSpec, ...]
     treated_counts: np.ndarray
@@ -88,19 +86,21 @@ class SupportMap:
     def n_cells(self) -> int:
         return int(np.prod(self.shape))
 
+    @functools.cached_property
+    def status(self) -> np.ndarray:
+        """Each cell's CellStatus, on the grid's shape."""
+        code = 2 * (self.treated_counts > 0) + (self.control_counts > 0)
+        return _STATUS_BY_CODE[code]
+
     def cells(self):
-        """Yield (multi_index, treated_count, control_count, status) per cell."""
-        for cell in product(*(range(n) for n in self.shape)):
-            t = int(self.treated_counts[cell])
-            c = int(self.control_counts[cell])
-            yield cell, t, c, CellStatus.from_counts(t, c)
+        """Yield (multi_index, treated_count, control_count, status), C order."""
+        for cell in np.ndindex(self.shape):
+            yield (cell, int(self.treated_counts[cell]), int(self.control_counts[cell]),
+                   self.status[cell])
 
     def status_counts(self) -> dict[CellStatus, int]:
-        """Cells per status, as `cells()` classifies them."""
-        counts = dict.fromkeys(CellStatus, 0)
-        for *_, status in self.cells():
-            counts[status] += 1
-        return counts
+        """Cells per status, in CellStatus order."""
+        return {status: int(np.sum(self.status == status)) for status in CellStatus}
 
     def to_csv_rows(self) -> list[list]:
         header = [b.dimension_name for b in self.grid]
@@ -109,6 +109,19 @@ class SupportMap:
             lows = [self.grid[d].edges[i] for d, i in enumerate(cell)]
             rows.append(lows + [t, c, status.value])
         return rows
+
+
+def load_grid_config(path=None) -> dict:
+    """Packaged grid config, or one `attdiag.calibrate` wrote at `path`."""
+    source = resources.files("attdiag") / "grid_config.json" if path is None else Path(path)
+    return json.loads(source.read_text())
+
+
+def bins_from_config(section: dict) -> list[BinSpec]:
+    return [
+        BinSpec("age", tuple(section["age_edges"])),
+        BinSpec("education", tuple(section["education_edges"])),
+    ]
 
 
 def _cell_indices(data: Dataset, bins) -> tuple[np.ndarray, ...]:
@@ -148,10 +161,7 @@ def support_share(support_map: SupportMap):
 
 def restrict_to_overlap(data: Dataset, support_map: SupportMap) -> Dataset:
     """Keep only units whose cell contains both arms."""
-    idx = _cell_indices(data, support_map.grid)
-    # cells() runs in C order, so the statuses reshape onto the grid.
-    both = np.array([status is CellStatus.BOTH for *_, status in support_map.cells()])
-    keep = both.reshape(support_map.shape)[idx]
+    keep = (support_map.status == CellStatus.BOTH)[_cell_indices(data, support_map.grid)]
     if not np.any(keep):
         raise RestrictionError("no overlap region: every cell is single-arm or empty")
     return data.subset(keep)

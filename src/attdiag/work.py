@@ -1,6 +1,8 @@
 """The work ledger: `COUNTS`, one process-wide count of the work each layer
 does, under names that mean one thing wherever they appear (README lists
-them). Stage log lines carry it; `report.json` never does.
+them). Stage log lines carry it; `report.json` never does. `CPU_SECONDS`,
+its sibling, holds the CPU seconds spent per phase of a bootstrap
+replicate; it is kept apart so the counts stay deterministic.
 
 `Forked` runs a function in a forked worker process; the bootstrap's
 stripes and `reproduce`'s selection simulation use it. A worker returns
@@ -15,6 +17,7 @@ from collections import Counter
 from .errors import WorkerError
 
 COUNTS = Counter()
+CPU_SECONDS = Counter()
 
 
 def available_cpus() -> int:
@@ -29,13 +32,14 @@ class Forked:
     """`fn(*args)` started in a worker process forked from the caller. The
     worker inherits the caller's memory, so nothing is pickled on the way
     in; its value, or the exception it raised, comes back pickled with what
-    it added to the ledger. A failed fork raises WorkerError and leaves no
-    pipe open. `result` waits for the worker, adds its counts to `COUNTS`,
-    reaps it and returns the value or raises the exception; a worker that
-    died first raises WorkerError. `close` kills and reaps a worker still
-    running, and may be called at any time, more than once. The worker is
-    reaped only there, so the caller's CPU clock (`os.times`' children)
-    takes its seconds in at that point. No thread is started."""
+    it added to `COUNTS` and `CPU_SECONDS`. A failed fork raises
+    WorkerError and leaves no pipe open. `result` waits for the worker, adds
+    those to the caller's, reaps it and returns the value or raises the
+    exception; a worker that died first raises WorkerError. `close` kills
+    and reaps a worker still running, and may be called at any time, more
+    than once. The worker is reaped only there, so the caller's CPU clock
+    (`os.times`' children) takes its seconds in at that point. No thread is
+    started."""
 
     def __init__(self, fn, *args):
         receive, send = os.pipe()
@@ -49,13 +53,14 @@ class Forked:
             code = 1
             try:
                 os.close(receive)
-                before = COUNTS.copy()
+                before, seconds = COUNTS.copy(), CPU_SECONDS.copy()
                 try:
                     outcome = (False, fn(*args))
                 except Exception as exc:
                     outcome = (True, exc)
                 with open(send, "wb") as pipe:
-                    pickle.dump((*outcome, COUNTS - before), pipe, pickle.HIGHEST_PROTOCOL)
+                    pickle.dump((*outcome, COUNTS - before, CPU_SECONDS - seconds), pipe,
+                                pickle.HIGHEST_PROTOCOL)
                 code = 0
             finally:
                 # Leave without running the caller's exit handlers or flushing
@@ -68,13 +73,14 @@ class Forked:
 
     def result(self):
         try:
-            raised, value, counts = pickle.load(self._receive)
+            raised, value, counts, seconds = pickle.load(self._receive)
         except (EOFError, pickle.UnpicklingError):
             code = self._reap()
             raise WorkerError(f"worker process died before returning its result "
                               f"(exit code {code})") from None
         self._reap()
         COUNTS.update(counts)
+        CPU_SECONDS.update(seconds)
         if raised:
             raise value
         return value

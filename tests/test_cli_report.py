@@ -100,6 +100,40 @@ def test_a_negative_seed_fails_before_any_output(tmp_path, capsys, command):
     assert not out.exists()
 
 
+def test_a_config_file_not_in_utf8_is_a_config_error(tmp_path, capsys):
+    config = tmp_path / "bad.ini"
+    config.write_bytes(b"[simulation]\nn = 5000 \xff\xfe\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--seed", "1", "--config", str(config), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    record = json.loads(captured.err.strip())
+    assert record["error"] == "ConfigError"
+    assert record["message"].startswith(f"config file {config} malformed:")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.ini"]
+
+
+def test_an_out_that_names_a_file_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.write_text("kept\n")
+    assert main(["simulate", "--seed", "1", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    record = json.loads(captured.err.strip())
+    assert record["error"] == "ConfigError"
+    assert record["message"].startswith(f"--out {out}: cannot make the output directory")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+    assert out.read_text() == "kept\n"
+
+
+def test_the_default_config_file_holds_the_built_in_defaults(tmp_path):
+    shipped = RunConfig.from_file(Path(__file__).resolve().parents[1] / "configs" / "default.ini",
+                                  seed=1, out_dir=tmp_path)
+    built_in = RunConfig.from_file(None, seed=1, out_dir=tmp_path)
+    assert shipped.raw == built_in.raw
+    assert shipped.digest() == built_in.digest()
+
+
 @pytest.mark.parametrize("damage", ["directory", "not_utf8"])
 def test_an_unreadable_local_table_is_a_dependency_error(tmp_path, capsys, damage):
     config = write_synthetic_config(tmp_path, b=4, sim_n=5000)
@@ -469,6 +503,35 @@ def test_bootstrap_fits_each_replicate_once(tmp_path, capsys):
     assert "fits" not in json.dumps(cli_report.cmd_bootstrap(cfg)[0])
 
 
+PHASES = ("draw_s", "fit_s", "score_s", "trim_s", "match_s")
+
+
+def test_bootstrap_line_splits_its_cpu_seconds_by_phase(tmp_path, capsys, monkeypatch):
+    config = write_synthetic_config(tmp_path, b=8, sim_n=5000)
+    records = {}
+    for stripes in (1, 2, 3):
+        monkeypatch.setattr(resample, "available_cpus", lambda: stripes)
+        capsys.readouterr()
+        assert main(["bootstrap", "--config", str(config), "--seed", "3",
+                     "--out", str(tmp_path / f"out{stripes}")]) == 0
+        [records[stripes]] = _log_lines(capsys.readouterr().out)
+    # One stripe runs in this process, on the clock cpu_s reads, and the
+    # phases are disjoint parts of the stage.
+    one = records[1]
+    assert sum(one[phase] for phase in PHASES) <= one["cpu_s"]
+
+    def ledger(record):
+        return {key: record[key] for key in record if key in COUNTS and key != "workers"}
+
+    for stripes, record in records.items():
+        assert record["workers"] == stripes
+        assert all(record[phase] >= 0 for phase in PHASES)
+        # The seconds stay out of the count ledger, which every stripe count
+        # fills alike.
+        assert ledger(record) == ledger(one)
+        assert not set(PHASES) & set(COUNTS)
+
+
 def test_bootstrap_csv_pairs_estimates_by_replicate(tmp_path):
     config = write_synthetic_config(tmp_path, b=40, data_seed=45, n_treated=12,
                                     n_control=60)
@@ -715,6 +778,9 @@ def test_bad_config_value_fails_before_any_stage(tmp_path, capsys):
               text.replace("n = 20000", "witness_threshold = nan")),
              # Each covariate must be a covariate column of every table the run parses.
              ("[propensity] covariates: 'foo'", text + "\n[propensity]\ncovariates = age foo\n"),
+             # An intercept-only model scores every unit the same.
+             ("[propensity] covariates: need at least one covariate",
+              text + "\n[propensity]\ncovariates =\n"),
              ("[data] treated_source: unknown source", text.replace(
                  "source = local", "source = remote\ntreated_source = nsw_treated_original")),
              ("[data] control_source: unknown source", text.replace(

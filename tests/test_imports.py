@@ -1,8 +1,12 @@
 """Every name a package module imports is used in that module, every
 private name it defines at module level is read there, and every name it
-counts in the work ledger is a string literal that README documents."""
+counts in the work ledger is a string literal that README documents; and
+importing the CLI does not load the calibration tool."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -114,3 +118,15 @@ def test_an_undocumented_ledger_name_is_found():
               'for name in ("a", "b"):\n    COUNTS[name] += 1\n')
     assert _undocumented_ledger_names(source, "logs `matches` per call") == [
         "ghost_units (line 2)", "non-literal key (line 4)"]
+
+
+def test_the_cli_does_not_import_the_calibration_tool():
+    # calibrate is a leaf tool: no stage runs it, so importing the program
+    # as the benchmark does must not load (or compile) it.
+    code = ("import sys, attdiag, attdiag.cli_report, attdiag.svgplot; "
+            "print(sorted(m for m in sys.modules if m.startswith('attdiag.')))")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                            capture_output=True, text=True).stdout
+    assert "'attdiag.cli_report'" in loaded
+    assert "'attdiag.calibrate'" not in loaded

@@ -1,6 +1,7 @@
 """The README's python blocks run as written, so a signature change that
 leaves the quick start behind fails the suite; and its ledger paragraph
-names every work-ledger count, so a renamed or new count fails it too."""
+names every work-ledger count and bootstrap phase-seconds name, so a
+renamed or new one fails it too."""
 
 import re
 import warnings
@@ -21,7 +22,7 @@ def test_readme_python_blocks_run_without_warnings():
 
 def test_readme_ledger_paragraph_names_every_count():
     names = {name for path in (ROOT / "src" / "attdiag").glob("*.py")
-             for name in re.findall(r'COUNTS\["(\w+)"\]', path.read_text())}
+             for name in re.findall(r'(?:COUNTS|CPU_SECONDS)\["(\w+)"\]', path.read_text())}
     (paragraph,) = [p for p in README.read_text().split("\n\n")
                     if "(`attdiag.work.COUNTS`" in p]
     assert names

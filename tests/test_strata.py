@@ -141,6 +141,14 @@ def test_status_counts_and_overlap_follow_the_cell_statuses(draw):
     assert list(counts) == list(CellStatus)
     assert counts == {status: yielded[status] for status in CellStatus}
     t, c = treated > 0, control > 0
+    # The status grid is what cells() yields, and the rule on the counts.
+    rule = {(True, True): CellStatus.BOTH, (True, False): CellStatus.TREATED_ONLY,
+            (False, True): CellStatus.CONTROL_ONLY, (False, False): CellStatus.EMPTY}
+    assert support_map.status.shape == shape
+    assert [cell for cell, *_ in support_map.cells()] == list(np.ndindex(shape))
+    for cell, n_treated, n_control, status in support_map.cells():
+        assert (n_treated, n_control) == (treated[cell], control[cell])
+        assert support_map.status[cell] is status is rule[t[cell], c[cell]]
     assert [counts[s] for s in CellStatus] == [
         np.sum(t & c), np.sum(t & ~c), np.sum(~t & c), np.sum(~t & ~c)]
 

@@ -4,7 +4,7 @@ import time
 import pytest
 
 from attdiag.errors import ValidationError, WorkerError
-from attdiag.work import COUNTS, Forked
+from attdiag.work import COUNTS, CPU_SECONDS, Forked
 from conftest import counted, deadline, open_fds, reaped, record_forks
 
 
@@ -22,6 +22,21 @@ def test_forked_returns_the_value_and_the_workers_ledger():
     value, delta = counted(lambda: Forked(_count_and_return, {"x": [1.5]}).result())
     assert value == {"x": [1.5]}
     assert delta == {"matches": 2}
+
+
+def _time_and_return(value):
+    CPU_SECONDS["fit_s"] += 0.25
+    return value
+
+
+def test_forked_returns_the_workers_phase_seconds():
+    # The seconds come back beside the counts and are added to the caller's
+    # CPU_SECONDS, not to COUNTS.
+    before, counts = CPU_SECONDS.copy(), COUNTS.copy()
+    assert Forked(_time_and_return, 3).result() == 3
+    # The caller's earlier seconds make the deltas inexact in the last bits.
+    assert CPU_SECONDS - before == {"fit_s": pytest.approx(0.25, abs=1e-12)}
+    assert COUNTS == counts
 
 
 def test_forked_raises_the_workers_error_with_its_ledger():
