@@ -81,7 +81,7 @@ from .resample import bootstrap_att, decile_att
 from .simulation import SimConfig, _check_witness_threshold, nonid_witness, run_sweep
 from .strata import (bins_from_config, build_support_map, load_grid_config,
                      restrict_to_overlap, support_share)
-from .work import COUNTS, CPU_SECONDS, Forked, available_cpus
+from .work import COUNTS, CPU_SECONDS, Forked, available_cpus, lap_clock
 from . import svgplot
 
 
@@ -347,8 +347,8 @@ def _cpu_seconds() -> float:
 def _run_stage(stage: str, command, cfg: RunConfig):
     """Run one command and print its log line: report values, log-only
     fields, the counts the command added to the work ledger (a count it
-    did not move is absent) and the CPU seconds it added per bootstrap
-    phase (`work.CPU_SECONDS`), and the wall and CPU seconds it took (a
+    did not move is absent) and the CPU seconds it added per phase
+    (`work.CPU_SECONDS`), and the wall and CPU seconds it took (a
     shared product is charged to the first stage that uses it). CPU time
     next to wall time tells host load apart from the stage's own cost. A
     key set by two of these parts is a defect and raises ValueError.
@@ -539,14 +539,19 @@ def cmd_match(cfg: RunConfig):
 
 def cmd_bounds(cfg: RunConfig):
     data, digests, _ = cfg.tables
+    lap = lap_clock()
     problem = tilting_problem(data, cfg.model)
+    CPU_SECONDS["tilt_build_s"] += lap()
     tilting = cfg.tilting
+    CPU_SECONDS["tilt_sweep_s"] += lap()
     _write_csv(cfg.out_dir / "sweep_tilting.csv", sweep_to_csv_rows(tilting))
     _interval_chart(cfg.out_dir / "sweep_tilting.svg", tilting.deltas, tilting.intervals,
                     "Identified set vs selection curvature")
 
+    lap()
     proxy = sweep_trimming_proxy(data, cfg.model, cfg.get("bounds", "proxy_deltas"),
                                  match_spec=cfg.match_spec)
+    CPU_SECONDS["proxy_s"] += lap()
     _write_csv(cfg.out_dir / "sweep_proxy.csv", sweep_to_csv_rows(proxy))
     if proxy.deltas:
         _interval_chart(cfg.out_dir / "sweep_proxy.svg", proxy.deltas, proxy.intervals,

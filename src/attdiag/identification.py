@@ -21,12 +21,12 @@ built (its work goes to the ledger), so none can go stale. The problem
 owns its inputs, the controls sorted by outcome once (`control_tilt_inputs`
 returns them), so it collapses ties in one pass; only unordered input
 given to a `TiltingProblem` is sorted.
-Per delta and side, a Dinkelbach iteration on those sums finds the
-optimal threshold in a few steps: the bound is the best ratio it visits or
-finds next to where it stops, which is a full scan's to within rounding.
-Delta 0, where every exact ratio is the same, scans every split point, once
-per problem, when it is built; every query at delta 0 reads those bounds.
-A sweep runs all its deltas and both sides as arrays.
+Per delta and side, the optimal threshold is one lookup among breakpoints
+the problem computes once from the same sums (`TiltingProblem.interval`),
+and the bound is the best ratio next to it, a full scan's to within
+rounding. Delta 0, where every exact ratio is the same, scans every split
+point, once per problem, when it is built; every query at delta 0 reads
+those bounds. A sweep looks up all its deltas and both sides as arrays.
 `curvature_bounds` is the one-delta form. Given the very objects
 `control_tilt_inputs` returned for a pair whose `tilting_problem` is
 alive, it evaluates that problem; on any other input it builds one. A
@@ -58,10 +58,12 @@ from .work import COUNTS
 # exp cap: beyond this the tilted extremes equal the support limits to
 # machine precision, and exp would overflow around 709.
 _MAX_EXP = 500.0
-# Dinkelbach steps allowed per side and delta, and the split points evaluated
-# on each side of where the iteration stops.
-_CENTRE_STEPS = 32
+# The split points evaluated on each side of a bound's breakpoint.
 _NEIGHBOURS = 2
+# A suffix sum taken as total - prefix carries about 2^-52 of the total in
+# rounding, more than 2^-32 of a suffix weight below 2^-20 of the total. In
+# that top tail, which large deltas tilt, the suffix rows are summed from the top.
+_TAIL = 2.0 ** -20
 
 TILTING = "tilting"
 TRIMMING_PROXY = "trimming_proxy"
@@ -187,15 +189,15 @@ class TiltingProblem:
     The constructor validates the inputs, collapses tied outcomes, takes
     prefix and suffix sums once (outcomes in non-decreasing order, as
     `control_tilt_inputs` returns them, in one pass, any other order after
-    a sort) and makes the delta-0 pass over every split point (see
+    a sort), makes the delta-0 pass and computes the breakpoints (see
     `interval`), so a problem costs O(m) whatever deltas it is asked.
-    `interval(delta)` then evaluates the sums at a few split points, none
-    at delta 0, and `sweep` gives its floats at each delta of a grid from
-    one array pass. Neither changes the problem; the ledger counts the
-    ratios evaluated as `tilt_split_points_evaluated`, and each problem
-    built as `tilt_problems_built`. The problem keeps the three input
-    objects it was given, so `curvature_bounds` can tell them and
-    `control_tilt_inputs` return them.
+    `interval(delta)` then evaluates at most 2 * _NEIGHBOURS + 1 split
+    points per side, none at delta 0, and `sweep` gives its floats at each
+    delta of a grid from one array pass. Neither changes the problem; the
+    ledger counts the ratios evaluated as `tilt_split_points_evaluated`,
+    and each problem built as `tilt_problems_built`. The problem keeps the
+    three input objects it was given, so `curvature_bounds` can tell them
+    and `control_tilt_inputs` return them.
     """
 
     def __init__(self, control_outcomes, base_weights, treated_mean: float):
@@ -229,13 +231,34 @@ class TiltingProblem:
             np.cumsum(terms, out=sums[0, 1:])
             np.subtract(sums[0, -1], sums[0], out=sums[1])
         self._ys = ys
-        self._untilted_mean = float(self._wy[0, -1] / self._w[0, -1])
         # The delta-0 bounds from every split point k = 0..m, where the two
         # sides' ratios are the same floats (the untilted and tilted sums trade
         # places), so one pass serves both: (side 0's max, side 1's min).
         ratios = (self._wy[0] + self._wy[1]) / (self._w[0] + self._w[1])
         COUNTS["tilt_split_points_evaluated"] += ratios.size
         self._at_zero = (float(ratios[1:].max()), float(ratios[:-1].min()))
+        # The suffix weights summed from the top keep their digits however
+        # small the tail gets. Past the delta-0 pass, the top tail's suffix
+        # rows come from the top too (see _TAIL); `tail` is its first entry.
+        top = np.zeros(m + 1)
+        np.cumsum(ws[::-1], out=top[-2::-1])
+        tail = int(np.count_nonzero(top >= _TAIL * self._w[0, -1]))
+        self._w[1, tail:] = top[tail:]
+        np.cumsum((ws[tail:] * ys[tail:])[::-1], out=self._wy[1, tail:m][::-1])
+        # Side 0's optimal split point passes y_j once e^delta exceeds
+        # e_j = sum_{i<j} w_i (y_j - y_i) / sum_{i>j} w_i (y_i - y_j), where the
+        # tilted mean of the entries above j reaches y_j; side 1's once
+        # e^-delta does. Both sums are cumulative sums of non-negative terms,
+        # gap * prefix weight from the bottom and gap * suffix weight from the
+        # top, so e_j never decreases; with no weight above j, e_j = inf.
+        num = np.zeros(m)
+        np.subtract(ys[1:], ys[:-1], out=num[1:])  # the gaps, until summed
+        top[1:m] *= num[1:]
+        np.cumsum(top[-2:0:-1], out=top[-2:0:-1])
+        np.cumsum(num * self._w[0, :m], out=num)
+        self._breaks = np.full(m, np.inf)
+        with np.errstate(over="ignore"):
+            np.divide(num, top[1:], out=self._breaks, where=top[1:] > 0.0)
         self.treated_mean = treated_mean
         self.distinct_outcomes = m
 
@@ -260,20 +283,18 @@ class TiltingProblem:
         The bounds are the extremes over the split points k of the ratio
         R(k) = (untilted sum of w*y + e^delta * tilted sum of w*y) /
                (untilted sum of w + e^delta * tilted sum of w).
-        The maximum is the fixed point of Dinkelbach's iteration (Dinkelbach
-        1967): the vertex optimal for ratio mu tilts the outcomes beyond mu,
-        so jump to that split point, take its ratio as the new mu, repeat.
-        Each side stops when the split point repeats, when the ratio fails
-        to rise (rounding near a flat optimum; without this, large deltas
-        cycle), or after `_CENTRE_STEPS` steps. Its bound, the best ratio
-        visited or at the `_NEIGHBOURS` split points either side of where it
-        stopped, is a full scan's maximum to within the rounding of a flat
-        optimum (at worst about 1e-13 max|y| on adversarial data).
+        The vertex optimal for ratio mu tilts the outcomes beyond mu
+        (Dinkelbach 1967), so the optimal split point passes y_j where the
+        optimum reaches y_j: for side 0 at e^delta = e_j, for side 1 at
+        e^-delta = e_j, breakpoints the constructor computed. Each side is
+        one lookup among them, and its bound the best ratio at the
+        `_NEIGHBOURS` split points either side of the one found, which
+        absorb the breakpoints' rounding: a full scan's extreme to within the
+        rounding of a flat optimum (at worst about 1e-13 max|y|).
 
-        At delta 0 every exact ratio is the untilted mean, so there is no
-        optimum to iterate to: the bounds are the floats of a scan of every
-        split point, a few ulp from that mean. The constructor made that
-        scan, so delta 0 evaluates nothing here.
+        At delta 0 every exact ratio is the untilted mean: the bounds are the
+        floats of the constructor's scan of every split point, a few ulp
+        from that mean, so delta 0 evaluates nothing here.
         """
         _check_delta(delta)
         e_delta = math.exp(min(delta, _MAX_EXP))
@@ -284,75 +305,44 @@ class TiltingProblem:
     def _extreme(self, side: int, e_delta: float) -> float:
         """One side's bound at one delta e^delta > 1 (see `interval`)."""
         sign, first, last = self._side(side)
-        k, mu, best = -1, self._untilted_mean, sign * self._untilted_mean
-        evaluated = 0
-        for _ in range(_CENTRE_STEPS):
-            k_next = min(max(int(self._ys.searchsorted(mu)), first), last)
-            if k_next == k:
-                break
-            k = k_next
-            value = sign * self._ratio(side, e_delta, k)
-            evaluated += 1
-            if not value > best:
-                break
-            best, mu = value, sign * value
+        k = int(self._breaks.searchsorted(e_delta if side == 0 else 1.0 / e_delta))
         at = slice(max(first, k - _NEIGHBOURS), min(last, k + _NEIGHBOURS) + 1)
-        top = (sign * self._ratio(side, e_delta, at)).max()
-        COUNTS["tilt_split_points_evaluated"] += evaluated + at.stop - at.start
-        return sign * float(best if best > top else top)
+        COUNTS["tilt_split_points_evaluated"] += at.stop - at.start
+        return sign * float((sign * self._ratio(side, e_delta, at)).max())
 
     def _extremes(self, e_delta: np.ndarray) -> np.ndarray:
-        """`_extreme` of both sides at every delta, as a (2, deltas) array: all
-        rows' Dinkelbach iterations at once, then one gather of their neighbours."""
+        """`_extreme` of both sides at every delta, as a (2, deltas) array: one
+        lookup of every row's breakpoint, then one gather of its neighbours."""
         n = e_delta.size
         rows = np.flatnonzero(np.tile(e_delta, 2) != 1.0)  # (side, delta) as side * n + delta
         side, e = rows // n, e_delta[rows % n]
         sign, first, last = self._side(side)
-        k = np.full(rows.size, -1)  # no split point yet, so the first step always moves
-        best = sign * self._untilted_mean
-        moving, mu = np.arange(rows.size), np.full(rows.size, self._untilted_mean)
-        for _ in range(_CENTRE_STEPS):
-            k_next = np.clip(self._ys.searchsorted(mu), first[moving], last[moving])
-            moved = k_next != k[moving]
-            moving, k_next = moving[moved], k_next[moved]
-            if not moving.size:
-                break
-            k[moving] = k_next
-            value = sign[moving] * self._ratio(side[moving], e[moving], k_next)
-            COUNTS["tilt_split_points_evaluated"] += moving.size
-            rose = value > best[moving]
-            moving, value = moving[rose], value[rose]
-            best[moving] = value
-            mu = sign[moving] * value
+        k = self._breaks.searchsorted(np.where(side == 0, e, 1.0 / e))
         at = np.clip(k[:, None] + np.arange(-_NEIGHBOURS, _NEIGHBOURS + 1),
                      first[:, None], last[:, None])
         top = (sign[:, None] * self._ratio(side[:, None], e[:, None], at)).max(axis=1)
         COUNTS["tilt_split_points_evaluated"] += int((at[:, -1] - at[:, 0] + 1).sum())
-        bounds = np.empty(2 * n)
-        bounds[rows] = sign * np.where(best > top, best, top)
-        bounds = bounds.reshape(2, n)
-        bounds[:, e_delta == 1.0] = np.reshape(self._at_zero, (2, 1))
-        return bounds
+        bounds = np.repeat(self._at_zero, n)
+        bounds[rows] = sign * top
+        return bounds.reshape(2, n)
 
     def sweep(self, deltas) -> CurvatureSweep:
         """Identified sets along an ascending delta grid, `interval`'s at
         each delta. Nesting across the grid is asserted, not assumed."""
         deltas = _validate_delta_grid(deltas)
         e_delta = np.array([math.exp(min(d, _MAX_EXP)) for d in deltas])
-        mu_max, mu_min = self._extremes(e_delta).tolist()
-        raw = [Interval(self.treated_mean - hi, self.treated_mean - lo)
-               for hi, lo in zip(mu_max, mu_min)]
-        intervals = [raw[0]]
-        for cur in raw[1:]:
-            prev = intervals[-1]
-            # The true sets are nested; float evaluation can under-cover by a
-            # few ulp on near-flat candidates, which the outward snap absorbs.
-            # Any larger violation is a bug and must surface.
-            scale = max(abs(prev.lo), abs(prev.hi), abs(cur.lo), abs(cur.hi), 1.0)
-            if max(cur.lo - prev.lo, prev.hi - cur.hi) > 1e-9 * scale:
-                raise NumericalError("tilting intervals failed to nest along the delta grid")
-            intervals.append(Interval(min(cur.lo, prev.lo), max(cur.hi, prev.hi)))
-        return CurvatureSweep(deltas=deltas, intervals=tuple(intervals),
+        lo, hi = self.treated_mean - self._extremes(e_delta)
+        if not np.all(lo <= hi):
+            raise ValidationError("tilting interval endpoints out of order")
+        # The true sets are nested; float evaluation can under-cover by a few
+        # ulp on near-flat candidates, which the outward snap to the running
+        # extremes absorbs. Any larger violation is a bug and must surface.
+        outer_lo, outer_hi = np.minimum.accumulate(lo), np.maximum.accumulate(hi)
+        scale = np.abs([outer_lo[:-1], outer_hi[:-1], lo[1:], hi[1:]]).max(axis=0, initial=1.0)
+        if np.any(np.maximum(lo[1:] - outer_lo[:-1], outer_hi[:-1] - hi[1:]) > 1e-9 * scale):
+            raise NumericalError("tilting intervals failed to nest along the delta grid")
+        intervals = tuple(map(Interval, outer_lo.tolist(), outer_hi.tolist()))
+        return CurvatureSweep(deltas=deltas, intervals=intervals,
                               massi=massi_from_intervals(deltas, intervals), method_tag=TILTING)
 
 
@@ -364,13 +354,15 @@ def curvature_bounds(control_outcomes, base_weights, treated_mean: float,
     or a prefix (to lower it) of the sorted outcomes, because a
     linear-fractional objective over a box attains its optimum at a vertex
     and the optimal vertex thresholds on the outcome. The bounds are those
-    of `TiltingProblem.interval`, a threshold scan's to within rounding.
-    Given the very three objects `control_tilt_inputs(data, model)`
-    returned, while the pair's `tilting_problem` lives, this evaluates that
-    problem. Any other input (a copy, a writable array, an equal but
-    distinct `treated_mean`) gets a `TiltingProblem` of its own, which sorts
-    the outcomes only when they are not already in non-decreasing order
-    and makes the O(m) delta-0 pass whatever the delta; to evaluate many
+    of `TiltingProblem.interval`: a breakpoint lookup per side and at most
+    2 * _NEIGHBOURS + 1 split points around it, a threshold scan's to
+    within rounding. Given the very three objects
+    `control_tilt_inputs(data, model)` returned, while the pair's
+    `tilting_problem` lives, this evaluates that problem. Any other input (a
+    copy, a writable array, an equal but distinct `treated_mean`) gets a
+    `TiltingProblem` of its own, which sorts the outcomes only when they are
+    not already in non-decreasing order and makes the O(m) delta-0 pass and
+    breakpoints whatever the delta; to evaluate many
     deltas on such controls, build the problem once and call its
     `interval`. Either way the interval is the same float.
     """

@@ -21,7 +21,6 @@ work ledger (`work.COUNTS`) and to the CPU seconds per replicate phase
 from __future__ import annotations
 
 import functools
-import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
@@ -32,7 +31,7 @@ from .estimators import MatchSpec, _arm_contrast, att_match
 from .ingest import Dataset
 from .propensity import PropensityModel, TrimRule, _check_scores, fit_logistic, score_dataset, trim
 from .simulation import _stage_rng
-from .work import COUNTS, CPU_SECONDS, Forked, available_cpus
+from .work import COUNTS, CPU_SECONDS, Forked, available_cpus, lap_clock
 
 
 @dataclass(frozen=True)
@@ -107,18 +106,6 @@ def _summarize(design: str, outcomes: list, b: int) -> BootstrapSummary:
     )
 
 
-def _lap_clock():
-    """A function returning the CPU seconds of this process since its
-    previous call, or since `_lap_clock` made it."""
-    last = time.process_time()
-
-    def lap() -> float:
-        nonlocal last
-        start, last = last, time.process_time()
-        return last - start
-    return lap
-
-
 def _run_replicates(data: Dataset, estimator_spec: MatchSpec, seed: int, covariates,
                     model: PropensityModel | None, fit_options: dict, rules: tuple,
                     indices) -> list:
@@ -133,7 +120,7 @@ def _run_replicates(data: Dataset, estimator_spec: MatchSpec, seed: int, covaria
     phase that raised is charged to none.
     """
     results = []
-    lap = _lap_clock()
+    lap = lap_clock()
     for r in indices:
         rng = _stage_rng(seed, r)
         replicate = data.take_with_fresh_ids(stratified_indices(rng, data.treated))

@@ -1,8 +1,8 @@
 """The work ledger: `COUNTS`, one process-wide count of the work each layer
 does, under names that mean one thing wherever they appear (README lists
 them). Stage log lines carry it; `report.json` never does. `CPU_SECONDS`,
-its sibling, holds the CPU seconds spent per phase of a bootstrap
-replicate; it is kept apart so the counts stay deterministic.
+its sibling, holds the CPU seconds per phase of a stage (`lap_clock` times
+them); it is kept apart so the counts stay deterministic.
 
 `Forked` runs a function in a forked worker process; the bootstrap's
 stripes and `reproduce`'s selection simulation use it. A worker returns
@@ -12,12 +12,25 @@ what it added to the ledger with its result, and the caller adds that here.
 import os
 import pickle
 import signal
+import time
 from collections import Counter
 
 from .errors import WorkerError
 
 COUNTS = Counter()
 CPU_SECONDS = Counter()
+
+
+def lap_clock():
+    """The phase clock: a function returning the CPU seconds of this process
+    since its previous call, or since `lap_clock` made it."""
+    last = time.process_time()
+
+    def lap() -> float:
+        nonlocal last
+        start, last = last, time.process_time()
+        return last - start
+    return lap
 
 
 def available_cpus() -> int:

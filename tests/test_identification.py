@@ -1,6 +1,7 @@
 import gc
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -278,13 +279,11 @@ def _array_path_controls(seed, n, tied, zero_weight=1.0):
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(100, 800),
     tied=st.booleans(),
-    # Heavy zeros can put the untilted mean below every positive outcome, so
-    # the raising side's centring starts at its first split point and must
-    # move on from there.
+    # Heavy zeros can put the untilted mean below every positive outcome.
     zero_weight=st.sampled_from([1.0, 100.0]),
     # Delta 0 scans every split point; deltas below about 1e-8 leave the
-    # ratios flat to rounding, so the iteration stops on a ratio that fails
-    # to rise; deltas past the exp cap tilt little but the top outcomes.
+    # ratios flat to rounding; deltas past the exp cap tilt little but the
+    # top outcomes.
     deltas=st.lists(st.one_of(st.just(0.0), st.floats(1e-13, 1e-7), st.floats(0, 5),
                               st.floats(500, 1000)),
                     min_size=1, max_size=20, unique=True).map(sorted),
@@ -490,11 +489,75 @@ def test_interval_evaluates_few_split_points_except_at_delta_zero():
     assert work["tilt_split_points_evaluated"] == 0
 
 
+def test_each_query_evaluates_at_most_two_windows_of_split_points():
+    # Each side of a nonzero delta is one breakpoint lookup and a window of
+    # 2 * _NEIGHBOURS + 1 split points around it, whatever the delta.
+    rng = np.random.default_rng(19)
+    n = 20_000
+    y = np.where(rng.random(n) < 0.3, 0.0, np.round(rng.lognormal(9.0, 1.0, n), -1))
+    problem = TiltingProblem(y, rng.lognormal(0.0, 1.0, n), 0.0)
+    window = 2 * (2 * identification._NEIGHBOURS + 1)
+    deltas = [0.0, 1e-13, 1e-6, 0.05, 0.5, 1.0, 3.0, 10.0, 20.0, 40.0, 100.0, 500.0, 700.0,
+              math.inf]
+    for delta in deltas[1:]:
+        _, work = counted(problem.interval, delta)
+        assert work["tilt_split_points_evaluated"] <= window, delta
+    _, work = counted(problem.sweep, deltas)
+    assert work["tilt_split_points_evaluated"] <= window * (len(deltas) - 1)
+
+
+@given(sample=_tilt_samples())
+@settings(max_examples=300, deadline=None)
+def test_breakpoints_do_not_decrease_and_build_without_warnings(sample):
+    y, w, _ = sample
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        problem = TiltingProblem(y, w, 0.0)
+    breaks = problem._breaks
+    assert breaks.size == problem.distinct_outcomes
+    assert not np.isnan(breaks).any()
+    assert np.all(breaks[1:] >= breaks[:-1])
+
+
+def _fsum_scan(y, w, treated_mean, delta):
+    """The bounds from every split point of the sorted controls, each sum a
+    correctly rounded `math.fsum`."""
+    e = math.exp(min(delta, identification._MAX_EXP))
+    wy = w * y
+    mu = [(math.fsum(wy[:k]) + e * math.fsum(wy[k:])) / (math.fsum(w[:k]) + e * math.fsum(w[k:]))
+          for k in range(1, y.size + 1)]
+    mu += [(e * math.fsum(wy[:k]) + math.fsum(wy[k:])) / (e * math.fsum(w[:k]) + math.fsum(w[k:]))
+           for k in range(y.size)]
+    return treated_mean - max(mu), treated_mean - min(mu)
+
+
+def test_bounds_keep_their_digits_when_the_top_tail_is_starved():
+    # Earnings-like controls whose top outcomes carry odds weights near 1e-13
+    # of the total: only a large delta tilts them into the bounds, and a
+    # suffix sum taken as total - prefix keeps none of their digits.
+    rng = np.random.default_rng(41)
+    n = 400
+    y = np.sort(rng.lognormal(9.0, 0.8, n))
+    w = rng.lognormal(0.0, 1.0, n)
+    w[-6:] = 1e-13 * w.sum() * rng.uniform(0.5, 2.0, 6)
+    treated_mean = 2e4
+    problem = TiltingProblem(y, w, treated_mean)
+    for delta in (40.0, 100.0, math.inf):
+        interval = problem.interval(delta)
+        lo, hi = _fsum_scan(y, w, treated_mean, delta)
+        assert interval.lo == pytest.approx(lo, rel=1e-12, abs=0), delta
+        assert interval.hi == pytest.approx(hi, rel=1e-12, abs=0), delta
+        upper_mean = treated_mean - interval.lo
+        assert upper_mean <= y.max() + np.spacing(y.max()), delta
+    deltas = [0.0, *range(35, 43)]
+    sweep = problem.sweep(deltas)
+    assert sweep.intervals[-1] == problem.interval(42.0)
+
+
 @pytest.mark.parametrize("kind", ["continuous", "cauchy", "plateau"])
 def test_interval_terminates_at_large_deltas(kind):
-    # Near the top outcomes the ratios are flat to rounding at large delta,
-    # and an iteration without the stop on a ratio that fails to rise cycles
-    # there until the step cap.
+    # Near the top outcomes the ratios are flat to rounding at large delta;
+    # the bounds still come from one window of split points per side.
     rng = np.random.default_rng(23)
     n = 3000
     w = rng.lognormal(0.0, 1.0, n)
@@ -510,13 +573,13 @@ def test_interval_terminates_at_large_deltas(kind):
                             rng.uniform(2000.0, 2001.0, n - 2 * (n // 3))])
         w[n // 3:2 * (n // 3)] *= 1e-3
     problem = TiltingProblem(y, w, 0.0)
-    # What one side evaluates when its iteration runs to the step cap.
-    capped = identification._CENTRE_STEPS + 2 * identification._NEIGHBOURS + 1
+    # One side evaluates at most its breakpoint's window of split points.
+    capped = 2 * identification._NEIGHBOURS + 1
     for delta in (50.0, 500.0, 1000.0, math.inf):
         e_delta = math.exp(min(delta, identification._MAX_EXP))
         for side in (0, 1):
             _, work = counted(problem._extreme, side, e_delta)
-            assert work["tilt_split_points_evaluated"] < capped, (delta, side)
+            assert work["tilt_split_points_evaluated"] <= capped, (delta, side)
         interval = problem.interval(delta)
         assert (interval.lo, interval.hi) == pytest.approx(
             _full_scan(problem, delta), rel=0, abs=1e-12 * np.abs(y).max())
