@@ -5,7 +5,8 @@ Matching follows the 1-nearest-neighbor-with-replacement convention on the
 logit of the given propensity scores unless told otherwise; ties break to the
 lowest control unit id so every estimator is deterministic. Matching never
 holds the n_treated x n_control distance matrix: 1-NN on one coordinate
-searches the controls' sorted distinct values, 1-NN on several coordinates
+searches the controls' distinct values, sorted without stability and each
+kept with the lowest index that holds it, 1-NN on several coordinates
 (Mahalanobis) searches outward from each treated row's place among the
 controls sorted on the first coordinate and stops where that coordinate's
 gap alone exceeds the best distance, and the greedy path computes one
@@ -99,12 +100,19 @@ def _distances(zt: np.ndarray, zc: np.ndarray) -> np.ndarray:
 
 def _sorted_distinct(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct values of a 1-D array in increasing order, each with the
-    lowest index that holds it."""
-    order = np.argsort(z, kind="stable")
+    lowest index that holds it.
+
+    The sort need not be stable (a stable one costs several times more): a
+    run of equal values may come out in any index order, so each value's
+    owner is the least index in its run, and the value returned is the one
+    stored there, the same float a stable sort would give, sign of zero
+    included."""
+    order = np.argsort(z)
     ordered = z[order]
     first = np.ones(len(z), dtype=bool)
     first[1:] = ordered[1:] != ordered[:-1]
-    return ordered[first], order[first]
+    owner = np.minimum.reduceat(order, np.flatnonzero(first))
+    return z[owner], owner
 
 
 def _nearest_on_line(zt: np.ndarray, zc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -124,7 +132,7 @@ def _nearest_on_line(zt: np.ndarray, zc: np.ndarray) -> tuple[np.ndarray, np.nda
     pos = np.searchsorted(values, zt)
 
     def at(i):
-        i = np.clip(i, 0, last)
+        i = np.minimum(np.maximum(i, 0), last)
         return owner[i], np.sqrt((zt - values[i]) ** 2)
 
     below, d_below = at(pos - 1)
@@ -155,6 +163,10 @@ def _nearest_pruned(zt: np.ndarray, zc: np.ndarray) -> tuple[np.ndarray, np.ndar
     Distances use the arithmetic of `_distances`, so the result is the
     `argmin` of the full distance row.
     """
+    # Stable, unlike `_sorted_distinct`'s sort. The match would not change,
+    # but which of several controls tied on the first coordinate fall
+    # inside a window decides how soon a small best distance is found, so
+    # the count of distances computed would depend on the sort's order.
     order = np.argsort(zc[:, 0], kind="stable")
     keys, zs = zc[order, 0], zc[order]
     last = len(keys) - 1
@@ -209,14 +221,15 @@ def att_match(data: Dataset, scores, spec: MatchSpec) -> AttEstimate:
     data.require_both_arms("att_match")
     COUNTS["matches"] += 1
     coords = _match_coordinates(data, scores, spec.metric)
-    t_mask = data.treated
-    zt, zc = coords[t_mask], coords[~t_mask]
-    yt, yc = data.outcome[t_mask], data.outcome[~t_mask]
-    ids_t, ids_c = data.unit_ids[t_mask], data.unit_ids[~t_mask]
+    t_rows = np.flatnonzero(data.treated)
+    c_rows = np.flatnonzero(~data.treated)
     # Controls sorted by unit id: the lowest index among equally near
     # controls is then the lowest id, which implements the tie-break.
-    c_order = np.argsort(ids_c, kind="stable")
-    zc, yc = zc[c_order], yc[c_order]
+    c_rows = c_rows[np.argsort(data.unit_ids[c_rows], kind="stable")]
+    # Row indices, not masks: `take` on them is the cheapest gather.
+    zt, zc = coords.take(t_rows, axis=0), coords.take(c_rows, axis=0)
+    yt, yc = data.outcome[t_rows], data.outcome[c_rows]
+    ids_t = data.unit_ids[t_rows]
     n_t, n_c = len(yt), len(yc)
     k = spec.n_neighbors
     caliper = spec.caliper if spec.caliper is not None else np.inf

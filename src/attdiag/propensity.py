@@ -102,7 +102,8 @@ class TrimRule:
 def _sigmoid(eta: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-clip(eta, -30, 30))), computed in place: `eta` is
     overwritten and returned."""
-    np.clip(eta, -30.0, 30.0, out=eta)
+    np.maximum(eta, -30.0, out=eta)
+    np.minimum(eta, 30.0, out=eta)
     np.negative(eta, out=eta)
     np.exp(eta, out=eta)
     eta += 1.0
@@ -134,7 +135,8 @@ def fit_logistic(data: Dataset, covariates, ridge: float = 1e-8,
 
     Raises:
         ValidationError: a fit option below 0 or NaN (`_check_fit_options`).
-        ConvergenceError: apparent perfect separation with ridge=0.
+        ConvergenceError: apparent perfect separation, or collinear
+            covariates, with ridge=0.
         NumericalError: rank-deficient normal equations.
     """
     covariates = tuple(covariates)
@@ -160,6 +162,9 @@ def fit_logistic(data: Dataset, covariates, ridge: float = 1e-8,
     design[:, 0] = 1.0
     np.subtract(x_raw, mu, out=design[:, 1:])
     design[:, 1:] /= sd
+    # Each Newton step fills this with the weighted design. It keeps the
+    # design's layout, on which the Hessian product's sums depend.
+    weighted = np.empty_like(design)
 
     beta = np.zeros(p + 1)
     converged = False
@@ -169,22 +174,24 @@ def fit_logistic(data: Dataset, covariates, ridge: float = 1e-8,
         prob = _sigmoid(design @ beta)
         grad = design.T @ (y - prob)
         grad[1:] -= ridge * beta[1:]
-        grad_norm = float(np.max(np.abs(grad)))
+        grad_norm = float(np.abs(grad).max())
         if grad_norm <= tol:
             converged = True
             break
         if step_count == max_iter:
             break
         weight = prob * (1.0 - prob)
-        hessian = design.T @ (design * weight[:, None])
-        hessian[1:, 1:] += ridge * np.eye(p)
+        hessian = design.T @ np.multiply(design, weight[:, None], out=weighted)
+        # The slopes' diagonal: entries (i, i) for i >= 1 of the new
+        # row-major matrix.
+        hessian.ravel()[p + 2::p + 2] += ridge
         try:
             delta = np.linalg.solve(hessian, grad)
         except np.linalg.LinAlgError:
             if ridge == 0:
                 raise ConvergenceError(
-                    "singular Newton system at ridge=0 (likely perfect "
-                    "separation); refit with ridge > 0"
+                    "singular Newton system at ridge=0 (perfect separation "
+                    "or collinear covariates); refit with ridge > 0"
                 ) from None
             raise NumericalError("normal equations are rank-deficient") from None
         beta += delta
@@ -223,7 +230,9 @@ def score_dataset(model: PropensityModel, data: Dataset) -> np.ndarray:
     x = data.covariate_matrix(model.covariate_columns)
     eta = x @ model.coefficients[1:]
     eta += model.coefficients[0]
-    return np.clip(_sigmoid(eta), SCORE_CLAMP, 1.0 - SCORE_CLAMP, out=eta)
+    scores = _sigmoid(eta)
+    np.maximum(scores, SCORE_CLAMP, out=scores)
+    return np.minimum(scores, 1.0 - SCORE_CLAMP, out=scores)
 
 
 def count_clamped(scores: np.ndarray) -> int:
@@ -236,7 +245,8 @@ def _check_scores(scores, n_units: int | None = None) -> np.ndarray:
     strictly inside (0, 1) as `score_dataset` clamps them (NaN fails)."""
     shape = np.shape(scores)  # () for None
     if len(shape) != 1 or n_units not in (None, shape[0]):
-        raise ValidationError(f"need {n_units or 'a vector of'} scores, got "
+        wanted = "a vector of" if n_units is None else n_units
+        raise ValidationError(f"need {wanted} scores, got "
                               f"{type(scores).__name__} of shape {shape}")
     scores = np.asarray(scores, dtype=float)
     inside = (scores > 0.0) & (scores < 1.0)

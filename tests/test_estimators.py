@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from attdiag.estimators import (
 )
 from attdiag.ingest import Dataset
 from attdiag.propensity import PropensityModel, fit_logistic, score_dataset
-from conftest import make_dataset, simulated_selection, synthetic_observational
+from conftest import counted, make_dataset, simulated_selection, synthetic_observational
 
 
 def _hand_model(intercept, slopes):
@@ -428,6 +429,50 @@ def test_logit_match_rounding_tie_takes_lowest_id():
     assert len(set(np.sqrt((z[0] - z[1:]) ** 2))) == 1
     assert att_match(data, score_dataset(_LINE_MODEL, data), MatchSpec()).tau_hat == 10.0 - 1.0
     _assert_equals_dense(data, score_dataset(_LINE_MODEL, data), MatchSpec())
+
+
+def _stable_sorted_distinct(z):
+    """`_sorted_distinct` by its definition: a stable sort, then the first
+    of each run of equal values, which holds its lowest index."""
+    order = np.argsort(z, kind="stable")
+    ordered = z[order]
+    first = np.ones(len(z), dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    return ordered[first], order[first]
+
+
+@st.composite
+def _few_valued(draw, min_size=0):
+    """Draws with replacement from at most five values: 0.0, -0.0 and up to
+    three more, so runs of equal values (and of zeros of either sign) are
+    long."""
+    pool = [0.0, -0.0] + draw(st.lists(st.floats(-1e6, 1e6), max_size=3))
+    return np.asarray(draw(st.lists(st.sampled_from(pool), min_size=min_size,
+                                    max_size=40)), dtype=float)
+
+
+@settings(max_examples=300, deadline=None)
+@given(z=_few_valued())
+@example(z=np.empty(0))
+@example(z=np.array([-0.0, 0.0, -0.0]))
+@example(z=np.array([0.0, -0.0, 0.0]))
+def test_sorted_distinct_equals_the_stable_sort(z):
+    values, owner = estimators._sorted_distinct(z)
+    stable_values, stable_owner = _stable_sorted_distinct(z)
+    assert np.array_equal(values.view(np.int64), stable_values.view(np.int64))
+    assert np.array_equal(owner, stable_owner)
+
+
+@settings(max_examples=300, deadline=None)
+@given(zt=_few_valued(), zc=_few_valued(min_size=1))
+def test_nearest_on_line_equals_the_stable_sort(zt, zc):
+    (nearest, d_min), work = counted(estimators._nearest_on_line, zt, zc)
+    with mock.patch.object(estimators, "_sorted_distinct", _stable_sorted_distinct):
+        (stable_nearest, stable_d_min), stable_work = counted(
+            estimators._nearest_on_line, zt, zc)
+    assert np.array_equal(nearest, stable_nearest)
+    assert np.array_equal(d_min.view(np.int64), stable_d_min.view(np.int64))
+    assert work["match_distances"] == stable_work["match_distances"]
 
 
 # Initial search windows. The drawn pools of up to 15 controls fall below,

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from attdiag import estimators
+from attdiag import estimators, propensity
 from attdiag.errors import (
     ConvergenceError,
     NumericalError,
@@ -108,6 +108,18 @@ def test_perfect_separation_raises_and_ridge_rescues():
     assert np.isfinite(model.coefficients).all()
 
 
+def test_collinear_covariates_at_ridge_zero_raise_a_named_error():
+    # Identical columns make every Newton system singular. The solve's
+    # failure must surface as ConvergenceError, with no RuntimeWarning
+    # (which the suite makes an error) on the way.
+    x = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0])
+    d = [False, True, False, False, True, True, False, True]
+    data = make_dataset(d, np.zeros(8), np.column_stack([x, x]))
+    with pytest.raises(ConvergenceError, match="collinear covariates.*ridge"):
+        fit_logistic(data, ["x0", "x1"], ridge=0.0)
+    assert np.isfinite(fit_logistic(data, ["x0", "x1"], ridge=1e-2).coefficients).all()
+
+
 def test_constant_column_is_rank_deficient():
     data = make_dataset([True, False, True, False], np.zeros(4),
                         np.ones((4, 1)))
@@ -181,6 +193,12 @@ def test_score_consumers_reject_missing_or_wrong_length_scores():
     clamped = score_dataset(extreme, data)
     assert count_clamped(clamped) == len(data)
     assert len(trim(data, clamped, TrimRule(0.0, 1.0))) == len(data)
+
+
+def test_check_scores_names_a_count_of_zero():
+    with pytest.raises(ValidationError, match="need 0 scores"):
+        propensity._check_scores(np.array([0.5]), 0)
+    assert propensity._check_scores(np.empty(0), 0).shape == (0,)
 
 
 @pytest.mark.parametrize("option", [
