@@ -72,73 +72,61 @@ def _status_counts(data: Dataset, row: dict) -> dict:
             "without_treated": int(np.sum(support_map.treated_counts == 0))}
 
 
-def _search_grids(data: Dataset, age_widths, edu_widths, keep, exact):
-    """(hits, near) over the candidate grids whose cell count `keep`
-    accepts; a grid is a hit when `exact(counts)` holds."""
-    ages = data.covariates[:, data.covariate_index("age")]
-    edus = data.covariates[:, data.covariate_index("education")]
-    edu_family = candidate_axis_edges(edus, edu_widths) + education_category_families(edus)
-    hits, near = [], []
-    for age_edges in candidate_axis_edges(ages, age_widths):
+def _fine_rank(counts: dict) -> tuple:
+    """(not an exact match, distance of the Both share from the target's)."""
+    share_gap = abs(counts["both"] / counts["cells"] - FINE_TARGET["both"] / FINE_TARGET["cells"])
+    return any(counts[k] != FINE_TARGET[k] for k in FINE_TARGET), share_gap
+
+
+def _coarse_rank(counts: dict) -> tuple:
+    """(not an exact match, cell-total gap, treated-free gap)."""
+    gaps = tuple(abs(counts[k] - COARSE_TARGET[k]) for k in ("cells", "without_treated"))
+    return (any(gaps), *gaps)
+
+
+# Per grid: the bin widths tried, the cell totals searched (as shares of the
+# target's: some age spans admit no 42-cell product with 5-year bins) and the
+# rank of a candidate's counts (lower is better, exact matches first).
+_GRIDS = {
+    "fine": {"age_widths": (3, 4, 5, 6), "edu_widths": (1, 2, 3, 4),
+             "cells": (1.0, 1.0),
+             "rank": _fine_rank, "target": FINE_TARGET},
+    "coarse": {"age_widths": (COARSE_TARGET["age_width"],), "edu_widths": (2, 3, 4, 5, 6),
+               "cells": (0.8, 1.2),
+               "rank": _coarse_rank, "target": COARSE_TARGET},
+}
+
+
+def search_grids(data: Dataset, grid: str) -> list:
+    """Every candidate `grid` ("fine" or "coarse") with its counts, best rank
+    first; the sort is stable, so exact matches keep their search order."""
+    spec = _GRIDS[grid]
+    fewest, most = (share * spec["target"]["cells"] for share in spec["cells"])
+    ages, edus = (data.covariates[:, data.covariate_index(name)] for name in ("age", "education"))
+    edu_family = candidate_axis_edges(edus, spec["edu_widths"]) + education_category_families(edus)
+    rows = []
+    for age_edges in candidate_axis_edges(ages, spec["age_widths"]):
         for edu_edges in edu_family:
-            if not keep((len(age_edges) - 1) * (len(edu_edges) - 1)):
-                continue
-            row = {"age_edges": age_edges, "education_edges": edu_edges}
-            row["counts"] = _status_counts(data, row)
-            (hits if exact(row["counts"]) else near).append(row)
-    return hits, near
-
-
-def search_fine_grid(data: Dataset):
-    """All (age_edges, edu_edges, counts) with 72 cells; exact-count matches first."""
-    return _search_grids(data, (3, 4, 5, 6), (1, 2, 3, 4),
-                         lambda n_cells: n_cells == FINE_TARGET["cells"],
-                         lambda counts: all(counts[k] == FINE_TARGET[k] for k in (
-                             "both", "control_only", "treated_only", "empty")))
-
-
-def search_coarse_grid(data: Dataset):
-    """Five-year age bins by construction; matches need 42 cells, 11 treated-free.
-
-    Some age spans admit no 42-cell product at all with 5-year bins, so the
-    near list accepts cell totals within the surrounding band, ordered by
-    closeness to the target.
-    """
-    target_cells = COARSE_TARGET["cells"]
-    hits, near = _search_grids(
-        data, (COARSE_TARGET["age_width"],), (2, 3, 4, 5, 6),
-        lambda n_cells: 0.8 * target_cells <= n_cells <= 1.2 * target_cells,
-        lambda counts: (counts["cells"] == target_cells
-                        and counts["without_treated"] == COARSE_TARGET["without_treated"]))
-    near.sort(key=lambda row: (abs(row["counts"]["cells"] - target_cells),
-                               abs(row["counts"]["without_treated"]
-                                   - COARSE_TARGET["without_treated"])))
-    return hits, near
+            if fewest <= (len(age_edges) - 1) * (len(edu_edges) - 1) <= most:
+                row = {"age_edges": age_edges, "education_edges": edu_edges}
+                row["counts"] = _status_counts(data, row)
+                rows.append(row)
+    return sorted(rows, key=lambda row: spec["rank"](row["counts"]))
 
 
 def calibrate_dataset(data: Dataset) -> dict:
-    fine_hits, fine_near = search_fine_grid(data)
-    coarse_hits, coarse_near = search_coarse_grid(data)
+    """Per grid: the best candidate or None, whether it matches, how many were ranked."""
+    result = {}
+    for grid, spec in _GRIDS.items():
+        rows = search_grids(data, grid)
+        result[grid] = head = rows[0] if rows else None
+        result[f"{grid}_matched"] = head is not None and not spec["rank"](head["counts"])[0]
+        result[f"{grid}_candidates"] = len(rows)
+    return result
 
-    def _pick(hits, near, key=None):
-        if hits:
-            return hits[0], True
-        if near:
-            return (min(near, key=key) if key else near[0]), False
-        return None, False
 
-    # fine near-misses rank by closeness of the Both share to the target share
-    target_share = FINE_TARGET["both"] / FINE_TARGET["cells"]
-    fine, fine_matched = _pick(
-        fine_hits, fine_near,
-        key=lambda row: abs(row["counts"]["both"] / row["counts"]["cells"] - target_share),
-    )
-    coarse, coarse_matched = _pick(coarse_hits, coarse_near)  # near pre-sorted
-    return {
-        "fine": fine, "fine_matched": fine_matched, "fine_candidates": len(fine_hits) + len(fine_near),
-        "coarse": coarse, "coarse_matched": coarse_matched,
-        "coarse_candidates": len(coarse_hits) + len(coarse_near),
-    }
+def _solved(attempt: dict) -> bool:
+    return all(attempt.get(f"{grid}_matched") for grid in _GRIDS)
 
 
 def run_calibration(cache_dir, out_path, offline: bool = True) -> dict:
@@ -163,41 +151,33 @@ def run_calibration(cache_dir, out_path, offline: bool = True) -> dict:
         result = calibrate_dataset(merge(treated, control))
         result["combo"] = combo
         attempts.append(result)
-        if result["fine_matched"] and result["coarse_matched"]:
+        if _solved(result):
             break
 
-    solved = [a for a in attempts if a.get("fine_matched") and a.get("coarse_matched")]
-    best = solved[0] if solved else next(
-        (a for a in attempts if a.get("fine") or a.get("coarse")), None
-    )
+    # the first solved attempt, else the first with any candidate grid
+    best = min((a for a in attempts if any(a.get(grid) for grid in _GRIDS)),
+               key=lambda a: not _solved(a), default=None)
     if best is None:
-        raise AttDiagError(
-            "calibration found no usable dataset; attempts: "
-            + json.dumps(attempts, default=str)
-        )
+        raise AttDiagError("calibration found no usable dataset; attempts: "
+                           + json.dumps(attempts, default=str))
 
     provisional = load_grid_config()
 
-    def _section(row, matched, target, fallback):
-        # no candidate grid at all (nor a match): keep the packaged provisional edges
-        edges, counts = (fallback, None) if row is None else (row, row["counts"])
+    def _section(grid):
+        row = best[grid]  # None: no candidate grid, keep the packaged provisional edges
+        edges, counts = (provisional[grid], None) if row is None else (row, row["counts"])
         return {"age_edges": list(edges["age_edges"]),
                 "education_edges": list(edges["education_edges"]),
-                "counts": counts, "matched": matched, "target": target}
+                "counts": counts, "matched": best[f"{grid}_matched"],
+                "target": _GRIDS[grid]["target"]}
 
     config = {
         "calibrated": True,
-        "dataset": {
-            "treated_source": best["combo"][0],
-            "control_source": best["combo"][1],
-        },
-        "fine": _section(best["fine"], best["fine_matched"], FINE_TARGET,
-                         provisional["fine"]),
-        "coarse": _section(best["coarse"], best["coarse_matched"], COARSE_TARGET,
-                           provisional["coarse"]),
+        "dataset": dict(zip(("treated_source", "control_source"), best["combo"])),
+        **{grid: _section(grid) for grid in _GRIDS},
         "attempts": [
             {"combo": list(a["combo"]), "error": a.get("error"),
-             "fine_matched": a.get("fine_matched"), "coarse_matched": a.get("coarse_matched")}
+             **{f"{grid}_matched": a.get(f"{grid}_matched") for grid in _GRIDS}}
             for a in attempts
         ],
     }

@@ -45,7 +45,9 @@ import numpy as np
 
 from . import __version__
 from .decision import bias_robustness, bias_robustness_curve, fragility_index, minimax_rule
-from .errors import AttDiagError, ConfigError, DependencyError, FetchError, WorkerError
+from .errors import (
+    AttDiagError, ConfigError, DependencyError, FetchError, WitnessError, WorkerError,
+)
 from .estimators import (
     LOGIT_SCORE,
     MAHALANOBIS,
@@ -78,7 +80,7 @@ from .propensity import (
     trim,
 )
 from .resample import bootstrap_att, decile_att
-from .simulation import SimConfig, _check_witness_threshold, nonid_witness, run_sweep
+from .simulation import SimConfig, _check_witness_threshold, nonid_witness, run_sweep, witness_law
 from .strata import (bins_from_config, build_support_map, load_grid_config,
                      restrict_to_overlap, support_share)
 from .work import COUNTS, CPU_SECONDS, Forked, available_cpus, lap_clock
@@ -277,14 +279,19 @@ class RunConfig:
         build("propensity", _check_fit_options, **fit_options)
         sim = values["simulation"]
         bins, calibrated = _load_grids(values["grids"]["config"])
-        return cls(raw=raw, values=values, seed=int(seed), out_dir=Path(out_dir),
-                   match_spec=build("match", MatchSpec, **values["match"]),
-                   trim_rule=build("trim", TrimRule, **values["trim"]),
-                   sim_config=build("simulation", SimConfig, seed=int(seed), n=sim["n"],
-                                    type_proportions=sim["proportions"],
-                                    treat_prob=sim["treat_prob"], delta_grid=sim["deltas"],
-                                    epsilon=sim["epsilon"]),
-                   fit_options=fit_options, bins=bins, calibrated=calibrated)
+        config = cls(raw=raw, values=values, seed=int(seed), out_dir=Path(out_dir),
+                     match_spec=build("match", MatchSpec, **values["match"]),
+                     trim_rule=build("trim", TrimRule, **values["trim"]),
+                     sim_config=build("simulation", SimConfig, seed=int(seed), n=sim["n"],
+                                      type_proportions=sim["proportions"],
+                                      treat_prob=sim["treat_prob"], delta_grid=sim["deltas"],
+                                      epsilon=sim["epsilon"]),
+                     fit_options=fit_options, bins=bins, calibrated=calibrated)
+        try:  # the witness's observed law must exist before any stage runs
+            witness_law(config.sim_config.type_proportions, sim["witness_threshold"])
+        except WitnessError as exc:
+            raise ConfigError(f"[simulation] witness_threshold: {exc}") from None
+        return config
 
     def get(self, section: str, key: str):
         return self.values[section][key]

@@ -87,8 +87,10 @@ def bias_robustness(tau_hat: float, se: float, grid_step: float = 0.5) -> float:
     """Smallest grid multiple of grid_step such that zero enters
     [tau_hat - delta*se, tau_hat + delta*se].
 
-    Equals ceil((|tau_hat|/se) / grid_step) * grid_step, with a one-ulp
-    guard so the returned delta always satisfies delta*se >= |tau_hat|.
+    Equals ceil((|tau_hat|/se) / grid_step) * grid_step, stepped up where
+    rounding falls short, so the returned delta always satisfies
+    delta*se >= |tau_hat|. Returns math.inf when |tau_hat|/se/grid_step
+    overflows a float: no grid index a float can hold reaches the ratio.
     """
     if not 0 < se < math.inf:  # a NaN fails; 0 * inf would be NaN below
         raise ValidationError(f"se must be finite and > 0, got {se}")
@@ -99,10 +101,15 @@ def bias_robustness(tau_hat: float, se: float, grid_step: float = 0.5) -> float:
     if tau_hat == 0.0:
         return 0.0
     ratio = abs(tau_hat) / se
-    steps = max(0, math.ceil(ratio / grid_step - 1e-12))
+    steps = ratio / grid_step - 1e-12
+    if steps == math.inf:
+        return math.inf
+    steps = max(0, math.ceil(steps))
     delta = steps * grid_step
-    if delta * se < abs(tau_hat):  # ratio underflow or grid-point rounding
-        delta = (steps + 1) * grid_step
+    while delta * se < abs(tau_hat):  # ratio underflow or grid-point rounding
+        # past 2**53 steps the next index rounds to this delta: move one ulp
+        steps += 1
+        delta = max(steps * grid_step, math.nextafter(delta, math.inf))
     return delta
 
 

@@ -355,7 +355,8 @@ def fetch_dataset(source_key: str, cache_dir, *, offline: bool = False,
     the record of a file removed from the cache); later reads verify
     against that digest and raise IntegrityError on mismatch, as does a
     damaged manifest. Concurrent fetches of one key serialize via an
-    advisory lock.
+    advisory lock. A cache that cannot be made, locked, read or written
+    raises FetchError naming it.
     `opener` exists for tests and offline transports; the default uses
     urllib over HTTPS.
     """
@@ -364,50 +365,52 @@ def fetch_dataset(source_key: str, cache_dir, *, offline: bool = False,
             f"unknown source {source_key!r}; expected one of {sorted(SOURCE_URLS)}"
         )
     cache_dir = Path(cache_dir)
-    cache_dir.mkdir(parents=True, exist_ok=True)
     url = SOURCE_URLS[source_key]
     target = cache_dir / f"{source_key}.txt"
     manifest_path = cache_dir / "manifest.json"
     lock_path = cache_dir / ".lock"
+    try:
+        cache_dir.mkdir(parents=True, exist_ok=True)
+        with open(lock_path, "w") as lock:
+            fcntl.flock(lock, fcntl.LOCK_EX)
+            try:
+                manifest = _read_manifest(manifest_path) if manifest_path.exists() else {}
 
-    with open(lock_path, "w") as lock:
-        fcntl.flock(lock, fcntl.LOCK_EX)
-        try:
-            manifest = _read_manifest(manifest_path) if manifest_path.exists() else {}
-
-            if target.exists():
-                blob = target.read_bytes()
-                recorded = manifest.get(source_key)
-            else:
-                if offline:
-                    raise FetchError(
-                        f"{source_key} not cached in {cache_dir} and offline mode is on"
+                if target.exists():
+                    blob = target.read_bytes()
+                    recorded = manifest.get(source_key)
+                else:
+                    if offline:
+                        raise FetchError(
+                            f"{source_key} not cached in {cache_dir} and offline mode is on"
+                        )
+                    get = opener or _default_opener
+                    try:
+                        blob = get(url, timeout)
+                    except (urllib.error.URLError, OSError, TimeoutError) as exc:
+                        raise FetchError(f"could not fetch {url}: {exc}") from exc
+                    tmp = target.with_suffix(".tmp")
+                    tmp.write_bytes(blob)
+                    os.replace(tmp, target)
+                    recorded = None  # a download replaces any earlier record
+                digest = _sha256(blob)
+                if recorded is None:
+                    # First observation wins, of a download or a pre-seeded file.
+                    manifest[source_key] = {
+                        "sha256": digest,
+                        "url": url,
+                        "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+                    }
+                    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+                elif recorded["sha256"] != digest:
+                    raise IntegrityError(
+                        f"{target} digest {digest} != recorded {recorded['sha256']}"
                     )
-                get = opener or _default_opener
-                try:
-                    blob = get(url, timeout)
-                except (urllib.error.URLError, OSError, TimeoutError) as exc:
-                    raise FetchError(f"could not fetch {url}: {exc}") from exc
-                tmp = target.with_suffix(".tmp")
-                tmp.write_bytes(blob)
-                os.replace(tmp, target)
-                recorded = None  # a download replaces any earlier record
-            digest = _sha256(blob)
-            if recorded is None:
-                # First observation wins, of a download or a pre-seeded file.
-                manifest[source_key] = {
-                    "sha256": digest,
-                    "url": url,
-                    "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-                }
-                manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
-            elif recorded["sha256"] != digest:
-                raise IntegrityError(
-                    f"{target} digest {digest} != recorded {recorded['sha256']}"
-                )
-            return blob.decode("utf-8")
-        finally:
-            fcntl.flock(lock, fcntl.LOCK_UN)
+                return blob.decode("utf-8")
+            finally:
+                fcntl.flock(lock, fcntl.LOCK_UN)
+    except OSError as exc:  # a file in the cache directory's place, no permission
+        raise FetchError(f"cache {cache_dir} unusable ({exc})") from exc
 
 
 def load_source(source_key: str, cache_dir, *, offline: bool = False) -> Dataset:

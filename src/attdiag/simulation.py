@@ -165,6 +165,31 @@ def total_variation(table_a: dict, table_b: dict) -> float:
     return 0.5 * sum(abs(table_a.get(c, 0.0) - table_b.get(c, 0.0)) for c in cells)
 
 
+def witness_law(type_proportions, threshold_c: float) -> tuple[float, float, float, float]:
+    """The threshold DGP's analytic observed law over (d, y): its selection
+    rate, P(y = 1) among the treated and among the controls, and the
+    ignorable DGP's true ATT. WitnessError when the threshold selects
+    nobody, so that the observed law is undefined."""
+    pa, pb, pc, _ = type_proportions
+    p_y0 = pb + pc  # P(y0 = 1)
+    if threshold_c >= 1.0:
+        raise WitnessError(
+            "threshold selects nobody (all y0 <= c); observed law undefined: "
+            f"c={threshold_c}, P(y0=1)={p_y0}"
+        )
+    if threshold_c < 0.0:
+        # Vacuous threshold: everyone selected; observed law = population law
+        # and the two DGPs coincide, so their ATTs are the same number.
+        return 1.0, pa + pc, p_y0, pa - pb
+    # Selected iff y0 = 1 (types B and C).
+    if p_y0 <= 0.0:
+        raise WitnessError("threshold selects nobody (P(y0=1)=0 at type proportions "
+                           f"{tuple(type_proportions)}); observed law undefined")
+    p_y1_obs = pc / p_y0  # treated show y1; y1=1 among {B,C} only for C
+    p_y0_obs = 1.0        # controls show y0, which is 1 by selection
+    return p_y0, p_y1_obs, p_y0_obs, p_y1_obs - p_y0_obs
+
+
 def nonid_witness(config: SimConfig, threshold_c: float = 0.5) -> WitnessResult:
     """Construct two DGPs that induce the same observed (d, y) law but
     different true ATTs, drawing `config.n` units per DGP with the config's
@@ -179,33 +204,10 @@ def nonid_witness(config: SimConfig, threshold_c: float = 0.5) -> WitnessResult:
     tables are returned as the digests.
     """
     _check_witness_threshold(threshold_c)
-    pa, pb, pc, pd = config.type_proportions
-    p_y1 = pa + pc  # P(y1 = 1)
-    p_y0 = pb + pc  # P(y0 = 1)
+    pa, pb, _, _ = config.type_proportions
     att_threshold = pa - pb  # randomized treatment: ATT = ATE
-
-    # Analytic observed law of the threshold DGP over (d, y).
-    if threshold_c >= 1.0:
-        raise WitnessError(
-            "threshold selects nobody (all y0 <= c); observed law undefined: "
-            f"c={threshold_c}, P(y0=1)={p_y0}"
-        )
-    if threshold_c < 0.0:
-        # Vacuous threshold: everyone selected; observed law = population law
-        # and the two DGPs coincide, so their ATTs are the same number.
-        selection_rate = 1.0
-        p_y1_obs, p_y0_obs = p_y1, p_y0
-        att_ignorable = att_threshold
-    else:
-        # Selected iff y0 = 1 (types B and C).
-        selection_rate = p_y0
-        if selection_rate <= 0.0:
-            raise WitnessError(
-                "threshold selects nobody (P(y0=1)=0); observed law undefined"
-            )
-        p_y1_obs = pc / p_y0  # treated show y1; y1=1 among {B,C} only for C
-        p_y0_obs = 1.0        # controls show y0, which is 1 by selection
-        att_ignorable = p_y1_obs - p_y0_obs
+    selection_rate, p_y1_obs, p_y0_obs, att_ignorable = witness_law(
+        config.type_proportions, threshold_c)
 
     # Monte Carlo draw of the threshold DGP, types then treatment from one stream.
     rng = _stage_rng(config.seed, _STAGE_WITNESS, 0)

@@ -16,7 +16,7 @@ _ML, _MR, _MT, _MB = 64, 16, 36, 48
 
 
 def _nice_ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if not math.isfinite(lo) or not math.isfinite(hi):
+    if not math.isfinite(hi - lo):  # a non-finite end, or a span that overflows
         return [0.0]
     if hi <= lo:
         hi = lo + 1.0
@@ -35,6 +35,13 @@ def _nice_ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     return ticks or [lo]
 
 
+def _share(v: float, lo: float, hi: float) -> float:
+    """Where v sits between lo and hi; a span that overflows is halved first."""
+    if math.isinf(hi - lo):
+        v, lo, hi = 0.5 * v, 0.5 * lo, 0.5 * hi
+    return (v - lo) / (hi - lo)
+
+
 def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
@@ -50,12 +57,10 @@ class _Canvas:
         self.y_lo, self.y_hi = y_lo, y_hi
 
     def px(self, x: float) -> float:
-        frac = (x - self.x_lo) / (self.x_hi - self.x_lo)
-        return _ML + frac * (_W - _ML - _MR)
+        return _ML + _share(x, self.x_lo, self.x_hi) * (_W - _ML - _MR)
 
     def py(self, y: float) -> float:
-        frac = (y - self.y_lo) / (self.y_hi - self.y_lo)
-        return (_H - _MB) - frac * (_H - _MT - _MB)
+        return (_H - _MB) - _share(y, self.y_lo, self.y_hi) * (_H - _MT - _MB)
 
 
 def _frame(canvas: _Canvas, title: str, xlabel: str, ylabel: str) -> list[str]:

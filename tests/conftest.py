@@ -180,6 +180,10 @@ def lalonde_cache():
         candidates.append(Path(os.environ["ATTDIAG_CACHE"]))
     candidates.append(Path(__file__).resolve().parent.parent / "data" / "lalonde")
     for cache in candidates:
+        # Probe for the files first: loading makes the cache directory and
+        # its lock file, which a checkout without the data must not get.
+        if not all((cache / f"{key}.txt").is_file() for key in ("nsw_treated", "psid_controls")):
+            continue
         try:
             load_source("nsw_treated", cache, offline=True)
             load_source("psid_controls", cache, offline=True)

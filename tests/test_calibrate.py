@@ -1,8 +1,10 @@
 import json
+from collections import Counter
 
 import numpy as np
+import pytest
 
-from attdiag import ingest
+from attdiag import calibrate, ingest
 from attdiag.calibrate import (
     bins_from_config,
     calibrate_dataset,
@@ -10,7 +12,7 @@ from attdiag.calibrate import (
     education_category_families,
     load_grid_config,
     run_calibration,
-    search_fine_grid,
+    search_grids,
 )
 from attdiag.strata import build_support_map
 from conftest import dataset_to_text, synthetic_observational
@@ -43,16 +45,45 @@ def test_education_families_are_valid_edge_vectors():
 
 def test_search_filters_to_target_cell_count():
     data = synthetic_observational(seed=83, n_treated=80, n_control=400)
-    hits, near = search_fine_grid(data)
-    for row in hits + near:
+    rows = search_grids(data, "fine")
+    for row in rows:
         n_cells = (len(row["age_edges"]) - 1) * (len(row["education_edges"]) - 1)
         assert n_cells == 72
         assert row["counts"]["cells"] == 72
     # counts agree with an independent rebuild
-    if hits + near:
-        row = (hits + near)[0]
+    if rows:
+        row = rows[0]
         support_map = build_support_map(data, bins_from_config(row))
         assert support_map.n_cells == 72
+
+
+@pytest.mark.parametrize("grid, target, keys", [
+    ("fine", calibrate.FINE_TARGET, ("both", "control_only", "treated_only", "empty")),
+    ("coarse", calibrate.COARSE_TARGET, ("cells", "without_treated")),
+])
+def test_an_exact_match_is_the_first_exact_grid_in_search_order(grid, target, keys,
+                                                                 monkeypatch):
+    data = synthetic_observational(seed=2, n_treated=90, n_control=500)
+    rows = search_grids(data, grid)
+    assert not calibrate_dataset(data)[f"{grid}_matched"]
+    # Patch the targets to the counts the most candidates share.
+    counts, n_exact = Counter(tuple(r["counts"][k] for k in keys) for r in rows).most_common(1)[0]
+    assert n_exact >= 2
+    for key, value in zip(keys, counts):
+        monkeypatch.setitem(target, key, value)
+    rows = search_grids(data, grid)  # a patched coarse cell total moves the band searched
+    # The search's own order: age edges outermost, then education edges.
+    spec = calibrate._GRIDS[grid]
+    ages, edus = (data.covariates[:, data.covariate_index(n)] for n in ("age", "education"))
+    age_order = candidate_axis_edges(ages, spec["age_widths"])
+    edu_order = candidate_axis_edges(edus, spec["edu_widths"]) + education_category_families(edus)
+    in_search_order = sorted(rows, key=lambda r: (age_order.index(r["age_edges"]),
+                                                  edu_order.index(r["education_edges"])))
+    exact = [r for r in in_search_order if tuple(r["counts"][k] for k in keys) == counts]
+    result = calibrate_dataset(data)
+    assert result[f"{grid}_matched"] is True
+    assert result[grid] == exact[0]
+    assert result[f"{grid}_candidates"] == len(rows)
 
 
 def test_calibrate_dataset_reports_match_flags():

@@ -15,7 +15,9 @@ import pytest
 
 from attdiag import cli_report, decision, identification, resample, simulation
 from attdiag.cli_report import RunConfig, main
-from attdiag.errors import AttDiagError, ConfigError, DependencyError, WitnessError, WorkerError
+from attdiag.errors import (
+    AttDiagError, ConfigError, DependencyError, ValidationError, WorkerError,
+)
 from attdiag.estimators import MatchSpec
 from attdiag.ingest import SOURCE_URLS
 from attdiag.propensity import PropensityModel, TrimRule, fit_logistic, score_dataset
@@ -163,6 +165,19 @@ def test_a_damaged_cache_manifest_fails_fetch_by_name(tmp_path, capsys):
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "IntegrityError"
     assert f"{cache / 'manifest.json'} damaged" in record["message"]
+
+
+@pytest.mark.parametrize("place", ["a_file", "under_a_file"])
+def test_an_unusable_cache_dir_fails_fetch_by_name(tmp_path, capsys, place):
+    (tmp_path / "taken").write_text("not a directory\n")
+    cache = tmp_path / "taken" if place == "a_file" else tmp_path / "taken" / "cache"
+    config = tmp_path / "remote.ini"
+    config.write_text(f"[data]\nsource = remote\ncache_dir = {cache}\n")
+    assert main(["fetch", "--config", str(config), "--seed", "5",
+                 "--out", str(tmp_path / "out"), "--offline"]) == 1
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "FetchError"
+    assert f"cache {cache} unusable" in record["message"]
 
 
 def test_missing_config_file_errors(tmp_path):
@@ -828,6 +843,33 @@ def test_bad_config_value_fails_before_any_stage(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("setting, named", [
+    ("witness_threshold = 1.0", "(all y0 <= c)"),
+    # P(y0=1) = 0 under the default threshold of 0.5
+    ("proportions = 0.5 0.0 0.0 0.5", "(P(y0=1)=0 at type proportions (0.5, 0.0, 0.0, 0.5))"),
+])
+def test_a_witness_that_selects_nobody_is_a_config_error(tmp_path, capsys, setting, named):
+    config = write_synthetic_config(tmp_path)
+    config.write_text(config.read_text().replace("n = 20000", setting))
+    out = tmp_path / "out"
+    assert main(["reproduce", "--config", str(config), "--seed", "5", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    record = json.loads(captured.err.strip())
+    assert record["error"] == "ConfigError"
+    assert record["message"].startswith("[simulation] witness_threshold: threshold selects nobody")
+    assert named in record["message"], record["message"]
+    assert not out.exists()
+
+
+def test_simulate_charts_identified_sets_that_span_the_float_range(tmp_path, capsys):
+    config = write_synthetic_config(tmp_path, sim_n=5000)
+    config.write_text(config.read_text().replace("n = 5000", "n = 5000\nepsilon = 1e308"))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config), "--seed", "5", "--out", str(out)]) == 0
+    assert (out / "sim_sweep.svg").read_text().endswith("</svg>")
+
+
 def test_unreadable_grid_config_is_a_config_error(tmp_path, capsys):
     config = write_synthetic_config(tmp_path)
     grid_file = tmp_path / "grids.json"
@@ -928,12 +970,12 @@ def _two_cpus(monkeypatch) -> None:
 @pytest.mark.parametrize("case", ["succeeds", "fails_at_fetch", "fails_at_simulate",
                                   "worker_dies"])
 def test_reproduce_leaves_no_worker_behind(tmp_path, monkeypatch, case):
-    config = write_synthetic_config(tmp_path, b=4, sim_n=5000)
+    # One simulated unit leaves an arm of the selection sweep empty.
+    config = write_synthetic_config(tmp_path, b=4,
+                                    sim_n=1 if case == "fails_at_simulate" else 5000)
     text = config.read_text()
     if case == "fails_at_fetch":
         text = text.replace(f"control_file = {tmp_path / 'control.txt'}\n", "")
-    elif case == "fails_at_simulate":
-        text += "witness_threshold = 1.5\n"  # the last section is [simulation]
     config.write_text(text)
     parent = os.getpid()
 
@@ -950,7 +992,7 @@ def test_reproduce_leaves_no_worker_behind(tmp_path, monkeypatch, case):
     cfg = RunConfig.from_file(config, seed=5, out_dir=tmp_path / "out")
     cfg.out_dir.mkdir()
     failures = {"fails_at_fetch": ("fetch", DependencyError, "control_file missing"),
-                "fails_at_simulate": ("simulate", WitnessError, "selects nobody"),
+                "fails_at_simulate": ("simulate", ValidationError, "at least one treated"),
                 "worker_dies": ("simulate", WorkerError, "worker process died")}
     if case == "succeeds":
         with deadline(60):

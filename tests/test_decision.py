@@ -168,17 +168,38 @@ def test_bias_robustness_rejects_bad_inputs():
         bias_robustness(math.nan, 1.0)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=500, deadline=None)
 @given(
-    tau=st.floats(-1e6, 1e6),
-    se=st.floats(1e-3, 1e5),
-    step=st.sampled_from([0.01, 0.1, 0.25, 0.5, 1.0]),
+    tau=st.floats(allow_nan=False, allow_infinity=False),
+    se=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),  # subnormals too
+    step=st.one_of(
+        st.sampled_from([5e-324, 1e-300, 0.01, 0.1, 0.25, 0.5, 1.0]),
+        st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    ),
 )
 def test_bias_robustness_always_covers(tau, se, step):
     delta = bias_robustness(tau, se, step)
+    if delta == math.inf:
+        # Only when the grid index, or the delta itself, overflows a float.
+        assert abs(tau) / se / step == math.inf or abs(tau) / se > sys.float_info.max / 2
+        return
     assert delta * se >= abs(tau)
-    # grid membership
-    assert delta / step == pytest.approx(round(delta / step), rel=1e-12, abs=1e-9)
+    # grid membership; an index at the float maximum may round up to inf
+    index = delta / step
+    assert index == math.inf or index == pytest.approx(round(index), rel=1e-12, abs=1e-9)
+
+
+@pytest.mark.parametrize("tau, se", [(1.0, 5e-324), (1e300, 1e-300), (1e308, 1e-10),
+                                     (-1e308, 1e-10)])
+def test_bias_robustness_is_infinite_when_the_ratio_overflows(tau, se):
+    assert bias_robustness(tau, se, 0.5) == math.inf
+
+
+def test_bias_robustness_covers_with_more_steps_than_a_float_counts():
+    # 1e300 steps of 1e-300: the product rounds below 1 and the next index
+    # rounds to the same float, so the cover takes one ulp more.
+    delta = bias_robustness(1.0, 1.0, 1e-300)
+    assert delta >= 1.0 and delta == pytest.approx(1.0, rel=1e-15)
 
 
 def test_bias_robustness_converges_to_ratio_as_step_shrinks():

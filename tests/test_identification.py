@@ -247,6 +247,15 @@ def test_sweep_equals_per_delta_bounds_exactly(controls, deltas, treated_mean):
         assert sweep.deltas == tuple(deltas)
 
 
+def test_a_sweep_whose_intervals_fail_to_nest_raises(monkeypatch):
+    # At delta 1 the interval shrinks to [-1, 1] from [-2, 2] at delta 0.
+    monkeypatch.setattr(TiltingProblem, "_extremes",
+                        lambda self, e_delta: np.array([[2.0, 1.0], [-2.0, -1.0]]))
+    problem = TiltingProblem(np.array([0.0, 1.0]), np.array([1.0, 1.0]), 0.0)
+    with pytest.raises(NumericalError, match="failed to nest"):
+        problem.sweep([0.0, 1.0])
+
+
 def _assert_sweep_is_per_delta(y, w, treated_mean, deltas) -> TiltingProblem:
     """The sweep's intervals are the per-delta intervals up to the outward
     nesting snap, bit for bit, and its ledger counts the per-delta sums;
@@ -885,7 +894,7 @@ def test_a_dropped_problem_leaves_the_registry():
     y, _, _ = control_tilt_inputs(data, model)
     tilting_problem(data, model)
     assert identification._PROBLEMS[id(y)] is tilting_problem(data, model)
-    data.uncache("tilting_problem", "tilt_inputs")
+    data.uncache("tilting_problem")
     gc.collect()
     assert id(y) not in identification._PROBLEMS
     assert len(identification._PROBLEMS) == entries

@@ -247,6 +247,15 @@ def test_witness_degenerate_threshold_errors():
                       threshold_c=0.5)  # P(y0=1)=0
 
 
+@pytest.mark.parametrize("seed, message", [
+    (1, "threshold selected no units in the Monte Carlo draw"),  # the one unit has y0 = 0
+    (0, "ignorable selection kept no units in the Monte Carlo draw"),  # its coin lands tails
+])
+def test_witness_draws_that_keep_no_unit_are_named(seed, message):
+    with pytest.raises(WitnessError, match=message):
+        nonid_witness(SimConfig(seed=seed, n=1))
+
+
 def test_witness_rejects_nan_threshold_before_drawing(monkeypatch):
     def no_draw(*args):
         raise AssertionError("drew units")

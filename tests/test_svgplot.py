@@ -29,3 +29,13 @@ def test_histogram_chart(tmp_path):
     text = path.read_text()
     assert text.count("<polyline") == 2
     assert "treated" in text and "control" in text
+
+
+def test_line_chart_survives_a_range_that_overflows(tmp_path):
+    # 1e308 - (-1e308) is inf: the ticks fall back as for non-finite ends
+    path = tmp_path / "wide.svg"
+    svgplot.line_chart(path, [0.0, 1.0], {"lower": [-1e308, -1e308], "upper": [1e308, 1e308]})
+    text = path.read_text()
+    assert text.endswith("</svg>")
+    assert text.count("<polyline") == 2
+    assert "nan" not in text and "inf" not in text
