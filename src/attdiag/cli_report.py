@@ -432,6 +432,8 @@ def _load_data(cfg: RunConfig):
                 text = fetch_dataset(source, cfg.get("data", "cache_dir"),
                                      offline=cfg.get("data", "offline"))
             except FetchError as exc:
+                if not exc.not_cached:  # an unusable cache: no fetch can help
+                    raise
                 raise DependencyError(
                     f"dataset not cached ({exc}); run the fetch command first"
                 ) from exc

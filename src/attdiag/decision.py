@@ -25,12 +25,14 @@ class PolicyDecision(enum.Enum):
     NO_TREAT = "no_treat"
 
 
+def _treats(interval: Interval) -> bool:
+    """Treat regrets max(0, -lo) less than NoTreat max(0, hi); a tie is NoTreat."""
+    return max(0.0, -interval.lo) < max(0.0, interval.hi)
+
+
 def minimax_rule(interval: Interval) -> PolicyDecision:
-    """The action of least worst-case regret over the interval: Treat
-    regrets max(0, -lo), NoTreat max(0, hi), and a tie goes to NoTreat."""
-    if max(0.0, -interval.lo) < max(0.0, interval.hi):
-        return PolicyDecision.TREAT
-    return PolicyDecision.NO_TREAT
+    """The action of least worst-case regret over the interval (`_treats`)."""
+    return PolicyDecision.TREAT if _treats(interval) else PolicyDecision.NO_TREAT
 
 
 def fragility_index(sweep: CurvatureSweep, interval_at=None) -> float:
@@ -51,18 +53,18 @@ def fragility_index(sweep: CurvatureSweep, interval_at=None) -> float:
     """
     if not sweep.deltas:
         raise ValidationError("sweep is empty")
-    baseline = minimax_rule(sweep.intervals[0])
-    flip_idx = next((i for i, interval in enumerate(sweep.intervals)
-                     if minimax_rule(interval) != baseline), None)
-    if flip_idx is None:
+    treats = list(map(_treats, sweep.intervals))
+    baseline = treats[0]
+    if (not baseline) not in treats:
         return math.inf
+    flip_idx = treats.index(not baseline)
     flip_delta = float(sweep.deltas[flip_idx])
     if interval_at is None:
         return flip_delta
 
     def flips(delta: float) -> bool:
         COUNTS["bisection_evals"] += 1
-        return minimax_rule(interval_at(delta)) != baseline
+        return _treats(interval_at(delta)) != baseline
 
     lo = float(sweep.deltas[flip_idx - 1])
     hi = flip_delta

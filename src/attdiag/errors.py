@@ -17,7 +17,12 @@ class ValidationError(AttDiagError):
 
 
 class FetchError(AttDiagError):
-    """Remote dataset unavailable and not cached."""
+    """Remote dataset unavailable: not cached (then `not_cached` is true:
+    offline mode is on or the download failed), or its cache unusable."""
+
+    def __init__(self, message: str, *, not_cached: bool = False):
+        super().__init__(message)
+        self.not_cached = not_cached
 
 
 class IntegrityError(AttDiagError):

@@ -26,7 +26,8 @@ the problem computes once from the same sums (`TiltingProblem.interval`),
 and the bound is the best ratio next to it, a full scan's to within
 rounding. Delta 0, where every exact ratio is the same, scans every split
 point, once per problem, when it is built; every query at delta 0 reads
-those bounds. A sweep looks up all its deltas and both sides as arrays.
+those bounds. A sweep takes one lookup and one gather for all its deltas, one
+delta Python floats. Sums that could overflow are scaled by a power of two.
 `curvature_bounds` is the one-delta form. Given the very objects
 `control_tilt_inputs` returned for a pair whose `tilting_problem` is
 alive, it evaluates that problem; on any other input it builds one. A
@@ -58,12 +59,20 @@ from .work import COUNTS
 # exp cap: beyond this the tilted extremes equal the support limits to
 # machine precision, and exp would overflow around 709.
 _MAX_EXP = 500.0
-# The split points evaluated on each side of a bound's breakpoint.
+# The split points evaluated on each side of a bound's breakpoint, as offsets.
 _NEIGHBOURS = 2
+_WINDOW = np.arange(-_NEIGHBOURS, _NEIGHBOURS + 1)
 # A suffix sum taken as total - prefix carries about 2^-52 of the total in
 # rounding, more than 2^-32 of a suffix weight below 2^-20 of the total. In
 # that top tail, which large deltas tilt, the suffix rows are summed from the top.
 _TAIL = 2.0 ** -20
+# Side 0 raises mu0 by tilting the suffix [k:] of the sorted outcomes, k = 1..m
+# (k = m is the untilted vertex; k = 0 equals it and is skipped to keep the
+# bounds nested); side 1 lowers it by tilting the prefix [:k], k = 0..m-1. Per
+# side: its first k, and the `_sums` rows of its untilted and tilted w, then w*y.
+_FIRST = np.array([1, 0])[:, None, None]
+_SIDE_ROWS = ((0, 1, 2, 3), (1, 0, 3, 2))
+_ROWS = np.array(_SIDE_ROWS).T[:, :, None, None]
 
 TILTING = "tilting"
 TRIMMING_PROXY = "trimming_proxy"
@@ -222,10 +231,17 @@ class TiltingProblem:
         ys = y[new]
         ws = np.bincount(np.cumsum(new) - 1, weights=w)
         m = ys.size
-        # Row 0 of each buffer holds the prefix sums (prefix[k] = the sum of the
-        # first k sorted entries, prefix[0] = 0), row 1 the suffix sums
-        # (total - prefix[k], the sum from entry k on): a per-delta scan's floats.
-        self._w, self._wy = np.empty((2, m + 1)), np.empty((2, m + 1))
+        # e^delta (below 2^722) times a sum of w*y, and the outcome gaps behind
+        # the breakpoints, stay finite while max|y| * (m + 1) < 2^300. Outcomes
+        # past that are scaled by an exact power of two, and the bounds back.
+        shift = min(0, 300 - math.frexp(max(-ys[0], ys[-1]))[1] - math.frexp(m + 1)[1])
+        ys = np.ldexp(ys, shift) if shift else ys
+        self._scale = math.ldexp(1.0, -shift)
+        # Rows 0 and 1 of `_sums` hold the prefix and suffix sums of w, rows 2 and 3
+        # those of w*y (prefix[k] = the sum of the first k sorted entries, prefix[0]
+        # = 0; suffix[k] = total - prefix[k], the sum from entry k on).
+        self._sums = np.empty((4, m + 1))
+        self._w, self._wy = self._sums[:2], self._sums[2:]
         for sums, terms in ((self._w, ws), (self._wy, ws * ys)):
             sums[0, 0] = 0.0
             np.cumsum(terms, out=sums[0, 1:])
@@ -262,21 +278,6 @@ class TiltingProblem:
         self.treated_mean = treated_mean
         self.distinct_outcomes = m
 
-    def _side(self, side):
-        """(sign that makes its extreme a maximum, first and last split point)
-        of `side`, an int or an array. Side 0 raises mu0 by tilting the
-        suffix [k:], k = 1..m (k=m is the untilted vertex; k=0 equals it and
-        is skipped to keep the bounds nested); side 1 lowers it by tilting
-        the prefix [:k], k = 0..m-1."""
-        return 1 - 2 * side, 1 - side, self.distinct_outcomes - side
-
-    def _ratio(self, side, e_delta, at):
-        """`side`'s ratios at split points `at`, all broadcast: untilted sums
-        from buffer row `side`, tilted ones from row `1 - side`."""
-        w, wy = self._w, self._wy
-        return ((wy[side, at] + e_delta * wy[1 - side, at])
-                / (w[side, at] + e_delta * w[1 - side, at]))
-
     def interval(self, delta: float) -> Interval:
         """ATT bounds under tilt factors in [1, e^delta].
 
@@ -300,47 +301,53 @@ class TiltingProblem:
         e_delta = math.exp(min(delta, _MAX_EXP))
         mu_max, mu_min = (self._at_zero if e_delta == 1.0 else
                           (self._extreme(0, e_delta), self._extreme(1, e_delta)))
-        return Interval(self.treated_mean - mu_max, self.treated_mean - mu_min)
+        return Interval(self.treated_mean - self._scale * mu_max,
+                        self.treated_mean - self._scale * mu_min)
 
     def _extreme(self, side: int, e_delta: float) -> float:
-        """One side's bound at one delta e^delta > 1 (see `interval`)."""
-        sign, first, last = self._side(side)
-        k = int(self._breaks.searchsorted(e_delta if side == 0 else 1.0 / e_delta))
-        at = slice(max(first, k - _NEIGHBOURS), min(last, k + _NEIGHBOURS) + 1)
+        """One side's bound at one delta e^delta > 1 (see `interval`), in Python
+        floats: the IEEE-754 operations of `_extremes`, in order, so its float."""
+        k = int(self._breaks.searchsorted(1.0 / e_delta if side else e_delta))
+        at = slice(max(1 - side, k - _NEIGHBOURS),
+                   min(self.distinct_outcomes - side, k + _NEIGHBOURS) + 1)
         COUNTS["tilt_split_points_evaluated"] += at.stop - at.start
-        return sign * float((sign * self._ratio(side, e_delta, at)).max())
+        sums = self._sums[:, at].tolist()
+        ratios = [(wy + e_delta * tilted_wy) / (w + e_delta * tilted_w)
+                  for w, tilted_w, wy, tilted_wy in zip(*(sums[r] for r in _SIDE_ROWS[side]))]
+        return min(ratios) if side else max(ratios)
 
     def _extremes(self, e_delta: np.ndarray) -> np.ndarray:
-        """`_extreme` of both sides at every delta, as a (2, deltas) array: one
-        lookup of every row's breakpoint, then one gather of its neighbours."""
-        n = e_delta.size
-        rows = np.flatnonzero(np.tile(e_delta, 2) != 1.0)  # (side, delta) as side * n + delta
-        side, e = rows // n, e_delta[rows % n]
-        sign, first, last = self._side(side)
-        k = self._breaks.searchsorted(np.where(side == 0, e, 1.0 / e))
-        at = np.clip(k[:, None] + np.arange(-_NEIGHBOURS, _NEIGHBOURS + 1),
-                     first[:, None], last[:, None])
-        top = (sign[:, None] * self._ratio(side[:, None], e[:, None], at)).max(axis=1)
-        COUNTS["tilt_split_points_evaluated"] += int((at[:, -1] - at[:, 0] + 1).sum())
-        bounds = np.repeat(self._at_zero, n)
-        bounds[rows] = sign * top
-        return bounds.reshape(2, n)
+        """(2, deltas) array of both sides' `_extreme` at non-decreasing e^delta: the
+        1s lead and read the delta-0 bounds, the rest one lookup and one gather."""
+        zero = int(e_delta.searchsorted(1.0, "right"))
+        bounds = np.empty((2, e_delta.size))
+        bounds[0, :zero], bounds[1, :zero] = self._at_zero
+        e = e_delta[zero:, None]
+        at = self._breaks.searchsorted(np.concatenate((e, 1.0 / e))).reshape(2, -1, 1) + _WINDOW
+        np.minimum(np.maximum(at, _FIRST, out=at), _FIRST + (self.distinct_outcomes - 1), out=at)
+        w, tilted_w, wy, tilted_wy = self._sums[_ROWS, at]
+        ratios = (wy + e * tilted_wy) / (w + e * tilted_w)
+        bounds[0, zero:], bounds[1, zero:] = ratios[0].max(axis=1), ratios[1].min(axis=1)
+        COUNTS["tilt_split_points_evaluated"] += int((at[..., -1] - at[..., 0] + 1).sum())
+        return bounds
 
     def sweep(self, deltas) -> CurvatureSweep:
         """Identified sets along an ascending delta grid, `interval`'s at
         each delta. Nesting across the grid is asserted, not assumed."""
         deltas = _validate_delta_grid(deltas)
         e_delta = np.array([math.exp(min(d, _MAX_EXP)) for d in deltas])
-        lo, hi = self.treated_mean - self._extremes(e_delta)
+        lo, hi = self.treated_mean - self._scale * self._extremes(e_delta)
         if not np.all(lo <= hi):
             raise ValidationError("tilting interval endpoints out of order")
         # The true sets are nested; float evaluation can under-cover by a few
         # ulp on near-flat candidates, which the outward snap to the running
         # extremes absorbs. Any larger violation is a bug and must surface.
         outer_lo, outer_hi = np.minimum.accumulate(lo), np.maximum.accumulate(hi)
-        scale = np.abs([outer_lo[:-1], outer_hi[:-1], lo[1:], hi[1:]]).max(axis=0, initial=1.0)
-        if np.any(np.maximum(lo[1:] - outer_lo[:-1], outer_hi[:-1] - hi[1:]) > 1e-9 * scale):
-            raise NumericalError("tilting intervals failed to nest along the delta grid")
+        gap = np.maximum(lo[1:] - outer_lo[:-1], outer_hi[:-1] - hi[1:])
+        if not np.all(gap <= 0.0):
+            scale = np.abs([outer_lo[:-1], outer_hi[:-1], lo[1:], hi[1:]]).max(axis=0, initial=1.0)
+            if np.any(gap > 1e-9 * scale):
+                raise NumericalError("tilting intervals failed to nest along the delta grid")
         intervals = tuple(map(Interval, outer_lo.tolist(), outer_hi.tolist()))
         return CurvatureSweep(deltas=deltas, intervals=intervals,
                               massi=massi_from_intervals(deltas, intervals), method_tag=TILTING)
@@ -354,17 +361,16 @@ def curvature_bounds(control_outcomes, base_weights, treated_mean: float,
     or a prefix (to lower it) of the sorted outcomes, because a
     linear-fractional objective over a box attains its optimum at a vertex
     and the optimal vertex thresholds on the outcome. The bounds are those
-    of `TiltingProblem.interval`: a breakpoint lookup per side and at most
-    2 * _NEIGHBOURS + 1 split points around it, a threshold scan's to
-    within rounding. Given the very three objects
-    `control_tilt_inputs(data, model)` returned, while the pair's
-    `tilting_problem` lives, this evaluates that problem. Any other input (a
-    copy, a writable array, an equal but distinct `treated_mean`) gets a
-    `TiltingProblem` of its own, which sorts the outcomes only when they are
-    not already in non-decreasing order and makes the O(m) delta-0 pass and
-    breakpoints whatever the delta; to evaluate many
-    deltas on such controls, build the problem once and call its
-    `interval`. Either way the interval is the same float.
+    of `TiltingProblem.interval`, a threshold scan's to within rounding,
+    from at most 2 * _NEIGHBOURS + 1 split points per side. Given the very
+    three objects `control_tilt_inputs(data, model)` returned, while the
+    pair's `tilting_problem` lives, this evaluates that problem. Any other
+    input (a copy, a writable array, an equal but distinct `treated_mean`)
+    gets a `TiltingProblem` of its own, which sorts the outcomes only when
+    they are not already in non-decreasing order and makes the O(m) delta-0
+    pass and breakpoints whatever the delta; to evaluate many deltas on such
+    controls, build the problem once and call its `interval`. Either way the
+    interval is the same float.
     """
     inputs = (control_outcomes, base_weights, treated_mean)
     problem = _PROBLEMS.get(id(control_outcomes))

@@ -355,8 +355,9 @@ def fetch_dataset(source_key: str, cache_dir, *, offline: bool = False,
     the record of a file removed from the cache); later reads verify
     against that digest and raise IntegrityError on mismatch, as does a
     damaged manifest. Concurrent fetches of one key serialize via an
-    advisory lock. A cache that cannot be made, locked, read or written
-    raises FetchError naming it.
+    advisory lock. A file neither cached nor downloaded (offline, or the
+    download failed) raises FetchError with `not_cached` set; a cache that
+    cannot be made, locked, read or written raises FetchError naming it.
     `opener` exists for tests and offline transports; the default uses
     urllib over HTTPS.
     """
@@ -382,13 +383,14 @@ def fetch_dataset(source_key: str, cache_dir, *, offline: bool = False,
                 else:
                     if offline:
                         raise FetchError(
-                            f"{source_key} not cached in {cache_dir} and offline mode is on"
-                        )
+                            f"{source_key} not cached in {cache_dir} and offline mode is on",
+                            not_cached=True)
                     get = opener or _default_opener
                     try:
                         blob = get(url, timeout)
                     except (urllib.error.URLError, OSError, TimeoutError) as exc:
-                        raise FetchError(f"could not fetch {url}: {exc}") from exc
+                        raise FetchError(f"could not fetch {url}: {exc}",
+                                         not_cached=True) from exc
                     tmp = target.with_suffix(".tmp")
                     tmp.write_bytes(blob)
                     os.replace(tmp, target)

@@ -180,6 +180,28 @@ def test_an_unusable_cache_dir_fails_fetch_by_name(tmp_path, capsys, place):
     assert f"cache {cache} unusable" in record["message"]
 
 
+@pytest.mark.parametrize("cache_state, error, message", [
+    ("empty", "DependencyError", "dataset not cached ("),
+    ("a_file", "FetchError", "cache {cache} unusable ("),
+])
+def test_a_data_stage_tells_an_uncached_file_from_an_unusable_cache(
+        tmp_path, capsys, cache_state, error, message):
+    # Only a file missing from a usable cache is worth a fetch first.
+    cache = tmp_path / "cache"
+    if cache_state == "empty":
+        cache.mkdir()
+    else:
+        cache.write_text("not a directory\n")
+    config = tmp_path / "remote.ini"
+    config.write_text(f"[data]\nsource = remote\ncache_dir = {cache}\n")
+    assert main(["support", "--config", str(config), "--seed", "5",
+                 "--out", str(tmp_path / "out"), "--offline"]) == 1
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == error
+    assert record["message"].startswith(message.format(cache=cache))
+    assert ("run the fetch command first" in record["message"]) == (error == "DependencyError")
+
+
 def test_missing_config_file_errors(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         RunConfig.from_file(tmp_path / "nope.ini", seed=1, out_dir=tmp_path)

@@ -145,6 +145,36 @@ def test_fragility_monotone_under_widening():
     assert frag_wide <= frag_base
 
 
+# Endpoints that make ties (hi == -lo), zero-width intervals at 0 and
+# signed zeros common, among endpoints of any sign.
+_endpoint = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -2.5]),
+                      st.floats(-10, 10))
+
+
+@settings(max_examples=400, deadline=None)
+@given(ends=st.lists(st.tuples(_endpoint, _endpoint).map(sorted), min_size=1, max_size=30),
+       never_flips=st.booleans())
+def test_flip_scan_is_the_first_grid_delta_where_the_rule_differs(ends, never_flips):
+    intervals = [Interval(lo, hi) for lo, hi in ends]
+    if never_flips:  # every interval decided as the first one
+        intervals = [iv for iv in intervals if minimax_rule(iv) == minimax_rule(intervals[0])]
+    deltas = [0.25 * i for i in range(len(intervals))]
+    baseline = minimax_rule(intervals[0])
+    expected = next((d for d, iv in zip(deltas, intervals) if minimax_rule(iv) != baseline),
+                    math.inf)
+    assert fragility_index(_sweep(deltas, intervals)) == expected
+
+
+@pytest.mark.parametrize("intervals, expected", [
+    ([(-1.0, 1.0), (-0.5, 1.0)], 0.25),  # a tie (NoTreat), then Treat
+    ([(0.0, 0.0), (-0.0, 0.0), (0.0, 5e-324)], 0.5),  # zero regret both ways ties
+    ([(-0.0, 0.0), (-2.0, 2.0), (-3.0, 1.0)], math.inf),
+])
+def test_flip_scan_on_ties_and_signed_zeros(intervals, expected):
+    deltas = [0.25 * i for i in range(len(intervals))]
+    assert fragility_index(_sweep(deltas, [Interval(*iv) for iv in intervals])) == expected
+
+
 def test_fragility_empty_sweep_rejected():
     with pytest.raises(ValidationError):
         fragility_index(_sweep([], []))

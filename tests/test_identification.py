@@ -290,11 +290,12 @@ def _array_path_controls(seed, n, tied, zero_weight=1.0):
     tied=st.booleans(),
     # Heavy zeros can put the untilted mean below every positive outcome.
     zero_weight=st.sampled_from([1.0, 100.0]),
-    # Delta 0 scans every split point; deltas below about 1e-8 leave the
-    # ratios flat to rounding; deltas past the exp cap tilt little but the
-    # top outcomes.
-    deltas=st.lists(st.one_of(st.just(0.0), st.floats(1e-13, 1e-7), st.floats(0, 5),
-                              st.floats(500, 1000)),
+    # Delta 0 scans every split point, and deltas below about 1.1e-16 (where
+    # e^delta rounds to 1) read that scan too; deltas below about 1e-8 leave
+    # the ratios flat to rounding; deltas past the exp cap tilt little but
+    # the top outcomes.
+    deltas=st.lists(st.one_of(st.just(0.0), st.floats(0, 1e-16), st.floats(1e-13, 1e-7),
+                              st.floats(0, 5), st.floats(500, 1000), st.just(math.inf)),
                     min_size=1, max_size=20, unique=True).map(sorted),
     treated_mean=st.floats(-1e4, 1e4),
 )
@@ -302,6 +303,14 @@ def test_array_sweep_equals_per_delta_bounds_exactly(seed, n, tied, zero_weight,
                                                      treated_mean):
     y, w = _array_path_controls(seed, n, tied, zero_weight)
     _assert_sweep_is_per_delta(y, w, treated_mean, deltas)
+
+
+def test_deltas_whose_tilt_rounds_to_one_read_the_delta_zero_bounds():
+    y, w = _array_path_controls(7, 300, tied=False)
+    problem = _assert_sweep_is_per_delta(y, w, 50.0, [0.0, 1e-300, 1e-17, 0.5])
+    sweep = problem.sweep([0.0, 1e-300, 1e-17, 0.5])
+    assert sweep.intervals[:3] == (problem.interval(0.0),) * 3
+    assert sweep.intervals[3] != problem.interval(0.0)
 
 
 def test_sweep_tilting_sorts_controls_once(monkeypatch):
@@ -617,6 +626,28 @@ def test_tilt_bounds_exact_at_extreme_weight_scales(scale):
     for delta in (0.0, 1.0, 30.0, 500.0):
         assert (curvature_bounds(y, w * scale, 10.0, delta)
                 == curvature_bounds(y, w, 10.0, delta))
+
+
+@pytest.mark.parametrize("y", [
+    np.random.default_rng(3).normal(size=12) * 1e95,
+    np.random.default_rng(3).normal(size=12) * 1e200,
+    np.array([-1.7e308, -1.6e308, 1.6e308, 1.7e308]),
+], ids=["1e95", "1e200", "near_max"])
+def test_tilt_bounds_stay_finite_for_outcomes_near_the_float_limit(y):
+    # e^500 times a sum of w*y, or an outcome gap, would overflow here; the
+    # problem works on the outcomes scaled by a power of two instead. The
+    # sweep nests; each bound lies in treated_mean - [max y, min y] to within
+    # the rounding of sums of that size. RuntimeWarnings are errors.
+    deltas = [0.0, 1.0, 400.0, 500.0, math.inf]
+    problem = _assert_sweep_is_per_delta(y, np.ones_like(y), 0.0, deltas)
+    sweep = problem.sweep(deltas).intervals
+    for inner, outer in zip(sweep, sweep[1:]):
+        assert outer.lo <= inner.lo and inner.hi <= outer.hi
+    slack = 1e-12 * np.abs(y).max()
+    for interval in sweep:
+        assert math.isfinite(interval.lo) and math.isfinite(interval.hi)
+        assert -y.max() - slack <= interval.lo and interval.hi <= -y.min() + slack
+    assert (sweep[-1].lo, sweep[-1].hi) == pytest.approx((-y.max(), -y.min()), rel=1e-12)
 
 
 def test_sweep_tilting_subnormal_weights():

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -291,6 +292,21 @@ def test_fetch_network_failure_cold_cache(tmp_path):
 
     with pytest.raises(FetchError, match="no route"):
         fetch_dataset("nsw_treated", tmp_path, opener=failing_opener)
+
+
+@pytest.mark.parametrize("failure", ["offline", "download", "unusable_cache"])
+def test_fetch_errors_say_whether_the_file_is_just_not_cached(tmp_path, failure):
+    def failing_opener(url, timeout):
+        raise OSError("no route to host")
+
+    cache = tmp_path / "cache"
+    if failure == "unusable_cache":
+        cache.write_text("not a directory\n")
+    with pytest.raises(FetchError) as raised:
+        fetch_dataset("nsw_treated", cache, offline=failure == "offline", opener=failing_opener)
+    # Worker processes send errors back pickled; the flag goes with them.
+    copy = pickle.loads(pickle.dumps(raised.value))
+    assert raised.value.not_cached is copy.not_cached is (failure != "unusable_cache")
 
 
 def test_fetch_detects_tampered_cache(tmp_path):
