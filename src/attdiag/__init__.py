@@ -11,7 +11,6 @@ from .identification import (
     Interval,
     OutcomeSupport,
     curvature_bounds,
-    fixed_radius_sets,
     manski_bounds,
     oracle_curvature_bounds,
     sweep_tilting,

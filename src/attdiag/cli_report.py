@@ -60,6 +60,7 @@ from .estimators import (
     naive_diff,
 )
 from .identification import (
+    Interval,
     _validate_delta_grid,
     sweep_tilting,
     sweep_to_csv_rows,
@@ -400,15 +401,11 @@ def _write_csv(path: Path, rows) -> None:
             [repr(v) if isinstance(v, float) else v for v in row] for row in rows)
 
 
-def _interval_chart(path: Path, deltas, intervals, title: str, xlabel: str = "delta",
+def _interval_chart(path: Path, sweep, title: str, xlabel: str = "delta",
                     ylabel: str = "ATT", **leading) -> None:
-    """Lower and upper interval ends against delta, after any `leading` series."""
-    svgplot.line_chart(
-        path, deltas,
-        {**leading, "lower": [iv.lo for iv in intervals],
-         "upper": [iv.hi for iv in intervals]},
-        title=title, xlabel=xlabel, ylabel=ylabel,
-    )
+    """A sweep's lower and upper ends against delta, after any `leading` series."""
+    svgplot.line_chart(path, sweep.deltas, {**leading, "lower": sweep.lo, "upper": sweep.hi},
+                       title=title, xlabel=xlabel, ylabel=ylabel)
 
 
 def _load_data(cfg: RunConfig):
@@ -554,7 +551,7 @@ def cmd_bounds(cfg: RunConfig):
     tilting = cfg.tilting
     CPU_SECONDS["tilt_sweep_s"] += lap()
     _write_csv(cfg.out_dir / "sweep_tilting.csv", sweep_to_csv_rows(tilting))
-    _interval_chart(cfg.out_dir / "sweep_tilting.svg", tilting.deltas, tilting.intervals,
+    _interval_chart(cfg.out_dir / "sweep_tilting.svg", tilting,
                     "Identified set vs selection curvature")
 
     lap()
@@ -563,8 +560,7 @@ def cmd_bounds(cfg: RunConfig):
     CPU_SECONDS["proxy_s"] += lap()
     _write_csv(cfg.out_dir / "sweep_proxy.csv", sweep_to_csv_rows(proxy))
     if proxy.deltas:
-        _interval_chart(cfg.out_dir / "sweep_proxy.svg", proxy.deltas, proxy.intervals,
-                        "Trimming-proxy set vs delta")
+        _interval_chart(cfg.out_dir / "sweep_proxy.svg", proxy, "Trimming-proxy set vs delta")
 
     values = {
         "massi_tilting": tilting.massi,
@@ -587,14 +583,13 @@ def cmd_fragility(cfg: RunConfig):
     problem = tilting_problem(data, cfg.model)
     tilting = cfg.tilting
     frag = fragility_index(tilting, interval_at=problem.interval)
-    baseline = minimax_rule(tilting.intervals[0])
+    baseline = minimax_rule(Interval(tilting.lo[0], tilting.hi[0]))
     se_scaled = bias_robustness(tau_hat, se, grid_step=0.5)
 
-    deltas = [0.5 * i for i in range(0, 9)]
-    curve = bias_robustness_curve(tau_hat, se, deltas)
-    _write_csv(cfg.out_dir / "fragility_curve.csv",
-               [["delta", "lo", "hi"]] + [[d, iv.lo, iv.hi] for d, iv in zip(deltas, curve)])
-    _interval_chart(cfg.out_dir / "fragility.svg", deltas, curve,
+    curve = bias_robustness_curve(tau_hat, se, [0.5 * i for i in range(0, 9)])
+    points = list(zip(curve.deltas, curve.lo, curve.hi))
+    _write_csv(cfg.out_dir / "fragility_curve.csv", [["delta", "lo", "hi"], *points])
+    _interval_chart(cfg.out_dir / "fragility.svg", curve,
                     "Bias tolerance: tau +/- delta*SE", xlabel="delta (SE units)")
     payload = {
         "module": "decision",
@@ -605,7 +600,7 @@ def cmd_fragility(cfg: RunConfig):
         "bias_robustness_se_scaled": se_scaled,
         "tau_hat": tau_hat,
         "se": se,
-        "bias_curve": [{"delta": d, "lo": iv.lo, "hi": iv.hi} for d, iv in zip(deltas, curve)],
+        "bias_curve": [{"delta": d, "lo": lo, "hi": hi} for d, lo, hi in points],
     }
     (cfg.out_dir / "fragility.json").write_text(_dump_json(payload))
     # No later stage reads the tilting problem, so the dataset drops it and
@@ -633,11 +628,10 @@ def cmd_simulate(cfg: RunConfig):
         sweep, witness, _ = _simulate(cfg)
     else:
         sweep, witness, fields["worker_s"] = worker.result()
-    rows = [["delta", "observed_ate", "lo", "hi"]]
-    for d, ate, interval in zip(sweep.deltas, sweep.observed_ates, sweep.sets):
-        rows.append([d, ate, interval.lo, interval.hi])
-    _write_csv(cfg.out_dir / "sim_sweep.csv", rows)
-    _interval_chart(cfg.out_dir / "sim_sweep.svg", sweep.deltas, sweep.sets,
+    sets = sweep.sets
+    rows = zip(sets.deltas, sweep.observed_ates, sets.lo, sets.hi)
+    _write_csv(cfg.out_dir / "sim_sweep.csv", [["delta", "observed_ate", "lo", "hi"], *rows])
+    _interval_chart(cfg.out_dir / "sim_sweep.svg", sets,
                     "Observed effect vs selection strength",
                     ylabel="difference in means", observed=list(sweep.observed_ates))
     witness_payload = {
@@ -651,10 +645,10 @@ def cmd_simulate(cfg: RunConfig):
     (cfg.out_dir / "witness.json").write_text(_dump_json(witness_payload))
     values = {
         "observed_ates": list(sweep.observed_ates),
-        "massi": sweep.massi,
+        "massi": sets.massi,
         "witness_tv": witness.tv_distance,
         "witness_att_gap": abs(witness.att_ignorable - witness.att_threshold),
-        "sets": [{"lo": iv.lo, "hi": iv.hi} for iv in sweep.sets],
+        "sets": [{"lo": lo, "hi": hi} for lo, hi in zip(sets.lo, sets.hi)],
     }
     return values, fields
 

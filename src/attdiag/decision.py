@@ -4,7 +4,8 @@ standard-error-scaled bias tolerance.
 The two-action problem: utility equals the realized effect under Treat and
 zero under NoTreat, so worst-case regret over an interval [lo, hi] is
 max(0, -lo) for Treat and max(0, hi) for NoTreat. Ties resolve to NoTreat
-(status quo).
+(status quo). `_treats` states the rule once, on an interval's two ends, so
+the flip scan reads a sweep's lo and hi without building an interval.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import enum
 import math
 
 from .errors import ValidationError
-from .identification import CurvatureSweep, Interval
+from .identification import BIAS_TOLERANCE, CurvatureSweep, Interval
 from .work import COUNTS
 
 # fragility_index bisects until the flip point is bracketed this tightly.
@@ -25,14 +26,14 @@ class PolicyDecision(enum.Enum):
     NO_TREAT = "no_treat"
 
 
-def _treats(interval: Interval) -> bool:
+def _treats(lo: float, hi: float) -> bool:
     """Treat regrets max(0, -lo) less than NoTreat max(0, hi); a tie is NoTreat."""
-    return max(0.0, -interval.lo) < max(0.0, interval.hi)
+    return max(0.0, -lo) < max(0.0, hi)
 
 
 def minimax_rule(interval: Interval) -> PolicyDecision:
     """The action of least worst-case regret over the interval (`_treats`)."""
-    return PolicyDecision.TREAT if _treats(interval) else PolicyDecision.NO_TREAT
+    return PolicyDecision.TREAT if _treats(interval.lo, interval.hi) else PolicyDecision.NO_TREAT
 
 
 def fragility_index(sweep: CurvatureSweep, interval_at=None) -> float:
@@ -53,7 +54,7 @@ def fragility_index(sweep: CurvatureSweep, interval_at=None) -> float:
     """
     if not sweep.deltas:
         raise ValidationError("sweep is empty")
-    treats = list(map(_treats, sweep.intervals))
+    treats = list(map(_treats, sweep.lo, sweep.hi))
     baseline = treats[0]
     if (not baseline) not in treats:
         return math.inf
@@ -64,7 +65,8 @@ def fragility_index(sweep: CurvatureSweep, interval_at=None) -> float:
 
     def flips(delta: float) -> bool:
         COUNTS["bisection_evals"] += 1
-        return _treats(interval_at(delta)) != baseline
+        interval = interval_at(delta)
+        return _treats(interval.lo, interval.hi) != baseline
 
     lo = float(sweep.deltas[flip_idx - 1])
     hi = flip_delta
@@ -115,7 +117,9 @@ def bias_robustness(tau_hat: float, se: float, grid_step: float = 0.5) -> float:
     return delta
 
 
-def bias_robustness_curve(tau_hat: float, se: float, deltas):
-    """Interval endpoints tau_hat -/+ delta*se along a delta grid (the
-    bias-tolerance plot)."""
-    return [Interval(tau_hat - d * se, tau_hat + d * se) for d in deltas]
+def bias_robustness_curve(tau_hat: float, se: float, deltas) -> CurvatureSweep:
+    """The sets [tau_hat - delta*se, tau_hat + delta*se] along a delta grid
+    (the bias-tolerance plot)."""
+    deltas = tuple(deltas)
+    return CurvatureSweep(deltas=deltas, lo=[tau_hat - d * se for d in deltas],
+                          hi=[tau_hat + d * se for d in deltas], method_tag=BIAS_TOLERANCE)

@@ -28,6 +28,8 @@ rounding. Delta 0, where every exact ratio is the same, scans every split
 point, once per problem, when it is built; every query at delta 0 reads
 those bounds. A sweep takes one lookup and one gather for all its deltas, one
 delta Python floats. Sums that could overflow are scaled by a power of two.
+Every delta sweep is a `CurvatureSweep` of its grid and interval ends, from
+which its massi, decisions, CSV rows and charts are read.
 `curvature_bounds` is the one-delta form. Given the very objects
 `control_tilt_inputs` returned for a pair whose `tilting_problem` is
 alive, it evaluates that problem; on any other input it builds one. A
@@ -37,6 +39,7 @@ brute-force vertex enumeration is kept alongside as an independent oracle.
 from __future__ import annotations
 
 import math
+import operator
 import weakref
 from dataclasses import dataclass
 
@@ -76,6 +79,8 @@ _ROWS = np.array(_SIDE_ROWS).T[:, :, None, None]
 
 TILTING = "tilting"
 TRIMMING_PROXY = "trimming_proxy"
+FIXED_RADIUS = "fixed_radius"
+BIAS_TOLERANCE = "bias_tolerance"
 
 # The problems `tilting_problem` built, keyed by the id of their control
 # outcomes, for `curvature_bounds` to reuse. Their inputs are read-only
@@ -100,9 +105,6 @@ class Interval:
     def width(self) -> float:
         return self.hi - self.lo
 
-    def contains(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
-
 
 @dataclass(frozen=True)
 class OutcomeSupport:
@@ -118,35 +120,43 @@ class OutcomeSupport:
 
 @dataclass(frozen=True)
 class CurvatureSweep:
-    """Identified sets along an ascending delta grid.
+    """The sets [lo[i], hi[i]] along an ascending delta grid: the one type of
+    every delta sweep (tilting, trimming proxy, fixed radius, bias tolerance).
 
-    massi is the smallest grid delta whose interval excludes zero (+inf if
-    none does). For the tilting method intervals are exactly nested;
-    trimming-proxy sweeps may violate width monotonicity, and those grid
-    indices are recorded rather than enforced. Deltas whose interval could
-    not be computed (empty trimmed sample) appear in missing_deltas.
+    The grid follows `_validate_delta_grid`'s rule, but may be empty (a proxy
+    sweep that lost every delta). Tilting intervals are exactly nested;
+    trimming-proxy sweeps may shrink in width, at the recorded indices
+    width_violations, and skip deltas whose trimmed sample is empty
+    (missing_deltas).
     """
 
     deltas: tuple[float, ...]
-    intervals: tuple[Interval, ...]
-    massi: float
+    lo: tuple[float, ...]
+    hi: tuple[float, ...]
     method_tag: str
     missing_deltas: tuple[float, ...] = ()
     width_violations: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if len(self.deltas) != len(self.intervals):
-            raise ValidationError("deltas and intervals must align")
-        if any(b <= a for a, b in zip(self.deltas, self.deltas[1:])):
-            raise ValidationError("deltas must be strictly increasing")
+        deltas = _validate_delta_grid(self.deltas) if len(self.deltas) else ()
+        lo, hi = tuple(self.lo), tuple(self.hi)
+        if not len(deltas) == len(lo) == len(hi):
+            raise ValidationError("deltas, lo and hi must align")
+        if not all(map(operator.le, lo, hi)):  # a NaN fails
+            raise ValidationError("interval endpoints out of order")
+        for name, value in (("deltas", deltas), ("lo", lo), ("hi", hi)):
+            object.__setattr__(self, name, value)
 
+    @property
+    def massi(self) -> float:
+        """The smallest grid delta whose interval excludes zero, +inf if none does."""
+        return next((d for d, lo, hi in zip(self.deltas, self.lo, self.hi)
+                     if not lo <= 0.0 <= hi), math.inf)
 
-def massi_from_intervals(deltas, intervals) -> float:
-    """Smallest delta whose interval excludes zero, else +inf."""
-    for delta, interval in zip(deltas, intervals):
-        if not interval.contains(0.0):
-            return float(delta)
-    return math.inf
+    @property
+    def intervals(self) -> tuple[Interval, ...]:
+        """The sets as `Interval`s, built on each call."""
+        return tuple(map(Interval, self.lo, self.hi))
 
 
 def manski_bounds(data: Dataset, support: OutcomeSupport) -> Interval:
@@ -348,9 +358,8 @@ class TiltingProblem:
             scale = np.abs([outer_lo[:-1], outer_hi[:-1], lo[1:], hi[1:]]).max(axis=0, initial=1.0)
             if np.any(gap > 1e-9 * scale):
                 raise NumericalError("tilting intervals failed to nest along the delta grid")
-        intervals = tuple(map(Interval, outer_lo.tolist(), outer_hi.tolist()))
-        return CurvatureSweep(deltas=deltas, intervals=intervals,
-                              massi=massi_from_intervals(deltas, intervals), method_tag=TILTING)
+        return CurvatureSweep(deltas=deltas, lo=outer_lo.tolist(), hi=outer_hi.tolist(),
+                              method_tag=TILTING)
 
 
 def curvature_bounds(control_outcomes, base_weights, treated_mean: float,
@@ -406,13 +415,13 @@ def oracle_curvature_bounds(control_outcomes, base_weights, treated_mean: float,
 
 def _validate_delta_grid(deltas) -> tuple[float, ...]:
     """The grid as floats, checked non-empty, from >= 0 and strictly
-    increasing (a NaN fails); every delta grid, the simulation's included."""
-    deltas = tuple(float(d) for d in deltas)
+    increasing (a NaN fails); every delta grid, a `CurvatureSweep`'s included."""
+    deltas = tuple(map(float, deltas))
     if not deltas:
         raise ValidationError("delta grid must be non-empty")
     if not deltas[0] >= 0:
         raise DomainError("deltas must start at >= 0")
-    if not all(b > a for a, b in zip(deltas, deltas[1:])):
+    if not all(map(operator.lt, deltas, deltas[1:])):
         raise ValidationError("deltas must be strictly increasing")
     return deltas
 
@@ -475,9 +484,7 @@ def sweep_trimming_proxy(data: Dataset, model: PropensityModel, deltas,
     deltas = _validate_delta_grid(deltas)
     spec = match_spec or MatchSpec()
     scores = data.cached(model, "scores", score_dataset)
-    kept_deltas: list[float] = []
-    intervals: list[Interval] = []
-    missing: list[float] = []
+    kept_deltas, lo, hi, missing = [], [], [], []
     for delta in deltas:
         try:
             sample = trim(data, scores, default_delta_to_trim(delta))
@@ -487,31 +494,15 @@ def sweep_trimming_proxy(data: Dataset, model: PropensityModel, deltas,
             continue
         half_width = 0.0 if delta == 0 else est.se
         kept_deltas.append(delta)
-        intervals.append(Interval(est.tau_hat - half_width, est.tau_hat + half_width))
-    violations = tuple(
-        i for i in range(1, len(intervals))
-        if intervals[i].width < intervals[i - 1].width
-    )
-    return CurvatureSweep(
-        deltas=tuple(kept_deltas),
-        intervals=tuple(intervals),
-        massi=massi_from_intervals(kept_deltas, intervals),
-        method_tag=TRIMMING_PROXY,
-        missing_deltas=tuple(missing),
-        width_violations=violations,
-    )
-
-
-def fixed_radius_sets(observed_ates, epsilon: float) -> list[Interval]:
-    """Interval of half-width epsilon around each observed effect."""
-    if not (epsilon >= 0):  # also catches NaN
-        raise DomainError("epsilon must be >= 0")
-    ates = np.asarray(observed_ates, dtype=float)
-    return [Interval(float(a) - epsilon, float(a) + epsilon) for a in ates]
+        lo.append(est.tau_hat - half_width)
+        hi.append(est.tau_hat + half_width)
+    widths = [b - a for a, b in zip(lo, hi)]
+    violations = tuple(i for i in range(1, len(widths)) if widths[i] < widths[i - 1])
+    return CurvatureSweep(deltas=kept_deltas, lo=lo, hi=hi, method_tag=TRIMMING_PROXY,
+                          missing_deltas=tuple(missing), width_violations=violations)
 
 
 def sweep_to_csv_rows(sweep: CurvatureSweep) -> list[list]:
-    rows = [["delta", "lo", "hi", "width", "method"]]
-    for delta, interval in zip(sweep.deltas, sweep.intervals):
-        rows.append([delta, interval.lo, interval.hi, interval.width, sweep.method_tag])
-    return rows
+    return [["delta", "lo", "hi", "width", "method"]] + [
+        [delta, lo, hi, hi - lo, sweep.method_tag]
+        for delta, lo, hi in zip(sweep.deltas, sweep.lo, sweep.hi)]

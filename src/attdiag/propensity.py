@@ -148,20 +148,22 @@ def fit_logistic(data: Dataset, covariates, ridge: float = 1e-8,
     y = data.treated.astype(float)
     n, p = x_raw.shape
 
-    mu = x_raw.mean(axis=0)
-    sd = x_raw.std(axis=0)
-    if np.any(sd == 0):
-        j = int(np.argmax(sd == 0))
-        raise NumericalError(
-            f"covariate {covariates[j]!r} is constant; normal equations are rank-deficient"
-        )
     # The matrix products' sums depend on the layout, so the design keeps
     # the one it has always had: column-major, or row-major when x_raw is
     # row-major too (a single column).
     design = np.empty((n, p + 1), order="C" if x_raw.flags.c_contiguous else "F")
     design[:, 0] = 1.0
-    np.subtract(x_raw, mu, out=design[:, 1:])
-    design[:, 1:] /= sd
+    centred = design[:, 1:]
+    mu = x_raw.mean(axis=0)
+    np.subtract(x_raw, mu, out=centred)
+    # np.std's own steps on the centred columns, so its floats, centred once.
+    sd = np.sqrt(np.mean(centred * centred, axis=0))
+    if np.any(sd == 0):
+        j = int(np.argmax(sd == 0))
+        raise NumericalError(
+            f"covariate {covariates[j]!r} is constant; normal equations are rank-deficient"
+        )
+    centred /= sd
     # Each Newton step fills this with the weighted design. It keeps the
     # design's layout, on which the Hessian product's sums depend.
     weighted = np.empty_like(design)

@@ -14,9 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError, WitnessError, check_count
-from .identification import (
-    Interval, _check_delta, _validate_delta_grid, fixed_radius_sets, massi_from_intervals,
-)
+from .identification import FIXED_RADIUS, CurvatureSweep, _check_delta, _validate_delta_grid
 from .work import COUNTS
 
 # (y1, y0) of the latent types A, B, C and D, in type-code order
@@ -95,15 +93,15 @@ def apply_selection(y: np.ndarray, delta: float, seed: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SimSweepResult:
-    deltas: tuple[float, ...]
+    """The observed effect at each grid delta, and the fixed-radius sets around them."""
+
     observed_ates: tuple[float, ...]
-    sets: tuple[Interval, ...]
-    massi: float
+    sets: CurvatureSweep
 
 
 def run_sweep(config: SimConfig) -> SimSweepResult:
     """Observed difference in arm means per selection strength, with the
-    fixed-radius identified set around each."""
+    identified set of half-width `epsilon` around each."""
     d, _, y = _draw_units(_stage_rng(config.seed, _STAGE_TYPES),
                           _stage_rng(config.seed, _STAGE_TREAT), config)
     cells = 2 * d + y
@@ -124,13 +122,10 @@ def run_sweep(config: SimConfig) -> SimSweepResult:
         # arm size: the same float as np.mean over the arm's outcomes.
         ates.append(float(c11 / n_treated - c01 / n_control))
         COUNTS["sim_units_kept"] += int(n_treated + n_control)
-    sets = fixed_radius_sets(ates, config.epsilon)
-    return SimSweepResult(
-        deltas=config.delta_grid,
-        observed_ates=tuple(ates),
-        sets=tuple(sets),
-        massi=massi_from_intervals(config.delta_grid, sets),
-    )
+    eps = config.epsilon
+    sets = CurvatureSweep(deltas=config.delta_grid, lo=[a - eps for a in ates],
+                          hi=[a + eps for a in ates], method_tag=FIXED_RADIUS)
+    return SimSweepResult(observed_ates=tuple(ates), sets=sets)
 
 
 @dataclass(frozen=True)

@@ -434,14 +434,26 @@ def test_full_reproduce_pipeline_and_determinism(tmp_path):
         "propensity_model.json", "witness.json",
         "pscore_hist.svg", "sweep_tilting.svg", "sim_sweep.svg", "fragility.svg",
     ]
+    # Both runs write every artifact byte for byte alike, report.json
+    # apart from its timestamp.
+    def without_timestamp(text):
+        return text.replace(json.dumps(json.loads(text)["metadata"]["timestamp"]), "")
+
     for name in expected:
         assert (out1 / name).exists(), name
-
+        if name != "report.json":
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+    assert without_timestamp((out1 / "report.json").read_text()) == without_timestamp(
+        (out2 / "report.json").read_text())
     report1 = json.loads((out1 / "report.json").read_text())
-    report2 = json.loads((out2 / "report.json").read_text())
-    report1["metadata"].pop("timestamp")
-    report2["metadata"].pop("timestamp")
-    assert report1 == report2
+
+    # The tilting sweep's rows are the reprs of the sweep's endpoints.
+    run_config = RunConfig.from_file(config, seed=40, out_dir=out1)
+    sweep = run_config.tilting
+    with (out1 / "sweep_tilting.csv").open(newline="") as table:
+        assert list(csv.reader(table)) == [["delta", "lo", "hi", "width", "method"]] + [
+            [repr(d), repr(lo), repr(hi), repr(hi - lo), "tilting"]
+            for d, lo, hi in zip(sweep.deltas, sweep.lo, sweep.hi, strict=True)]
 
     # header golden checks
     assert (out1 / "table1.csv").read_text().splitlines()[0] == (
@@ -463,7 +475,7 @@ def test_full_reproduce_pipeline_and_determinism(tmp_path):
         '"score_trimmed[0.1,0.9]",')
 
     # The trim drops are the units whose score lies outside [0.1, 0.9].
-    data = cli_report._load_data(RunConfig.from_file(config, seed=40, out_dir=out1))[0]
+    data = run_config.tables[0]
     scores = score_dataset(
         PropensityModel.from_json((out1 / "propensity_model.json").read_text()), data)
     dropped = (scores < 0.1) | (scores > 0.9)

@@ -12,15 +12,13 @@ from attdiag.decision import (
     minimax_rule,
 )
 from attdiag.errors import ValidationError
-from attdiag.identification import CurvatureSweep, Interval, massi_from_intervals
+from attdiag.identification import CurvatureSweep, Interval
 from conftest import counted
 
 
 def _sweep(deltas, intervals, tag="tilting"):
-    return CurvatureSweep(
-        deltas=tuple(deltas), intervals=tuple(intervals),
-        massi=massi_from_intervals(deltas, intervals), method_tag=tag,
-    )
+    return CurvatureSweep(deltas=tuple(deltas), lo=[iv.lo for iv in intervals],
+                          hi=[iv.hi for iv in intervals], method_tag=tag)
 
 
 def test_minimax_negative_interval_means_no_treat():
@@ -252,5 +250,7 @@ def test_bias_robustness_rejects_bad_se():
 
 def test_bias_robustness_curve_endpoints():
     curve = bias_robustness_curve(-10.0, 2.0, [0.0, 1.0, 2.0])
-    assert curve[0].lo == curve[0].hi == -10.0
-    assert curve[2].lo == -14.0 and curve[2].hi == -6.0
+    assert curve.deltas == (0.0, 1.0, 2.0) and curve.method_tag == "bias_tolerance"
+    assert curve.lo == (-10.0, -12.0, -14.0)
+    assert curve.hi == (-10.0, -8.0, -6.0)
+    assert curve.massi == 0.0

@@ -26,9 +26,7 @@ from attdiag.identification import (
     control_tilt_inputs,
     curvature_bounds,
     default_delta_to_trim,
-    fixed_radius_sets,
     manski_bounds,
-    massi_from_intervals,
     oracle_curvature_bounds,
     sweep_tilting,
     sweep_trimming_proxy,
@@ -53,8 +51,7 @@ def test_interval_invariants():
     with pytest.raises(ValidationError):
         Interval(2.0, 1.0)
     iv = Interval(-1.0, 3.0)
-    assert iv.width == 4.0
-    assert iv.contains(0.0) and not iv.contains(4.0)
+    assert (iv.lo, iv.hi, iv.width) == (-1.0, 3.0, 4.0)
 
 
 def test_manski_binary_outcome():
@@ -82,7 +79,7 @@ def test_manski_contains_truth_on_simulated_draw():
 
     selected = simulated_selection(SimConfig(seed=31, n=20_000), 1.0, seed=4)
     iv = manski_bounds(selected, OutcomeSupport(0.0, 1.0))
-    assert iv.contains(0.1)
+    assert iv.lo <= 0.1 <= iv.hi
 
 
 def test_curvature_delta_zero_is_weighted_mean_point():
@@ -707,7 +704,7 @@ def test_sweep_tilting_nested_and_massi():
     for prev, cur in zip(sweep.intervals, sweep.intervals[1:]):
         assert cur.lo <= prev.lo and prev.hi <= cur.hi
     excluded = [d for d, iv in zip(sweep.deltas, sweep.intervals)
-                if not iv.contains(0.0)]
+                if not iv.lo <= 0.0 <= iv.hi]
     assert sweep.massi == (excluded[0] if excluded else math.inf)
 
 
@@ -720,15 +717,58 @@ def test_massi_refinement_is_nonincreasing():
 
 
 def test_curvature_sweep_validation():
-    with pytest.raises(ValidationError):
-        CurvatureSweep(deltas=(0.0, 0.0), intervals=(Interval(0, 1), Interval(0, 1)),
-                       massi=math.inf, method_tag="tilting")
+    def sweep(deltas, lo=None, hi=None):
+        return CurvatureSweep(deltas=deltas, lo=lo or [0.0] * len(deltas),
+                              hi=hi or [1.0] * len(deltas), method_tag="tilting")
+
+    # The grid follows _validate_delta_grid's rule; a NaN fails it.
+    for deltas in ((0.0, 0.0), (0.0, math.nan, 1.0), (0.0, 2.0, 1.0), (0.0, -1.0)):
+        with pytest.raises(ValidationError, match="strictly increasing"):
+            sweep(deltas)
+    for deltas in ((-1.0, 0.0), (math.nan,), (-math.inf, 0.0)):
+        with pytest.raises(DomainError):
+            sweep(deltas)
+    with pytest.raises(ValidationError, match="align"):
+        CurvatureSweep(deltas=(0.0, 1.0), lo=(0.0,), hi=(1.0, 1.0), method_tag="tilting")
+    with pytest.raises(ValidationError, match="align"):
+        CurvatureSweep(deltas=(), lo=(0.0,), hi=(1.0,), method_tag="trimming_proxy")
+    for lo, hi in (([0.0, 2.0], [1.0, 1.0]), ([0.0, math.nan], [1.0, 1.0]),
+                   ([0.0, 0.0], [1.0, math.nan])):
+        with pytest.raises(ValidationError, match="out of order"):
+            sweep((0.0, 1.0), lo, hi)
+    # massi is derived from the endpoints, never passed in.
+    with pytest.raises(TypeError):
+        CurvatureSweep(deltas=(0.0,), lo=(1.0,), hi=(2.0,), method_tag="tilting", massi=math.inf)
+    # A proxy sweep that lost every delta is empty, and excludes zero nowhere.
+    empty = CurvatureSweep(deltas=(), lo=(), hi=(), method_tag="trimming_proxy",
+                           missing_deltas=(0.0, 1.0))
+    assert empty.massi == math.inf and empty.intervals == ()
+    # Any sequences are held as tuples of floats.
+    held = sweep([0, 1], lo=[-1.0, -2.0], hi=[1.0, 2.0])
+    assert held.deltas == (0.0, 1.0) and all(type(d) is float for d in held.deltas)
+    assert (held.lo, held.hi) == ((-1.0, -2.0), (1.0, 2.0))
+    assert held.intervals == (Interval(-1.0, 1.0), Interval(-2.0, 2.0))
     with pytest.raises(ValidationError):
         sweep_tilting(
             synthetic_observational(seed=1, n_treated=10, n_control=30),
             _hand_model(0.0, [0.0] * 8),
             [],
         )
+
+
+_massi_end = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0]),
+                       st.floats(-10, 10))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_massi_end, _massi_end).map(sorted), max_size=12))
+def test_massi_is_the_first_delta_whose_interval_excludes_zero(ends):
+    deltas = [0.5 * i for i in range(len(ends))]
+    sweep = CurvatureSweep(deltas=deltas, lo=[lo for lo, _ in ends],
+                           hi=[hi for _, hi in ends], method_tag="tilting")
+    expected = next((d for d, iv in zip(deltas, sweep.intervals) if iv.lo > 0.0 or iv.hi < 0.0),
+                    math.inf)
+    assert sweep.massi == expected
 
 
 def test_default_delta_to_trim_mapping():
@@ -772,6 +812,26 @@ def test_sweep_trimming_proxy_records_missing_points():
     assert sweep.deltas == (0.0,)
     # Equal scores tie every control; the lowest id (outcome 1.0) matches.
     assert sweep.intervals == (Interval(3.0, 3.0),)
+
+
+def test_sweep_trimming_proxy_records_width_violations(monkeypatch):
+    # Each matching call reports a smaller, equal or larger se than the last;
+    # the sweep keeps every interval and records only where the width shrank.
+    ses = iter([9.0, 2.0, 1.0, 3.0, 3.0, 0.5])
+
+    def fake_match(sample, scores, spec):
+        return estimators.AttEstimate(1.0, next(ses), sample.n_treated, 0, "fake")
+
+    monkeypatch.setattr(identification, "att_match", fake_match)
+    data = synthetic_observational(seed=53, n_treated=60, n_control=240)
+    model = fit_logistic(data, ["age", "education", "re74", "re75"])
+    deltas = (0.0, 0.25, 0.5, 0.75, 1.0, 1.25)
+    sweep = sweep_trimming_proxy(data, model, deltas)
+    assert sweep.deltas == deltas and not sweep.missing_deltas
+    assert sweep.lo == (1.0, -1.0, 0.0, -2.0, -2.0, 0.5)
+    assert sweep.hi == (1.0, 3.0, 2.0, 4.0, 4.0, 1.5)
+    assert sweep.width_violations == (2, 5)
+    assert sweep.massi == 0.0
 
 
 def test_sweep_trimming_proxy_scores_data_once_and_each_kept_sample_once(monkeypatch):
@@ -929,21 +989,3 @@ def test_a_dropped_problem_leaves_the_registry():
     gc.collect()
     assert id(y) not in identification._PROBLEMS
     assert len(identification._PROBLEMS) == entries
-
-
-def test_fixed_radius_sets():
-    sets = fixed_radius_sets([0.1], 0.3)
-    assert sets[0].lo == pytest.approx(-0.2)
-    assert sets[0].hi == pytest.approx(0.4)
-    assert sets[0].contains(0.0)
-    singletons = fixed_radius_sets([0.5, -0.5], 0.0)
-    assert all(s.width == 0.0 for s in singletons)
-    with pytest.raises(DomainError):
-        fixed_radius_sets([0.0], -0.1)
-
-
-def test_massi_from_intervals_cases():
-    ivs = [Interval(-1, 1), Interval(-2, 2)]
-    assert massi_from_intervals([0.0, 1.0], ivs) == math.inf
-    ivs2 = [Interval(0.2, 0.4), Interval(-1, 1)]
-    assert massi_from_intervals([0.0, 1.0], ivs2) == 0.0

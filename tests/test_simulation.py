@@ -152,16 +152,21 @@ def test_selection_rejects_negative_delta():
 
 
 def test_run_sweep_default_contains_zero_everywhere():
-    result = run_sweep(SimConfig(seed=14))
+    config = SimConfig(seed=14)
+    result = run_sweep(config)
     assert abs(result.observed_ates[0] - 0.1) < 0.01
-    assert all(iv.contains(0.0) for iv in result.sets)
-    assert result.massi == math.inf
+    sets = result.sets
+    assert sets.deltas == config.delta_grid and sets.method_tag == "fixed_radius"
+    assert sets.lo == tuple(a - 0.3 for a in result.observed_ates)
+    assert sets.hi == tuple(a + 0.3 for a in result.observed_ates)
+    assert all(lo <= 0.0 <= hi for lo, hi in zip(sets.lo, sets.hi))
+    assert sets.massi == math.inf
 
 
 def test_run_sweep_degenerate_radius_identifies_sign():
     result = run_sweep(SimConfig(seed=15, delta_grid=(0.0,), epsilon=0.0))
-    assert result.massi == 0.0
-    assert result.sets[0].width == 0.0
+    assert result.sets.massi == 0.0
+    assert result.sets.lo == result.sets.hi == result.observed_ates
 
 
 def test_run_sweep_ates_are_the_arm_means():
