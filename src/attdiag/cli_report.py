@@ -507,6 +507,7 @@ def cmd_propensity(cfg: RunConfig):
 
 
 def cmd_match(cfg: RunConfig):
+    lap = lap_clock()
     data, digests, _ = cfg.tables
     model, spec, rule = cfg.model, cfg.match_spec, cfg.trim_rule
     scores = data.cached(model, "scores", score_dataset)
@@ -520,9 +521,13 @@ def cmd_match(cfg: RunConfig):
               f"score_trimmed[{rule.low},{rule.high}]"]
     table1 = [full, overlap_est, trimmed_est]
     _write_csv(cfg.out_dir / "table1.csv", estimates_to_csv_rows(table1, labels))
+    naive = naive_diff(data).tau_hat
+    CPU_SECONDS["table1_s"] += lap()
 
     designs = design_sensitivity(data, scores, default_design_suite(scores))
     _write_csv(cfg.out_dir / "designs.csv", estimates_to_csv_rows(designs))
+    distinct_scores = distinct_control_scores(data, scores)
+    CPU_SECONDS["designs_s"] += lap()
 
     values = {
         "table1": [
@@ -536,11 +541,10 @@ def cmd_match(cfg: RunConfig):
         ],
         "trim_drops": {"dropped_treated": data.n_treated - trimmed.n_treated,
                        "dropped_control": data.n_control - trimmed.n_control},
-        "naive": naive_diff(data).tau_hat,
+        "naive": naive,
     }
     return values, {"digests": digests, "treated_units": data.n_treated,
-                    "controls": data.n_control,
-                    "distinct_control_scores": distinct_control_scores(data, scores)}
+                    "controls": data.n_control, "distinct_control_scores": distinct_scores}
 
 
 def cmd_bounds(cfg: RunConfig):

@@ -87,6 +87,15 @@ def fragility_index(sweep: CurvatureSweep, interval_at=None) -> float:
     return hi
 
 
+def _check_estimate(tau_hat: float, se: float) -> None:
+    """An estimate and its standard error fit to scale: tau_hat finite, se
+    finite and > 0 (a NaN fails either; 0 * inf would be NaN)."""
+    if not 0 < se < math.inf:
+        raise ValidationError(f"se must be finite and > 0, got {se}")
+    if not math.isfinite(tau_hat):
+        raise ValidationError(f"tau_hat must be finite, got {tau_hat}")
+
+
 def bias_robustness(tau_hat: float, se: float, grid_step: float = 0.5) -> float:
     """Smallest grid multiple of grid_step such that zero enters
     [tau_hat - delta*se, tau_hat + delta*se].
@@ -96,12 +105,9 @@ def bias_robustness(tau_hat: float, se: float, grid_step: float = 0.5) -> float:
     delta*se >= |tau_hat|. Returns math.inf when |tau_hat|/se/grid_step
     overflows a float: no grid index a float can hold reaches the ratio.
     """
-    if not 0 < se < math.inf:  # a NaN fails; 0 * inf would be NaN below
-        raise ValidationError(f"se must be finite and > 0, got {se}")
+    _check_estimate(tau_hat, se)
     if not (grid_step > 0):
         raise ValidationError("grid_step must be > 0")
-    if not math.isfinite(tau_hat):
-        raise ValidationError("tau_hat must be finite")
     if tau_hat == 0.0:
         return 0.0
     ratio = abs(tau_hat) / se
@@ -119,7 +125,9 @@ def bias_robustness(tau_hat: float, se: float, grid_step: float = 0.5) -> float:
 
 def bias_robustness_curve(tau_hat: float, se: float, deltas) -> CurvatureSweep:
     """The sets [tau_hat - delta*se, tau_hat + delta*se] along a delta grid
-    (the bias-tolerance plot)."""
+    (the bias-tolerance plot); the estimate is checked as `bias_robustness`
+    checks it."""
+    _check_estimate(tau_hat, se)
     deltas = tuple(deltas)
     return CurvatureSweep(deltas=deltas, lo=[tau_hat - d * se for d in deltas],
                           hi=[tau_hat + d * se for d in deltas], method_tag=BIAS_TOLERANCE)

@@ -26,8 +26,12 @@ the problem computes once from the same sums (`TiltingProblem.interval`),
 and the bound is the best ratio next to it, a full scan's to within
 rounding. Delta 0, where every exact ratio is the same, scans every split
 point, once per problem, when it is built; every query at delta 0 reads
-those bounds. A sweep takes one lookup and one gather for all its deltas, one
-delta Python floats. Sums that could overflow are scaled by a power of two.
+those bounds. The sums around each breakpoint sit in one padded window
+table per side (64 B per distinct outcome), so a sweep takes one lookup and
+one gather for all its deltas, and one delta a slice of Python floats. A
+sweep whose ends nest, as they almost always do, is checked on its lists of
+ends; only one whose ends do not takes the array snap. Sums that could
+overflow are scaled by a power of two.
 Every delta sweep is a `CurvatureSweep` of its grid and interval ends, from
 which its massi, decisions, CSV rows and charts are read.
 `curvature_bounds` is the one-delta form. Given the very objects
@@ -62,9 +66,10 @@ from .work import COUNTS
 # exp cap: beyond this the tilted extremes equal the support limits to
 # machine precision, and exp would overflow around 709.
 _MAX_EXP = 500.0
-# The split points evaluated on each side of a bound's breakpoint, as offsets.
+# The split points evaluated on each side of a bound's breakpoint, and the
+# window of table rows around it.
 _NEIGHBOURS = 2
-_WINDOW = np.arange(-_NEIGHBOURS, _NEIGHBOURS + 1)
+_WINDOW = 2 * _NEIGHBOURS + 1
 # A suffix sum taken as total - prefix carries about 2^-52 of the total in
 # rounding, more than 2^-32 of a suffix weight below 2^-20 of the total. In
 # that top tail, which large deltas tilt, the suffix rows are summed from the top.
@@ -72,10 +77,11 @@ _TAIL = 2.0 ** -20
 # Side 0 raises mu0 by tilting the suffix [k:] of the sorted outcomes, k = 1..m
 # (k = m is the untilted vertex; k = 0 equals it and is skipped to keep the
 # bounds nested); side 1 lowers it by tilting the prefix [:k], k = 0..m-1. Per
-# side: its first k, and the `_sums` rows of its untilted and tilted w, then w*y.
-_FIRST = np.array([1, 0])[:, None, None]
+# side: the rows of the prefix and suffix sums (w, then w*y) that hold its
+# untilted and tilted w, then w*y; and its first k.
 _SIDE_ROWS = ((0, 1, 2, 3), (1, 0, 3, 2))
-_ROWS = np.array(_SIDE_ROWS).T[:, :, None, None]
+_FIRST = np.array([[1], [0]])
+_SIDES = np.array([[0], [1]])
 
 TILTING = "tilting"
 TRIMMING_PROXY = "trimming_proxy"
@@ -208,12 +214,14 @@ class TiltingProblem:
     The constructor validates the inputs, collapses tied outcomes, takes
     prefix and suffix sums once (outcomes in non-decreasing order, as
     `control_tilt_inputs` returns them, in one pass, any other order after
-    a sort), makes the delta-0 pass and computes the breakpoints (see
-    `interval`), so a problem costs O(m) whatever deltas it is asked.
+    a sort), makes the delta-0 pass, computes the breakpoints (see
+    `interval`) and lays the sums out as each side's window table, so a
+    problem costs O(m) whatever deltas it is asked.
     `interval(delta)` then evaluates at most 2 * _NEIGHBOURS + 1 split
     points per side, none at delta 0, and `sweep` gives its floats at each
     delta of a grid from one array pass. Neither changes the problem; the
-    ledger counts the ratios evaluated as `tilt_split_points_evaluated`,
+    ledger counts the distinct split points evaluated as
+    `tilt_split_points_evaluated`,
     and each problem built as `tilt_problems_built`. The problem keeps the
     three input objects it was given, so `curvature_bounds` can tell them
     and `control_tilt_inputs` return them.
@@ -247,20 +255,18 @@ class TiltingProblem:
         shift = min(0, 300 - math.frexp(max(-ys[0], ys[-1]))[1] - math.frexp(m + 1)[1])
         ys = np.ldexp(ys, shift) if shift else ys
         self._scale = math.ldexp(1.0, -shift)
-        # Rows 0 and 1 of `_sums` hold the prefix and suffix sums of w, rows 2 and 3
+        # Rows 0 and 1 of `sums` hold the prefix and suffix sums of w, rows 2 and 3
         # those of w*y (prefix[k] = the sum of the first k sorted entries, prefix[0]
         # = 0; suffix[k] = total - prefix[k], the sum from entry k on).
-        self._sums = np.empty((4, m + 1))
-        self._w, self._wy = self._sums[:2], self._sums[2:]
-        for sums, terms in ((self._w, ws), (self._wy, ws * ys)):
-            sums[0, 0] = 0.0
-            np.cumsum(terms, out=sums[0, 1:])
-            np.subtract(sums[0, -1], sums[0], out=sums[1])
-        self._ys = ys
+        sums = np.empty((4, m + 1))
+        for rows, terms in ((sums[:2], ws), (sums[2:], ws * ys)):
+            rows[0, 0] = 0.0
+            np.cumsum(terms, out=rows[0, 1:])
+            np.subtract(rows[0, -1], rows[0], out=rows[1])
         # The delta-0 bounds from every split point k = 0..m, where the two
         # sides' ratios are the same floats (the untilted and tilted sums trade
         # places), so one pass serves both: (side 0's max, side 1's min).
-        ratios = (self._wy[0] + self._wy[1]) / (self._w[0] + self._w[1])
+        ratios = (sums[2] + sums[3]) / (sums[0] + sums[1])
         COUNTS["tilt_split_points_evaluated"] += ratios.size
         self._at_zero = (float(ratios[1:].max()), float(ratios[:-1].min()))
         # The suffix weights summed from the top keep their digits however
@@ -268,9 +274,22 @@ class TiltingProblem:
         # rows come from the top too (see _TAIL); `tail` is its first entry.
         top = np.zeros(m + 1)
         np.cumsum(ws[::-1], out=top[-2::-1])
-        tail = int(np.count_nonzero(top >= _TAIL * self._w[0, -1]))
-        self._w[1, tail:] = top[tail:]
-        np.cumsum((ws[tail:] * ys[tail:])[::-1], out=self._wy[1, tail:m][::-1])
+        tail = int(np.count_nonzero(top >= _TAIL * sums[0, -1]))
+        sums[1, tail:] = top[tail:]
+        np.cumsum((ws[tail:] * ys[tail:])[::-1], out=sums[3, tail:m][::-1])
+        # Row j of the window table `_windows[side]` holds the side's four sums
+        # (`_SIDE_ROWS` order) at split point j - _NEIGHBOURS clamped to the
+        # side's range, so rows k..k + 4 are the window around breakpoint index
+        # k, its end rows repeated, and a sweep gathers every window through
+        # one sliding view. `_span[side, k]` counts the window's distinct split points.
+        at = np.clip(np.arange(-_NEIGHBOURS, m + 1 + _NEIGHBOURS), _FIRST, _FIRST + (m - 1))
+        self._windows = np.empty((2, at.shape[1], 4))
+        for side, rows in enumerate(_SIDE_ROWS):
+            for column, row in enumerate(rows):  # a column at a time: no large temporary
+                self._windows[side, :, column] = sums[row, at[side]]
+        self._window_view = np.lib.stride_tricks.sliding_window_view(self._windows, _WINDOW,
+                                                                     axis=1)
+        self._span = (at[:, _WINDOW - 1:] - at[:, :m + 1] + 1).astype(np.int8)
         # Side 0's optimal split point passes y_j once e^delta exceeds
         # e_j = sum_{i<j} w_i (y_j - y_i) / sum_{i>j} w_i (y_i - y_j), where the
         # tilted mean of the entries above j reaches y_j; side 1's once
@@ -281,7 +300,7 @@ class TiltingProblem:
         np.subtract(ys[1:], ys[:-1], out=num[1:])  # the gaps, until summed
         top[1:m] *= num[1:]
         np.cumsum(top[-2:0:-1], out=top[-2:0:-1])
-        np.cumsum(num * self._w[0, :m], out=num)
+        np.cumsum(num * sums[0, :m], out=num)
         self._breaks = np.full(m, np.inf)
         with np.errstate(over="ignore"):
             np.divide(num, top[1:], out=self._breaks, where=top[1:] > 0.0)
@@ -318,12 +337,9 @@ class TiltingProblem:
         """One side's bound at one delta e^delta > 1 (see `interval`), in Python
         floats: the IEEE-754 operations of `_extremes`, in order, so its float."""
         k = int(self._breaks.searchsorted(1.0 / e_delta if side else e_delta))
-        at = slice(max(1 - side, k - _NEIGHBOURS),
-                   min(self.distinct_outcomes - side, k + _NEIGHBOURS) + 1)
-        COUNTS["tilt_split_points_evaluated"] += at.stop - at.start
-        sums = self._sums[:, at].tolist()
+        COUNTS["tilt_split_points_evaluated"] += int(self._span[side, k])
         ratios = [(wy + e_delta * tilted_wy) / (w + e_delta * tilted_w)
-                  for w, tilted_w, wy, tilted_wy in zip(*(sums[r] for r in _SIDE_ROWS[side]))]
+                  for w, tilted_w, wy, tilted_wy in self._windows[side, k:k + _WINDOW].tolist()]
         return min(ratios) if side else max(ratios)
 
     def _extremes(self, e_delta: np.ndarray) -> np.ndarray:
@@ -333,33 +349,37 @@ class TiltingProblem:
         bounds = np.empty((2, e_delta.size))
         bounds[0, :zero], bounds[1, :zero] = self._at_zero
         e = e_delta[zero:, None]
-        at = self._breaks.searchsorted(np.concatenate((e, 1.0 / e))).reshape(2, -1, 1) + _WINDOW
-        np.minimum(np.maximum(at, _FIRST, out=at), _FIRST + (self.distinct_outcomes - 1), out=at)
-        w, tilted_w, wy, tilted_wy = self._sums[_ROWS, at]
+        k = self._breaks.searchsorted(np.concatenate((e, 1.0 / e))).reshape(2, -1)
+        w, tilted_w, wy, tilted_wy = self._window_view[_SIDES, k].transpose(2, 0, 1, 3)
         ratios = (wy + e * tilted_wy) / (w + e * tilted_w)
         bounds[0, zero:], bounds[1, zero:] = ratios[0].max(axis=1), ratios[1].min(axis=1)
-        COUNTS["tilt_split_points_evaluated"] += int((at[..., -1] - at[..., 0] + 1).sum())
+        COUNTS["tilt_split_points_evaluated"] += int(self._span[_SIDES, k].sum())
         return bounds
 
     def sweep(self, deltas) -> CurvatureSweep:
         """Identified sets along an ascending delta grid, `interval`'s at
         each delta. Nesting across the grid is asserted, not assumed."""
         deltas = _validate_delta_grid(deltas)
-        e_delta = np.array([math.exp(min(d, _MAX_EXP)) for d in deltas])
-        lo, hi = self.treated_mean - self._scale * self._extremes(e_delta)
-        if not np.all(lo <= hi):
-            raise ValidationError("tilting interval endpoints out of order")
-        # The true sets are nested; float evaluation can under-cover by a few
-        # ulp on near-flat candidates, which the outward snap to the running
-        # extremes absorbs. Any larger violation is a bug and must surface.
-        outer_lo, outer_hi = np.minimum.accumulate(lo), np.maximum.accumulate(hi)
-        gap = np.maximum(lo[1:] - outer_lo[:-1], outer_hi[:-1] - hi[1:])
-        if not np.all(gap <= 0.0):
+        e_delta = np.fromiter([math.exp(d if d < _MAX_EXP else _MAX_EXP) for d in deltas],
+                              float, len(deltas))
+        bounds = self.treated_mean - self._scale * self._extremes(e_delta)
+        lo, hi = bounds.tolist()
+        # The true sets are nested, and the computed ends almost always are:
+        # then they are the sets (`CurvatureSweep` checks lo <= hi). Float
+        # evaluation can under-cover by a few ulp on near-flat candidates,
+        # which the outward snap to the running extremes absorbs. Any larger
+        # violation is a bug and must surface.
+        if not (all(map(operator.ge, lo, lo[1:])) and all(map(operator.le, hi, hi[1:]))):
+            lo, hi = bounds
+            if not np.all(lo <= hi):
+                raise ValidationError("tilting interval endpoints out of order")
+            outer_lo, outer_hi = np.minimum.accumulate(lo), np.maximum.accumulate(hi)
+            gap = np.maximum(lo[1:] - outer_lo[:-1], outer_hi[:-1] - hi[1:])
             scale = np.abs([outer_lo[:-1], outer_hi[:-1], lo[1:], hi[1:]]).max(axis=0, initial=1.0)
             if np.any(gap > 1e-9 * scale):
                 raise NumericalError("tilting intervals failed to nest along the delta grid")
-        return CurvatureSweep(deltas=deltas, lo=outer_lo.tolist(), hi=outer_hi.tolist(),
-                              method_tag=TILTING)
+            lo, hi = outer_lo.tolist(), outer_hi.tolist()
+        return CurvatureSweep(deltas=deltas, lo=lo, hi=hi, method_tag=TILTING)
 
 
 def curvature_bounds(control_outcomes, base_weights, treated_mean: float,

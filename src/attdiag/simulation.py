@@ -82,13 +82,23 @@ def _selection_probability(delta: float) -> np.ndarray:
 
 def apply_selection(y: np.ndarray, delta: float, seed: int) -> np.ndarray:
     """Keep each unit with probability logistic(delta * y), y its 0/1
-    observed outcome; returns the kept mask.
+    observed outcome (integers, or bools read as their values); returns the
+    kept mask. Any other outcome is a ValidationError.
 
     delta=0 keeps everyone with probability one half (selection ignores the
     outcome); growing delta favors high observed outcomes.
     """
     _check_delta(delta)
-    return _stage_rng(seed, _STAGE_SELECT).random(len(y)) < _selection_probability(delta)[y]
+    outcomes = np.asarray(y)
+    if outcomes.ndim != 1 or outcomes.dtype.kind not in "biu":
+        raise ValidationError("outcomes must be a vector of 0/1 integers or bools, got "
+                              f"{outcomes.dtype} of shape {outcomes.shape}")
+    # Read as unsigned, a negative outcome is a large one: one max finds both.
+    codes = outcomes.view(outcomes.dtype.str.replace(outcomes.dtype.kind, "u"))
+    if codes.size and codes.max() > 1:
+        raise ValidationError("outcomes must be 0 or 1, got values in "
+                              f"[{outcomes.min()}, {outcomes.max()}]")
+    return _stage_rng(seed, _STAGE_SELECT).random(len(codes)) < _selection_probability(delta)[codes]
 
 
 @dataclass(frozen=True)

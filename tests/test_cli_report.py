@@ -347,6 +347,24 @@ def test_bounds_line_splits_its_cpu_seconds_by_phase(tmp_path, capsys):
         assert not any(phase in artifact.read_text() for phase in phases), artifact.name
 
 
+def test_match_line_splits_its_cpu_seconds_by_phase(tmp_path, capsys):
+    config = write_synthetic_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["propensity", "--config", str(config), "--seed", "5",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["match", "--config", str(config), "--seed", "5", "--out", str(out)]) == 0
+    [record] = _log_lines(capsys.readouterr().out)
+    phases = ("table1_s", "designs_s")
+    # Disjoint parts of the stage that cover it, on the clock cpu_s reads,
+    # and log-only; neither is the bootstrap's match_s.
+    assert all(record[phase] >= 0 for phase in phases)
+    assert 0.9 * record["cpu_s"] <= sum(record[phase] for phase in phases) <= record["cpu_s"]
+    assert "match_s" not in record and not set(phases) & set(COUNTS)
+    for artifact in out.glob("*.json"):
+        assert not any(phase in artifact.read_text() for phase in phases), artifact.name
+
+
 def test_fragility_on_a_grid_ending_at_infinity(tmp_path, monkeypatch):
     # The decision flips between the grid's two deltas, 0 and inf, so the
     # bisection first needs a finite upper end. An interval that raises

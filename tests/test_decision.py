@@ -248,6 +248,19 @@ def test_bias_robustness_rejects_bad_se():
             bias_robustness(1.0, se, 0.5)
 
 
+@pytest.mark.parametrize("tau, se, message", [
+    (1.0, -1.0, "se must be finite and > 0"), (1.0, 0.0, "se must be finite and > 0"),
+    (1.0, math.nan, "se must be finite and > 0"), (1.0, math.inf, "se must be finite and > 0"),
+    (math.inf, 1.0, "tau_hat must be finite"), (-math.inf, 1.0, "tau_hat must be finite"),
+    (math.nan, 1.0, "tau_hat must be finite"),
+])
+def test_bias_robustness_and_its_curve_name_a_bad_estimate(tau, se, message):
+    with pytest.raises(ValidationError, match=message):
+        bias_robustness(tau, se, 0.5)
+    with pytest.raises(ValidationError, match=message):
+        bias_robustness_curve(tau, se, [0.0, 1.0])
+
+
 def test_bias_robustness_curve_endpoints():
     curve = bias_robustness_curve(-10.0, 2.0, [0.0, 1.0, 2.0])
     assert curve.deltas == (0.0, 1.0, 2.0) and curve.method_tag == "bias_tolerance"

@@ -1,6 +1,7 @@
 import gc
 import math
 import pickle
+import struct
 import warnings
 
 import numpy as np
@@ -231,16 +232,12 @@ def test_sweep_equals_per_delta_bounds_exactly(controls, deltas, treated_mean):
     # nest; float evaluation may miss by an ulp). The sweep may refuse the
     # grid only where the per-delta intervals really fail to nest, as
     # all-subnormal weights can make them.
-    lo, hi = math.inf, -math.inf
-    nested = True
-    for i, want in enumerate(expected):
-        nested = nested and want.lo <= lo and hi <= want.hi
-        lo, hi = min(lo, want.lo), max(hi, want.hi)
-        if sweep is not None:
-            assert sweep.intervals[i].lo == lo and sweep.intervals[i].hi == hi
+    nested = all(outer.lo <= inner.lo and inner.hi <= outer.hi
+                 for inner, outer in zip(expected, expected[1:]))
     if sweep is None:
         assert not nested
     else:
+        assert _float_bits(*sweep.lo, *sweep.hi) == _float_bits(*_snapped_ends(expected))
         assert sweep.deltas == tuple(deltas)
 
 
@@ -253,18 +250,112 @@ def test_a_sweep_whose_intervals_fail_to_nest_raises(monkeypatch):
         problem.sweep([0.0, 1.0])
 
 
+def test_a_sweep_snaps_ends_that_under_cover_by_an_ulp(monkeypatch):
+    # At delta 1 the lower end rises by one ulp: the running extremes absorb it.
+    below_one = math.nextafter(1.0, 0.0)
+    monkeypatch.setattr(TiltingProblem, "_extremes",
+                        lambda self, e_delta: np.array([[1.0, below_one], [-1.0, -1.0]]))
+    sweep = TiltingProblem(np.array([0.0, 1.0]), np.array([1.0, 1.0]), 0.0).sweep([0.0, 1.0])
+    assert (sweep.lo, sweep.hi) == ((-1.0, -1.0), (1.0, 1.0))
+
+
+@pytest.mark.parametrize("extremes", [
+    [[-1.0, -1.0], [1.0, 1.0]],  # nested ends, lo > hi at every delta
+    [[-1.0, -3.0], [1.0, 3.0]],  # lo > hi, and lo rises far past any snap
+])
+def test_sweep_ends_out_of_order_fail_before_the_nesting_check(monkeypatch, extremes):
+    monkeypatch.setattr(TiltingProblem, "_extremes", lambda self, e_delta: np.array(extremes))
+    problem = TiltingProblem(np.array([0.0, 1.0]), np.array([1.0, 1.0]), 0.0)
+    with pytest.raises(ValidationError, match="out of order"):
+        problem.sweep([0.0, 1.0])
+
+
+def test_nested_sweep_ends_keep_the_signs_of_their_zeros(monkeypatch):
+    # Ends that nest only as equal zeros of either sign come back as they are,
+    # the bits the outward snap (np.minimum/np.maximum.accumulate) gives them.
+    signed = np.array([[0.0, -0.0, 0.0], [-0.0, 0.0, -0.0]])
+    monkeypatch.setattr(TiltingProblem, "_extremes", lambda self, e_delta: signed)
+    sweep = TiltingProblem(np.array([0.0, 1.0]), np.array([1.0, 1.0]), -0.0).sweep([0, 1, 2])
+    lo, hi = -0.0 - signed
+    assert _float_bits(*lo) == _float_bits(-0.0, 0.0, -0.0)
+    assert _float_bits(*sweep.lo) == np.minimum.accumulate(lo).tobytes()
+    assert _float_bits(*sweep.hi) == np.maximum.accumulate(hi).tobytes()
+
+
+@pytest.mark.parametrize("treated_mean", [0.0, -0.0])
+@pytest.mark.parametrize("y", [[0.0], [-0.0], [-0.0, 0.0], [-1.0, 0.0, 1.0]])
+def test_sweeps_with_zero_ends_are_the_per_delta_bits(y, treated_mean):
+    _assert_sweep_is_per_delta(np.array(y), np.ones(len(y)), treated_mean,
+                               [0.0, 1e-300, 0.5, 3.0, math.inf])
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_the_smallest_problems_clamp_their_windows_at_both_ends(m):
+    # With m <= 4 distinct outcomes every window of 2 * _NEIGHBOURS + 1 split
+    # points reaches past one end of its side's range or both, so the table
+    # repeats the end rows. The outcomes tie in pairs; the dyadic weights and
+    # outcomes keep every prefix sum exact.
+    ys = np.array([-30.0, 0.0, 12.5, 40.0])[:m]
+    w = np.array([1.0, 2.0, 0.5, 3.0, 1.5, 0.25, 2.0, 1.0])[:2 * m]
+    problem = TiltingProblem(np.repeat(ys, 2), w, 5.0)
+    assert problem.distinct_outcomes == m
+    windows = problem._windows
+    assert windows.shape == (2, m + 5, 4) and windows.flags.c_contiguous
+    ws = (w[0::2] + w[1::2]) / 4.0  # tie-collapsed, scaled so the largest is in [0.5, 1)
+    for side, first in ((0, 1), (1, 0)):
+        points = np.clip(np.arange(-2, m + 3), first, first + m - 1)
+        # Row j holds split point clamp(j - 2): the end rows repeat.
+        assert np.array_equal(windows[side], windows[side, points + 2])
+        # The prefix sums are side 0's untilted sums and side 1's tilted ones.
+        prefix_w = np.concatenate(([0.0], np.cumsum(ws)))[points]
+        prefix_wy = np.concatenate(([0.0], np.cumsum(ws * ys)))[points]
+        assert np.array_equal(windows[side, :, side], prefix_w)
+        assert np.array_equal(windows[side, :, 2 + side], prefix_wy)
+    # The sides trade untilted and tilted sums at the split points both hold.
+    assert np.array_equal(windows[0, 3:m + 2], windows[1, 3:m + 2][:, [1, 0, 3, 2]])
+    deltas = [0.0, 1e-3, 0.1, 0.5, 1.0, 2.0, 5.0, 40.0, math.inf]
+    for delta in deltas[1:]:
+        e_delta = math.exp(min(delta, identification._MAX_EXP))
+        for side, first in ((0, 1), (1, 0)):
+            k = int(problem._breaks.searchsorted(1.0 / e_delta if side else e_delta))
+            _, work = counted(problem._extreme, side, e_delta)
+            distinct = min(k + 2, first + m - 1) - max(k - 2, first) + 1
+            assert work["tilt_split_points_evaluated"] == distinct, (delta, side)
+        got = problem.interval(delta)
+        want = oracle_curvature_bounds(np.repeat(ys, 2), w, 5.0, delta)
+        assert (got.lo, got.hi) == pytest.approx((want.lo, want.hi), rel=0, abs=1e-9)
+    _assert_sweep_is_per_delta(np.repeat(ys, 2), w, 5.0, deltas)
+
+
+def _float_bits(*values) -> bytes:
+    """The IEEE-754 bits of floats, the sign of a zero included."""
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+def _snapped_ends(intervals) -> list[float]:
+    """The lower ends, then the upper ends, of the running hull of
+    per-delta intervals, as the sweep's outward snap takes it: on a tie the
+    later end is kept (np.minimum and np.maximum keep their second
+    argument), so the sign of a zero follows the later interval."""
+    lo, hi, los, his = math.inf, -math.inf, [], []
+    for interval in intervals:
+        lo = interval.lo if interval.lo <= lo else lo
+        hi = interval.hi if interval.hi >= hi else hi
+        los.append(lo)
+        his.append(hi)
+    return los + his
+
+
 def _assert_sweep_is_per_delta(y, w, treated_mean, deltas) -> TiltingProblem:
     """The sweep's intervals are the per-delta intervals up to the outward
-    nesting snap, bit for bit, and its ledger counts the per-delta sums;
-    returns the problem swept."""
+    nesting snap, bit for bit (the sign of a zero included), and its ledger
+    counts the per-delta sums; returns the problem swept."""
     single = TiltingProblem(y, w, treated_mean)
     expected, single_work = counted(lambda: [single.interval(d) for d in deltas])
     problem = TiltingProblem(y, w, treated_mean)
     sweep, sweep_work = counted(problem.sweep, deltas)
-    lo, hi = math.inf, -math.inf
-    for want, got in zip(expected, sweep.intervals, strict=True):
-        lo, hi = min(lo, want.lo), max(hi, want.hi)
-        assert (got.lo, got.hi) == (lo, hi)
+    assert len(sweep.lo) == len(expected)
+    assert _float_bits(*sweep.lo, *sweep.hi) == _float_bits(*_snapped_ends(expected))
     assert sweep_work == single_work
     return problem
 
@@ -308,6 +399,21 @@ def test_deltas_whose_tilt_rounds_to_one_read_the_delta_zero_bounds():
     sweep = problem.sweep([0.0, 1e-300, 1e-17, 0.5])
     assert sweep.intervals[:3] == (problem.interval(0.0),) * 3
     assert sweep.intervals[3] != problem.interval(0.0)
+
+
+def test_every_window_reaches_two_split_points_below_its_breakpoint():
+    # Moving every breakpoint up two places makes each lookup land two split
+    # points above the optimum, on its window's first row; both the sweep's
+    # gather and one delta's slice must still read that row.
+    y, w = _array_path_controls(3, 200, tied=False)
+    deltas = [0.0, 0.1, 0.5, 1.0, 2.0, 4.0]
+    problem = TiltingProblem(y, w, 50.0)
+    expected = [(iv.lo, iv.hi) for iv in map(problem.interval, deltas)]
+    problem._breaks = np.concatenate(([-np.inf] * 2, problem._breaks[:-2]))
+    sweep = problem.sweep(deltas)
+    assert list(zip(sweep.lo, sweep.hi)) == pytest.approx(expected, rel=1e-12, abs=0)
+    shifted = [(iv.lo, iv.hi) for iv in map(problem.interval, deltas)]
+    assert shifted == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def test_sweep_tilting_sorts_controls_once(monkeypatch):
@@ -372,7 +478,7 @@ def test_stable_outcome_order_builds_the_same_problem(controls, treated_mean):
     order = np.argsort(y, kind="stable")
     drawn = TiltingProblem(y, w, treated_mean)
     ordered = TiltingProblem(y[order], w[order], treated_mean)
-    for name in ("_ys", "_w", "_wy"):
+    for name in ("_windows", "_breaks"):
         assert np.array_equal(_bits(getattr(drawn, name)), _bits(getattr(ordered, name)))
     for delta in (0.0, 1e-12, 0.5, 3.0, 40.0, math.inf):
         a, b = drawn.interval(delta), ordered.interval(delta)
@@ -415,7 +521,11 @@ def _full_scan(problem, delta):
     """The bounds from every split point, by the expressions of the scan that
     `TiltingProblem.interval` replaces, over the problem's own prefix sums."""
     e = math.exp(min(delta, identification._MAX_EXP))
-    pw, pwy = problem._w[0], problem._wy[0]
+    # Side 0's rows 3..m + 2 hold split points 1..m; its first two sums are
+    # the untilted prefix sums of w and of w*y.
+    m = problem.distinct_outcomes
+    prefix = np.concatenate(([[0.0] * 4], problem._windows[0, 3:m + 3]))
+    pw, pwy = prefix[:, 0], prefix[:, 2]
     sw, swy = pw[-1] - pw, pwy[-1] - pwy
     mu_max = float(np.max((pwy[1:] + e * swy[1:]) / (pw[1:] + e * sw[1:])))
     mu_min = float(np.min((e * pwy[:-1] + swy[:-1]) / (e * pw[:-1] + sw[:-1])))

@@ -151,6 +151,31 @@ def test_selection_rejects_negative_delta():
         apply_selection(y, -0.1, seed=1)
 
 
+def test_selection_reads_bool_outcomes_by_value():
+    # Two bools are outcomes, not a mask: [True, False] keeps the first unit
+    # as an outcome of 1 and the second as an outcome of 0.
+    y = np.tile([True, False], 500)
+    for delta in (0.0, 0.7, 50.0):
+        as_ints = apply_selection(y.astype(np.int8), delta, seed=5)
+        assert np.array_equal(apply_selection(y, delta, seed=5), as_ints)
+        assert np.array_equal(apply_selection([True, False], delta, seed=5), as_ints[:2])
+    assert apply_selection(np.array([], dtype=np.int8), 1.0, seed=5).shape == (0,)
+
+
+@pytest.mark.parametrize("y, message", [
+    (np.array([0, 1, -1], dtype=np.int8), "0 or 1"),
+    (np.array([0, 2]), "0 or 1"),
+    (np.array([1, 0, 256], dtype=np.int16), "0 or 1"),
+    (np.array([0, 1], dtype=np.uint64) - np.uint64(2), "0 or 1"),
+    (np.array([0.0, 1.0]), "integers or bools"),
+    (np.array(["0", "1"]), "integers or bools"),
+    (np.zeros((2, 2), dtype=np.int8), "vector"),
+])
+def test_selection_rejects_outcomes_other_than_zero_and_one(y, message):
+    with pytest.raises(ValidationError, match=message):
+        apply_selection(y, 1.0, seed=1)
+
+
 def test_run_sweep_default_contains_zero_everywhere():
     config = SimConfig(seed=14)
     result = run_sweep(config)
